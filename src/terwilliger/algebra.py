@@ -19,7 +19,6 @@ multiplication by every word in them, hence under the whole algebra.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,9 +90,6 @@ class DimensionCertificate:
             "provenance": self.provenance,
             "rounds": self.closure_rounds,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 class _GeneratorProducts:
@@ -343,8 +339,7 @@ def commutant_oracle(group: GroupTable) -> int:
         raise ValueError(
             f"commutant oracle is desk-scale only (order {order} > {COMMUTANT_ORDER_LIMIT})")
     basis = RationalBasis(order * order)
-    for g in range(order):
-        perm = group.conjugation_permutation(g)
+    for perm in group.conjugation():
         for u in range(order):
             for v in range(order):
                 uu, vv = int(perm[u]), int(perm[v])

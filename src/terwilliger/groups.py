@@ -116,13 +116,13 @@ class GroupTable:
         mult = prod_eps * n + prod_i
         return cls(mult, params=params, name=f"D({n},{s})")
 
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return int(self.mult[self.mult[g, x], self.inv[g]])
+    def conjugation(self) -> np.ndarray:
+        """(order, order) array whose row g is the permutation x -> g*x*g^-1.
 
-    def conjugation_permutation(self, g: int) -> np.ndarray:
-        """The permutation x -> g*x*g^-1 as an index array."""
-        return self.mult[self.mult[g], self.inv[g]]
+        Built afresh on each call rather than cached: it is one gather, and a
+        cache would keep order^2 integers alive on every retained table.
+        """
+        return self.mult[self.mult, self.inv[:, None]]
 
     def element_name(self, x: int) -> str:
         if self.params is None:
@@ -170,17 +170,9 @@ def centralizer_order(group: GroupTable, g: int) -> int:
 
 
 def _brute_partition(group: GroupTable) -> list[frozenset[int]]:
-    """Conjugation orbits of every element, by conjugating with all of G."""
-    seen = [False] * group.order
-    classes = []
-    for x in range(group.order):
-        if seen[x]:
-            continue
-        orbit = {group.conjugate(g, x) for g in range(group.order)}
-        for y in orbit:
-            seen[y] = True
-        classes.append(frozenset(orbit))
-    return classes
+    """Conjugation orbits of every element, in first-seen order: the orbit of x
+    is column x of the conjugation array."""
+    return list(dict.fromkeys(map(frozenset, group.conjugation().T.tolist())))
 
 
 def _closed_form_classes(params: GroupParams) -> tuple[list, list, list, list, list]:
@@ -291,31 +283,6 @@ def generic_conjugacy_classes(group: GroupTable) -> ConjugacyData:
     )
 
 
-def generating_set(group: GroupTable) -> list[int]:
-    """A small generating set, greedily extended until closure is the group."""
-    if group.params is not None:
-        return [1, group.params.n]  # a and b
-    gens: list[int] = []
-    span = {0}
-    for x in range(group.order):
-        if x in span:
-            continue
-        gens.append(x)
-        frontier = [x]
-        while frontier:
-            g = frontier.pop()
-            for h in list(span):
-                for prod in (int(group.mult[g, h]), int(group.mult[h, g])):
-                    if prod not in span:
-                        span.add(prod)
-                        frontier.append(prod)
-            if g not in span:
-                span.add(g)
-        if len(span) == group.order:
-            break
-    return gens
-
-
 def centralizer_counts(group: GroupTable) -> np.ndarray:
     """|C_G(g)| for every g at once, straight from the Cayley table."""
     return np.count_nonzero(group.mult == group.mult.T, axis=0)
@@ -325,7 +292,8 @@ def orbital_count(group: GroupTable) -> int:
     """Number of orbits of G acting on G x G by simultaneous conjugation.
 
     Computed two ways, which must agree: the Burnside average of |C_G(g)|^2,
-    and an explicit flood fill over the order^2 pairs using a generating set.
+    and an explicit enumeration of the orbits by their least pairs
+    (pair_orbit_count).
     """
     counts = centralizer_counts(group)
     total = int(np.sum(counts.astype(object) ** 2))
@@ -333,7 +301,7 @@ def orbital_count(group: GroupTable) -> int:
         raise ConsistencyError("Burnside sum is not divisible by the group order")
     burnside = total // group.order
 
-    explicit = _enumerate_pair_orbits(group)
+    explicit = pair_orbit_count(group)
     if explicit != burnside:
         raise ConsistencyError(
             f"orbital count mismatch for {group.name}: "
@@ -341,25 +309,21 @@ def orbital_count(group: GroupTable) -> int:
     return burnside
 
 
-def _enumerate_pair_orbits(group: GroupTable) -> int:
+def pair_orbit_count(group: GroupTable) -> int:
+    """Orbits of G on G x G under simultaneous conjugation, counted explicitly.
+
+    Pair (x, y) has key x*order + y.  For each x, the least key over the
+    orbit of (x, y) is taken for every y at once; each orbit has exactly one
+    pair that equals its own least key, so counting those counts the orbits.
+    Holds order^2 integers at a time.
+    """
+    conj = group.conjugation()
     order = group.order
-    perms = [group.conjugation_permutation(g) for g in generating_set(group)]
-    seen = np.zeros((order, order), dtype=bool)
+    keys = np.arange(order)
     count = 0
     for x in range(order):
-        for y in range(order):
-            if seen[x, y]:
-                continue
-            count += 1
-            stack = [(x, y)]
-            seen[x, y] = True
-            while stack:
-                u, v = stack.pop()
-                for p in perms:
-                    uu, vv = int(p[u]), int(p[v])
-                    if not seen[uu, vv]:
-                        seen[uu, vv] = True
-                        stack.append((uu, vv))
+        least = (conj[:, x, None] * order + conj).min(axis=0)
+        count += int(np.count_nonzero(least == x * order + keys))
     return count
 
 

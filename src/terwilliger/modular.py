@@ -43,7 +43,6 @@ class PrimeBasis:
         self.rank = 0
         self._rows = np.zeros((capacity, length), dtype=np.float64)
         self._pivot_cols = np.zeros(capacity, dtype=np.int64)
-        self.pivot_of: dict[int, int] = {}
 
     @property
     def rows(self) -> np.ndarray:
@@ -85,7 +84,6 @@ class PrimeBasis:
             raise RuntimeError("echelon basis exceeded its declared capacity")
         self._rows[self.rank] = row
         self._pivot_cols[self.rank] = pivot
-        self.pivot_of[pivot] = self.rank
         self.rank += 1
 
     def insert(self, vec) -> bool:

@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import algebra, characters, scheme, wedderburn
-from .groups import (ConsistencyError, GroupParams, GroupTable, build_group,
-                     conjugacy_classes, validate_params, valid_twists)
+from .groups import (ConjugacyData, ConsistencyError, GroupParams, GroupTable,
+                     build_group, conjugacy_classes, validate_params, valid_twists)
 from .modular import DEFAULT_PRIMES
 
 CLOSURE_DEFAULT_LIMIT = 40
@@ -32,9 +32,9 @@ class Analysis:
 
     params: GroupParams
     group: GroupTable
-    classes: object
-    scheme_data: object
-    tensor: object
+    classes: ConjugacyData
+    scheme_data: scheme.SchemeData
+    tensor: scheme.IntersectionTensor
     dim_t0: int
     case_counts: dict
     dim_t_tilde: int

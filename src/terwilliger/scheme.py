@@ -44,10 +44,6 @@ class SchemeData:
         """Dense 0/1 matrix of relation i."""
         return (self.class_matrix == i).astype(np.int64)
 
-    def row_columns(self, i: int) -> list[np.ndarray]:
-        """Sparse form of relation i: for each row, the columns holding a 1."""
-        return [np.flatnonzero(self.class_matrix[x] == i) for x in range(self.order)]
-
 
 def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     """Build the scheme and verify the defining axioms exactly.

@@ -81,7 +81,7 @@ def central_idempotents(group: GroupTable, table: CharTable,
         mults = multiplicities_rowsum(table)
     classes = conjugacy_classes(group)
     class_of = np.asarray(classes.class_of)
-    perms = np.stack([group.conjugation_permutation(g) for g in range(order)])
+    perms = group.conjugation()
 
     idems = []
     rows = np.arange(order)

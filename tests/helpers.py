@@ -42,6 +42,19 @@ def oracle_burnside_pairs(mult: np.ndarray) -> int:
     return total // order
 
 
+def oracle_pair_orbits(mult: np.ndarray) -> set[frozenset[tuple[int, int]]]:
+    """Orbits of simultaneous conjugation on pairs, each as an explicit set."""
+    order = mult.shape[0]
+    inverses = [oracle_inverse(mult, g) for g in range(order)]
+    orbits = set()
+    for x in range(order):
+        for y in range(order):
+            orbits.add(frozenset((int(mult[mult[g, x], inverses[g]]),
+                                  int(mult[mult[g, y], inverses[g]]))
+                                 for g in range(order)))
+    return orbits
+
+
 def oracle_t0_count(mult: np.ndarray, classes: list[tuple[int, ...]]) -> int:
     """|{(i,j,k) : Cl_k meets Cl_i * Cl_j}| by exhaustive products."""
     class_of = {}

@@ -109,13 +109,11 @@ class TestAlgebraClosure:
             algebra_closure(sd, idem, dim_t0_value=t0, seed_order=[0, 1, 2])
 
     def test_certificate_json(self):
-        import json
         sd, idem, t0 = closure_inputs(3, 2)
         cert = algebra_closure(sd, idem, dim_t0_value=t0)
-        obj = json.loads(cert.to_json())
-        assert obj == {"n": 3, "s": 2, "tau": 1, "dim_T0": 11, "dim_T": 11,
-                       "dim_T_tilde": 11, "formula": 11, "triply_transitive": True,
-                       "provenance": "exact", "rounds": 1}
+        assert cert.to_json_dict() == {
+            "n": 3, "s": 2, "tau": 1, "dim_T0": 11, "dim_T": 11, "dim_T_tilde": 11,
+            "formula": 11, "triply_transitive": True, "provenance": "exact", "rounds": 1}
 
     def test_generic_group_s4(self):
         # S4 is not triply transitive: the triple count undershoots by one

@@ -2,11 +2,22 @@ import numpy as np
 import pytest
 
 from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
-                     oracle_conjugacy_partition, s4_table)
+                     oracle_conjugacy_partition, oracle_inverse, oracle_pair_orbits,
+                     s4_table)
 from terwilliger import (GroupTable, build_group, centralizer_order,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
-from terwilliger.groups import generating_set
+from terwilliger.groups import pair_orbit_count
+
+
+def named_group(name: str) -> GroupTable:
+    """S4, C6, or a twisted dihedral group written as "D(n,s)"."""
+    if name == "S4":
+        return GroupTable(s4_table(), name="S4")
+    if name == "C6":
+        return GroupTable(cyclic_table(6), name="C6")
+    n, s = map(int, name[2:-1].split(","))
+    return build_group(validate_params(n, s))
 
 
 class TestValidateParams:
@@ -188,22 +199,20 @@ class TestOrbitalCount:
         assert orbital_count(g) == oracle_burnside_pairs(g.mult)
 
 
-class TestGeneratingSet:
-    def test_twisted_dihedral(self):
-        g = build_group(validate_params(8, 3))
-        assert generating_set(g) == [1, 8]
+class TestConjugation:
+    @pytest.mark.parametrize("name", ["S4", "D(8,3)"])
+    def test_rows_are_conjugation_by_g(self, name):
+        g = named_group(name)
+        conj = g.conjugation()
+        assert conj.shape == (g.order, g.order)
+        for h in range(g.order):
+            h_inv = oracle_inverse(g.mult, h)
+            assert conj[h].tolist() == [int(g.mult[g.mult[h, x], h_inv])
+                                        for x in range(g.order)]
 
-    def test_cyclic(self):
-        g = GroupTable(cyclic_table(6), name="C6")
-        gens = generating_set(g)
-        span = {0}
-        frontier = list(gens)
-        while frontier:
-            x = frontier.pop()
-            for h in list(span) + [x]:
-                for p in (int(g.mult[x, h]), int(g.mult[h, x])):
-                    if p not in span:
-                        span.add(p)
-                        frontier.append(p)
-            span.add(x)
-        assert span == set(range(6))
+
+class TestPairOrbitCount:
+    @pytest.mark.parametrize("name", ["S4", "C6", "D(3,2)", "D(8,3)", "D(12,5)", "D(15,4)"])
+    def test_matches_oracle(self, name):
+        g = named_group(name)
+        assert pair_orbit_count(g) == len(oracle_pair_orbits(g.mult))

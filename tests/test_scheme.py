@@ -44,14 +44,6 @@ class TestBuildScheme:
             assert inv_members == set(c.classes[i])
             assert np.array_equal(sd.adjacency(i), sd.adjacency(i).T)
 
-    def test_sparse_rows(self):
-        _, g, c = pipeline(3, 2)
-        sd = build_scheme(g, c)
-        rows = sd.row_columns(1)  # class {a, a^2}
-        for x, cols in enumerate(rows):
-            assert len(cols) == 2
-            assert all(sd.class_matrix[x, y] == 1 for y in cols)
-
 
 class TestIntersectionNumbers:
     def test_identity_column(self):
