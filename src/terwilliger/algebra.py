@@ -9,7 +9,10 @@ equal to the orbital count.  The closure computed here is a rank over two
 prime fields; a modular rank can only undershoot the rational one, so when
 it reaches the orbital bound the dimension is certified exactly, and
 otherwise it is reported with modular provenance (with an optional rational
-rerun for small groups).
+rerun for small groups).  The centralizer algebra is spanned by the 0/1
+orbital matrices, which have disjoint supports, so the closure keeps every
+element in orbital coordinates: its values at one representative pair per
+orbit, a faithful coordinate system for the whole algebra over any field.
 
 The saturation multiplies only frontier rows by the generators, on both
 sides.  That is enough: a span containing the generators and closed under
@@ -23,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ConsistencyError, GroupTable, orbital_count
+from .groups import ConsistencyError, GroupTable, orbital_count, pair_orbits
 from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
 from .scheme import SchemeData, closed_form_dimension
 
 COMMUTANT_ORDER_LIMIT = 16
+BATCH_ROWS = 256  # products collected before each insert_block call
 
 PROVENANCE_EXACT = "exact"
 PROVENANCE_RATIONAL = "exact-rational"
@@ -93,46 +97,45 @@ class DimensionCertificate:
 
 
 class _GeneratorProducts:
-    """Left/right multiplication of a matrix by every A_i and E*_i at once.
+    """Left/right multiplication by every A_i and E*_i, in orbital coordinates.
 
-    Uses (A_i M)[u] = sum over c in Cl_i of M[c u] and the column analogue,
-    evaluated for all classes in one gather plus one segment sum.
+    Every element of T lies in T~, so it is constant on the orbits of G on
+    pairs and is stored as its values at the representative pairs: M[x, y]
+    is m[ids[x, y]].  Then (A_i M)[u, v] = sum over c in Cl_i of M[c u, v]
+    and (M A_i)[u, v] = sum over c in Cl_i of M[u, c^-1 v], each evaluated
+    for all classes in one gather plus one segment sum.
     """
 
-    def __init__(self, scheme: SchemeData):
-        group = scheme.group
-        classes = scheme.classes
-        order = group.order
+    def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
+        group, classes = scheme.group, scheme.classes
         elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
         self.offsets = np.cumsum([0] + [len(c) for c in classes.classes])[:-1]
-        self.left_index = group.mult[elems, :]                    # [r, u] = c_r * u
-        self.right_index = group.mult[group.inv[elems], :]        # [r, v] = c_r^-1 * v
-        self.class_of = np.asarray(classes.class_of, dtype=np.int64)
-        self.order = order
-        self.num_classes = classes.num_classes
+        self.ids = ids
+        self.u, self.v = np.divmod(reps, group.order)
+        self.left_index = ids[group.mult[elems][:, self.u], self.v]
+        self.right_index = ids[self.u, group.mult[group.inv[elems]][:, self.v]]
+        class_of = np.asarray(classes.class_of, dtype=np.int64)
+        labels = np.arange(classes.num_classes)[:, None]
+        self.masks = np.concatenate([class_of[self.u] == labels,
+                                     class_of[self.v] == labels]).astype(np.float64)
+
+    def coordinates(self, matrix: np.ndarray) -> np.ndarray:
+        """The values of a matrix at the representatives; it must be constant
+        on every orbit, or the coordinates would not determine it."""
+        coords = matrix[self.u, self.v]
+        if not np.array_equal(coords[self.ids], matrix):
+            raise ConsistencyError("a generator is not constant on the pair orbits")
+        return coords
 
     def all_products(self, m: np.ndarray) -> np.ndarray:
         """Stack of the 4*(t+1) products [A_i M | M A_i | E_i M | M E_i]."""
-        t1, order = self.num_classes, self.order
-        left = np.add.reduceat(m[self.left_index.reshape(-1)]
-                               .reshape(-1, order, order), self.offsets, axis=0)
-        gathered = m[:, self.right_index]                         # [u, r, v]
-        right = np.add.reduceat(gathered, self.offsets, axis=1).transpose(1, 0, 2)
-        stack = np.concatenate([left, right,
-                                self._masked(m).reshape(2 * t1, order, order)], axis=0)
-        return stack.reshape(4 * t1, order * order)
-
-    def _masked(self, m: np.ndarray) -> np.ndarray:
-        """The 2*(t+1) diagonal-masked products [E_i M | M E_i]."""
-        t1, order = self.num_classes, self.order
-        e_left = np.zeros((t1, order, order), dtype=m.dtype)
-        e_left[self.class_of, np.arange(order), :] = m
-        e_right = np.zeros((t1, order, order), dtype=m.dtype)
-        e_right[self.class_of, :, np.arange(order)] = m.T
-        return np.concatenate([e_left, e_right], axis=0)
+        left = np.add.reduceat(m[self.left_index], self.offsets, axis=0)
+        right = np.add.reduceat(m[self.right_index], self.offsets, axis=0)
+        return np.concatenate([left, right, self.masked_products(m)])
 
     def masked_products(self, m: np.ndarray) -> np.ndarray:
-        return self._masked(m).reshape(2 * self.num_classes, self.order * self.order)
+        """The 2*(t+1) diagonal-masked products [E_i M | M E_i]."""
+        return self.masks * m
 
 
 def _seed_matrices(scheme: SchemeData, idem: DualIdempotents,
@@ -147,44 +150,35 @@ def _seed_matrices(scheme: SchemeData, idem: DualIdempotents,
     return seeds
 
 
-def _modular_closure(scheme: SchemeData, idem: DualIdempotents, prime: int,
-                     bound: int, seed_order: list[int] | None,
-                     round_budget: int, batch_rows: int = 256
+def _modular_closure(scheme: SchemeData, idem: DualIdempotents,
+                     products: _GeneratorProducts, prime: int, bound: int,
+                     seed_order: list[int] | None, round_budget: int
                      ) -> tuple[PrimeBasis, int, list[int]]:
     """Saturate the generated algebra over F_p; returns (basis, rounds, history)."""
-    order = scheme.order
-    length = order * order
-    basis = PrimeBasis(prime, length, capacity=bound)
-    products = _GeneratorProducts(scheme)
-
-    for seed in _seed_matrices(scheme, idem, seed_order):
-        basis.insert(seed.reshape(-1) % prime)
+    basis = PrimeBasis(prime, len(products.u), capacity=bound)
+    seeds = [products.coordinates(m) for m in _seed_matrices(scheme, idem, seed_order)]
+    for seed in seeds:
+        basis.insert(seed % prime)
         if basis.rank >= bound:
             break
     history = [basis.rank]
     rounds = 0
     next_frontier: list[int] = []
     pending: list[np.ndarray] = []
-    pending_rows = 0
 
     def flush() -> None:
-        nonlocal pending, pending_rows
-        if not pending:
-            return
-        before = basis.rank
-        basis.insert_block(np.concatenate(pending, axis=0), stop_at_rank=bound)
-        next_frontier.extend(range(before, basis.rank))
-        pending = []
-        pending_rows = 0
+        if pending:
+            before = basis.rank
+            basis.insert_block(np.concatenate(pending), stop_at_rank=bound)
+            next_frontier.extend(range(before, basis.rank))
+            pending.clear()
 
-    def push(block: np.ndarray, rows: int) -> bool:
-        nonlocal pending_rows
+    def push(block: np.ndarray) -> bool:
         pending.append(block)
-        pending_rows += rows
-        if pending_rows >= batch_rows:
-            flush()
-            return basis.rank >= bound
-        return False
+        if sum(map(len, pending)) < BATCH_ROWS:
+            return False
+        flush()
+        return basis.rank >= bound
 
     # Seed round: products of the generators themselves.  A_i A_j lies in the
     # span of the A's (the scheme product identity) and E_i E_j in the span of
@@ -193,8 +187,8 @@ def _modular_closure(scheme: SchemeData, idem: DualIdempotents, prime: int,
     if basis.rank < bound:
         rounds = 1
         for i in range(scheme.num_relations):
-            a = scheme.adjacency(i).astype(np.float64)
-            if push(products.masked_products(a), 2 * scheme.num_relations):
+            a = products.coordinates(scheme.adjacency(i))
+            if push(products.masked_products(a)):
                 break
         flush()
         history.append(basis.rank)
@@ -206,16 +200,11 @@ def _modular_closure(scheme: SchemeData, idem: DualIdempotents, prime: int,
             raise ConsistencyError(
                 f"closure did not stabilize within {round_budget} rounds")
         next_frontier = []
-        stop = False
         for row_idx in frontier:
-            m = basis.rows[row_idx].reshape(order, order)
-            if push(products.all_products(m), 4 * scheme.num_relations):
-                stop = True
+            if push(products.all_products(basis.rows[row_idx])):
                 break
         flush()
         history.append(basis.rank)
-        if stop or not next_frontier:
-            break
         frontier = next_frontier
 
     return basis, rounds, history
@@ -268,13 +257,14 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
         raise ValueError("the two moduli must be distinct primes")
     group = scheme.group
     bound = dim_t_tilde(group)
+    products = _GeneratorProducts(scheme, *pair_orbits(group))
 
     ranks: list[int] = []
     rounds: list[int] = []
     histories: list[list[int]] = []
     for p in primes:
         basis, nrounds, history = _modular_closure(
-            scheme, idem, p, bound, seed_order, round_budget)
+            scheme, idem, products, p, bound, seed_order, round_budget)
         ranks.append(basis.rank)
         rounds.append(nrounds)
         histories.append(history)

@@ -293,7 +293,7 @@ def orbital_count(group: GroupTable) -> int:
 
     Computed two ways, which must agree: the Burnside average of |C_G(g)|^2,
     and an explicit enumeration of the orbits by their least pairs
-    (pair_orbit_count).
+    (pair_orbits).
     """
     counts = centralizer_counts(group)
     total = int(np.sum(counts.astype(object) ** 2))
@@ -301,7 +301,7 @@ def orbital_count(group: GroupTable) -> int:
         raise ConsistencyError("Burnside sum is not divisible by the group order")
     burnside = total // group.order
 
-    explicit = pair_orbit_count(group)
+    explicit = len(pair_orbits(group)[1])
     if explicit != burnside:
         raise ConsistencyError(
             f"orbital count mismatch for {group.name}: "
@@ -309,22 +309,19 @@ def orbital_count(group: GroupTable) -> int:
     return burnside
 
 
-def pair_orbit_count(group: GroupTable) -> int:
-    """Orbits of G on G x G under simultaneous conjugation, counted explicitly.
+def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of G on G x G under simultaneous conjugation, enumerated explicitly.
 
     Pair (x, y) has key x*order + y.  For each x, the least key over the
     orbit of (x, y) is taken for every y at once; each orbit has exactly one
-    pair that equals its own least key, so counting those counts the orbits.
-    Holds order^2 integers at a time.
+    pair that equals its own least key.  Returns (ids, reps): reps are those
+    keys in increasing order, and ids[x, y] indexes the orbit of (x, y) in reps.
     """
     conj = group.conjugation()
     order = group.order
-    keys = np.arange(order)
-    count = 0
-    for x in range(order):
-        least = (conj[:, x, None] * order + conj).min(axis=0)
-        count += int(np.count_nonzero(least == x * order + keys))
-    return count
+    least = np.stack([(conj[:, x, None] * order + conj).min(axis=0) for x in range(order)])
+    reps = np.flatnonzero(least.ravel() == np.arange(order * order))
+    return np.searchsorted(reps, least), reps
 
 
 def build_group(params: GroupParams) -> GroupTable:

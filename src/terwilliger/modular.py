@@ -1,18 +1,19 @@
 """Exact rank machinery over prime fields, plus a rational fallback.
 
-Vectors are vectorized matrices (row-major, fixed length).  The workhorse is
-PrimeBasis, a fully reduced echelon basis over F_p: every stored row has a 1
-at its pivot column and every other stored row has a 0 there, so reducing a
-block of candidates is a single matrix product
+Vectors have a fixed length (the closure passes matrices in orbital
+coordinates).  The workhorse is PrimeBasis, a fully reduced echelon basis
+over F_p: every stored row has a 1 at its pivot column and every other
+stored row has a 0 there, so reducing a block is a single matrix product
 
     block - block[:, pivot_cols] @ rows.
 
 Residues are stored in float64 so the product runs through BLAS; exactness
 holds as long as rank * (p-1)^2 stays below 2^53, which the constructor
-enforces.  The default moduli are the two largest primes below 2^20, leaving
-room for ranks up to ~8000.  Modular rank only lower-bounds the rational
-rank, so callers must close the gap themselves (see the algebra closure,
-which pins the rank exactly whenever it reaches the centralizer bound).
+enforces (CapacityError).  The default moduli are the two largest primes
+below 2^20, leaving room for ranks up to ~8000.  Modular rank only
+lower-bounds the rational rank, so callers must close the gap themselves
+(see the algebra closure, which pins the rank exactly whenever it reaches
+the centralizer bound).
 """
 
 from __future__ import annotations
@@ -21,10 +22,16 @@ from fractions import Fraction
 
 import numpy as np
 
+from .groups import ConsistencyError
+
 # the two largest primes below 2^20
 DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
 _FLOAT_EXACT = 2 ** 53
+
+
+class CapacityError(ConsistencyError):
+    """The rank would leave the exact float64 window: a method limit, not bad input."""
 
 
 class PrimeBasis:
@@ -34,7 +41,7 @@ class PrimeBasis:
         if capacity is None:
             capacity = length
         if capacity * (modulus - 1) ** 2 >= _FLOAT_EXACT:
-            raise ValueError(
+            raise CapacityError(
                 f"modulus {modulus} with capacity {capacity} would overflow the "
                 f"exact float64 window; use a smaller prime")
         self.p = modulus

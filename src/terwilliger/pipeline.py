@@ -60,13 +60,14 @@ class Analysis:
                 self.dim_t0, dim_t, self.dim_t_tilde, self.formula_value)
 
     def to_json_dict(self) -> dict:
+        cert = self.certificate
         return {
             "n": self.params.n,
             "s": self.params.s,
             "tau": self.params.tau,
             "dims": {
                 "t0": self.dim_t0,
-                "t": self.certificate.dim_t if self.certificate else None,
+                "t": cert.dim_t if cert else None,
                 "t_tilde": self.dim_t_tilde,
                 "formula": self.formula_value,
             },
@@ -77,6 +78,11 @@ class Analysis:
                                if self.blocks_closedform else None),
             },
             "checks": dict(self.checks),
+            "closure": None if cert is None else {
+                "provenance": cert.provenance, "primes": list(cert.primes),
+                "rounds": cert.closure_rounds,
+                "basis_size_history": [list(h) for h in cert.basis_size_history]},
+            "notes": list(self.notes),
         }
 
 

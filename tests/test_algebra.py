@@ -7,7 +7,8 @@ from terwilliger import (GroupTable, build_group, build_scheme,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
                          intersection_numbers, triple_transitivity, valid_twists,
                          validate_params)
-from terwilliger.algebra import _modular_closure, algebra_closure
+from terwilliger.algebra import _GeneratorProducts, _modular_closure, algebra_closure
+from terwilliger.groups import ConsistencyError, pair_orbits
 from terwilliger.modular import DEFAULT_PRIMES
 
 
@@ -95,13 +96,29 @@ class TestAlgebraClosure:
 
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (8, 3)])
     def test_final_basis_closed_under_transpose(self, n, s):
+        # in orbital coordinates M[x, y] = m[ids[x, y]], so M^T reads m[ids[v, u]]
         sd, idem, t0 = closure_inputs(n, s)
         bound = dim_t_tilde(sd.group)
-        basis, _, _ = _modular_closure(sd, idem, DEFAULT_PRIMES[0], bound, None, 32)
-        order = sd.order
+        ids, reps = pair_orbits(sd.group)
+        products = _GeneratorProducts(sd, ids, reps)
+        basis, _, _ = _modular_closure(sd, idem, products, DEFAULT_PRIMES[0], bound, None, 32)
+        u, v = np.divmod(reps, sd.order)
         for r in range(basis.rank):
-            m = basis.rows[r].reshape(order, order).astype(np.int64)
-            assert not basis.reduce(m.T.reshape(-1)).any()
+            m = basis.rows[r].astype(np.int64)
+            assert not basis.reduce(m[ids[v, u]]).any()
+
+    def test_generators_must_be_constant_on_orbit_cells(self):
+        # merge an orbit inside relation 1 into an orbit outside it
+        sd, idem, t0 = closure_inputs(8, 3)
+        ids, reps = pair_orbits(sd.group)
+        u, v = np.divmod(reps, sd.order)
+        relation = sd.adjacency(1)[u, v]
+        a, b = np.flatnonzero(relation == 0)[0], np.flatnonzero(relation == 1)[0]
+        corrupted = np.where(ids == b, a, ids)
+        products = _GeneratorProducts(sd, corrupted, reps)
+        with pytest.raises(ConsistencyError, match="not constant"):
+            _modular_closure(sd, idem, products, DEFAULT_PRIMES[0],
+                             dim_t_tilde(sd.group), None, 32)
 
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)

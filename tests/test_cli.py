@@ -36,6 +36,11 @@ class TestExitCodes:
             run_cli("sweep", "--n-min", "10", "--n-max", "3")
         assert exc.value.code == 2
 
+    def test_internal_limit_exit_1(self):
+        code, out = run_cli("analyze", "--n", "72", "--s", "37")
+        assert code == 1
+        assert "FAIL  closure_two_primes_agree" in out
+
     def test_audit_always_exit_0(self):
         code, _ = run_cli("audit-corollaries", "--n-min", "3", "--n-max", "8")
         assert code == 0
@@ -46,8 +51,13 @@ class TestAnalyzeOutput:
         code, out = run_cli("analyze", "--n", "8", "--s", "5", "--format", "json")
         assert code == 0
         obj = json.loads(out)
-        assert set(obj) == {"n", "s", "tau", "dims", "triply_transitive", "blocks", "checks"}
+        assert set(obj) == {"n", "s", "tau", "dims", "triply_transitive", "blocks", "checks",
+                            "closure", "notes"}
         assert obj["dims"] == {"t0": 112, "t": 112, "t_tilde": 112, "formula": 112}
+        assert obj["closure"]["provenance"] == "exact"
+        assert obj["closure"]["primes"] == [1048573, 1048571]
+        assert obj["closure"]["basis_size_history"][0][-1] == 112
+        assert obj["notes"] == []
         assert obj["tau"] == 4
         assert obj["blocks"]["rowsum"] == [10, 2, 2, 2]
         assert obj["blocks"]["rowsum"] == obj["blocks"]["closedform"]

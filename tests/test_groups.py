@@ -7,7 +7,7 @@ from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
 from terwilliger import (GroupTable, build_group, centralizer_order,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
-from terwilliger.groups import pair_orbit_count
+from terwilliger.groups import pair_orbits
 
 
 def named_group(name: str) -> GroupTable:
@@ -215,4 +215,11 @@ class TestPairOrbitCount:
     @pytest.mark.parametrize("name", ["S4", "C6", "D(3,2)", "D(8,3)", "D(12,5)", "D(15,4)"])
     def test_matches_oracle(self, name):
         g = named_group(name)
-        assert pair_orbit_count(g) == len(oracle_pair_orbits(g.mult))
+        ids, reps = pair_orbits(g)
+        cells = {}
+        for (x, y), k in np.ndenumerate(ids):
+            cells.setdefault(int(k), set()).add((x, y))
+        assert {frozenset(c) for c in cells.values()} == oracle_pair_orbits(g.mult)
+        assert len(reps) == len(cells)
+        for k, rep in enumerate(reps):
+            assert divmod(int(rep), g.order) in cells[k]

@@ -5,6 +5,7 @@ import pytest
 
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
                          build_scheme, conjugacy_classes, validate_params)
+from terwilliger.modular import CapacityError
 
 
 class TestPrimeBasis:
@@ -103,7 +104,7 @@ class TestPrimeBasis:
         assert np.array_equal(one.rows, two.rows)
 
     def test_capacity_overflow_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CapacityError):
             PrimeBasis(2 ** 31 - 1, 10, capacity=10 ** 6)
 
     def test_modulus_mismatch_length(self):

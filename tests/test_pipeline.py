@@ -38,6 +38,15 @@ class TestAnalyzePair:
         assert not a.checks["t0_cases_match"]
         assert not a.passed
 
+    def test_float64_window_is_a_failed_verdict(self):
+        # rank 9072 at the default primes leaves the exact float64 window
+        a = analyze_pair(72, 37)
+        assert a.checks["closure_two_primes_agree"] is False
+        assert a.certificate is None and not a.passed
+        assert any("float64 window" in note for note in a.notes)
+        obj = a.to_json_dict()
+        assert obj["closure"] is None and obj["notes"] == a.notes
+
     def test_json_shape(self):
         obj = analyze_pair(4, 3).to_json_dict()
         assert obj["dims"]["t0"] == obj["dims"]["formula"] == 28
