@@ -157,10 +157,7 @@ def _modular_closure(scheme: SchemeData, idem: DualIdempotents,
     """Saturate the generated algebra over F_p; returns (basis, rounds, history)."""
     basis = PrimeBasis(prime, len(products.u), capacity=bound)
     seeds = [products.coordinates(m) for m in _seed_matrices(scheme, idem, seed_order)]
-    for seed in seeds:
-        basis.insert(seed % prime)
-        if basis.rank >= bound:
-            break
+    basis.insert_block(np.array(seeds) % prime, stop_at_rank=bound)
     history = [basis.rank]
     rounds = 0
     next_frontier: list[int] = []

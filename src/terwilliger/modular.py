@@ -7,13 +7,26 @@ stored row has a 0 there, so reducing a block is a single matrix product
 
     block - block[:, pivot_cols] @ rows.
 
-Residues are stored in float64 so the product runs through BLAS; exactness
-holds as long as rank * (p-1)^2 stays below 2^53, which the constructor
-enforces (CapacityError).  The default moduli are the two largest primes
-below 2^20, leaving room for ranks up to ~8000.  Modular rank only
-lower-bounds the rational rank, so callers must close the gap themselves
-(see the algebra closure, which pins the rank exactly whenever it reaches
-the centralizer bound).
+The closure's vectors are almost all zeros, so that product is restricted
+to what it can change: the block rows with a nonzero coefficient, the
+stored rows whose pivot one of them hits, and the columns where those
+stored rows are nonzero.  Every term left out is zero, so the result equals
+the dense product exactly.  insert_block works the same way: a row is
+reduced only against the rows that entered earlier in the same call, on the
+block's own nonzero columns, and the older rows are brought to zero at the
+new pivots once per call; the rows a new pivot hits are found from an index
+of the stored nonzeros that lie off their row's pivot.
+
+Residues are stored in float64 so the products run through BLAS.  Each
+entry of a product is a sum of at most `capacity` terms, each a residue
+times a residue and so below p^2; the constructor requires
+capacity * (p-1)^2 < 2^53 (CapacityError), so every sum is an exact float64
+integer.  `_mod` takes such sums, and any input below 2^53 in magnitude,
+back to [0, p) without leaving float64.  The default moduli are the two
+largest primes below 2^20, leaving room for ranks up to ~8000.  Modular
+rank only lower-bounds the rational rank, so callers must close the gap
+themselves (see the algebra closure, which pins the rank exactly whenever
+it reaches the centralizer bound).
 """
 
 from __future__ import annotations
@@ -50,23 +63,54 @@ class PrimeBasis:
         self.rank = 0
         self._rows = np.zeros((capacity, length), dtype=np.float64)
         self._pivot_cols = np.zeros(capacity, dtype=np.int64)
+        self._pivot_row = np.full(length, -1, dtype=np.int64)  # -1: not a pivot
+        # row and column of every stored nonzero off its row's pivot
+        self._off_rows = np.zeros(0, dtype=np.int64)
+        self._off_cols = np.zeros(0, dtype=np.int64)
 
     @property
     def rows(self) -> np.ndarray:
         """The stored rows as exact residues (read-only view)."""
         return self._rows[:self.rank]
 
-    def _mod(self, block: np.ndarray) -> np.ndarray:
-        return (block.astype(np.int64) % self.p).astype(np.float64)
+    def _mod(self, x: np.ndarray) -> np.ndarray:
+        """Residues in [0, p) of float64 integers below 2^53 in magnitude.
+
+        For integer x and |x| < 2^53, x/p is either an integer, which the
+        division returns exactly, or at least 1/p away from every integer,
+        while rounding moves it by at most half an ulp of |x/p| < 2^53/p,
+        which is below 1/p.  So the truncated quotient is exact, q*p is an
+        integer no larger than |x|, and x - q*p lies in (-p, p) without
+        rounding; one pass then lifts the negative remainders.
+        """
+        r = np.trunc(x / self.p)
+        r *= self.p
+        np.subtract(x, r, out=r)
+        r += self.p * (r < 0)
+        return r
 
     def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Reduce every row of a float64 residue block against the basis."""
-        block = self._mod(block)
-        if self.rank == 0:
-            return block
-        coeffs = block[:, self._pivot_cols[:self.rank]]
-        block = block - coeffs @ self._rows[:self.rank]
-        return self._mod(block)
+        """Reduce every row of an integer block against the basis; entries
+        must be below 2^53 in magnitude, and the result is in residues.
+
+        Only the block rows with a nonzero coefficient, the stored rows whose
+        pivot one of them hits, and the columns where those stored rows are
+        nonzero enter the product; every term left out is zero.
+        """
+        cols = np.flatnonzero(block.any(axis=0))
+        out = np.zeros(block.shape)
+        out[:, cols] = self._mod(block[:, cols])
+        row_ids = self._pivot_row[cols]
+        is_pivot = row_ids >= 0
+        coeffs = out[:, cols[is_pivot]]
+        hit = np.flatnonzero(coeffs.any(axis=1))
+        if len(hit):
+            used = np.flatnonzero(coeffs[hit].any(axis=0))
+            rows = self._rows[row_ids[is_pivot][used]]
+            support = np.flatnonzero(rows.any(axis=0))
+            sub = np.ix_(hit, support)
+            out[sub] = self._mod(out[sub] - coeffs[np.ix_(hit, used)] @ rows[:, support])
+        return out
 
     def reduce(self, vec) -> np.ndarray:
         """The residual of one vector: zero exactly when it lies in the span."""
@@ -76,66 +120,91 @@ class PrimeBasis:
         out = self.reduce_block(arr.astype(np.float64)[None, :])[0]
         return out.astype(np.int64)
 
-    def _append(self, row: np.ndarray) -> None:
-        pivot = int(np.flatnonzero(row)[0])
-        inv = pow(int(row[pivot]), -1, self.p)
-        row = self._mod(row * float(inv))
-        if self.rank:
-            # keep older rows fully reduced against the new pivot
-            col = self._rows[:self.rank, pivot].copy()
-            touched = np.flatnonzero(col)
-            if len(touched):
-                self._rows[touched] = self._mod(
-                    self._rows[touched] - np.outer(col[touched], row))
-        if self.rank >= self.capacity:
+    def _insert_reduced(self, block: np.ndarray, stop_at_rank: int | None) -> int:
+        """Insert the rows of a block already reduced against the basis.
+
+        The rows that enter are combinations of block rows, so the in-call
+        elimination runs on the block's own nonzero columns: a row is
+        reduced only against the rows that entered earlier in this call,
+        which are zero at the old pivots and fully reduced among themselves.
+        So each residual, and its pivot, is the one a fully reduced basis
+        would give.  The stored rows are brought to zero at the new pivots
+        once, at the end, which leaves the unique fully reduced basis with
+        this pivot sequence.  A new row has no nonzero off cols, so the
+        update changes only cols of the older rows it hits.
+        """
+        cols = np.flatnonzero(block.any(axis=0))
+        todo = block[:, cols]
+        todo = todo[todo.any(axis=1)]
+        new = np.zeros_like(todo)
+        pivots = np.zeros(len(todo), dtype=np.int64)  # indices into cols
+        added = 0
+        for row in todo:
+            coeffs = row[pivots[:added]]
+            hit = coeffs.nonzero()[0]
+            if len(hit):
+                row = self._mod(row - coeffs[hit] @ new[hit])
+            nonzero = row.nonzero()[0]
+            if not len(nonzero):
+                continue
+            pivot = nonzero[0]
+            if row[pivot] != 1:
+                row = self._mod(row * float(pow(int(row[pivot]), -1, self.p)))
+            col = new[:added, pivot]
+            hit = col.nonzero()[0]
+            if len(hit):
+                new[hit] = self._mod(new[hit] - np.outer(col[hit], row))
+            pivots[added] = pivot
+            new[added] = row
+            added += 1
+            if stop_at_rank is not None and self.rank + added >= stop_at_rank:
+                break
+        start, end = self.rank, self.rank + added
+        if end > self.capacity:
             raise RuntimeError("echelon basis exceeded its declared capacity")
-        self._rows[self.rank] = row
-        self._pivot_cols[self.rank] = pivot
-        self.rank += 1
+        self._rows[start:end][:, cols] = new[:added]
+        self._pivot_cols[start:end] = cols[pivots[:added]]
+        self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
+        # older rows with an off-pivot nonzero at one of the new pivots
+        hit = np.unique(self._off_rows[self._pivot_row[self._off_cols] >= start])
+        older = self._rows[hit]
+        coeffs = older[:, self._pivot_cols[start:end]]
+        older[:, cols] = self._mod(older[:, cols] - coeffs @ new[:added])
+        self._rows[hit] = older
+        # re-index the off-pivot nonzeros of the rows just written
+        keep = ~np.isin(self._off_rows, hit)
+        r, c = np.nonzero(older)
+        off = c != self._pivot_cols[hit[r]]
+        nr, nc = np.nonzero(new[:added])
+        new_off = nc != pivots[nr]
+        self._off_rows = np.concatenate(
+            [self._off_rows[keep], hit[r[off]], start + nr[new_off]])
+        self._off_cols = np.concatenate(
+            [self._off_cols[keep], c[off], cols[nc[new_off]]])
+        self.rank = end
+        return added
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
-        residual = self.reduce(vec)
-        if not residual.any():
-            return False
-        self._append(residual.astype(np.float64))
-        return True
+        residual = self.reduce(vec).astype(np.float64)[None, :]
+        return self._insert_reduced(residual, None) == 1
 
     def insert_block(self, block: np.ndarray, stop_at_rank: int | None = None) -> int:
         """Insert the rows of a residue block in order; returns how many entered.
 
-        Rows later in the block are re-reduced against pivots created earlier
-        in the same call, so the result is identical to one insert() per row.
-        Those updates subtract residue multiples without renormalizing, and a
-        row is only brought back to residues when its own turn comes; each
-        update adds at most p^2 in magnitude, so blocks up to 2048 rows stay
-        inside the exact window.
+        The result is identical to one insert() per row.  The block is
+        reduced against the stored rows once; a row is then reduced only
+        against the rows that entered earlier in the same call, and the
+        stored rows are brought to zero at the new pivots in one restricted
+        product at the end.  Every product has at most `capacity` terms below
+        p^2, so the constructor's guard keeps it exact.  A call takes at most
+        2048 rows, which bounds its working copy of the block; the closure
+        offers a few hundred at a time.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:
             raise ValueError("insert_block is limited to 2048 rows per call")
-        block = self.reduce_block(block)
-        added = 0
-        stale = np.zeros(block.shape[0], dtype=bool)
-        for idx in range(block.shape[0]):
-            row = block[idx]
-            if stale[idx]:
-                row = self._mod(row)
-            if not row.any():
-                continue
-            self._append(row)
-            added += 1
-            if idx + 1 < block.shape[0]:
-                pivot = self._pivot_cols[self.rank - 1]
-                col = self._mod(block[idx + 1:, pivot])
-                touched = np.flatnonzero(col)
-                if len(touched):
-                    block[idx + 1 + touched] -= np.outer(
-                        col[touched], self._rows[self.rank - 1])
-                    stale[idx + 1 + touched] = True
-            if stop_at_rank is not None and self.rank >= stop_at_rank:
-                break
-        return added
+        return self._insert_reduced(self.reduce_block(block), stop_at_rank)
 
 
 class RationalBasis:

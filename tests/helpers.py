@@ -69,6 +69,32 @@ def oracle_t0_count(mult: np.ndarray, classes: list[tuple[int, ...]]) -> int:
     return count
 
 
+def oracle_echelon(vectors, p: int) -> tuple[list[list[int]], list[int]]:
+    """Fully reduced echelon basis over F_p built one vector at a time, in
+    Python integers: each residual's first nonzero column becomes its pivot,
+    and every earlier row is cleared there.  Returns (rows, pivot columns)."""
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = [int(x) % p for x in vec]
+        for row, c in zip(rows, pivots):
+            if v[c]:
+                f = v[c]
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+        if not any(v):
+            continue
+        c = next(i for i, a in enumerate(v) if a)
+        inv = pow(v[c], -1, p)
+        v = [a * inv % p for a in v]
+        for k, row in enumerate(rows):
+            if row[c]:
+                f = row[c]
+                rows[k] = [(a - f * b) % p for a, b in zip(row, v)]
+        rows.append(v)
+        pivots.append(c)
+    return rows, pivots
+
+
 def s4_table() -> np.ndarray:
     """Cayley table of the symmetric group on 4 points, identity first."""
     perms = sorted(itertools.permutations(range(4)))

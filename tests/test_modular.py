@@ -7,6 +7,26 @@ from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
                          build_scheme, conjugacy_classes, validate_params)
 from terwilliger.modular import CapacityError
 
+from helpers import oracle_echelon
+
+PRIMES = (97, *DEFAULT_PRIMES)
+
+
+def _vectors(rng, kind: str, count: int, length: int, p: int) -> np.ndarray:
+    """Sparse 0/1 rows like the closure's, or dense residues; every fourth
+    row is a combination of earlier ones, so some rows are dependent."""
+    if kind == "sparse":
+        rows = (rng.random((count, length)) < 0.1).astype(np.int64)
+    else:
+        rows = rng.integers(0, p, size=(count, length))
+    for i in range(3, count, 4):
+        rows[i] = (2 * rows[i - 1] + 3 * rows[i - 3]) % p
+    return rows
+
+
+def _state(basis: PrimeBasis) -> tuple:
+    return basis.rank, basis.rows.tolist(), basis._pivot_cols[:basis.rank].tolist()
+
 
 class TestPrimeBasis:
     def test_reduce_against_empty_basis(self):
@@ -102,6 +122,82 @@ class TestPrimeBasis:
             two.insert(row.astype(int))
         assert one.rank == two.rank
         assert np.array_equal(one.rows, two.rows)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_sequential_inserts_match_python_oracle(self, p, kind):
+        rng = np.random.default_rng(p % 1000 + len(kind))
+        vectors = _vectors(rng, kind, 24, 30, p)
+        basis = PrimeBasis(p, 30)
+        for vec in vectors:
+            basis.insert(vec)
+        rows, pivots = oracle_echelon(vectors, p)
+        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis._pivot_cols[:basis.rank].tolist() == pivots
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("stop", [None, 14])
+    def test_consecutive_blocks_on_nonempty_basis_match_sequential_inserts(
+            self, p, kind, stop):
+        # rows stored before a call are only updated at its end
+        rng = np.random.default_rng(p % 1000 + len(kind))
+        start = _vectors(rng, kind, 6, 30, p)
+        blocks = [_vectors(rng, kind, m, 30, p) for m in (9, 1, 8, 5)]
+        one, two = PrimeBasis(p, 30), PrimeBasis(p, 30)
+        for vec in start:
+            one.insert(vec)
+            two.insert(vec)
+        assert one.rank > 0
+        for block in blocks:
+            before = two.rank
+            for vec in block:
+                if two.insert(vec) and stop is not None and two.rank >= stop:
+                    break
+            added = one.insert_block(block.astype(np.float64), stop_at_rank=stop)
+            assert added == two.rank - before
+            assert _state(one) == _state(two)
+
+    def test_insert_block_past_capacity_leaves_basis_unchanged(self):
+        basis = PrimeBasis(97, 4, capacity=2)
+        basis.insert([1, 0, 0, 0])
+        with pytest.raises(RuntimeError):
+            basis.insert_block(np.eye(4)[1:])
+        assert _state(basis) == (1, [[1.0, 0.0, 0.0, 0.0]], [0])
+
+    @pytest.mark.parametrize("p", [2, *PRIMES, 2 ** 26 - 5])
+    def test_mod_matches_integer_remainder(self, p):
+        top = (2 ** 53 - 1) // p
+        rng = np.random.default_rng(p)
+        k = np.unique(np.concatenate([np.arange(1000), top - np.arange(1000),
+                                      rng.integers(0, top, 5000)]))
+        x = np.concatenate([k * p - 1, k * p, k * p + 1])
+        x = x[np.abs(x) < 2 ** 53]
+        x = np.concatenate([x, -x, [0]])
+        basis = PrimeBasis(p, 1)
+        assert np.array_equal(basis._mod(x.astype(np.float64)), (x % p).astype(np.float64))
+
+    def test_reduce_block_leaves_rows_off_the_pivots_unchanged(self):
+        basis = PrimeBasis(97, 8)
+        basis.insert([1, 0, 5, 0, 0, 0, 0, 0])
+        basis.insert([0, 0, 0, 1, 0, 7, 0, 0])
+        block = np.array([[0, 3, 9, 0, 4, 96, 0, 1],
+                          [0, 0, 0, 0, 0, 0, 96, 0]], dtype=np.float64)
+        assert np.array_equal(basis.reduce_block(block), block)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_reduce_block_with_hit_and_unhit_rows_matches_dense_product(self, p):
+        rng = np.random.default_rng(13)
+        basis = PrimeBasis(p, 40)
+        for vec in _vectors(rng, "sparse", 25, 40, p):
+            basis.insert(vec)
+        pivots = basis._pivot_cols[:basis.rank]
+        block = _vectors(rng, "sparse", 30, 40, p) * rng.integers(1, 5 * p, size=(30, 1))
+        block[::2, pivots] = 0  # these rows touch no pivot
+        hit = (block % p)[:, pivots].any(axis=1)
+        assert hit.any() and not hit.all()
+        dense = (block % p - (block % p)[:, pivots] @ basis.rows.astype(np.int64)) % p
+        assert np.array_equal(basis.reduce_block(block.astype(np.float64)), dense)
 
     def test_capacity_overflow_guard(self):
         with pytest.raises(CapacityError):
