@@ -14,10 +14,12 @@ orbital matrices, which have disjoint supports, so the closure keeps every
 element in orbital coordinates: its values at one representative pair per
 orbit, a faithful coordinate system for the whole algebra over any field.
 
-The saturation multiplies only frontier rows by the generators, on both
-sides.  That is enough: a span containing the generators and closed under
-left and right multiplication by each generator is closed under
-multiplication by every word in them, hence under the whole algebra.
+The saturation is a spin-up (Parker's MeatAxe): frontier rows are multiplied
+by the generators on the left only.  The seeds span I = sum of the E*_i, and
+a span that holds I and is closed under left multiplication by each generator
+holds every word in them, so it is the algebra.  The rounds and the rank
+histories equal those of a two-sided saturation: after round r (the seed
+round being round 1) both span exactly the words of length <= r+1.
 """
 
 from __future__ import annotations
@@ -97,12 +99,11 @@ class DimensionCertificate:
 
 
 class _GeneratorProducts:
-    """Left/right multiplication by every A_i and E*_i, in orbital coordinates.
+    """Left multiplication by every A_i and E*_i, in orbital coordinates.
 
     Every element of T lies in T~, so it is constant on the orbits of G on
     pairs and is stored as its values at the representative pairs: M[x, y]
-    is m[ids[x, y]].  Then (A_i M)[u, v] = sum over c in Cl_i of M[c u, v]
-    and (M A_i)[u, v] = sum over c in Cl_i of M[u, c^-1 v], each evaluated
+    is m[ids[x, y]].  Then (A_i M)[u, v] = sum over c in Cl_i of M[c u, v],
     for all classes in one gather plus one segment sum.
     """
 
@@ -113,9 +114,9 @@ class _GeneratorProducts:
         self.ids = ids
         self.u, self.v = np.divmod(reps, group.order)
         self.left_index = ids[group.mult[elems][:, self.u], self.v]
-        self.right_index = ids[self.u, group.mult[group.inv[elems]][:, self.v]]
         class_of = np.asarray(classes.class_of, dtype=np.int64)
         labels = np.arange(classes.num_classes)[:, None]
+        # E*_i M keeps the pairs with u in Cl_i, M E*_i those with v in Cl_i
         self.masks = np.concatenate([class_of[self.u] == labels,
                                      class_of[self.v] == labels]).astype(np.float64)
 
@@ -128,14 +129,9 @@ class _GeneratorProducts:
         return coords
 
     def all_products(self, m: np.ndarray) -> np.ndarray:
-        """Stack of the 4*(t+1) products [A_i M | M A_i | E_i M | M E_i]."""
+        """Stack of the 2*(t+1) left products [A_i M | E_i M]."""
         left = np.add.reduceat(m[self.left_index], self.offsets, axis=0)
-        right = np.add.reduceat(m[self.right_index], self.offsets, axis=0)
-        return np.concatenate([left, right, self.masked_products(m)])
-
-    def masked_products(self, m: np.ndarray) -> np.ndarray:
-        """The 2*(t+1) diagonal-masked products [E_i M | M E_i]."""
-        return self.masks * m
+        return np.concatenate([left, self.masks[:len(self.offsets)] * m])
 
 
 def _seed_matrices(scheme: SchemeData, idem: DualIdempotents,
@@ -185,7 +181,7 @@ def _modular_closure(scheme: SchemeData, idem: DualIdempotents,
         rounds = 1
         for i in range(scheme.num_relations):
             a = products.coordinates(scheme.adjacency(i))
-            if push(products.masked_products(a)):
+            if push(products.masks * a):
                 break
         flush()
         history.append(basis.rank)
@@ -226,6 +222,7 @@ def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
         new: list[np.ndarray] = []
         for m in frontier:
             for g in gens:
+                # two-sided on purpose: the independent reference for the spin-up
                 for prod in (g @ m, m @ g):
                     if basis.insert(prod.reshape(-1).tolist()):
                         new.append(prod)

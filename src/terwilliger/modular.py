@@ -40,7 +40,7 @@ from .groups import ConsistencyError
 # the two largest primes below 2^20
 DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
-_FLOAT_EXACT = 2 ** 53
+FLOAT_EXACT = 2 ** 53
 
 
 class CapacityError(ConsistencyError):
@@ -53,7 +53,7 @@ class PrimeBasis:
     def __init__(self, modulus: int, length: int, capacity: int | None = None):
         if capacity is None:
             capacity = length
-        if capacity * (modulus - 1) ** 2 >= _FLOAT_EXACT:
+        if capacity * (modulus - 1) ** 2 >= FLOAT_EXACT:
             raise CapacityError(
                 f"modulus {modulus} with capacity {capacity} would overflow the "
                 f"exact float64 window; use a smaller prime")

@@ -120,6 +120,19 @@ class TestAlgebraClosure:
             _modular_closure(sd, idem, products, DEFAULT_PRIMES[0],
                              dim_t_tilde(sd.group), None, 32)
 
+    @pytest.mark.parametrize("n,s,rounds,history", [
+        (8, 3, 2, (13, 63, 64)),
+        (8, 5, 1, (19, 112)),
+        (16, 7, 2, (21, 179, 184)),
+        (24, 11, 2, (29, 351, 368)),
+    ])
+    def test_rounds_and_histories_pinned(self, n, s, rounds, history):
+        # the JSON output carries the rounds and histories, so they are pinned
+        sd, idem, t0 = closure_inputs(n, s)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        assert cert.closure_rounds == rounds
+        assert cert.basis_size_history == (history, history)
+
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
         with pytest.raises(ValueError):
@@ -143,6 +156,41 @@ class TestAlgebraClosure:
         assert cert.dim_t == cert.dim_t_tilde == 43
         assert cert.provenance == "exact"
         assert not triple_transitivity(cert)
+
+
+def generic_inputs(table, name):
+    group = GroupTable(table, name=name)
+    sd = build_scheme(group, generic_conjugacy_classes(group))
+    return sd, dual_idempotents(sd)
+
+
+class TestGeneratorProducts:
+    CASES = {"D(8,3)": lambda: closure_inputs(8, 3)[:2],
+             "D(12,5)": lambda: closure_inputs(12, 5)[:2],
+             "S4": lambda: generic_inputs(s4_table(), "S4")}
+
+    @pytest.mark.parametrize("modulus", [None, 97])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_all_products_match_dense_left_products(self, case, modulus):
+        # rows i and t+1+i of all_products(m) are A_i M and E*_i M read at the
+        # representatives; elements with E* factors tell the sides apart
+        sd, idem = self.CASES[case]()
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        t1 = sd.num_relations
+        adj = [sd.adjacency(i).astype(np.int64) for i in range(t1)]
+        dual = [np.diag(idem.diagonals[i]).astype(np.int64) for i in range(t1)]
+        elements = adj + dual + [e @ a for e in dual for a in adj]
+        elements += [adj[1] @ dual[-1] @ adj[-1], 3 * dual[1] @ adj[1] - 2 * adj[0]]
+        for element in elements:
+            if modulus is not None:
+                element = (5 * element) % modulus
+            m = products.coordinates(element).astype(np.float64)
+            got = products.all_products(m)
+            assert got.shape == (2 * t1, len(products.u))
+            want = np.array([(g @ element)[products.u, products.v] for g in adj + dual])
+            if modulus is not None:
+                got, want = got % modulus, want % modulus
+            assert np.array_equal(got, want)
 
 
 class TestDimTTilde:

@@ -222,6 +222,20 @@ class TestPrimeHandling:
             run_cli("analyze", "--n", "3", "--s", "2", "--primes", "97,97")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("primes", ["9223372036854775783,9223372036854775643",
+                                        "1000000007,998244353"])
+    def test_outside_float64_window_rejected(self, primes):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--n", "3", "--s", "2", "--primes", primes)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("prime", ["9223372036854775783", "1000000007"])
+    def test_env_outside_float64_window_rejected(self, monkeypatch, prime):
+        monkeypatch.setenv("TERWILLIGER_PRIME_1", prime)
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--n", "3", "--s", "2")
+        assert exc.value.code == 2
+
 
 class TestConsoleScript:
     def test_module_invocation(self):
