@@ -8,8 +8,7 @@ special cases.
 """
 
 from .algebra import (DimensionCertificate, DualIdempotents, algebra_closure,
-                      commutant_oracle, dim_t_tilde, dual_idempotents,
-                      triple_transitivity)
+                      commutant_oracle, dim_t_tilde, dual_idempotents)
 from .characters import (CharTable, IntegralityError, Multiplicities, char_table,
                          conjugation_character_check, multiplicities_closedform,
                          multiplicities_rowsum, orthogonality_check, two_dim_reps)
@@ -39,6 +38,6 @@ __all__ = [
     "dim_t_tilde", "dual_idempotents", "enumerate_pairs", "expected_case_counts",
     "generic_conjugacy_classes", "intersection_numbers", "multiplicities_closedform",
     "multiplicities_rowsum", "orbital_count", "orthogonality_check", "sweep",
-    "triple_transitivity", "two_dim_reps", "valid_twists", "validate_params",
+    "two_dim_reps", "valid_twists", "validate_params",
     "verify_product_identity",
 ]

@@ -14,12 +14,17 @@ orbital matrices, which have disjoint supports, so the closure keeps every
 element in orbital coordinates: its values at one representative pair per
 orbit, a faithful coordinate system for the whole algebra over any field.
 
-The saturation is a spin-up (Parker's MeatAxe): frontier rows are multiplied
-by the generators on the left only.  The seeds span I = sum of the E*_i, and
-a span that holds I and is closed under left multiplication by each generator
-holds every word in them, so it is the algebra.  The rounds and the rank
-histories equal those of a two-sided saturation: after round r (the seed
-round being round 1) both span exactly the words of length <= r+1.
+The saturation is a spin-up (Parker's MeatAxe) in rounds.  The generators
+are inserted first; round 1 offers their masked products E*_j A_i and
+A_i E*_j; every later round multiplies the rows the round before added by
+the generators on the left only.  The seeds span I = sum of the E*_i, and a
+span that holds I and is closed under left multiplication by each generator
+holds every word in them, so it is the algebra.  The loop ends at the
+orbital bound or after a round that adds nothing, within ROUND_BUDGET
+rounds.  The rounds and the rank histories equal those of a two-sided
+saturation: after round r both span exactly the words of length <= r+1.
+Each prime gets a fresh basis that is dropped once its history is taken,
+so only one basis is alive at a time.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .scheme import SchemeData, closed_form_dimension
 
 COMMUTANT_ORDER_LIMIT = 16
 BATCH_ROWS = 256  # products collected before each insert_block call
+ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 PROVENANCE_EXACT = "exact"
 PROVENANCE_RATIONAL = "exact-rational"
@@ -83,20 +89,6 @@ class DimensionCertificate:
     primes: tuple[int, int]
     rational_rank: int | None = None
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "s": self.s,
-            "tau": self.tau,
-            "dim_T0": self.dim_t0,
-            "dim_T": self.dim_t,
-            "dim_T_tilde": self.dim_t_tilde,
-            "formula": self.formula_value,
-            "triply_transitive": self.triply_transitive,
-            "provenance": self.provenance,
-            "rounds": self.closure_rounds,
-        }
-
 
 class _GeneratorProducts:
     """Left multiplication by every A_i and E*_i, in orbital coordinates.
@@ -134,90 +126,70 @@ class _GeneratorProducts:
         return np.concatenate([left, self.masks[:len(self.offsets)] * m])
 
 
-def _seed_matrices(scheme: SchemeData, idem: DualIdempotents,
-                   seed_order: list[int] | None) -> list[np.ndarray]:
+def _generators(scheme: SchemeData, idem: DualIdempotents,
+                seed_order: list[int] | None) -> tuple[list[np.ndarray], list[int]]:
+    """The generators A_0..A_t, E*_0..E*_t, and the order they are seeded in."""
     t1 = scheme.num_relations
-    seeds = [scheme.adjacency(i) for i in range(t1)]
-    seeds += [np.diag(idem.diagonals[i]) for i in range(t1)]
-    if seed_order is not None:
-        if sorted(seed_order) != list(range(len(seeds))):
-            raise ValueError("seed_order must be a permutation of the generators")
-        seeds = [seeds[i] for i in seed_order]
-    return seeds
+    gens = [scheme.adjacency(i) for i in range(t1)]
+    gens += [np.diag(idem.diagonals[i]) for i in range(t1)]
+    order = list(range(len(gens))) if seed_order is None else list(seed_order)
+    if sorted(order) != list(range(len(gens))):
+        raise ValueError("seed_order must be a permutation of the generators")
+    return gens, order
 
 
-def _modular_closure(scheme: SchemeData, idem: DualIdempotents,
-                     products: _GeneratorProducts, prime: int, bound: int,
-                     seed_order: list[int] | None, round_budget: int
-                     ) -> tuple[PrimeBasis, int, list[int]]:
-    """Saturate the generated algebra over F_p; returns (basis, rounds, history)."""
-    basis = PrimeBasis(prime, len(products.u), capacity=bound)
-    seeds = [products.coordinates(m) for m in _seed_matrices(scheme, idem, seed_order)]
-    basis.insert_block(np.array(seeds) % prime, stop_at_rank=bound)
+def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
+                     seeds: np.ndarray, adjacency: np.ndarray,
+                     bound: int) -> tuple[int, list[int]]:
+    """Saturate the generated algebra in a fresh basis over F_p; returns the
+    rounds and the rank history (after the seeds, then after each round).
+
+    Round 1 offers the products of the generators themselves.  A_i A_j lies
+    in the span of the A's (the scheme product identity) and E_i E_j in the
+    span of the E's, so only the masked products E_j A_i and A_i E_j, the
+    rows of masks * A_i, can grow the span.  Every later round offers the
+    left products of the rows the round before added.  Each source gives
+    2(t+1) rows, and a chunk of sources fills one insert_block call.
+    """
+    basis.insert_block(seeds % basis.p, stop_at_rank=bound)
     history = [basis.rank]
-    rounds = 0
-    next_frontier: list[int] = []
-    pending: list[np.ndarray] = []
-
-    def flush() -> None:
-        if pending:
-            before = basis.rank
-            basis.insert_block(np.concatenate(pending), stop_at_rank=bound)
-            next_frontier.extend(range(before, basis.rank))
-            pending.clear()
-
-    def push(block: np.ndarray) -> bool:
-        pending.append(block)
-        if sum(map(len, pending)) < BATCH_ROWS:
-            return False
-        flush()
-        return basis.rank >= bound
-
-    # Seed round: products of the generators themselves.  A_i A_j lies in the
-    # span of the A's (the scheme product identity) and E_i E_j in the span of
-    # the E's, so only the diagonal-masked products E_j A_i and A_i E_j can
-    # grow the span here.
-    if basis.rank < bound:
-        rounds = 1
-        for i in range(scheme.num_relations):
-            a = products.coordinates(scheme.adjacency(i))
-            if push(products.masks * a):
-                break
-        flush()
-        history.append(basis.rank)
-
-    frontier = next_frontier
-    while frontier and basis.rank < bound:
+    chunk = -(-BATCH_ROWS // len(products.masks))
+    rounds, sources = 0, range(len(adjacency))
+    while sources and basis.rank < bound:
         rounds += 1
-        if rounds > round_budget:
+        if rounds > ROUND_BUDGET:
             raise ConsistencyError(
-                f"closure did not stabilize within {round_budget} rounds")
-        next_frontier = []
-        for row_idx in frontier:
-            if push(products.all_products(basis.rows[row_idx])):
+                f"closure did not stabilize within {ROUND_BUDGET} rounds")
+        start = basis.rank
+        for lo in range(0, len(sources), chunk):
+            part = sources[lo:lo + chunk]
+            if rounds == 1:
+                block = [products.masks * adjacency[i] for i in part]
+            else:
+                block = [products.all_products(basis.rows[r]) for r in part]
+            basis.insert_block(np.concatenate(block), stop_at_rank=bound)
+            if basis.rank >= bound:
                 break
-        flush()
         history.append(basis.rank)
-        frontier = next_frontier
-
-    return basis, rounds, history
+        sources = range(start, basis.rank)
+    return rounds, history
 
 
 def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
-                      seed_order: list[int] | None, round_budget: int) -> int:
+                      seed_order: list[int] | None) -> int:
     """The same saturation over the rationals; exact but only for small groups."""
     order = scheme.order
     basis = RationalBasis(order * order)
-    seeds = _seed_matrices(scheme, idem, seed_order)
+    gens, seed_order = _generators(scheme, idem, seed_order)
+    gens = [gens[i] for i in seed_order]
     frontier: list[np.ndarray] = []
-    for seed in seeds:
+    for seed in gens:
         if basis.insert(seed.reshape(-1).tolist()):
             frontier.append(seed.astype(object))
-    gens = seeds
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > round_budget:
+        if rounds > ROUND_BUDGET:
             raise ConsistencyError("rational closure did not stabilize in budget")
         new: list[np.ndarray] = []
         for m in frontier:
@@ -239,8 +211,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
                     dim_t0_value: int,
                     primes: tuple[int, int] = DEFAULT_PRIMES,
                     seed_order: list[int] | None = None,
-                    exact_rational: bool = False,
-                    round_budget: int = 32) -> DimensionCertificate:
+                    exact_rational: bool = False) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
 
     Runs one independent saturation per prime; the two ranks must agree.
@@ -252,16 +223,19 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     group = scheme.group
     bound = dim_t_tilde(group)
     products = _GeneratorProducts(scheme, *pair_orbits(group))
+    gens, seed_order = _generators(scheme, idem, seed_order)
+    coords = np.array([products.coordinates(g) for g in gens])
+    adjacency = coords[:scheme.num_relations]
 
-    ranks: list[int] = []
     rounds: list[int] = []
     histories: list[list[int]] = []
     for p in primes:
-        basis, nrounds, history = _modular_closure(
-            scheme, idem, products, p, bound, seed_order, round_budget)
-        ranks.append(basis.rank)
+        nrounds, history = _modular_closure(
+            PrimeBasis(p, len(products.u), capacity=bound), products,
+            coords[seed_order], adjacency, bound)
         rounds.append(nrounds)
         histories.append(history)
+    ranks = [history[-1] for history in histories]
     if ranks[0] != ranks[1]:
         raise ConsistencyError(
             f"prime-field ranks disagree: {ranks[0]} mod {primes[0]} vs "
@@ -270,7 +244,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
 
     rational_rank = None
     if exact_rational:
-        rational_rank = _rational_closure(scheme, idem, seed_order, round_budget)
+        rational_rank = _rational_closure(scheme, idem, seed_order)
         if rational_rank < dim_t:
             raise ConsistencyError(
                 f"rational rank {rational_rank} below modular rank {dim_t}")
@@ -303,11 +277,6 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
         primes=tuple(primes),
         rational_rank=rational_rank,
     )
-
-
-def triple_transitivity(cert: DimensionCertificate) -> bool:
-    """True when the triple-count lower bound meets the orbital upper bound."""
-    return cert.dim_t0 == cert.dim_t_tilde
 
 
 def commutant_oracle(group: GroupTable) -> int:

@@ -114,9 +114,6 @@ def _analysis_csv_row(a: pipeline.Analysis) -> list:
 
 
 def render_sweep(analyses: list[pipeline.Analysis], fmt: str) -> str:
-    if fmt == "csv":
-        return _csv_text([_analysis_csv_row(a) for a in analyses],
-                         SWEEP_CSV_HEADER.split(","))
     if fmt == "json":
         # census of the fractional-looking multiplicity case (tau/2), which may
         # only fire when tau is even; the rows record every occurrence
@@ -131,12 +128,11 @@ def render_sweep(analyses: list[pipeline.Analysis], fmt: str) -> str:
                         "failed": sum(not a.passed for a in analyses),
                         "half_tau_case": census},
         })
-    lines = [SWEEP_CSV_HEADER]
-    for a in analyses:
-        lines.append(",".join(str(x) for x in _analysis_csv_row(a)))
+    body = _csv_text([_analysis_csv_row(a) for a in analyses], SWEEP_CSV_HEADER.split(","))
+    if fmt == "csv":
+        return body
     passed = sum(a.passed for a in analyses)
-    lines.append(f"# {len(analyses)} pairs, {passed} passed, {len(analyses) - passed} failed")
-    return "\n".join(lines) + "\n"
+    return body + f"# {len(analyses)} pairs, {passed} passed, {len(analyses) - passed} failed\n"
 
 
 def render_audit(audits, fmt: str) -> str:
@@ -220,11 +216,16 @@ def render_char_table(a: pipeline.Analysis, fmt: str, numeric: bool = False) -> 
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
+    """Write to stdout, or to --output; a file that cannot be written is a
+    usage error (ValueError, exit 2)."""
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

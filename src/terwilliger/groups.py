@@ -21,7 +21,7 @@ from math import gcd
 
 import numpy as np
 
-BRUTE_FORCE_LIMIT = 40  # largest n for which brute-force cross-checks run by default
+BRUTE_FORCE_LIMIT = 40  # largest n for which brute-force cross-checks run
 
 
 class ConsistencyError(RuntimeError):
@@ -219,22 +219,19 @@ def _closed_form_classes(params: GroupParams) -> tuple[list, list, list, list, l
     return classes, labels, kinds, reps, cents
 
 
-def conjugacy_classes(group: GroupTable, check_brute_force: bool | None = None) -> ConjugacyData:
+def conjugacy_classes(group: GroupTable) -> ConjugacyData:
     """Conjugacy classes of a twisted dihedral group in canonical order.
 
-    By default both the brute-force route and the closed-form route run for
-    n <= 40 and must agree exactly; pass check_brute_force to override.
+    For n <= BRUTE_FORCE_LIMIT both the brute-force route and the closed-form
+    route run and must agree exactly; above it only the closed form runs.
     A route mismatch raises ConsistencyError since it signals a defect.
     """
     params = group.params
     if params is None:
         return generic_conjugacy_classes(group)
-    n = params.n
-    if check_brute_force is None:
-        check_brute_force = n <= BRUTE_FORCE_LIMIT
     classes, labels, kinds, reps, cents = _closed_form_classes(params)
 
-    if check_brute_force:
+    if params.n <= BRUTE_FORCE_LIMIT:
         brute = set(_brute_partition(group))
         closed = {frozenset(c) for c in classes}
         if brute != closed:

@@ -10,6 +10,8 @@ Each test prints one `[criterion N] PASS/FAIL` line; run with `pytest -v -s`
 to see them as they complete.
 """
 
+import hashlib
+
 import pytest
 
 from terwilliger import (DEFAULT_PRIMES, build_group, central_idempotents,
@@ -197,6 +199,19 @@ def test_criterion_10c_derived_consistency(audits_50):
         if sum(d * d for d in audit.derived_blocks) != closed_form_dimension(params):
             failures.append(n)
     _finish("10c", failures, "sum d^2 == formula for every audited n")
+
+
+def test_criterion_11_pinned_output(sweep_a):
+    """The JSON and CSV bytes of sweep 3..40 are pinned; the JSON carries the
+    closure rounds and both rank histories of every pair."""
+    analyses, _ = sweep_a
+    pinned = {
+        "json": "9094a39ff14e526b2e3149d6d1582ee535b97d00e04db6bee5f1eba00382de36",
+        "csv": "80c979d4b2d7ccf23470dba7fa83ae7656b973e63b90171460c17c5386a1694c",
+    }
+    failures = [fmt for fmt, digest in pinned.items()
+                if hashlib.sha256(render_sweep(analyses, fmt).encode()).hexdigest() != digest]
+    _finish("11", failures, "sweep 3..40 json and csv match the pinned sha256")
 
 
 def test_criterion_11_determinism(sweep_a):

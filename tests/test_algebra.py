@@ -5,11 +5,12 @@ from helpers import cyclic_table, oracle_burnside_pairs, s4_table
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
-                         intersection_numbers, triple_transitivity, valid_twists,
-                         validate_params)
-from terwilliger.algebra import _GeneratorProducts, _modular_closure, algebra_closure
+                         intersection_numbers, valid_twists, validate_params)
+from terwilliger import algebra
+from terwilliger.algebra import (_GeneratorProducts, _generators, _modular_closure,
+                                 algebra_closure)
 from terwilliger.groups import ConsistencyError, pair_orbits
-from terwilliger.modular import DEFAULT_PRIMES
+from terwilliger.modular import DEFAULT_PRIMES, PrimeBasis
 
 
 def closure_inputs(n, s):
@@ -18,6 +19,19 @@ def closure_inputs(n, s):
     sd = build_scheme(group, classes)
     tensor = intersection_numbers(group, classes)
     return sd, dual_idempotents(sd), dim_t0(tensor)
+
+
+def run_modular_closure(n, s, bound_above_t_tilde=0):
+    """One prime's closure in canonical seed order; returns the basis, the
+    generator products, the rounds and the history."""
+    sd, idem, _ = closure_inputs(n, s)
+    products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+    coords = np.array([products.coordinates(g) for g in _generators(sd, idem, None)[0]])
+    bound = dim_t_tilde(sd.group) + bound_above_t_tilde
+    basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u), capacity=bound)
+    rounds, history = _modular_closure(basis, products, coords,
+                                       coords[:sd.num_relations], bound)
+    return basis, products, rounds, tuple(history)
 
 
 class TestDualIdempotents:
@@ -97,17 +111,13 @@ class TestAlgebraClosure:
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (8, 3)])
     def test_final_basis_closed_under_transpose(self, n, s):
         # in orbital coordinates M[x, y] = m[ids[x, y]], so M^T reads m[ids[v, u]]
-        sd, idem, t0 = closure_inputs(n, s)
-        bound = dim_t_tilde(sd.group)
-        ids, reps = pair_orbits(sd.group)
-        products = _GeneratorProducts(sd, ids, reps)
-        basis, _, _ = _modular_closure(sd, idem, products, DEFAULT_PRIMES[0], bound, None, 32)
-        u, v = np.divmod(reps, sd.order)
+        basis, products, _, _ = run_modular_closure(n, s)
+        transposed = products.ids[products.v, products.u]
         for r in range(basis.rank):
             m = basis.rows[r].astype(np.int64)
-            assert not basis.reduce(m[ids[v, u]]).any()
+            assert not basis.reduce(m[transposed]).any()
 
-    def test_generators_must_be_constant_on_orbit_cells(self):
+    def test_generators_must_be_constant_on_orbit_cells(self, monkeypatch):
         # merge an orbit inside relation 1 into an orbit outside it
         sd, idem, t0 = closure_inputs(8, 3)
         ids, reps = pair_orbits(sd.group)
@@ -115,10 +125,23 @@ class TestAlgebraClosure:
         relation = sd.adjacency(1)[u, v]
         a, b = np.flatnonzero(relation == 0)[0], np.flatnonzero(relation == 1)[0]
         corrupted = np.where(ids == b, a, ids)
-        products = _GeneratorProducts(sd, corrupted, reps)
+        monkeypatch.setattr(algebra, "pair_orbits", lambda group: (corrupted, reps))
         with pytest.raises(ConsistencyError, match="not constant"):
-            _modular_closure(sd, idem, products, DEFAULT_PRIMES[0],
-                             dim_t_tilde(sd.group), None, 32)
+            algebra_closure(sd, idem, dim_t0_value=t0)
+
+    @pytest.mark.parametrize("n,s,rounds,history", [
+        (8, 3, 3, (13, 63, 64, 64)),
+        (16, 7, 3, (21, 179, 184, 184)),
+    ])
+    def test_saturation_short_of_the_bound(self, n, s, rounds, history):
+        # an unreachable bound: the loop ends after a round that adds nothing
+        _, _, got_rounds, got_history = run_modular_closure(n, s, bound_above_t_tilde=1)
+        assert (got_rounds, got_history) == (rounds, history)
+
+    def test_round_budget_exhausted(self, monkeypatch):
+        monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
+        with pytest.raises(ConsistencyError, match="did not stabilize"):
+            run_modular_closure(8, 3, bound_above_t_tilde=1)
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 2, (13, 63, 64)),
@@ -138,13 +161,6 @@ class TestAlgebraClosure:
         with pytest.raises(ValueError):
             algebra_closure(sd, idem, dim_t0_value=t0, seed_order=[0, 1, 2])
 
-    def test_certificate_json(self):
-        sd, idem, t0 = closure_inputs(3, 2)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0)
-        assert cert.to_json_dict() == {
-            "n": 3, "s": 2, "tau": 1, "dim_T0": 11, "dim_T": 11, "dim_T_tilde": 11,
-            "formula": 11, "triply_transitive": True, "provenance": "exact", "rounds": 1}
-
     def test_generic_group_s4(self):
         # S4 is not triply transitive: the triple count undershoots by one
         group = GroupTable(s4_table(), name="S4")
@@ -155,7 +171,7 @@ class TestAlgebraClosure:
         assert t0 == 42
         assert cert.dim_t == cert.dim_t_tilde == 43
         assert cert.provenance == "exact"
-        assert not triple_transitivity(cert)
+        assert not cert.triply_transitive
 
 
 def generic_inputs(table, name):

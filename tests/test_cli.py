@@ -45,6 +45,15 @@ class TestExitCodes:
         code, _ = run_cli("audit-corollaries", "--n-min", "3", "--n-max", "8")
         assert code == 0
 
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code, out = run_cli("analyze", "--n", "3", "--s", "2", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
 
 class TestAnalyzeOutput:
     def test_json_schema(self):
