@@ -76,7 +76,7 @@ def char_table(params: GroupParams, classes: ConjugacyData) -> CharTable:
     n, s, tau = params.n, params.s, params.tau
     step = n // tau
     cols = _column_exponents(classes, n)
-    omega = np.exp(2j * np.pi / n)
+    powers = (np.exp(2j * np.pi / n) ** np.arange(n)).tolist()
 
     labels: list[str] = []
     families: list[tuple[str, int]] = []
@@ -110,10 +110,8 @@ def char_table(params: GroupParams, classes: ConjugacyData) -> CharTable:
     if sum(d * d for d in degrees) != 2 * n:
         raise ConsistencyError("degree squares do not sum to the group order")
 
-    values = np.empty((len(labels), classes.num_classes), dtype=np.complex128)
-    for r, row in enumerate(symbolic):
-        for c, (coef, exps) in enumerate(row):
-            values[r, c] = coef * sum(omega ** e for e in exps)
+    values = np.array([[coef * sum(powers[e] for e in exps) for coef, exps in row]
+                       for row in symbolic], dtype=np.complex128)
 
     return CharTable(
         params=params,

@@ -7,6 +7,7 @@ Output is deterministic: identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -215,19 +216,6 @@ def render_char_table(a: pipeline.Analysis, fmt: str, numeric: bool = False) -> 
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, output: str | None) -> None:
-    """Write to stdout, or to --output; a file that cannot be written is a
-    usage error (ValueError, exit 2)."""
-    if not output:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValueError(f"cannot write --output: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="terwilliger",
@@ -288,51 +276,57 @@ def main(argv: list[str] | None = None) -> int:
         primes = resolve_primes(args.primes)
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
+    if args.command in ("sweep", "audit-corollaries") and not 3 <= args.n_min <= args.n_max:
+        parser.error("need 3 <= n-min <= n-max")
 
     try:
-        if args.command == "analyze":
-            analysis = pipeline.analyze_pair(
-                args.n, args.s, closure=not args.no_closure, primes=primes,
-                exact_rational=args.exact_rational)
-            if args.format == "json":
-                _emit(canonical_json(analysis.to_json_dict()), args.output)
-            elif args.format == "csv":
-                _emit(_csv_text([_analysis_csv_row(analysis)],
-                                SWEEP_CSV_HEADER.split(",")), args.output)
-            else:
-                _emit(render_analysis_text(analysis), args.output)
-            return 0 if analysis.passed else 1
+        # --output is opened before any work, so an unwritable path fails fast
+        with (open(args.output, "w", encoding="utf-8") if args.output
+              else contextlib.nullcontext(sys.stdout)) as out:
+            if args.command == "analyze":
+                analysis = pipeline.analyze_pair(
+                    args.n, args.s, closure=not args.no_closure, primes=primes,
+                    exact_rational=args.exact_rational)
+                if args.format == "json":
+                    out.write(canonical_json(analysis.to_json_dict()))
+                elif args.format == "csv":
+                    out.write(_csv_text([_analysis_csv_row(analysis)],
+                                        SWEEP_CSV_HEADER.split(",")))
+                else:
+                    out.write(render_analysis_text(analysis))
+                return 0 if analysis.passed else 1
 
-        if args.command == "sweep":
-            if not 3 <= args.n_min <= args.n_max:
-                parser.error("need 3 <= n-min <= n-max")
-            analyses = pipeline.sweep(
-                args.n_min, args.n_max, threads=args.threads,
-                closure_limit=args.closure_limit, force_closure=args.force_closure,
-                primes=primes, generator_order_seed=args.generator_order)
-            _emit(render_sweep(analyses, args.format), args.output)
-            return 0 if all(a.passed for a in analyses) else 1
+            if args.command == "sweep":
+                analyses = pipeline.sweep(
+                    args.n_min, args.n_max, threads=args.threads,
+                    closure_limit=args.closure_limit, force_closure=args.force_closure,
+                    primes=primes, generator_order_seed=args.generator_order)
+                out.write(render_sweep(analyses, args.format))
+                return 0 if all(a.passed for a in analyses) else 1
 
-        if args.command == "audit-corollaries":
-            if not 3 <= args.n_min <= args.n_max:
-                parser.error("need 3 <= n-min <= n-max")
-            audits = pipeline.audit_corollaries(args.n_min, args.n_max)
-            _emit(render_audit(audits, args.format), args.output)
-            return 0  # findings, not failures
+            if args.command == "audit-corollaries":
+                audits = pipeline.audit_corollaries(args.n_min, args.n_max)
+                out.write(render_audit(audits, args.format))
+                return 0  # findings, not failures
 
-        if args.command == "char-table":
-            analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
-                                             primes=primes, desk_certificates=False)
-            _emit(render_char_table(analysis, args.format, numeric=args.numeric),
-                  args.output)
-            return 0
+            if args.command == "char-table":
+                analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
+                                                 primes=primes, desk_certificates=False)
+                out.write(render_char_table(analysis, args.format, numeric=args.numeric))
+                return 0
 
-        if args.command == "tensor":
-            analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
-                                             primes=primes, desk_certificates=False)
-            _emit(render_tensor(analysis, args.format), args.output)
-            return 0
+            if args.command == "tensor":
+                analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
+                                                 primes=primes, desk_certificates=False)
+                out.write(render_tensor(analysis, args.format))
+                return 0
 
+    except OSError as exc:
+        if not args.output:
+            raise
+        # a file that cannot be opened or written is a usage error
+        print(f"error: cannot write --output: {exc}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -90,16 +90,15 @@ class GroupTable:
             raise ValueError("element 0 must be the identity")
         # every row and column must be a permutation
         ar = np.arange(order)
-        if not all(np.array_equal(np.sort(mult[g]), ar) and
-                   np.array_equal(np.sort(mult[:, g]), ar) for g in range(order)):
+        if not (np.all(np.sort(mult, axis=1) == ar)
+                and np.all(np.sort(mult, axis=0) == ar[:, None])):
             raise ValueError("Cayley table rows/columns are not permutations")
-        inv = np.empty(order, dtype=np.int64)
-        for g in range(order):
-            zeros = np.flatnonzero(mult[g] == 0)
-            if len(zeros) != 1:
-                raise ValueError(f"element {g} has {len(zeros)} right inverses")
-            inv[g] = zeros[0]
-        self.inv = inv
+        zeros = mult == 0
+        counts = np.count_nonzero(zeros, axis=1)
+        if np.any(counts != 1):
+            g = int(np.argmax(counts != 1))
+            raise ValueError(f"element {g} has {counts[g]} right inverses")
+        self.inv = np.argmax(zeros, axis=1)
 
     @classmethod
     def from_params(cls, params: GroupParams) -> "GroupTable":

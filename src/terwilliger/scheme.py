@@ -63,18 +63,21 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
         raise ConsistencyError("identity relation is not the identity matrix")
 
     sizes = np.asarray(classes.sizes())
-    for x in range(group.order):
-        row_counts = np.bincount(class_matrix[x], minlength=len(sizes))
-        if not np.array_equal(row_counts, sizes):
-            raise ConsistencyError(f"row {x} does not meet every class the right number of times")
+    t1 = len(sizes)
+    rows = np.arange(group.order)[:, None] * t1 + class_matrix
+    row_counts = np.bincount(rows.ravel(), minlength=group.order * t1).reshape(-1, t1)
+    bad_rows = np.flatnonzero(np.any(row_counts != sizes, axis=1))
+    if len(bad_rows):
+        raise ConsistencyError(
+            f"row {bad_rows[0]} does not meet every class the right number of times")
 
-    inverse_class = np.empty(len(sizes), dtype=np.int64)
+    class_index = {frozenset(c): j for j, c in enumerate(classes.classes)}
+    inverse_class = np.empty(t1, dtype=np.int64)
     for i, members in enumerate(classes.classes):
-        inv_members = frozenset(int(group.inv[x]) for x in members)
-        matches = [j for j, c in enumerate(classes.classes) if frozenset(c) == inv_members]
-        if len(matches) != 1:
+        j = class_index.get(frozenset(group.inv[list(members)].tolist()))
+        if j is None:
             raise ConsistencyError(f"inverse of class {classes.labels[i]} is not a class")
-        inverse_class[i] = matches[0]
+        inverse_class[i] = j
     if not np.array_equal(class_matrix.T, inverse_class[class_matrix]):
         raise ConsistencyError("transpose closure fails")
 
@@ -83,7 +86,10 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
 
 @dataclass(frozen=True)
 class IntersectionTensor:
-    """All intersection numbers p[i, j, k] of the scheme."""
+    """All intersection numbers p[i, j, k] of the scheme.
+
+    Held as int32: p[i, j, k] <= |Cl_i| <= |G|, far below 2^31.
+    """
 
     p: np.ndarray
     num_classes: int
@@ -105,15 +111,12 @@ def intersection_numbers(group: GroupTable, classes: ConjugacyData) -> Intersect
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
     t1 = classes.num_classes
-    p = np.zeros((t1, t1, t1), dtype=np.int64)
+    p = np.empty((t1, t1, t1), dtype=np.int32)
 
     def column(y: int) -> np.ndarray:
-        # slab[i, j] = |{z in Cl_i : y z^-1 in Cl_j}|
+        # slab[i, j] = |{z in Cl_i : y z^-1 in Cl_j}|, one count per z
         quot_class = cls[group.mult[y, group.inv]]
-        slab = np.zeros((t1, t1), dtype=np.int64)
-        for i, members in enumerate(classes.classes):
-            slab[i] = np.bincount(quot_class[list(members)], minlength=t1)
-        return slab
+        return np.bincount(cls * t1 + quot_class, minlength=t1 * t1).reshape(t1, t1)
 
     for k in range(t1):
         members = classes.classes[k]
@@ -131,14 +134,10 @@ def dim_t0(tensor: IntersectionTensor) -> int:
 
 
 def case_counts(tensor: IntersectionTensor, classes: ConjugacyData) -> dict[tuple[str, str], int]:
-    """Nonzero-triple counts grouped by the (kind of Cl_i, kind of Cl_j) pair."""
-    kinds = classes.kinds
-    counts = {case: 0 for case in CASE_ORDER}
+    """Nonzero-triple counts for each (kind of Cl_i, kind of Cl_j) case of CASE_ORDER."""
+    kinds = np.asarray(classes.kinds)
     nz = np.count_nonzero(tensor.p, axis=2)
-    for i in range(tensor.num_classes):
-        for j in range(tensor.num_classes):
-            counts[(kinds[i], kinds[j])] += int(nz[i, j])
-    return counts
+    return {(u, v): int(nz[np.ix_(kinds == u, kinds == v)].sum()) for u, v in CASE_ORDER}
 
 
 def expected_case_counts(params: GroupParams) -> dict[tuple[str, str], int]:
@@ -171,19 +170,17 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
     """Check A_i A_j == sum_k p[i,j,k] A_k as exact matrix identities.
 
     With pairs=None every (i, j) is checked; callers pass a deterministic
-    sample for larger groups.
+    sample for larger groups.  The relations partition the pairs, so the
+    right side is p[i, j] read at each entry's class.  The left side is a
+    float64 product of 0/1 matrices, exact since each entry is at most |G|.
     """
     t1 = tensor.num_classes
-    adjacency = [scheme.adjacency(i) for i in range(t1)]
     if pairs is None:
         pairs = [(i, j) for i in range(t1) for j in range(t1)]
+    adjacency = {i: (scheme.class_matrix == i).astype(np.float64)
+                 for i in {i for pair in pairs for i in pair}}
     for i, j in pairs:
         lhs = adjacency[i] @ adjacency[j]
-        rhs = np.zeros_like(lhs)
-        for k in range(t1):
-            coeff = int(tensor.p[i, j, k])
-            if coeff:
-                rhs += coeff * adjacency[k]
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(lhs, tensor.p[i, j][scheme.class_matrix]):
             return False
     return True

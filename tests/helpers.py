@@ -69,6 +69,25 @@ def oracle_t0_count(mult: np.ndarray, classes: list[tuple[int, ...]]) -> int:
     return count
 
 
+def oracle_intersection_tensor(mult: np.ndarray,
+                               classes: list[tuple[int, ...]]) -> list[list[list[int]]]:
+    """p[i][j][k] = |{z in Cl_i : y z^-1 in Cl_j}| for y the first member of
+    Cl_k, counted one z at a time."""
+    class_of = {}
+    for ci, members in enumerate(classes):
+        for x in members:
+            class_of[x] = ci
+    t1 = len(classes)
+    p = [[[0] * t1 for _ in range(t1)] for _ in range(t1)]
+    for k in range(t1):
+        y = classes[k][0]
+        for i in range(t1):
+            for z in classes[i]:
+                j = class_of[int(mult[y, oracle_inverse(mult, z)])]
+                p[i][j][k] += 1
+    return p
+
+
 def oracle_echelon(vectors, p: int) -> tuple[list[list[int]], list[int]]:
     """Fully reduced echelon basis over F_p built one vector at a time, in
     Python integers: each residual's first nonzero column becomes its pivot,

@@ -214,6 +214,14 @@ def test_criterion_11_pinned_output(sweep_a):
     _finish("11", failures, "sweep 3..40 json and csv match the pinned sha256")
 
 
+def test_criterion_11_pinned_census_output():
+    """The JSON bytes of sweep 41..100 (closure off above n = 40) are pinned:
+    the dims, blocks and verdicts of all 162 pairs."""
+    digest = hashlib.sha256(render_sweep(sweep(41, 100), "json").encode()).hexdigest()
+    pinned = "64c0c8d8809ebb301db551959c9b27b523cb2e3d7e2e9f9db20ce11ebb77e331"
+    _finish("11", [digest] if digest != pinned else [], "sweep 41..100 json matches the pinned sha256")
+
+
 def test_criterion_11_determinism(sweep_a):
     """A second sweep with a different thread count and permuted generator
     order must be byte-identical, and the default primes must agree on every

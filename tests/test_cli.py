@@ -36,6 +36,11 @@ class TestExitCodes:
             run_cli("sweep", "--n-min", "10", "--n-max", "3")
         assert exc.value.code == 2
 
+    def test_bad_audit_range_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("audit-corollaries", "--n-min", "10", "--n-max", "3")
+        assert exc.value.code == 2
+
     def test_internal_limit_exit_1(self):
         code, out = run_cli("analyze", "--n", "72", "--s", "37")
         assert code == 1
@@ -52,6 +57,20 @@ class TestExitCodes:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
+    def test_unwritable_output_checked_before_sweep(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran before --output was checked")
+
+        monkeypatch.setattr("terwilliger.pipeline.sweep", no_sweep)
+        target = tmp_path / "missing" / "x.csv"
+        code, out = run_cli("sweep", "--n-min", "3", "--n-max", "40",
+                            "--output", str(target))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
         assert not target.parent.exists()
 
 

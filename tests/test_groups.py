@@ -87,6 +87,14 @@ class TestBuildGroup:
         with pytest.raises(ValueError):
             GroupTable(bad)
 
+    @pytest.mark.parametrize("transpose", [False, True])
+    def test_rejects_one_sided_latin_table(self, transpose):
+        # every row is a permutation but columns 1 and 2 are not (and the
+        # transpose the other way round); the identity row and column are fine
+        bad = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
+        with pytest.raises(ValueError, match="not permutations"):
+            GroupTable(bad.T if transpose else bad)
+
     def test_element_names(self):
         g = build_group(validate_params(4, 3))
         assert g.element_name(0) == "e"

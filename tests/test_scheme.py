@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import oracle_t0_count
-from terwilliger import (build_group, build_scheme, case_counts,
+from helpers import oracle_intersection_tensor, oracle_t0_count, s4_table
+from terwilliger import (ConsistencyError, GroupTable, IntersectionTensor,
+                         build_group, build_scheme, case_counts,
                          closed_form_dimension, conjugacy_classes, dim_t0,
-                         expected_case_counts, intersection_numbers,
-                         valid_twists, validate_params, verify_product_identity)
+                         expected_case_counts, generic_conjugacy_classes,
+                         intersection_numbers, valid_twists, validate_params,
+                         verify_product_identity)
 from terwilliger.scheme import CASE_ORDER
 
 
@@ -44,6 +48,16 @@ class TestBuildScheme:
             assert inv_members == set(c.classes[i])
             assert np.array_equal(sd.adjacency(i), sd.adjacency(i).T)
 
+    def test_broken_row_counts_raise(self):
+        # a^1 moved into the reflection class in class_of only: every row then
+        # meets Y1 once and Z1 four times, against class sizes 2 and 3
+        _, g, c = pipeline(3, 2)
+        class_of = list(c.class_of)
+        class_of[1] = class_of[3]
+        corrupted = dataclasses.replace(c, class_of=tuple(class_of))
+        with pytest.raises(ConsistencyError, match="does not meet every class"):
+            build_scheme(g, corrupted)
+
 
 class TestIntersectionNumbers:
     def test_identity_column(self):
@@ -74,6 +88,59 @@ class TestIntersectionNumbers:
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         assert verify_product_identity(sd, tensor)
+
+    @pytest.mark.parametrize("n,s,sampled", [(8, 3, False), (12, 5, False), (16, 7, True)])
+    def test_product_identity_detects_one_perturbed_entry(self, n, s, sampled):
+        _, g, c = pipeline(n, s)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        t1 = c.num_classes
+        i, j = 1, t1 - 1
+        pairs = [(0, 0), (i, j), (t1 - 1, 1)] if sampled else None
+        assert verify_product_identity(sd, tensor, pairs)
+        for k in (int(np.argmax(tensor.p[i, j])), int(np.argmin(tensor.p[i, j]))):
+            p = tensor.p.copy()
+            p[i, j, k] += 1
+            perturbed = IntersectionTensor(p=p, num_classes=t1)
+            assert not verify_product_identity(sd, perturbed, pairs), k
+
+    def test_base_point_dependence_raises(self):
+        # a and a^2 swapped between their classes: {a} and {a^2, a^3} are no
+        # longer conjugation-invariant, and base points a^2 and a^3 disagree
+        _, g, c = pipeline(4, 3)
+        classes = ((1,), (0,), (2, 3), (5, 7), (4, 6))
+        assert sorted(map(sorted, c.classes)) != sorted(map(sorted, classes))
+        class_of = [0] * g.order
+        for ci, members in enumerate(classes):
+            for x in members:
+                class_of[x] = ci
+        corrupted = dataclasses.replace(c, classes=classes, class_of=tuple(class_of))
+        with pytest.raises(ConsistencyError, match="depend on the base point"):
+            intersection_numbers(g, corrupted)
+
+    @pytest.mark.parametrize("group", ["S4", (8, 3), (12, 5), (15, 4)])
+    def test_matches_oracle_tensor(self, group):
+        if group == "S4":
+            g = GroupTable(s4_table(), name="S4")
+            c = generic_conjugacy_classes(g)
+        else:
+            _, g, c = pipeline(*group)
+        expected = oracle_intersection_tensor(g.mult, list(c.classes))
+        assert intersection_numbers(g, c).p.tolist() == expected
+
+    @pytest.mark.parametrize("n,s", [(8, 3), (40, 21), (100, 51)])
+    def test_tensor_is_int32_with_int64_values(self, n, s):
+        # p[i,j,k] <= |Cl_i| <= |G|, so int32 holds every entry exactly
+        _, g, c = pipeline(n, s)
+        tensor = intersection_numbers(g, c)
+        assert tensor.p.dtype == np.int32
+        cls = np.asarray(c.class_of, dtype=np.int64)
+        t1 = c.num_classes
+        wide = np.zeros((t1, t1, t1), dtype=np.int64)
+        for k, members in enumerate(c.classes):
+            quot_class = cls[g.mult[members[0], g.inv]]
+            np.add.at(wide, (cls, quot_class, k), 1)
+        assert np.array_equal(tensor.p.astype(np.int64), wide)
 
     def test_nonzero_triples_export(self):
         _, g, c = pipeline(3, 2)
