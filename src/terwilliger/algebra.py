@@ -231,7 +231,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     histories: list[list[int]] = []
     for p in primes:
         nrounds, history = _modular_closure(
-            PrimeBasis(p, len(products.u), capacity=bound), products,
+            PrimeBasis(p, len(products.u)), products,
             coords[seed_order], adjacency, bound)
         rounds.append(nrounds)
         histories.append(history)

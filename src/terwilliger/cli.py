@@ -16,7 +16,7 @@ import sys
 
 from . import pipeline
 from .characters import format_symbolic
-from .groups import ConsistencyError
+from .groups import ConsistencyError, validate_params
 from .modular import DEFAULT_PRIMES, FLOAT_EXACT
 
 PRIME_ENV_VARS = ("TERWILLIGER_PRIME_1", "TERWILLIGER_PRIME_2")
@@ -226,8 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats=("text", "json", "csv")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write to file instead of stdout")
-        p.add_argument("--primes", default=None,
-                       help="two comma-separated primes for the closure ranks")
 
     p_an = sub.add_parser("analyze", help="full report for one (n, s)")
     p_an.add_argument("--n", type=int, required=True)
@@ -247,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--generator-order", type=int, default=None, metavar="SEED",
                       help="permute the generator seeding order (results must not change)")
     common(p_sw, formats=("csv", "json", "text"))
+    for p in (p_an, p_sw):
+        p.add_argument("--primes", help="two comma-separated primes for the closure ranks")
 
     p_au = sub.add_parser("audit-corollaries",
                           help="compare stated dihedral block formulas with derived ones")
@@ -272,14 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        primes = resolve_primes(args.primes)
+    try:  # only analyze and sweep run a closure, so only they take primes
+        primes = resolve_primes(args.primes) if "primes" in args else None
     except ValueError as exc:
         parser.error(str(exc))  # exits 2
     if args.command in ("sweep", "audit-corollaries") and not 3 <= args.n_min <= args.n_max:
         parser.error("need 3 <= n-min <= n-max")
 
     try:
+        if args.command in ("analyze", "char-table", "tensor"):
+            validate_params(args.n, args.s)  # before --output is truncated
         # --output is opened before any work, so an unwritable path fails fast
         with (open(args.output, "w", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
@@ -311,13 +313,13 @@ def main(argv: list[str] | None = None) -> int:
 
             if args.command == "char-table":
                 analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
-                                                 primes=primes, desk_certificates=False)
+                                                 desk_certificates=False)
                 out.write(render_char_table(analysis, args.format, numeric=args.numeric))
                 return 0
 
             if args.command == "tensor":
                 analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
-                                                 primes=primes, desk_certificates=False)
+                                                 desk_certificates=False)
                 out.write(render_tensor(analysis, args.format))
                 return 0
 

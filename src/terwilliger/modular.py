@@ -17,16 +17,15 @@ block's own nonzero columns, and the older rows are brought to zero at the
 new pivots once per call; the rows a new pivot hits are found from an index
 of the stored nonzeros that lie off their row's pivot.
 
-Residues are stored in float64 so the products run through BLAS.  Each
-entry of a product is a sum of at most `capacity` terms, each a residue
-times a residue and so below p^2; the constructor requires
-capacity * (p-1)^2 < 2^53 (CapacityError), so every sum is an exact float64
-integer.  `_mod` takes such sums, and any input below 2^53 in magnitude,
-back to [0, p) without leaving float64.  The default moduli are the two
-largest primes below 2^20, leaving room for ranks up to ~8000.  Modular
-rank only lower-bounds the rational rank, so callers must close the gap
-themselves (see the algebra closure, which pins the rank exactly whenever
-it reaches the centralizer bound).
+Residues are stored in float64 so the products run through BLAS.  Every
+multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
+slabs of k inner terms with k * (p-1)^2 < 2^53, reduced mod p after each
+slab (the delayed reduction of FFLAS-FFPACK), so every sum is an exact
+float64 integer; `_mod` takes it back to [0, p) without leaving float64.
+At the default moduli, the two largest primes below 2^20, one slab holds
+8192 terms.  Modular rank only lower-bounds the rational rank, so callers
+must close the gap themselves (see the algebra closure, which pins the
+rank exactly whenever it reaches the centralizer bound).
 """
 
 from __future__ import annotations
@@ -35,34 +34,26 @@ from fractions import Fraction
 
 import numpy as np
 
-from .groups import ConsistencyError
-
 # the two largest primes below 2^20
 DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
 FLOAT_EXACT = 2 ** 53
 
 
-class CapacityError(ConsistencyError):
-    """The rank would leave the exact float64 window: a method limit, not bad input."""
-
-
 class PrimeBasis:
     """Fully reduced echelon basis of vectors over F_p."""
 
-    def __init__(self, modulus: int, length: int, capacity: int | None = None):
-        if capacity is None:
-            capacity = length
-        if capacity * (modulus - 1) ** 2 >= FLOAT_EXACT:
-            raise CapacityError(
-                f"modulus {modulus} with capacity {capacity} would overflow the "
-                f"exact float64 window; use a smaller prime")
+    def __init__(self, modulus: int, length: int):
+        if (modulus - 1) ** 2 >= FLOAT_EXACT:
+            raise ValueError(f"modulus {modulus} leaves no exact float64 product "
+                             "((p-1)^2 must be below 2^53)")
         self.p = modulus
         self.length = length
-        self.capacity = capacity
         self.rank = 0
-        self._rows = np.zeros((capacity, length), dtype=np.float64)
-        self._pivot_cols = np.zeros(capacity, dtype=np.int64)
+        # inner terms per exact slab of a product
+        self._slab = (FLOAT_EXACT - 1) // (modulus - 1) ** 2
+        self._rows = np.zeros((length, length), dtype=np.float64)
+        self._pivot_cols = np.zeros(length, dtype=np.int64)
         self._pivot_row = np.full(length, -1, dtype=np.int64)  # -1: not a pivot
         # row and column of every stored nonzero off its row's pivot
         self._off_rows = np.zeros(0, dtype=np.int64)
@@ -70,7 +61,7 @@ class PrimeBasis:
 
     @property
     def rows(self) -> np.ndarray:
-        """The stored rows as exact residues (read-only view)."""
+        """The stored rows as exact residues: a view of the store, not a copy."""
         return self._rows[:self.rank]
 
     def _mod(self, x: np.ndarray) -> np.ndarray:
@@ -88,6 +79,14 @@ class PrimeBasis:
         np.subtract(x, r, out=r)
         r += self.p * (r < 0)
         return r
+
+    def _sub_product(self, a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """(a - c @ r) mod p for residues, c a row or a matrix: each inner
+        term lies in [0, (p-1)^2], so with at most `_slab` terms per slab and
+        a mod p after each, every sum below stays an exact float64 integer."""
+        for lo in range(0, c.shape[-1], self._slab):
+            a = self._mod(a - c[..., lo:lo + self._slab] @ r[lo:lo + self._slab])
+        return a
 
     def reduce_block(self, block: np.ndarray) -> np.ndarray:
         """Reduce every row of an integer block against the basis; entries
@@ -109,7 +108,7 @@ class PrimeBasis:
             rows = self._rows[row_ids[is_pivot][used]]
             support = np.flatnonzero(rows.any(axis=0))
             sub = np.ix_(hit, support)
-            out[sub] = self._mod(out[sub] - coeffs[np.ix_(hit, used)] @ rows[:, support])
+            out[sub] = self._sub_product(out[sub], coeffs[np.ix_(hit, used)], rows[:, support])
         return out
 
     def reduce(self, vec) -> np.ndarray:
@@ -143,7 +142,7 @@ class PrimeBasis:
             coeffs = row[pivots[:added]]
             hit = coeffs.nonzero()[0]
             if len(hit):
-                row = self._mod(row - coeffs[hit] @ new[hit])
+                row = self._sub_product(row, coeffs[hit], new[hit])
             nonzero = row.nonzero()[0]
             if not len(nonzero):
                 continue
@@ -160,8 +159,6 @@ class PrimeBasis:
             if stop_at_rank is not None and self.rank + added >= stop_at_rank:
                 break
         start, end = self.rank, self.rank + added
-        if end > self.capacity:
-            raise RuntimeError("echelon basis exceeded its declared capacity")
         self._rows[start:end][:, cols] = new[:added]
         self._pivot_cols[start:end] = cols[pivots[:added]]
         self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
@@ -169,7 +166,7 @@ class PrimeBasis:
         hit = np.unique(self._off_rows[self._pivot_row[self._off_cols] >= start])
         older = self._rows[hit]
         coeffs = older[:, self._pivot_cols[start:end]]
-        older[:, cols] = self._mod(older[:, cols] - coeffs @ new[:added])
+        older[:, cols] = self._sub_product(older[:, cols], coeffs, new[:added])
         self._rows[hit] = older
         # re-index the off-pivot nonzeros of the rows just written
         keep = ~np.isin(self._off_rows, hit)
@@ -196,10 +193,9 @@ class PrimeBasis:
         reduced against the stored rows once; a row is then reduced only
         against the rows that entered earlier in the same call, and the
         stored rows are brought to zero at the new pivots in one restricted
-        product at the end.  Every product has at most `capacity` terms below
-        p^2, so the constructor's guard keeps it exact.  A call takes at most
-        2048 rows, which bounds its working copy of the block; the closure
-        offers a few hundred at a time.
+        product at the end; `_sub_product` keeps every product exact.  A call
+        takes at most 2048 rows, which bounds its working copy of the block;
+        the closure offers a few hundred at a time.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:

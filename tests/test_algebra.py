@@ -28,7 +28,7 @@ def run_modular_closure(n, s, bound_above_t_tilde=0):
     products = _GeneratorProducts(sd, *pair_orbits(sd.group))
     coords = np.array([products.coordinates(g) for g in _generators(sd, idem, None)[0]])
     bound = dim_t_tilde(sd.group) + bound_above_t_tilde
-    basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u), capacity=bound)
+    basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
     rounds, history = _modular_closure(basis, products, coords,
                                        coords[:sd.num_relations], bound)
     return basis, products, rounds, tuple(history)

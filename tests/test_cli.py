@@ -6,6 +6,13 @@ import pytest
 
 from terwilliger.cli import main, resolve_primes
 
+# the commands that run no closure, with valid arguments
+NO_CLOSURE_COMMANDS = [
+    ("audit-corollaries", "--n-min", "3", "--n-max", "4"),
+    ("char-table", "--n", "3", "--s", "2"),
+    ("tensor", "--n", "3", "--s", "2"),
+]
+
 
 def run_cli(*args):
     """Invoke the console entry point in-process, capturing stdout."""
@@ -41,10 +48,15 @@ class TestExitCodes:
             run_cli("audit-corollaries", "--n-min", "10", "--n-max", "3")
         assert exc.value.code == 2
 
-    def test_internal_limit_exit_1(self):
-        code, out = run_cli("analyze", "--n", "72", "--s", "37")
-        assert code == 1
-        assert "FAIL  closure_two_primes_agree" in out
+    def test_largest_moduli_exit_0(self):
+        # (p-1)^2 just below 2^53: every product splits into one-term slabs
+        code, out = run_cli("analyze", "--n", "8", "--s", "3",
+                            "--primes", "94906249,94906247", "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["closure"]["provenance"] == "exact"
+        assert obj["closure"]["primes"] == [94906249, 94906247]
+        assert obj["dims"]["t"] == 64
 
     def test_audit_always_exit_0(self):
         code, _ = run_cli("audit-corollaries", "--n-min", "3", "--n-max", "8")
@@ -72,6 +84,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "char-table", "tensor"])
+    def test_invalid_params_leave_existing_output(self, command, tmp_path, capsys):
+        target = tmp_path / "kept.json"
+        target.write_bytes(b"earlier report\n")
+        code, out = run_cli(command, "--n", "6", "--s", "2", "--output", str(target))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.read_bytes() == b"earlier report\n"
 
 
 class TestAnalyzeOutput:
@@ -262,6 +285,18 @@ class TestPrimeHandling:
         monkeypatch.setenv("TERWILLIGER_PRIME_1", prime)
         with pytest.raises(SystemExit) as exc:
             run_cli("analyze", "--n", "3", "--s", "2")
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args", NO_CLOSURE_COMMANDS)
+    def test_commands_without_closure_ignore_prime_env(self, monkeypatch, args):
+        monkeypatch.setenv("TERWILLIGER_PRIME_1", "4")
+        code, _ = run_cli(*args)
+        assert code == 0
+
+    @pytest.mark.parametrize("args", NO_CLOSURE_COMMANDS)
+    def test_commands_without_closure_take_no_primes_flag(self, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args, "--primes", "9973,7919")
         assert exc.value.code == 2
 
 

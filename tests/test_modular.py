@@ -5,7 +5,6 @@ import pytest
 
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
                          build_scheme, conjugacy_classes, validate_params)
-from terwilliger.modular import CapacityError
 
 from helpers import oracle_echelon
 
@@ -158,13 +157,6 @@ class TestPrimeBasis:
             assert added == two.rank - before
             assert _state(one) == _state(two)
 
-    def test_insert_block_past_capacity_leaves_basis_unchanged(self):
-        basis = PrimeBasis(97, 4, capacity=2)
-        basis.insert([1, 0, 0, 0])
-        with pytest.raises(RuntimeError):
-            basis.insert_block(np.eye(4)[1:])
-        assert _state(basis) == (1, [[1.0, 0.0, 0.0, 0.0]], [0])
-
     @pytest.mark.parametrize("p", [2, *PRIMES, 2 ** 26 - 5])
     def test_mod_matches_integer_remainder(self, p):
         top = (2 ** 53 - 1) // p
@@ -199,9 +191,30 @@ class TestPrimeBasis:
         dense = (block % p - (block % p)[:, pivots] @ basis.rows.astype(np.int64)) % p
         assert np.array_equal(basis.reduce_block(block.astype(np.float64)), dense)
 
-    def test_capacity_overflow_guard(self):
-        with pytest.raises(CapacityError):
-            PrimeBasis(2 ** 31 - 1, 10, capacity=10 ** 6)
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_large_prime_products_split_into_exact_slabs(self, kind):
+        # (p-1)^2 is just below 2^53, so every product runs one term per slab;
+        # an unsplit sum of two such terms would already be inexact
+        p = 94906249
+        rng = np.random.default_rng(17)
+        start = _vectors(rng, kind, 10, 30, p)
+        block = _vectors(rng, kind, 16, 30, p)
+        basis = PrimeBasis(p, 30)
+        assert basis._slab == 1
+        basis.insert_block(start.astype(np.float64))
+        basis.insert_block(block.astype(np.float64))
+        rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
+        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis._pivot_cols[:basis.rank].tolist() == pivots
+        probe = _vectors(rng, kind, 12, 30, p).astype(object)
+        stored = np.array(rows, dtype=object)
+        expected = (probe - probe[:, pivots] @ stored) % p
+        assert basis.reduce_block(probe.astype(np.float64)).astype(np.int64).tolist() == \
+            expected.tolist()
+
+    def test_modulus_outside_every_slab_rejected(self):
+        with pytest.raises(ValueError):
+            PrimeBasis(94906267, 4)
 
     def test_modulus_mismatch_length(self):
         basis = PrimeBasis(97, 4)

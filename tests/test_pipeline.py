@@ -38,12 +38,14 @@ class TestAnalyzePair:
         assert not a.checks["t0_cases_match"]
         assert not a.passed
 
-    def test_float64_window_is_a_failed_verdict(self):
-        # rank 9072 at the default primes leaves the exact float64 window
-        a = analyze_pair(72, 37)
+    def test_closure_failure_is_a_failed_verdict(self, monkeypatch):
+        # (8, 3) needs two rounds, so a budget of one leaves the closure unsettled
+        from terwilliger import algebra
+        monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
+        a = analyze_pair(8, 3)
         assert a.checks["closure_two_primes_agree"] is False
         assert a.certificate is None and not a.passed
-        assert any("float64 window" in note for note in a.notes)
+        assert any("did not stabilize" in note for note in a.notes)
         obj = a.to_json_dict()
         assert obj["closure"] is None and obj["notes"] == a.notes
 
