@@ -150,7 +150,6 @@ class Multiplicities:
     d1: tuple[int, ...]            # lin{k}+ for k = 0..tau-1
     d2: tuple[int, ...]            # lin{k}- for k = 0..tau-1
     d2dim: dict[int, int]          # canonical two-dimensional k -> multiplicity
-    provenance: str                # "rowsum" | "closedform"
     half_case_ks: tuple[int, ...] = field(default=())
 
     def row_values(self) -> list[int]:
@@ -184,8 +183,7 @@ def multiplicities_rowsum(table: CharTable) -> Multiplicities:
     d2 = tuple(ints[tau:2 * tau])
     two = {k: ints[2 * tau + i]
            for i, (_, k) in enumerate(table.row_families[2 * tau:])}
-    return Multiplicities(params=table.params, d1=d1, d2=d2, d2dim=two,
-                          provenance="rowsum")
+    return Multiplicities(params=table.params, d1=d1, d2=d2, d2dim=two)
 
 
 def multiplicities_closedform(params: GroupParams) -> Multiplicities:
@@ -217,7 +215,7 @@ def multiplicities_closedform(params: GroupParams) -> Multiplicities:
             d2.append(0)
     two = {k: (tau if k % tau == 0 else 0) for k in two_dim_reps(params)}
     return Multiplicities(params=params, d1=tuple(d1), d2=tuple(d2), d2dim=two,
-                          provenance="closedform", half_case_ks=tuple(half_fired))
+                          half_case_ks=tuple(half_fired))
 
 
 def conjugation_character_check(table: CharTable, mults: Multiplicities,

@@ -14,9 +14,9 @@ import json
 import os
 import sys
 
-from . import pipeline
-from .characters import format_symbolic
-from .groups import ConsistencyError, validate_params
+from . import characters, pipeline, scheme
+from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
+                     conjugacy_classes, validate_params)
 from .modular import DEFAULT_PRIMES, FLOAT_EXACT
 
 PRIME_ENV_VARS = ("TERWILLIGER_PRIME_1", "TERWILLIGER_PRIME_2")
@@ -78,7 +78,7 @@ def render_analysis_text(a: pipeline.Analysis) -> str:
     lines.append("classes:")
     for label, members, cent in zip(a.classes.labels, a.classes.classes,
                                     a.classes.centralizer_orders):
-        names = ", ".join(a.group.element_name(x) for x in members)
+        names = ", ".join(a.params.element_name(x) for x in members)
         lines.append(f"  {label:<5} |C|={cent:<4} {{{names}}}")
     lines.append(f"identity class: {a.classes.labels[a.classes.identity_class]} "
                  f"(index {a.classes.identity_class})")
@@ -89,9 +89,9 @@ def render_analysis_text(a: pipeline.Analysis) -> str:
         lines.append(f"closure: rounds={a.certificate.closure_rounds} "
                      f"provenance={a.certificate.provenance} primes={a.certificate.primes}")
     lines.append(f"triply transitive: {a.dim_t0 == a.dim_t_tilde}")
-    lines.append(f"characters: {len(a.table.row_labels)} rows "
-                 f"({2 * a.params.tau} linear, {len(a.table.row_labels) - 2 * a.params.tau} "
-                 f"two-dimensional)")
+    rows = a.classes.num_classes  # char_table raises unless they are equal
+    lines.append(f"characters: {rows} rows "
+                 f"({2 * a.params.tau} linear, {rows - 2 * a.params.tau} two-dimensional)")
     lines.append(f"blocks (row sums):    {_blocks_str(a.blocks_rowsum.blocks)}")
     if a.blocks_closedform:
         lines.append(f"blocks (closed form): {_blocks_str(a.blocks_closedform.blocks)}")
@@ -160,12 +160,13 @@ def render_audit(audits, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_tensor(a: pipeline.Analysis, fmt: str) -> str:
-    rows = a.tensor.nonzero_triples()
+def render_tensor(params: GroupParams, classes: ConjugacyData,
+                  tensor: scheme.IntersectionTensor, fmt: str) -> str:
+    rows = tensor.nonzero_triples()
     if fmt == "json":
         return canonical_json({
-            "n": a.params.n, "s": a.params.s,
-            "class_labels": list(a.classes.labels),
+            "n": params.n, "s": params.s,
+            "class_labels": list(classes.labels),
             "nonzero": [{"i": i, "j": j, "k": k, "p": p} for i, j, k, p in rows],
         })
     body = _csv_text([list(r) for r in rows], ["i", "j", "k", "p_ijk"])
@@ -180,13 +181,13 @@ def _numeric_cell(value: complex) -> str:
     return f"{re:g}" if im == 0 else f"{re:g}{im:+g}i"
 
 
-def render_char_table(a: pipeline.Analysis, fmt: str, numeric: bool = False) -> str:
-    table = a.table
+def render_char_table(params: GroupParams, classes: ConjugacyData,
+                      table: characters.CharTable, fmt: str, numeric: bool = False) -> str:
     if fmt == "json":
         return canonical_json({
-            "n": a.params.n, "s": a.params.s, "tau": a.params.tau,
+            "n": params.n, "s": params.s, "tau": params.tau,
             "columns": list(table.column_labels),
-            "class_sizes": list(a.classes.sizes()),
+            "class_sizes": list(classes.sizes()),
             "rows": [{
                 "label": label,
                 "degree": table.degrees[r],
@@ -200,7 +201,7 @@ def render_char_table(a: pipeline.Analysis, fmt: str, numeric: bool = False) -> 
         cells = [[label] + [_numeric_cell(v) for v in table.values[r]]
                  for r, label in enumerate(table.row_labels)]
     else:
-        cells = [[label] + [format_symbolic(e) for e in row]
+        cells = [[label] + [characters.format_symbolic(e) for e in row]
                  for label, row in zip(table.row_labels, table.symbolic)]
     if fmt == "csv":
         return _csv_text(cells, ["character"] + list(table.column_labels))
@@ -211,7 +212,7 @@ def render_char_table(a: pipeline.Analysis, fmt: str, numeric: bool = False) -> 
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     if not numeric:
-        lines.append(f"(w = primitive {a.params.n}-th root of unity; "
+        lines.append(f"(w = primitive {params.n}-th root of unity; "
                      f"entries are coef * sum of powers of w)")
     return "\n".join(lines) + "\n"
 
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command in ("analyze", "char-table", "tensor"):
-            validate_params(args.n, args.s)  # before --output is truncated
+            params = validate_params(args.n, args.s)  # before --output is truncated
         # --output is opened before any work, so an unwritable path fails fast
         with (open(args.output, "w", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
@@ -312,15 +313,17 @@ def main(argv: list[str] | None = None) -> int:
                 return 0  # findings, not failures
 
             if args.command == "char-table":
-                analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
-                                                 desk_certificates=False)
-                out.write(render_char_table(analysis, args.format, numeric=args.numeric))
+                classes = conjugacy_classes(build_group(params))
+                table = characters.char_table(params, classes)
+                out.write(render_char_table(params, classes, table, args.format,
+                                            numeric=args.numeric))
                 return 0
 
             if args.command == "tensor":
-                analysis = pipeline.analyze_pair(args.n, args.s, closure=False,
-                                                 desk_certificates=False)
-                out.write(render_tensor(analysis, args.format))
+                group = build_group(params)
+                classes = conjugacy_classes(group)
+                tensor = scheme.intersection_numbers(group, classes)
+                out.write(render_tensor(params, classes, tensor, args.format))
                 return 0
 
     except OSError as exc:

@@ -40,6 +40,14 @@ class GroupParams:
     def order(self) -> int:
         return 2 * self.n
 
+    def element_name(self, x: int) -> str:
+        """b^eps a^i for the element encoded as eps*n + i."""
+        eps, i = divmod(x, self.n)
+        a_part = "" if i == 0 else ("a" if i == 1 else f"a^{i}")
+        if eps == 0:
+            return a_part or "e"
+        return "b" if not a_part else f"b {a_part}"
+
 
 def validate_params(n: int, s: int) -> GroupParams:
     """Check that (n, s) defines a twisted dihedral group and compute tau.
@@ -124,14 +132,7 @@ class GroupTable:
         return self.mult[self.mult, self.inv[:, None]]
 
     def element_name(self, x: int) -> str:
-        if self.params is None:
-            return f"g{x}"
-        n = self.params.n
-        eps, i = divmod(x, n)
-        a_part = "" if i == 0 else ("a" if i == 1 else f"a^{i}")
-        if eps == 0:
-            return a_part or "e"
-        return "b" if not a_part else f"b {a_part}"
+        return f"g{x}" if self.params is None else self.params.element_name(x)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"

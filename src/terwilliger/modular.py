@@ -198,6 +198,8 @@ class PrimeBasis:
         the closure offers a few hundred at a time.
         """
         block = np.asarray(block, dtype=np.float64)
+        if block.shape[1:] != (self.length,):
+            raise ValueError(f"expected rows of length {self.length}")
         if block.shape[0] > 2048:
             raise ValueError("insert_block is limited to 2048 rows per call")
         return self._insert_reduced(self.reduce_block(block), stop_at_rank)

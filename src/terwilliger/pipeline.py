@@ -17,8 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import algebra, characters, scheme, wedderburn
-from .groups import (ConjugacyData, ConsistencyError, GroupParams, GroupTable,
-                     build_group, conjugacy_classes, validate_params, valid_twists)
+from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
+                     conjugacy_classes, validate_params, valid_twists)
 from .modular import DEFAULT_PRIMES
 
 CLOSURE_DEFAULT_LIMIT = 40
@@ -28,19 +28,16 @@ SAMPLED_PRODUCT_PAIRS = 8
 
 @dataclass
 class Analysis:
-    """Everything computed for one pair, plus the pass/fail verdicts."""
+    """The report for one pair, plus the pass/fail verdicts; the group, scheme,
+    tensor and character table it was computed from are not kept."""
 
     params: GroupParams
-    group: GroupTable
     classes: ConjugacyData
-    scheme_data: scheme.SchemeData
-    tensor: scheme.IntersectionTensor
     dim_t0: int
     case_counts: dict
     dim_t_tilde: int
     formula_value: int
     certificate: algebra.DimensionCertificate | None
-    table: characters.CharTable
     mults_rowsum: characters.Multiplicities
     mults_closedform: characters.Multiplicities | None
     blocks_rowsum: wedderburn.WedderburnReport
@@ -188,9 +185,8 @@ def analyze_pair(n: int, s: int, *,
                                lambda: wedderburn.central_idempotents(group, table, mults_rowsum))
 
     return Analysis(
-        params=params, group=group, classes=classes, scheme_data=scheme_data,
-        tensor=tensor, dim_t0=t0, case_counts=cases, dim_t_tilde=t_tilde,
-        formula_value=formula, certificate=certificate, table=table,
+        params=params, classes=classes, dim_t0=t0, case_counts=cases,
+        dim_t_tilde=t_tilde, formula_value=formula, certificate=certificate,
         mults_rowsum=mults_rowsum, mults_closedform=mults_closed,
         blocks_rowsum=blocks_rowsum, blocks_closedform=blocks_closed,
         commutant_dim=commutant_dim, idempotents=idem_report,

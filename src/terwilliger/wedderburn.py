@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characters import CharTable, Multiplicities, multiplicities_closedform, multiplicities_rowsum
+from .characters import CharTable, Multiplicities, multiplicities_closedform
 from .groups import ConsistencyError, GroupTable, conjugacy_classes, validate_params
 from .scheme import closed_form_dimension
 
@@ -33,7 +33,6 @@ class WedderburnReport:
     blocks: tuple[int, ...]
     sum_of_squares: int
     matches_dimension: bool | None
-    source: str
 
     def as_multiset(self) -> Counter:
         return Counter(self.blocks)
@@ -51,7 +50,7 @@ def decomposition(mults: Multiplicities,
             f"sum of squared blocks {total} differs from certified dimension "
             f"{expected_dimension}")
     return WedderburnReport(blocks=blocks, sum_of_squares=total,
-                            matches_dimension=matches, source=mults.provenance)
+                            matches_dimension=matches)
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,7 @@ class IdempotentReport:
 
 
 def central_idempotents(group: GroupTable, table: CharTable,
-                        mults: Multiplicities | None = None) -> IdempotentReport:
+                        mults: Multiplicities) -> IdempotentReport:
     """Build e_i = (deg_i/|G|) sum_g conj(chi_i(g)) X(g) and verify the laws.
 
     X(g) is the permutation matrix of conjugation by g.  Verified within
@@ -77,8 +76,6 @@ def central_idempotents(group: GroupTable, table: CharTable,
     if order > IDEMPOTENT_ORDER_LIMIT:
         raise ValueError(
             f"central idempotents are desk-scale only (order {order} > {IDEMPOTENT_ORDER_LIMIT})")
-    if mults is None:
-        mults = multiplicities_rowsum(table)
     classes = conjugacy_classes(group)
     class_of = np.asarray(classes.class_of)
     perms = group.conjugation()

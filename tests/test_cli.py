@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,67 @@ NO_CLOSURE_COMMANDS = [
     ("audit-corollaries", "--n-min", "3", "--n-max", "4"),
     ("char-table", "--n", "3", "--s", "2"),
     ("tensor", "--n", "3", "--s", "2"),
+]
+
+# sha256 of stdout: the tensor and character tables, and the text report with
+# its element names
+PINNED_OUTPUTS = [
+    ("tensor --n 8 --s 3 --format text",
+     "7d86f9d7b76e70e50041aa30f625514078c95363465e83b86f8e2b23430a867e"),
+    ("tensor --n 8 --s 3 --format json",
+     "1b06336235817bce072df4bb7a262b51e5247fff472f0b1373c7f6cc62a92c03"),
+    ("tensor --n 8 --s 3 --format csv",
+     "2dd9c9a5fee32a6283dcfd37ee23a20628bbfb9acac5f72226106e9a6577f7c5"),
+    ("char-table --n 8 --s 3 --format text",
+     "7c22954a077a9cef58ef0f5fad5bddf66c5758236e158c23fbc8d2a2360e0704"),
+    ("char-table --n 8 --s 3 --format text --numeric",
+     "90565bf41420936c415c70d6ac4bd6cf08d51d0faddde615399b74f913d99f84"),
+    ("char-table --n 8 --s 3 --format json",
+     "ff7569954bb2536198b23a937e707172578f88af93ac754c7d7559dec829799c"),
+    ("char-table --n 8 --s 3 --format json --numeric",
+     "ff7569954bb2536198b23a937e707172578f88af93ac754c7d7559dec829799c"),
+    ("char-table --n 8 --s 3 --format csv",
+     "87333f728e59aef15aa311dd278cbbfe074d3abfd30add3d774f63c6aaae2b43"),
+    ("char-table --n 8 --s 3 --format csv --numeric",
+     "45d70c220526c257d1c18ca2d462e04ea0920e7e755674825a9636aa380c6f4c"),
+    ("tensor --n 45 --s 26 --format text",
+     "84f50ba4aa97a7fcb20fcd1a960ec88ab70bb99ef91c5eace58e1b308e65c202"),
+    ("tensor --n 45 --s 26 --format json",
+     "e7d0c9a4ec2269ca2109df2699056ac8698a03820264eaa3b96dfc0b0f0b4c20"),
+    ("tensor --n 45 --s 26 --format csv",
+     "ca6e3f79562129acf3975993b01d94493d58eb2fd191de5b5246fcfeaa7c4329"),
+    ("char-table --n 45 --s 26 --format text",
+     "8124a7f971642dda96b308dbc36a0094a6cf26e349ae170d3eb13c963cb8a409"),
+    ("char-table --n 45 --s 26 --format text --numeric",
+     "0c2f7f29a948a903759a73ee8931f48fc003b98da28f028561c028b3b555f338"),
+    ("char-table --n 45 --s 26 --format json",
+     "155cbb19f478ecd6f94b940f8d85afb505722aa30be83b43ce028123979ba319"),
+    ("char-table --n 45 --s 26 --format json --numeric",
+     "155cbb19f478ecd6f94b940f8d85afb505722aa30be83b43ce028123979ba319"),
+    ("char-table --n 45 --s 26 --format csv",
+     "68e8e28bf345af036ed121cce4f26d7d0a79cdbaa70749c28f9710d1e1c4dff4"),
+    ("char-table --n 45 --s 26 --format csv --numeric",
+     "5c3ea9b5d604e9ef7ee0e73225afe209fefe5a95401c556683520b905cc64690"),
+    ("tensor --n 100 --s 51 --format text",
+     "d9598c46f588ce7b6df90a9a0f0aa5d27e221f2fc548070289860bfe1e338704"),
+    ("tensor --n 100 --s 51 --format json",
+     "376863099d366f30158663072afcbafa38b86fd6da907bf7cac73dc3b4c9ae29"),
+    ("tensor --n 100 --s 51 --format csv",
+     "bd8572add0097755d82ed72c1742d47f25bf110d250944f7dcaf8ca51ba0037f"),
+    ("char-table --n 100 --s 51 --format text",
+     "d0b20c389c65711445d9ecabbccfdb5f4390cfaf7dd222830394b54b12fa82ec"),
+    ("char-table --n 100 --s 51 --format text --numeric",
+     "98738474dcab944b06595f7d0095a79b725d67e498a10aeb437d6c88ca155c15"),
+    ("char-table --n 100 --s 51 --format json",
+     "850dd4f6efbcf200013d3d090d25493125c32bc31abee1b376c9b15687d9ae76"),
+    ("char-table --n 100 --s 51 --format json --numeric",
+     "850dd4f6efbcf200013d3d090d25493125c32bc31abee1b376c9b15687d9ae76"),
+    ("char-table --n 100 --s 51 --format csv",
+     "4e767fe11ebcd821a41147d2a961d9faa0ab9a61780f8cecd6ff4c73d5498961"),
+    ("char-table --n 100 --s 51 --format csv --numeric",
+     "eca266554092a5bcdfbb81aab8472c9fbfa030cead91e3eee0d7652d50325221"),
+    ("analyze --n 8 --s 3 --format text",
+     "82b47606b5b0569a630a74cc18cc10111fff315a00973105171ea58fb24d7b3f"),
 ]
 
 
@@ -245,6 +307,15 @@ class TestTensorOutput:
         obj = json.loads(out)
         assert len(obj["nonzero"]) == 28
         assert obj["class_labels"] == ["X1", "X2", "Y1", "Z1", "Z2"]
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("command,digest", PINNED_OUTPUTS,
+                             ids=[c for c, _ in PINNED_OUTPUTS])
+    def test_stdout_bytes(self, command, digest):
+        code, out = run_cli(*command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestPrimeHandling:

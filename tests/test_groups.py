@@ -96,11 +96,16 @@ class TestBuildGroup:
             GroupTable(bad.T if transpose else bad)
 
     def test_element_names(self):
-        g = build_group(validate_params(4, 3))
+        params = validate_params(4, 3)
+        g = build_group(params)
         assert g.element_name(0) == "e"
         assert g.element_name(1) == "a"
         assert g.element_name(4) == "b"
         assert g.element_name(6) == "b a^2"
+        # the names depend only on n, so the parameters give them without a table
+        assert [params.element_name(x) for x in range(8)] == \
+            [g.element_name(x) for x in range(8)]
+        assert named_group("C6").element_name(5) == "g5"
 
 
 class TestConjugacyClasses:

@@ -221,6 +221,13 @@ class TestPrimeBasis:
         with pytest.raises(ValueError):
             basis.reduce([1, 2, 3])
 
+    @pytest.mark.parametrize("length,width", [(5, 3), (3, 6)])
+    def test_insert_block_width_mismatch(self, length, width):
+        basis = PrimeBasis(97, length)
+        with pytest.raises(ValueError):
+            basis.insert_block(np.arange(1, width + 1, dtype=np.float64)[None, :])
+        assert basis.rank == 0
+
 
 class TestRationalBasis:
     def test_insert_and_membership(self):

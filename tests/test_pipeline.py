@@ -1,4 +1,9 @@
-from terwilliger import enumerate_pairs
+import dataclasses
+
+import numpy as np
+
+from terwilliger import (CharTable, GroupTable, IntersectionTensor, SchemeData,
+                         enumerate_pairs)
 from terwilliger.pipeline import analyze_pair, audit_corollaries, sweep
 
 
@@ -48,6 +53,16 @@ class TestAnalyzePair:
         assert any("did not stabilize" in note for note in a.notes)
         obj = a.to_json_dict()
         assert obj["closure"] is None and obj["notes"] == a.notes
+
+    def test_report_holds_no_arrays(self):
+        # the tables and arrays are rebuilt by the layers that make them;
+        # an analysis keeps only what the reports print
+        a = analyze_pair(40, 21)
+        working = (GroupTable, SchemeData, IntersectionTensor, CharTable, np.ndarray)
+        held = {f.name: type(getattr(a, f.name)).__name__
+                for f in dataclasses.fields(a)
+                if isinstance(getattr(a, f.name), working)}
+        assert held == {}
 
     def test_json_shape(self):
         obj = analyze_pair(4, 3).to_json_dict()
