@@ -35,7 +35,7 @@ import numpy as np
 
 from .groups import ConsistencyError, GroupTable, orbital_count, pair_orbits
 from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
-from .scheme import SchemeData, closed_form_dimension
+from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
 BATCH_ROWS = 256  # products collected before each insert_block call
@@ -75,13 +75,9 @@ def dual_idempotents(scheme: SchemeData) -> DualIdempotents:
 class DimensionCertificate:
     """Dimension of the algebra with its provenance and the two bounds."""
 
-    n: int | None
-    s: int | None
-    tau: int | None
     dim_t0: int
     dim_t: int
     dim_t_tilde: int
-    formula_value: int | None
     triply_transitive: bool
     provenance: str
     closure_rounds: int
@@ -261,15 +257,10 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
         raise ConsistencyError(
             f"dimension sandwich violated: {dim_t0_value} <= {dim_t} <= {bound} fails")
 
-    params = group.params
     return DimensionCertificate(
-        n=params.n if params else None,
-        s=params.s if params else None,
-        tau=params.tau if params else None,
         dim_t0=dim_t0_value,
         dim_t=dim_t,
         dim_t_tilde=bound,
-        formula_value=closed_form_dimension(params) if params else None,
         triply_transitive=dim_t0_value == bound,
         provenance=provenance,
         closure_rounds=max(rounds),

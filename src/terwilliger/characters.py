@@ -9,11 +9,13 @@ Rows come in three families, built from the primitive n-th root of unity w:
   is identified with k*s mod n (the canonical representative is the minimum
   of the pair).
 
-Entries are kept both symbolically (an integer coefficient and exponents of
-w, exact) and numerically (complex128).  The multiplicity of each character
-in the conjugation character equals its row sum over class representatives;
-the same numbers also come from closed forms, and both routes are exposed so
-they can be compared entry for entry.
+The table keeps the exponents of w as integer arrays and the values as
+complex128, gathered from the powers of w in one step.  The symbolic rows
+(an integer coefficient and exponents of w per cell, exact) are built from
+the exponent arrays on demand, for the renderers.  The multiplicity of each
+character in the conjugation character equals its row sum over class
+representatives; the same numbers also come from closed forms, and both
+routes are exposed so they can be compared entry for entry.
 """
 
 from __future__ import annotations
@@ -37,19 +39,39 @@ class IntegralityError(ConsistencyError):
 
 @dataclass(frozen=True)
 class CharTable:
-    """Character values against the class representatives in canonical order."""
+    """Character values against the class representatives in canonical order.
+
+    The exponents of w are kept as arrays, one column per class: lin[k] for
+    both lin{k}+ and lin{k}-, and two1[i], two2[i] for the two terms of the
+    i-th two-dimensional row.  On the Z columns lin{k}- carries a minus sign
+    and the two-dimensional rows vanish.
+    """
 
     params: GroupParams
     row_labels: tuple[str, ...]
     row_families: tuple[tuple[str, int], ...]   # ("lin+"|"lin-"|"two", k)
     column_labels: tuple[str, ...]
     degrees: tuple[int, ...]
-    symbolic: tuple[tuple[SymbolicEntry, ...], ...]
+    lin: np.ndarray                              # (tau, columns)
+    two1: np.ndarray                             # ((n - tau)/2, columns)
+    two2: np.ndarray
+    z_columns: np.ndarray                        # bool, columns
     values: np.ndarray                           # complex128, rows x columns
 
     @property
     def num_rows(self) -> int:
         return len(self.row_labels)
+
+    @property
+    def symbolic(self) -> tuple[tuple[SymbolicEntry, ...], ...]:
+        """Every cell as (coefficient, exponents of w), built on each access."""
+        z = self.z_columns.tolist()
+        lin = self.lin.tolist()
+        rows = [tuple((1, (e,)) for e in row) for row in lin]
+        rows += [tuple((-1 if zc else 1, (e,)) for e, zc in zip(row, z)) for row in lin]
+        rows += [tuple((1, ()) if zc else (1, (e1, e2)) for e1, e2, zc in zip(r1, r2, z))
+                 for r1, r2 in zip(self.two1.tolist(), self.two2.tolist())]
+        return tuple(rows)
 
 
 def two_dim_reps(params: GroupParams) -> list[int]:
@@ -63,55 +85,37 @@ def two_dim_reps(params: GroupParams) -> list[int]:
     return canonical
 
 
-def _column_exponents(classes: ConjugacyData, n: int) -> list[tuple[str, int]]:
-    """Per column: the kind and the relevant exponent of a in its representative."""
-    cols = []
-    for kind, rep in zip(classes.kinds, classes.reps):
-        cols.append((kind, rep if kind in ("X", "Y") else rep - n))
-    return cols
-
-
 def char_table(params: GroupParams, classes: ConjugacyData) -> CharTable:
     """Build the full character table in the canonical class order."""
     n, s, tau = params.n, params.s, params.tau
     step = n // tau
-    cols = _column_exponents(classes, n)
-    powers = (np.exp(2j * np.pi / n) ** np.arange(n)).tolist()
+    ks = two_dim_reps(params)
+    z = np.array(classes.kinds) == "Z"
+    # the relevant exponent of a in each representative b^eps a^i is i
+    exp = np.array(classes.reps) - np.where(z, n, 0)
+    lin = (step * np.arange(tau)[:, None] * exp) % n
+    two1 = (np.array(ks, dtype=np.int64)[:, None] * exp) % n
+    two2 = (two1 * s) % n
 
-    labels: list[str] = []
-    families: list[tuple[str, int]] = []
-    degrees: list[int] = []
-    symbolic: list[tuple[SymbolicEntry, ...]] = []
-
-    for sign, fam in ((1, "lin+"), (-1, "lin-")):
-        for k in range(tau):
-            row: list[SymbolicEntry] = []
-            for kind, exp in cols:
-                e = (step * k * exp) % n
-                row.append((sign if kind == "Z" else 1, (e,)))
-            labels.append(f"lin{k}{'+' if sign == 1 else '-'}")
-            families.append((fam, k))
-            degrees.append(1)
-            symbolic.append(tuple(row))
-    for k in two_dim_reps(params):
-        row = []
-        for kind, exp in cols:
-            if kind == "Z":
-                row.append((1, ()))
-            else:
-                row.append((1, ((k * exp) % n, (k * exp * s) % n)))
-        labels.append(f"two{k}")
-        families.append(("two", k))
-        degrees.append(2)
-        symbolic.append(tuple(row))
-
+    labels = ([f"lin{k}+" for k in range(tau)] + [f"lin{k}-" for k in range(tau)]
+              + [f"two{k}" for k in ks])
+    families = ([("lin+", k) for k in range(tau)] + [("lin-", k) for k in range(tau)]
+                + [("two", k) for k in ks])
+    degrees = [1] * (2 * tau) + [2] * len(ks)
     if len(labels) != classes.num_classes:
         raise ConsistencyError("character count differs from class count")
     if sum(d * d for d in degrees) != 2 * n:
         raise ConsistencyError("degree squares do not sum to the group order")
 
-    values = np.array([[coef * sum(powers[e] for e in exps) for coef, exps in row]
-                       for row in symbolic], dtype=np.complex128)
+    # the arithmetic of the cell sums coef * sum(w^e): the sum starts at 0 and
+    # the sign multiplies rather than negates, so that even the signed zeros,
+    # which the JSON output prints, agree bit for bit
+    powers = np.exp(2j * np.pi / n) ** np.arange(n)
+    one, first, second = np.split(powers[np.concatenate([lin, two1, two2])],
+                                  [tau, tau + len(ks)])
+    one = 0 + one
+    values = np.concatenate([one, np.where(z, -1, 1) * one,
+                             np.where(z, 0, 0 + first + second)])
 
     return CharTable(
         params=params,
@@ -119,27 +123,22 @@ def char_table(params: GroupParams, classes: ConjugacyData) -> CharTable:
         row_families=tuple(families),
         column_labels=classes.labels,
         degrees=tuple(degrees),
-        symbolic=tuple(symbolic),
+        lin=lin, two1=two1, two2=two2, z_columns=z,
         values=values,
     )
 
 
-@dataclass(frozen=True)
-class OrthogonalityReport:
-    max_deviation: float
-    ok: bool
-
-
 def orthogonality_check(table: CharTable, classes: ConjugacyData,
-                        tol: float = ORTHOGONALITY_TOL) -> OrthogonalityReport:
-    """First orthogonality: the weighted Gram matrix of the rows must be I."""
+                        tol: float = ORTHOGONALITY_TOL) -> float:
+    """First orthogonality: the weighted Gram matrix of the rows must be I;
+    returns the largest deviation."""
     sizes = np.asarray(classes.sizes(), dtype=np.float64)
     gram = (table.values * sizes) @ table.values.conj().T / (2 * table.params.n)
     deviation = float(np.max(np.abs(gram - np.eye(table.num_rows))))
     if deviation > tol:
         raise ConsistencyError(
             f"character table fails first orthogonality: deviation {deviation:.3e}")
-    return OrthogonalityReport(max_deviation=deviation, ok=True)
+    return deviation
 
 
 @dataclass(frozen=True)

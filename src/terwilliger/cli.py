@@ -184,6 +184,7 @@ def _numeric_cell(value: complex) -> str:
 def render_char_table(params: GroupParams, classes: ConjugacyData,
                       table: characters.CharTable, fmt: str, numeric: bool = False) -> str:
     if fmt == "json":
+        symbolic = table.symbolic  # built on each access, so bound once
         return canonical_json({
             "n": params.n, "s": params.s, "tau": params.tau,
             "columns": list(table.column_labels),
@@ -194,7 +195,7 @@ def render_char_table(params: GroupParams, classes: ConjugacyData,
                 "entries": [{"coef": coef, "exponents": list(exps),
                              "re": round(float(table.values[r, c].real), 12),
                              "im": round(float(table.values[r, c].imag), 12)}
-                            for c, (coef, exps) in enumerate(table.symbolic[r])],
+                            for c, (coef, exps) in enumerate(symbolic[r])],
             } for r, label in enumerate(table.row_labels)],
         })
     if numeric:
@@ -259,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ct.add_argument("--n", type=int, required=True)
     p_ct.add_argument("--s", type=int, required=True)
     p_ct.add_argument("--numeric", action="store_true",
-                      help="print complex values instead of root-of-unity exponents")
+                      help="print complex values instead of root-of-unity exponents "
+                           "(JSON always carries both the symbolic and the numeric entries)")
     common(p_ct)
 
     p_tn = sub.add_parser("tensor",

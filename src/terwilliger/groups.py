@@ -309,16 +309,27 @@ def orbital_count(group: GroupTable) -> int:
 def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     """Orbits of G on G x G under simultaneous conjugation, enumerated explicitly.
 
-    Pair (x, y) has key x*order + y.  For each x, the least key over the
-    orbit of (x, y) is taken for every y at once; each orbit has exactly one
-    pair that equals its own least key.  Returns (ids, reps): reps are those
-    keys in increasing order, and ids[x, y] indexes the orbit of (x, y) in reps.
+    Pair (x, y) has key x*order + y, and the least keys are computed per
+    conjugacy class.  Let r be the least element of a class.  The orbit
+    pairs with first entry r are those moved there by the centralizer C(r),
+    so row_r[z], the least of g z g^-1 over g in C(r), finishes the least key
+    r*order + row_r[z] of (r, z).  Any other x of the class is h r h^-1 for
+    some h, and (x, y) lies in the orbit of (r, h^-1 y h).  Each orbit has
+    exactly one pair that equals its own least key.  Returns (ids, reps):
+    reps are those keys in increasing order, and ids[x, y] indexes the orbit
+    of (x, y) in reps.
     """
     conj = group.conjugation()
     order = group.order
-    least = np.stack([(conj[:, x, None] * order + conj).min(axis=0) for x in range(order)])
-    reps = np.flatnonzero(least.ravel() == np.arange(order * order))
-    return np.searchsorted(reps, least), reps
+    least_x = conj.min(axis=0)
+    least = np.empty((order, order), dtype=np.int64)
+    for r in np.flatnonzero(least_x == np.arange(order)):
+        row_r = conj[conj[:, r] == r].min(axis=0)
+        members = np.flatnonzero(least_x == r)
+        back = np.argmax(conj[:, members] == r, axis=0)  # back[i] takes members[i] to r
+        least[members] = r * order + row_r[conj[back]]
+    isrep = least.ravel() == np.arange(order * order)
+    return (np.cumsum(isrep) - 1)[least], np.flatnonzero(isrep)
 
 
 def build_group(params: GroupParams) -> GroupTable:

@@ -8,6 +8,7 @@ internals beyond the table itself.
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 import numpy as np
 
@@ -53,6 +54,28 @@ def oracle_pair_orbits(mult: np.ndarray) -> set[frozenset[tuple[int, int]]]:
                                   int(mult[mult[g, y], inverses[g]]))
                                  for g in range(order)))
     return orbits
+
+
+def oracle_least_keys(mult: np.ndarray) -> tuple[list[list[int]], list[int]]:
+    """The orbits of simultaneous conjugation on pairs, numbered by least key.
+
+    Pair (x, y) has key x*order + y.  The least key of its orbit is the
+    minimum over every g of the key of (g x g^-1, g y g^-1).  Returns
+    (ids, reps): reps are the least keys in increasing order, and ids[x][y]
+    is the position of the least key of (x, y) in reps.
+    """
+    table = mult.tolist()
+    order = len(table)
+    conj = []
+    for g in range(order):
+        g_inv = table[g].index(0)
+        conj.append([table[table[g][x]][g_inv] for x in range(order)])
+    least = [[min(c[x] * order + c[y] for c in conj) for y in range(order)]
+             for x in range(order)]
+    reps = sorted(least[x][y] for x in range(order) for y in range(order)
+                  if least[x][y] == x * order + y)
+    position = {key: i for i, key in enumerate(reps)}
+    return [[position[key] for key in row] for row in least], reps
 
 
 def oracle_t0_count(mult: np.ndarray, classes: list[tuple[int, ...]]) -> int:
@@ -142,3 +165,27 @@ def two_dim_character(n: int, s: int, k: int, element: int) -> complex:
     if eps:
         rep = b @ rep
     return complex(np.trace(rep))
+
+
+def oracle_char_cells(n: int, s: int, kinds, reps) -> tuple[list[list], np.ndarray]:
+    """The character table of D(n, s) one cell at a time, for the columns
+    given by their kinds ('X', 'Y', 'Z') and representatives b^eps a^i.
+
+    Rows are lin{k}+, lin{k}- for 0 <= k < tau, then the two-dimensional
+    rows by ascending canonical k.  A cell is (coef, exponents of w), and
+    its value is coef * sum(powers[e] for e in exponents)."""
+    tau = gcd(s - 1, n)
+    step = n // tau
+    powers = (np.exp(2j * np.pi / n) ** np.arange(n)).tolist()
+    exps = [rep - n if kind == "Z" else rep for kind, rep in zip(kinds, reps)]
+    rows = []
+    for sign in (1, -1):
+        for k in range(tau):
+            rows.append([(sign if kind == "Z" else 1, ((step * k * e) % n,))
+                         for kind, e in zip(kinds, exps)])
+    for k in sorted({min(k, (k * s) % n) for k in range(1, n) if k % step}):
+        rows.append([(1, ()) if kind == "Z" else (1, ((k * e) % n, (k * e * s) % n))
+                     for kind, e in zip(kinds, exps)])
+    values = np.array([[coef * sum(powers[e] for e in es) for coef, es in row]
+                       for row in rows], dtype=np.complex128)
+    return rows, values

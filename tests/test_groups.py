@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
-                     oracle_conjugacy_partition, oracle_inverse, oracle_pair_orbits,
-                     s4_table)
+                     oracle_conjugacy_partition, oracle_inverse, oracle_least_keys,
+                     oracle_pair_orbits, s4_table)
 from terwilliger import (GroupTable, build_group, centralizer_order,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
@@ -236,3 +236,19 @@ class TestPairOrbitCount:
         assert len(reps) == len(cells)
         for k, rep in enumerate(reps):
             assert divmod(int(rep), g.order) in cells[k]
+
+
+SMALL_PAIRS = [f"D({n},{s})" for n in range(3, 25) for s in valid_twists(n)]
+
+
+class TestPairOrbitNumbering:
+    """The closure coordinates index the orbits by ids, so the numbering
+    itself, not only the partition, must match the least-key oracle."""
+
+    @pytest.mark.parametrize("name", ["S4", "C6"] + SMALL_PAIRS)
+    def test_matches_least_key_oracle(self, name):
+        g = named_group(name)
+        ids, reps = pair_orbits(g)
+        oracle_ids, oracle_reps = oracle_least_keys(g.mult)
+        assert reps.tolist() == oracle_reps
+        assert ids.tolist() == oracle_ids
