@@ -73,17 +73,14 @@ def dual_idempotents(scheme: SchemeData) -> DualIdempotents:
 
 @dataclass(frozen=True)
 class DimensionCertificate:
-    """Dimension of the algebra with its provenance and the two bounds."""
+    """Dimension of the algebra with its provenance and its upper bound dim T~."""
 
-    dim_t0: int
     dim_t: int
     dim_t_tilde: int
-    triply_transitive: bool
     provenance: str
     closure_rounds: int
     basis_size_history: tuple[tuple[int, ...], tuple[int, ...]]
     primes: tuple[int, int]
-    rational_rank: int | None = None
 
 
 class _GeneratorProducts:
@@ -116,10 +113,11 @@ class _GeneratorProducts:
             raise ConsistencyError("a generator is not constant on the pair orbits")
         return coords
 
-    def all_products(self, m: np.ndarray) -> np.ndarray:
-        """Stack of the 2*(t+1) left products [A_i M | E_i M]."""
-        left = np.add.reduceat(m[self.left_index], self.offsets, axis=0)
-        return np.concatenate([left, self.masks[:len(self.offsets)] * m])
+    def all_products(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stack of the 2*(t+1) left products [A_i M | E_i M], read at `cols`
+        only: each product entry needs only its own column's gather."""
+        left = np.add.reduceat(m[self.left_index[:, cols]], self.offsets, axis=0)
+        return np.concatenate([left, self.masks[:len(self.offsets), cols] * m[cols]])
 
 
 def _generators(scheme: SchemeData, idem: DualIdempotents,
@@ -146,8 +144,15 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     rows of masks * A_i, can grow the span.  Every later round offers the
     left products of the rows the round before added.  Each source gives
     2(t+1) rows, and a chunk of sources fills one insert_block call.
+
+    Every block is formed only on columns that can change its residual (see
+    the modular docstring).  In round 1 those are the support of the chunk's
+    sources: masks * A_i is zero wherever A_i is.  A later round's products
+    are dense, so they are formed on the quotient columns C of the basis,
+    taken once at the start of the round: C only shrinks while rows enter,
+    so the round's first C stays enough for all of it.
     """
-    basis.insert_block(seeds % basis.p, stop_at_rank=bound)
+    basis.insert_block(seeds % basis.p, np.arange(len(products.u)), stop_at_rank=bound)
     history = [basis.rank]
     chunk = -(-BATCH_ROWS // len(products.masks))
     rounds, sources = 0, range(len(adjacency))
@@ -157,13 +162,17 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
             raise ConsistencyError(
                 f"closure did not stabilize within {ROUND_BUDGET} rounds")
         start = basis.rank
+        if rounds > 1:
+            cols = basis.quotient_cols()
         for lo in range(0, len(sources), chunk):
             part = sources[lo:lo + chunk]
             if rounds == 1:
-                block = [products.masks * adjacency[i] for i in part]
+                cols = np.flatnonzero(adjacency[part].any(axis=0))
+                masks = products.masks[:, cols]
+                block = [masks * adjacency[i, cols] for i in part]
             else:
-                block = [products.all_products(basis.rows[r]) for r in part]
-            basis.insert_block(np.concatenate(block), stop_at_rank=bound)
+                block = [products.all_products(basis.rows[r], cols) for r in part]
+            basis.insert_block(np.concatenate(block), cols, stop_at_rank=bound)
             if basis.rank >= bound:
                 break
         history.append(basis.rank)
@@ -258,15 +267,12 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
             f"dimension sandwich violated: {dim_t0_value} <= {dim_t} <= {bound} fails")
 
     return DimensionCertificate(
-        dim_t0=dim_t0_value,
         dim_t=dim_t,
         dim_t_tilde=bound,
-        triply_transitive=dim_t0_value == bound,
         provenance=provenance,
         closure_rounds=max(rounds),
         basis_size_history=(tuple(histories[0]), tuple(histories[1])),
         primes=tuple(primes),
-        rational_rank=rational_rank,
     )
 
 

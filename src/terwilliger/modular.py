@@ -7,15 +7,34 @@ stored row has a 0 there, so reducing a block is a single matrix product
 
     block - block[:, pivot_cols] @ rows.
 
-The closure's vectors are almost all zeros, so that product is restricted
-to what it can change: the block rows with a nonzero coefficient, the
-stored rows whose pivot one of them hits, and the columns where those
-stored rows are nonzero.  Every term left out is zero, so the result equals
-the dense product exactly.  insert_block works the same way: a row is
-reduced only against the rows that entered earlier in the same call, on the
-block's own nonzero columns, and the older rows are brought to zero at the
-new pivots once per call; the rows a new pivot hits are found from an index
-of the stored nonzeros that lie off their row's pivot.
+A block is given only on its own columns: `block[:, k]` is the value at
+column `cols[k]`, and every other column counts as zero.  The residual of a
+vector v is zero at every pivot, and at a non-pivot column j it is v[j]
+minus the sum of v[c] * row_c[j] over the pivots c whose row is nonzero at
+j.  So it depends on v only at the columns
+
+    C = (non-pivot columns) + (pivots of rows with an off-pivot entry),
+
+and `cols` may leave out every column where v is zero or that lies outside
+C, such as the pivot of a unit row: that row only cancels v at its own
+pivot.  `quotient_cols` returns C.  C only shrinks while rows enter: a new
+pivot was a non-pivot column, and a row with an entry at a remaining
+non-pivot column is either old, with its pivot already in C, or new, with
+its pivot among the old non-pivot columns.  A caller may therefore keep one
+C while it inserts.  A C that is too small gives wrong residuals without any
+error, and a closure fed wrong residuals can still reach its bound, which
+would be a false exact certificate; pass every column when in doubt.
+
+Within those columns the products are restricted further to what they can
+change: the block rows with a nonzero coefficient, the stored rows whose
+pivot one of them hits, and the columns where those stored rows are
+nonzero, read from an index of the stored nonzeros that lie off their row's
+pivot.  Every term left out is zero, so the result equals the dense product
+exactly.  insert_block works the same way: a row is reduced only against
+the rows that entered earlier in the same call, on the block's own nonzero
+columns, and the older rows are brought to zero at the new pivots once per
+call, on those columns only; the rows a new pivot hits are found from the
+same index.
 
 Residues are stored in float64 so the products run through BLAS.  Every
 multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
@@ -88,39 +107,64 @@ class PrimeBasis:
             a = self._mod(a - c[..., lo:lo + self._slab] @ r[lo:lo + self._slab])
         return a
 
-    def reduce_block(self, block: np.ndarray) -> np.ndarray:
-        """Reduce every row of an integer block against the basis; entries
-        must be below 2^53 in magnitude, and the result is in residues.
+    def quotient_cols(self) -> np.ndarray:
+        """C: the non-pivot columns and the pivots of the rows with an
+        off-pivot entry, sorted; the residual of a vector depends on it only
+        at these columns (see the module docstring)."""
+        return np.union1d(np.flatnonzero(self._pivot_row < 0),
+                          self._pivot_cols[np.unique(self._off_rows)])
 
-        Only the block rows with a nonzero coefficient, the stored rows whose
-        pivot one of them hits, and the columns where those stored rows are
-        nonzero enter the product; every term left out is zero.
+    def reduce_block(self, block: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
+        """Reduce every row of an integer block against the basis; returns the
+        residual in residues and the sorted columns it is given on.
+
+        `block[:, k]` is the value at column `cols[k]`; `cols` is strictly
+        increasing and may leave out only columns that cannot change the
+        residual (see the module docstring).  Entries must be below 2^53 in
+        magnitude.  The residual is given on `cols` plus the support of the
+        stored rows that the block hits, and is zero at every other column.
         """
-        cols = np.flatnonzero(block.any(axis=0))
-        out = np.zeros(block.shape)
-        out[:, cols] = self._mod(block[:, cols])
+        cols = np.asarray(cols, dtype=np.int64)
+        if block.ndim != 2 or block.shape[1:] != cols.shape:
+            raise ValueError(f"expected a block with one column per col ({len(cols)})")
+        if len(cols) and (cols[0] < 0 or cols[-1] >= self.length
+                          or np.any(cols[1:] <= cols[:-1])):
+            raise ValueError(f"cols must be strictly increasing in [0, {self.length})")
+        out = self._mod(block)
         row_ids = self._pivot_row[cols]
         is_pivot = row_ids >= 0
-        coeffs = out[:, cols[is_pivot]]
+        coeffs = out[:, is_pivot]
         hit = np.flatnonzero(coeffs.any(axis=1))
-        if len(hit):
-            used = np.flatnonzero(coeffs[hit].any(axis=0))
-            rows = self._rows[row_ids[is_pivot][used]]
-            support = np.flatnonzero(rows.any(axis=0))
-            sub = np.ix_(hit, support)
-            out[sub] = self._sub_product(out[sub], coeffs[np.ix_(hit, used)], rows[:, support])
-        return out
+        if not len(hit):
+            return out, cols
+        used = np.flatnonzero(coeffs[hit].any(axis=0))
+        stored = row_ids[is_pivot][used]
+        is_stored = np.zeros(self.rank, dtype=bool)
+        is_stored[stored] = True
+        support = np.union1d(self._pivot_cols[stored],
+                             self._off_cols[is_stored[self._off_rows]])
+        out_cols = np.union1d(cols, support)
+        if len(out_cols) > len(cols):
+            wide = np.zeros((len(out), len(out_cols)))
+            wide[:, np.searchsorted(out_cols, cols)] = out
+            out = wide
+        sub = np.ix_(hit, np.searchsorted(out_cols, support))
+        out[sub] = self._sub_product(out[sub], coeffs[np.ix_(hit, used)],
+                                     self._rows[np.ix_(stored, support)])
+        return out, out_cols
 
     def reduce(self, vec) -> np.ndarray:
         """The residual of one vector: zero exactly when it lies in the span."""
         arr = np.asarray(vec, dtype=np.int64) % self.p
         if arr.shape != (self.length,):
             raise ValueError(f"expected a vector of length {self.length}")
-        out = self.reduce_block(arr.astype(np.float64)[None, :])[0]
-        return out.astype(np.int64)
+        out, _ = self.reduce_block(arr.astype(np.float64)[None, :], np.arange(self.length))
+        return out[0].astype(np.int64)
 
-    def _insert_reduced(self, block: np.ndarray, stop_at_rank: int | None) -> int:
-        """Insert the rows of a block already reduced against the basis.
+    def _insert_reduced(self, block: np.ndarray, cols: np.ndarray,
+                        stop_at_rank: int | None) -> int:
+        """Insert the rows of a block already reduced against the basis and
+        given on the sorted global columns `cols`.
 
         The rows that enter are combinations of block rows, so the in-call
         elimination runs on the block's own nonzero columns: a row is
@@ -129,11 +173,13 @@ class PrimeBasis:
         So each residual, and its pivot, is the one a fully reduced basis
         would give.  The stored rows are brought to zero at the new pivots
         once, at the end, which leaves the unique fully reduced basis with
-        this pivot sequence.  A new row has no nonzero off cols, so the
-        update changes only cols of the older rows it hits.
+        this pivot sequence.  A new row is zero off those nonzero columns,
+        none of which is an old pivot, so the update changes only those
+        columns of the older rows it hits.
         """
-        cols = np.flatnonzero(block.any(axis=0))
-        todo = block[:, cols]
+        nonzero_cols = block.any(axis=0)
+        cols = cols[nonzero_cols]
+        todo = block[:, nonzero_cols]
         todo = todo[todo.any(axis=1)]
         new = np.zeros_like(todo)
         pivots = np.zeros(len(todo), dtype=np.int64)  # indices into cols
@@ -159,50 +205,59 @@ class PrimeBasis:
             if stop_at_rank is not None and self.rank + added >= stop_at_rank:
                 break
         start, end = self.rank, self.rank + added
-        self._rows[start:end][:, cols] = new[:added]
-        self._pivot_cols[start:end] = cols[pivots[:added]]
+        new, pivots = new[:added], pivots[:added]
+        self._rows[start:end, cols] = new
+        self._pivot_cols[start:end] = cols[pivots]
         self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
         # older rows with an off-pivot nonzero at one of the new pivots
         hit = np.unique(self._off_rows[self._pivot_row[self._off_cols] >= start])
-        older = self._rows[hit]
-        coeffs = older[:, self._pivot_cols[start:end]]
-        older[:, cols] = self._sub_product(older[:, cols], coeffs, new[:added])
-        self._rows[hit] = older
-        # re-index the off-pivot nonzeros of the rows just written
-        keep = ~np.isin(self._off_rows, hit)
+        sub = np.ix_(hit, cols)
+        older = self._rows[sub]
+        older = self._sub_product(older, older[:, pivots], new)
+        self._rows[sub] = older
+        # re-index the entries just written; the hit rows changed only at cols
+        in_cols = np.zeros(self.length, dtype=bool)
+        in_cols[cols] = True
+        in_hit = np.zeros(self.length, dtype=bool)
+        in_hit[hit] = True
+        keep = ~(in_hit[self._off_rows] & in_cols[self._off_cols])
         r, c = np.nonzero(older)
-        off = c != self._pivot_cols[hit[r]]
-        nr, nc = np.nonzero(new[:added])
+        nr, nc = np.nonzero(new)
         new_off = nc != pivots[nr]
         self._off_rows = np.concatenate(
-            [self._off_rows[keep], hit[r[off]], start + nr[new_off]])
+            [self._off_rows[keep], hit[r], start + nr[new_off]])
         self._off_cols = np.concatenate(
-            [self._off_cols[keep], c[off], cols[nc[new_off]]])
+            [self._off_cols[keep], cols[c], cols[nc[new_off]]])
         self.rank = end
         return added
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
         residual = self.reduce(vec).astype(np.float64)[None, :]
-        return self._insert_reduced(residual, None) == 1
+        return self._insert_reduced(residual, np.arange(self.length), None) == 1
 
-    def insert_block(self, block: np.ndarray, stop_at_rank: int | None = None) -> int:
+    def insert_block(self, block: np.ndarray, cols,
+                     stop_at_rank: int | None = None) -> int:
         """Insert the rows of a residue block in order; returns how many entered.
 
-        The result is identical to one insert() per row.  The block is
-        reduced against the stored rows once; a row is then reduced only
-        against the rows that entered earlier in the same call, and the
-        stored rows are brought to zero at the new pivots in one restricted
-        product at the end; `_sub_product` keeps every product exact.  A call
-        takes at most 2048 rows, which bounds its working copy of the block;
-        the closure offers a few hundred at a time.
+        `block[:, k]` is the value at column `cols[k]`, as in reduce_block:
+        `cols` is strictly increasing, and the caller promises that no
+        other column can change a row's residual.  Every column, the
+        quotient columns C of `quotient_cols`, or the block's own support
+        all qualify and give the same result; a C too small gives a wrong
+        one, with no error.  The result is identical to one insert() per
+        row.  The block is reduced against the stored rows once; a row is
+        then reduced only against the rows that entered earlier in the same
+        call, and the stored rows are brought to zero at the new pivots in
+        one restricted product at the end; `_sub_product` keeps every
+        product exact.  A call takes at most 2048 rows, which bounds its
+        working copy of the block; the closure offers a few hundred at a
+        time.
         """
         block = np.asarray(block, dtype=np.float64)
-        if block.shape[1:] != (self.length,):
-            raise ValueError(f"expected rows of length {self.length}")
         if block.shape[0] > 2048:
             raise ValueError("insert_block is limited to 2048 rows per call")
-        return self._insert_reduced(self.reduce_block(block), stop_at_rank)
+        return self._insert_reduced(*self.reduce_block(block, cols), stop_at_rank)
 
 
 class RationalBasis:

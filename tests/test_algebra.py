@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -21,14 +23,14 @@ def closure_inputs(n, s):
     return sd, dual_idempotents(sd), dim_t0(tensor)
 
 
-def run_modular_closure(n, s, bound_above_t_tilde=0):
+def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
     """One prime's closure in canonical seed order; returns the basis, the
     generator products, the rounds and the history."""
     sd, idem, _ = closure_inputs(n, s)
     products = _GeneratorProducts(sd, *pair_orbits(sd.group))
     coords = np.array([products.coordinates(g) for g in _generators(sd, idem, None)[0]])
     bound = dim_t_tilde(sd.group) + bound_above_t_tilde
-    basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
+    basis = PrimeBasis(prime, len(products.u))
     rounds, history = _modular_closure(basis, products, coords,
                                        coords[:sd.num_relations], bound)
     return basis, products, rounds, tuple(history)
@@ -69,7 +71,7 @@ class TestAlgebraClosure:
         cert = algebra_closure(sd, idem, dim_t0_value=t0)
         assert cert.dim_t == expected
         assert cert.provenance == "exact"
-        assert cert.triply_transitive
+        assert t0 == cert.dim_t_tilde == expected
 
     def test_history_is_monotone_and_bounded(self):
         sd, idem, t0 = closure_inputs(8, 3)
@@ -77,7 +79,7 @@ class TestAlgebraClosure:
         for history in cert.basis_size_history:
             assert list(history) == sorted(history)
             assert history[-1] <= cert.dim_t_tilde
-        assert cert.dim_t0 <= cert.dim_t <= cert.dim_t_tilde
+        assert t0 <= cert.dim_t <= cert.dim_t_tilde
 
     def test_seed_permutation_invariance(self):
         import random
@@ -105,8 +107,11 @@ class TestAlgebraClosure:
         for n in range(3, 11):
             for s in valid_twists(n):
                 sd, idem, t0 = closure_inputs(n, s)
-                cert = algebra_closure(sd, idem, dim_t0_value=t0, exact_rational=True)
-                assert cert.rational_rank == cert.dim_t, (n, s)
+                # with exact_rational, dim_t is the rational closure's rank
+                rational = algebra_closure(sd, idem, dim_t0_value=t0, exact_rational=True)
+                modular = algebra_closure(sd, idem, dim_t0_value=t0)
+                assert rational.dim_t == modular.dim_t, (n, s)
+                assert rational.provenance == modular.provenance == "exact", (n, s)
 
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (8, 3)])
     def test_final_basis_closed_under_transpose(self, n, s):
@@ -156,6 +161,21 @@ class TestAlgebraClosure:
         assert cert.closure_rounds == rounds
         assert cert.basis_size_history == (history, history)
 
+    FINAL_BASIS_SHA256 = {
+        (16, 7): "e0b5f7a0755ecc81655c61366e8d8d69d46c5505eee144739bc83a1e01f9575f",
+        (40, 19): "b30f1dff87615c0604898a445647592c249c521b43c251af796666cc804a0681",
+    }
+
+    @pytest.mark.parametrize("n,s", sorted(FINAL_BASIS_SHA256))
+    @pytest.mark.parametrize("prime", DEFAULT_PRIMES)
+    def test_final_basis_pinned(self, n, s, prime):
+        # the stored rows and the pivot order: a wrong set of quotient columns
+        # can keep every rank and history and still change which rows enter
+        basis, _, _, _ = run_modular_closure(n, s, prime=prime)
+        pivots = basis._pivot_cols[:basis.rank]
+        digest = hashlib.sha256(basis.rows.tobytes() + pivots.tobytes()).hexdigest()
+        assert digest == self.FINAL_BASIS_SHA256[n, s]
+
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
         with pytest.raises(ValueError):
@@ -171,7 +191,6 @@ class TestAlgebraClosure:
         assert t0 == 42
         assert cert.dim_t == cert.dim_t_tilde == 43
         assert cert.provenance == "exact"
-        assert not cert.triply_transitive
 
 
 def generic_inputs(table, name):
@@ -201,12 +220,24 @@ class TestGeneratorProducts:
             if modulus is not None:
                 element = (5 * element) % modulus
             m = products.coordinates(element).astype(np.float64)
-            got = products.all_products(m)
+            got = products.all_products(m, np.arange(len(products.u)))
             assert got.shape == (2 * t1, len(products.u))
             want = np.array([(g @ element)[products.u, products.v] for g in adj + dual])
             if modulus is not None:
                 got, want = got % modulus, want % modulus
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_all_products_on_cols_match_full_width(self, case):
+        sd, _ = self.CASES[case]()
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        length = len(products.u)
+        rng = np.random.default_rng(length)
+        m = rng.integers(0, 97, size=length).astype(np.float64)
+        full = products.all_products(m, np.arange(length))
+        for size in (1, length // 3, length):
+            cols = np.sort(rng.choice(length, size=size, replace=False))
+            assert np.array_equal(products.all_products(m, cols), full[:, cols])
 
 
 class TestDimTTilde:

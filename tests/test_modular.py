@@ -115,7 +115,7 @@ class TestPrimeBasis:
         rng = np.random.default_rng(5)
         block = rng.integers(0, 97, size=(12, 9)).astype(float)
         one = PrimeBasis(97, 9)
-        one.insert_block(block.copy())
+        one.insert_block(block.copy(), np.arange(9))
         two = PrimeBasis(97, 9)
         for row in block:
             two.insert(row.astype(int))
@@ -153,7 +153,7 @@ class TestPrimeBasis:
             for vec in block:
                 if two.insert(vec) and stop is not None and two.rank >= stop:
                     break
-            added = one.insert_block(block.astype(np.float64), stop_at_rank=stop)
+            added = one.insert_block(block.astype(np.float64), np.arange(30), stop_at_rank=stop)
             assert added == two.rank - before
             assert _state(one) == _state(two)
 
@@ -175,7 +175,8 @@ class TestPrimeBasis:
         basis.insert([0, 0, 0, 1, 0, 7, 0, 0])
         block = np.array([[0, 3, 9, 0, 4, 96, 0, 1],
                           [0, 0, 0, 0, 0, 0, 96, 0]], dtype=np.float64)
-        assert np.array_equal(basis.reduce_block(block), block)
+        out, cols = basis.reduce_block(block, np.arange(8))
+        assert np.array_equal(out, block) and cols.tolist() == list(range(8))
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_reduce_block_with_hit_and_unhit_rows_matches_dense_product(self, p):
@@ -189,7 +190,8 @@ class TestPrimeBasis:
         hit = (block % p)[:, pivots].any(axis=1)
         assert hit.any() and not hit.all()
         dense = (block % p - (block % p)[:, pivots] @ basis.rows.astype(np.int64)) % p
-        assert np.array_equal(basis.reduce_block(block.astype(np.float64)), dense)
+        out, _ = basis.reduce_block(block.astype(np.float64), np.arange(40))
+        assert np.array_equal(out, dense)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     def test_large_prime_products_split_into_exact_slabs(self, kind):
@@ -201,16 +203,16 @@ class TestPrimeBasis:
         block = _vectors(rng, kind, 16, 30, p)
         basis = PrimeBasis(p, 30)
         assert basis._slab == 1
-        basis.insert_block(start.astype(np.float64))
-        basis.insert_block(block.astype(np.float64))
+        basis.insert_block(start.astype(np.float64), np.arange(30))
+        basis.insert_block(block.astype(np.float64), np.arange(30))
         rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
         assert basis.rows.astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
         probe = _vectors(rng, kind, 12, 30, p).astype(object)
         stored = np.array(rows, dtype=object)
         expected = (probe - probe[:, pivots] @ stored) % p
-        assert basis.reduce_block(probe.astype(np.float64)).astype(np.int64).tolist() == \
-            expected.tolist()
+        out, _ = basis.reduce_block(probe.astype(np.float64), np.arange(30))
+        assert out.astype(np.int64).tolist() == expected.tolist()
 
     def test_modulus_outside_every_slab_rejected(self):
         with pytest.raises(ValueError):
@@ -225,8 +227,59 @@ class TestPrimeBasis:
     def test_insert_block_width_mismatch(self, length, width):
         basis = PrimeBasis(97, length)
         with pytest.raises(ValueError):
-            basis.insert_block(np.arange(1, width + 1, dtype=np.float64)[None, :])
+            basis.insert_block(np.arange(1, width + 1, dtype=np.float64)[None, :],
+                               np.arange(length))
         assert basis.rank == 0
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("stop", [None, 33])
+    def test_blocks_on_quotient_cols_match_full_width(self, p, stop):
+        # unit rows have their pivot outside C; the blocks are nonzero there,
+        # as a later closure round's products are, and one C serves every block
+        rng = np.random.default_rng(p % 1000 + 7)
+        start = np.concatenate([_vectors(rng, "sparse", 12, 40, p),
+                                np.eye(40, dtype=np.int64)[[3, 17, 26, 38]]])
+        full, compact = PrimeBasis(p, 40), PrimeBasis(p, 40)
+        for vec in start:
+            full.insert(vec)
+            compact.insert(vec)
+        cols = compact.quotient_cols()
+        unit_pivots = np.setdiff1d(np.arange(40), cols)
+        assert len(compact._off_rows) and len(unit_pivots)
+        for m in (9, 1, 8, 5, 6):
+            block = _vectors(rng, "sparse", m, 40, p) * rng.integers(1, 5 * p, size=(m, 1))
+            block[:, unit_pivots] = rng.integers(1, p, size=(m, len(unit_pivots)))
+            block = block.astype(np.float64)
+            want, _ = full.reduce_block(block, np.arange(40))
+            got, got_cols = compact.reduce_block(block[:, cols], cols)
+            scattered = np.zeros_like(want)
+            scattered[:, got_cols] = got
+            assert np.array_equal(scattered, want)
+            assert full.insert_block(block, np.arange(40), stop_at_rank=stop) == \
+                compact.insert_block(block[:, cols], cols, stop_at_rank=stop)
+            assert _state(compact) == _state(full)
+            assert _off_index(compact) == _off_index(full) == _nonzeros_off_pivot(full)
+        assert np.isin(compact.quotient_cols(), cols).all()
+
+    @pytest.mark.parametrize("cols", [[0, 2, 1], [0, 0, 1], [-1, 0, 1], [0, 1, 6], [0, 1]])
+    def test_bad_cols_rejected(self, cols):
+        basis = PrimeBasis(97, 6)
+        block = np.ones((2, 3))
+        with pytest.raises(ValueError):
+            basis.insert_block(block, np.array(cols))
+        with pytest.raises(ValueError):
+            basis.reduce_block(block, np.array(cols))
+        assert basis.rank == 0
+
+
+def _off_index(basis: PrimeBasis) -> list:
+    return sorted(zip(basis._off_rows.tolist(), basis._off_cols.tolist()))
+
+
+def _nonzeros_off_pivot(basis: PrimeBasis) -> list:
+    rows, cols = np.nonzero(basis.rows)
+    off = cols != basis._pivot_cols[rows]
+    return sorted(zip(rows[off].tolist(), cols[off].tolist()))
 
 
 class TestRationalBasis:
