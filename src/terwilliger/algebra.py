@@ -113,11 +113,18 @@ class _GeneratorProducts:
             raise ConsistencyError("a generator is not constant on the pair orbits")
         return coords
 
-    def all_products(self, m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stack of the 2*(t+1) left products [A_i M | E_i M], read at `cols`
-        only: each product entry needs only its own column's gather."""
-        left = np.add.reduceat(m[self.left_index[:, cols]], self.offsets, axis=0)
-        return np.concatenate([left, self.masks[:len(self.offsets), cols] * m[cols]])
+    def all_products(self, cols: np.ndarray):
+        """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
+        read at `cols` only: each product entry needs only its own column's
+        gather.  The gather index for `cols` is taken here, once, so one map
+        serves a whole closure round."""
+        index = self.left_index[:, cols]
+        masks = self.masks[:len(self.offsets), cols]
+
+        def products(m: np.ndarray) -> np.ndarray:
+            left = np.add.reduceat(m[index], self.offsets, axis=0)
+            return np.concatenate([left, masks * m[cols]])
+        return products
 
 
 def _generators(scheme: SchemeData, idem: DualIdempotents,
@@ -150,7 +157,9 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     sources: masks * A_i is zero wherever A_i is.  A later round's products
     are dense, so they are formed on the quotient columns C of the basis,
     taken once at the start of the round: C only shrinks while rows enter,
-    so the round's first C stays enough for all of it.
+    so the round's first C stays enough for all of it.  The gather index for
+    C is taken once per round too, and each chunk densifies only its own
+    source rows.
     """
     basis.insert_block(seeds % basis.p, np.arange(len(products.u)), stop_at_rank=bound)
     history = [basis.rank]
@@ -164,6 +173,7 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
         start = basis.rank
         if rounds > 1:
             cols = basis.quotient_cols()
+            multiply = products.all_products(cols)
         for lo in range(0, len(sources), chunk):
             part = sources[lo:lo + chunk]
             if rounds == 1:
@@ -171,7 +181,7 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
                 masks = products.masks[:, cols]
                 block = [masks * adjacency[i, cols] for i in part]
             else:
-                block = [products.all_products(basis.rows[r], cols) for r in part]
+                block = [multiply(m) for m in basis.dense_rows(part.start, part.stop)]
             basis.insert_block(np.concatenate(block), cols, stop_at_rank=bound)
             if basis.rank >= bound:
                 break

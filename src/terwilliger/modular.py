@@ -7,6 +7,14 @@ stored row has a 0 there, so reducing a block is a single matrix product
 
     block - block[:, pivot_cols] @ rows.
 
+Only the pivots and the entries off them are stored: a pivot column per
+row, and the row, column and value of every nonzero off its row's pivot.
+The memory is linear in length plus those entries, never length², and a
+basis of full rank, the identity, stores no entry.  The product above
+needs only the off-pivot part, since a row's pivot just cancels the block
+at that column, and its operand is densified from the store on the few
+rows and columns it involves; `rows` is a dense copy built on request.
+
 A block is given only on its own columns: `block[:, k]` is the value at
 column `cols[k]`, and every other column counts as zero.  The residual of a
 vector v is zero at every pivot, and at a non-pivot column j it is v[j]
@@ -28,13 +36,13 @@ would be a false exact certificate; pass every column when in doubt.
 Within those columns the products are restricted further to what they can
 change: the block rows with a nonzero coefficient, the stored rows whose
 pivot one of them hits, and the columns where those stored rows are
-nonzero, read from an index of the stored nonzeros that lie off their row's
-pivot.  Every term left out is zero, so the result equals the dense product
-exactly.  insert_block works the same way: a row is reduced only against
-the rows that entered earlier in the same call, on the block's own nonzero
-columns, and the older rows are brought to zero at the new pivots once per
-call, on those columns only; the rows a new pivot hits are found from the
-same index.
+nonzero off their pivots, read from the store.  Every term left out is
+zero, so the result equals the dense product exactly.  insert_block works
+the same way: a row is reduced only against the rows that entered earlier
+in the same call, on the block's own nonzero columns, and the older rows
+are brought to zero at the new pivots once per call, on those columns
+only; the rows a new pivot hits, and their entries at those columns, are
+found in the store.
 
 Residues are stored in float64 so the products run through BLAS.  Every
 multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
@@ -60,7 +68,14 @@ FLOAT_EXACT = 2 ** 53
 
 
 class PrimeBasis:
-    """Fully reduced echelon basis of vectors over F_p."""
+    """Fully reduced echelon basis of vectors over F_p.
+
+    Each stored row is its pivot column, where it holds an implicit 1, plus
+    its nonzero entries off that pivot, kept as three aligned arrays of row,
+    column and value.  No zero value is stored, and nothing of size length²
+    is ever allocated: a basis that reaches full rank is the identity and
+    stores no entry at all.
+    """
 
     def __init__(self, modulus: int, length: int):
         if (modulus - 1) ** 2 >= FLOAT_EXACT:
@@ -71,17 +86,35 @@ class PrimeBasis:
         self.rank = 0
         # inner terms per exact slab of a product
         self._slab = (FLOAT_EXACT - 1) // (modulus - 1) ** 2
-        self._rows = np.zeros((length, length), dtype=np.float64)
         self._pivot_cols = np.zeros(length, dtype=np.int64)
         self._pivot_row = np.full(length, -1, dtype=np.int64)  # -1: not a pivot
-        # row and column of every stored nonzero off its row's pivot
+        # row, column and value of every stored nonzero off its row's pivot
         self._off_rows = np.zeros(0, dtype=np.int64)
         self._off_cols = np.zeros(0, dtype=np.int64)
+        self._off_vals = np.zeros(0, dtype=np.float64)
 
     @property
     def rows(self) -> np.ndarray:
-        """The stored rows as exact residues: a view of the store, not a copy."""
-        return self._rows[:self.rank]
+        """The stored rows as exact residues, densified into a new
+        rank x length array: a copy, not a view of the store."""
+        return self.dense_rows(0, self.rank)
+
+    def dense_rows(self, start: int, stop: int) -> np.ndarray:
+        """Stored rows start..stop-1 as a dense copy on every column."""
+        at = (self._off_rows >= start) & (self._off_rows < stop)
+        out = np.zeros((stop - start, self.length))
+        out[self._off_rows[at] - start, self._off_cols[at]] = self._off_vals[at]
+        out[np.arange(stop - start), self._pivot_cols[start:stop]] = 1
+        return out
+
+    def _off_pivot(self, rows: np.ndarray, cols: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The sorted stored `rows` on the sorted columns `cols`, off their
+        pivots: the entries selected by the mask `at`, which must all lie in
+        those rows and columns."""
+        out = np.zeros((len(rows), len(cols)))
+        out[np.searchsorted(rows, self._off_rows[at]),
+            np.searchsorted(cols, self._off_cols[at])] = self._off_vals[at]
+        return out
 
     def _mod(self, x: np.ndarray) -> np.ndarray:
         """Residues in [0, p) of float64 integers below 2^53 in magnitude.
@@ -118,39 +151,49 @@ class PrimeBasis:
         """Reduce every row of an integer block against the basis; returns the
         residual in residues and the sorted columns it is given on.
 
-        `block[:, k]` is the value at column `cols[k]`; `cols` is strictly
-        increasing and may leave out only columns that cannot change the
-        residual (see the module docstring).  Entries must be below 2^53 in
-        magnitude.  The residual is given on `cols` plus the support of the
-        stored rows that the block hits, and is zero at every other column.
+        `block[:, k]` is the value at column `cols[k]`; `cols` is a strictly
+        increasing integer array and may leave out only columns that cannot
+        change the residual (see the module docstring).  Entries must be
+        below 2^53 in magnitude.  The residual is given on `cols` plus the
+        support of the stored rows that the block hits, and is zero at every
+        other column.
         """
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = np.asarray(cols)
+        if cols.size and cols.dtype.kind not in "iu":
+            raise ValueError(f"cols must be an integer array, not {cols.dtype}")
+        cols = cols.astype(np.int64)
         if block.ndim != 2 or block.shape[1:] != cols.shape:
             raise ValueError(f"expected a block with one column per col ({len(cols)})")
         if len(cols) and (cols[0] < 0 or cols[-1] >= self.length
                           or np.any(cols[1:] <= cols[:-1])):
             raise ValueError(f"cols must be strictly increasing in [0, {self.length})")
         out = self._mod(block)
-        row_ids = self._pivot_row[cols]
-        is_pivot = row_ids >= 0
-        coeffs = out[:, is_pivot]
-        hit = np.flatnonzero(coeffs.any(axis=1))
+        at_pivot = np.flatnonzero(self._pivot_row[cols] >= 0)
+        hit = np.flatnonzero(out[:, at_pivot].any(axis=1))
         if not len(hit):
             return out, cols
-        used = np.flatnonzero(coeffs[hit].any(axis=0))
-        stored = row_ids[is_pivot][used]
+        # the hit pivots, ordered by their stored row
+        used = at_pivot[out[np.ix_(hit, at_pivot)].any(axis=0)]
+        stored = self._pivot_row[cols[used]]
+        order = np.argsort(stored)
+        stored, used = stored[order], used[order]
+        coeffs = out[np.ix_(hit, used)]
         is_stored = np.zeros(self.rank, dtype=bool)
         is_stored[stored] = True
-        support = np.union1d(self._pivot_cols[stored],
-                             self._off_cols[is_stored[self._off_rows]])
+        at = is_stored[self._off_rows]
+        support = np.unique(self._off_cols[at])
         out_cols = np.union1d(cols, support)
         if len(out_cols) > len(cols):
             wide = np.zeros((len(out), len(out_cols)))
             wide[:, np.searchsorted(out_cols, cols)] = out
             out = wide
-        sub = np.ix_(hit, np.searchsorted(out_cols, support))
-        out[sub] = self._sub_product(out[sub], coeffs[np.ix_(hit, used)],
-                                     self._rows[np.ix_(stored, support)])
+        # a stored row cancels the block at its own pivot and is zero at
+        # every other pivot, so only its off-pivot entries need a product
+        out[np.ix_(hit, np.searchsorted(out_cols, cols[used]))] = 0
+        if len(support):
+            sub = np.ix_(hit, np.searchsorted(out_cols, support))
+            out[sub] = self._sub_product(out[sub], coeffs,
+                                         self._off_pivot(stored, support, at))
         return out, out_cols
 
     def reduce(self, vec) -> np.ndarray:
@@ -175,7 +218,7 @@ class PrimeBasis:
         once, at the end, which leaves the unique fully reduced basis with
         this pivot sequence.  A new row is zero off those nonzero columns,
         none of which is an old pivot, so the update changes only those
-        columns of the older rows it hits.
+        columns of the older rows it hits, and never their pivots.
         """
         nonzero_cols = block.any(axis=0)
         cols = cols[nonzero_cols]
@@ -185,6 +228,8 @@ class PrimeBasis:
         pivots = np.zeros(len(todo), dtype=np.int64)  # indices into cols
         added = 0
         for row in todo:
+            if stop_at_rank is not None and self.rank + added >= stop_at_rank:
+                break
             coeffs = row[pivots[:added]]
             hit = coeffs.nonzero()[0]
             if len(hit):
@@ -202,32 +247,29 @@ class PrimeBasis:
             pivots[added] = pivot
             new[added] = row
             added += 1
-            if stop_at_rank is not None and self.rank + added >= stop_at_rank:
-                break
         start, end = self.rank, self.rank + added
         new, pivots = new[:added], pivots[:added]
-        self._rows[start:end, cols] = new
         self._pivot_cols[start:end] = cols[pivots]
         self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
-        # older rows with an off-pivot nonzero at one of the new pivots
+        # older rows with an off-pivot nonzero at one of the new pivots; they
+        # change only at cols, so their entries there are taken out and
+        # stored again once updated
         hit = np.unique(self._off_rows[self._pivot_row[self._off_cols] >= start])
-        sub = np.ix_(hit, cols)
-        older = self._rows[sub]
-        older = self._sub_product(older, older[:, pivots], new)
-        self._rows[sub] = older
-        # re-index the entries just written; the hit rows changed only at cols
+        in_hit = np.zeros(start, dtype=bool)
+        in_hit[hit] = True
         in_cols = np.zeros(self.length, dtype=bool)
         in_cols[cols] = True
-        in_hit = np.zeros(self.length, dtype=bool)
-        in_hit[hit] = True
-        keep = ~(in_hit[self._off_rows] & in_cols[self._off_cols])
+        at = in_hit[self._off_rows] & in_cols[self._off_cols]
+        older = self._off_pivot(hit, cols, at)
+        older = self._sub_product(older, older[:, pivots], new)
+        keep = ~at  # every other entry is unchanged
         r, c = np.nonzero(older)
         nr, nc = np.nonzero(new)
         new_off = nc != pivots[nr]
-        self._off_rows = np.concatenate(
-            [self._off_rows[keep], hit[r], start + nr[new_off]])
-        self._off_cols = np.concatenate(
-            [self._off_cols[keep], cols[c], cols[nc[new_off]]])
+        nr, nc = nr[new_off], nc[new_off]
+        self._off_rows = np.concatenate([self._off_rows[keep], hit[r], start + nr])
+        self._off_cols = np.concatenate([self._off_cols[keep], cols[c], cols[nc]])
+        self._off_vals = np.concatenate([self._off_vals[keep], older[r, c], new[nr, nc]])
         self.rank = end
         return added
 
@@ -246,13 +288,13 @@ class PrimeBasis:
         quotient columns C of `quotient_cols`, or the block's own support
         all qualify and give the same result; a C too small gives a wrong
         one, with no error.  The result is identical to one insert() per
-        row.  The block is reduced against the stored rows once; a row is
-        then reduced only against the rows that entered earlier in the same
-        call, and the stored rows are brought to zero at the new pivots in
-        one restricted product at the end; `_sub_product` keeps every
-        product exact.  A call takes at most 2048 rows, which bounds its
-        working copy of the block; the closure offers a few hundred at a
-        time.
+        row.  No row enters once the rank has reached `stop_at_rank`.  The
+        block is reduced against the stored rows once; a row is then reduced
+        only against the rows that entered earlier in the same call, and the
+        stored rows are brought to zero at the new pivots in one restricted
+        product at the end; `_sub_product` keeps every product exact.  A
+        call takes at most 2048 rows, which bounds its working copy of the
+        block; the closure offers a few hundred at a time.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -151,11 +152,13 @@ class TestPrimeBasis:
         for block in blocks:
             before = two.rank
             for vec in block:
-                if two.insert(vec) and stop is not None and two.rank >= stop:
+                if stop is not None and two.rank >= stop:
                     break
+                two.insert(vec)
             added = one.insert_block(block.astype(np.float64), np.arange(30), stop_at_rank=stop)
             assert added == two.rank - before
             assert _state(one) == _state(two)
+            _check_store(one)
 
     @pytest.mark.parametrize("p", [2, *PRIMES, 2 ** 26 - 5])
     def test_mod_matches_integer_remainder(self, p):
@@ -243,6 +246,7 @@ class TestPrimeBasis:
         for vec in start:
             full.insert(vec)
             compact.insert(vec)
+        inserted = start
         cols = compact.quotient_cols()
         unit_pivots = np.setdiff1d(np.arange(40), cols)
         assert len(compact._off_rows) and len(unit_pivots)
@@ -259,9 +263,39 @@ class TestPrimeBasis:
                 compact.insert_block(block[:, cols], cols, stop_at_rank=stop)
             assert _state(compact) == _state(full)
             assert _off_index(compact) == _off_index(full) == _nonzeros_off_pivot(full)
+            _check_store(compact)
+            _check_store(full)
+            inserted = np.concatenate([inserted, block.astype(np.int64)])
+            if stop is None:
+                # an independent check of the rows that `rows` densifies
+                rows, pivots = oracle_echelon(inserted, p)
+                assert full.rows.astype(np.int64).tolist() == rows
+                assert full._pivot_cols[:full.rank].tolist() == pivots
         assert np.isin(compact.quotient_cols(), cols).all()
 
-    @pytest.mark.parametrize("cols", [[0, 2, 1], [0, 0, 1], [-1, 0, 1], [0, 1, 6], [0, 1]])
+    def test_insert_block_at_stop_rank_inserts_nothing(self):
+        basis = PrimeBasis(97, 6)
+        assert basis.insert_block(np.eye(6)[:3], np.arange(6)) == 3
+        assert basis.insert_block(np.eye(6)[3:], np.arange(6), stop_at_rank=2) == 0
+        assert basis.rank == 3
+        assert basis.insert_block(np.eye(6)[3:], np.arange(6), stop_at_rank=5) == 2
+        assert basis.rank == 5
+
+    def test_footprint_does_not_grow_with_length_squared(self):
+        # a dense length x length float64 store would take 3.2 GB here
+        length = 20000
+        block = np.random.default_rng(1).integers(0, 97, size=(3, length)).astype(np.float64)
+        tracemalloc.start()
+        try:
+            basis = PrimeBasis(DEFAULT_PRIMES[0], length)
+            assert basis.insert_block(block, np.arange(length)) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("cols", [[0, 2, 1], [0, 0, 1], [-1, 0, 1], [0, 1, 6], [0, 1],
+                                      [0.0, 1.5, 2.9]])
     def test_bad_cols_rejected(self, cols):
         basis = PrimeBasis(97, 6)
         block = np.ones((2, 3))
@@ -274,6 +308,13 @@ class TestPrimeBasis:
 
 def _off_index(basis: PrimeBasis) -> list:
     return sorted(zip(basis._off_rows.tolist(), basis._off_cols.tolist()))
+
+
+def _check_store(basis: PrimeBasis) -> None:
+    """The off-pivot values are aligned with their rows and columns, and
+    every one is a nonzero residue."""
+    assert len(basis._off_vals) == len(basis._off_rows) == len(basis._off_cols)
+    assert ((basis._off_vals > 0) & (basis._off_vals < basis.p)).all()
 
 
 def _nonzeros_off_pivot(basis: PrimeBasis) -> list:
