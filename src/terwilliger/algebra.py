@@ -161,7 +161,7 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     C is taken once per round too, and each chunk densifies only its own
     source rows.
     """
-    basis.insert_block(seeds % basis.p, np.arange(len(products.u)), stop_at_rank=bound)
+    basis.insert_block(seeds % basis.p, np.arange(len(products.u)))
     history = [basis.rank]
     chunk = -(-BATCH_ROWS // len(products.masks))
     rounds, sources = 0, range(len(adjacency))
@@ -182,7 +182,7 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
                 block = [masks * adjacency[i, cols] for i in part]
             else:
                 block = [multiply(m) for m in basis.dense_rows(part.start, part.stop)]
-            basis.insert_block(np.concatenate(block), cols, stop_at_rank=bound)
+            basis.insert_block(np.concatenate(block), cols)
             if basis.rank >= bound:
                 break
         history.append(basis.rank)

@@ -48,7 +48,7 @@ Residues are stored in float64 so the products run through BLAS.  Every
 multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
 slabs of k inner terms with k * (p-1)^2 < 2^53, reduced mod p after each
 slab (the delayed reduction of FFLAS-FFPACK), so every sum is an exact
-float64 integer; `_mod` takes it back to [0, p) without leaving float64.
+float64 integer; `_mod` takes it back to [0, p) by an exact int64 remainder.
 At the default moduli, the two largest primes below 2^20, one slab holds
 8192 terms.  Modular rank only lower-bounds the rational rank, so callers
 must close the gap themselves (see the algebra closure, which pins the
@@ -119,18 +119,14 @@ class PrimeBasis:
     def _mod(self, x: np.ndarray) -> np.ndarray:
         """Residues in [0, p) of float64 integers below 2^53 in magnitude.
 
-        For integer x and |x| < 2^53, x/p is either an integer, which the
-        division returns exactly, or at least 1/p away from every integer,
-        while rounding moves it by at most half an ulp of |x/p| < 2^53/p,
-        which is below 1/p.  So the truncated quotient is exact, q*p is an
-        integer no larger than |x|, and x - q*p lies in (-p, p) without
-        rounding; one pass then lifts the negative remainders.
+        Every such float64 converts to int64 exactly, the int64 remainder by
+        p is exact and lies in [0, p), and a value below p < 2^53 converts
+        back to float64 exactly.  So the result is the integer residue at
+        every size and sign, with no rounding anywhere.
         """
-        r = np.trunc(x / self.p)
-        r *= self.p
-        np.subtract(x, r, out=r)
-        r += self.p * (r < 0)
-        return r
+        r = x.astype(np.int64)
+        r %= self.p
+        return r.astype(np.float64)
 
     def _sub_product(self, a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
         """(a - c @ r) mod p for residues, c a row or a matrix: each inner
@@ -204,10 +200,9 @@ class PrimeBasis:
         out, _ = self.reduce_block(arr.astype(np.float64)[None, :], np.arange(self.length))
         return out[0].astype(np.int64)
 
-    def _insert_reduced(self, block: np.ndarray, cols: np.ndarray,
-                        stop_at_rank: int | None) -> int:
+    def _insert_reduced(self, block: np.ndarray, cols: np.ndarray) -> int:
         """Insert the rows of a block already reduced against the basis and
-        given on the sorted global columns `cols`.
+        given on the sorted global columns `cols`, until the rank is full.
 
         The rows that enter are combinations of block rows, so the in-call
         elimination runs on the block's own nonzero columns: a row is
@@ -224,16 +219,16 @@ class PrimeBasis:
         cols = cols[nonzero_cols]
         todo = block[:, nonzero_cols]
         todo = todo[todo.any(axis=1)]
+        room = self.length - self.rank  # rows past a full rank reduce to zero
         new = np.zeros_like(todo)
         pivots = np.zeros(len(todo), dtype=np.int64)  # indices into cols
         added = 0
         for row in todo:
-            if stop_at_rank is not None and self.rank + added >= stop_at_rank:
-                break
-            coeffs = row[pivots[:added]]
-            hit = coeffs.nonzero()[0]
-            if len(hit):
-                row = self._sub_product(row, coeffs[hit], new[hit])
+            if added:
+                coeffs = row[pivots[:added]]
+                hit = coeffs.nonzero()[0]
+                if len(hit):
+                    row = self._sub_product(row, coeffs[hit], new[hit])
             nonzero = row.nonzero()[0]
             if not len(nonzero):
                 continue
@@ -243,10 +238,12 @@ class PrimeBasis:
             col = new[:added, pivot]
             hit = col.nonzero()[0]
             if len(hit):
-                new[hit] = self._mod(new[hit] - np.outer(col[hit], row))
+                new[hit] = self._mod(new[hit] - col[hit, None] * row)
             pivots[added] = pivot
             new[added] = row
             added += 1
+            if added == room:
+                break
         start, end = self.rank, self.rank + added
         new, pivots = new[:added], pivots[:added]
         self._pivot_cols[start:end] = cols[pivots]
@@ -276,10 +273,9 @@ class PrimeBasis:
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
         residual = self.reduce(vec).astype(np.float64)[None, :]
-        return self._insert_reduced(residual, np.arange(self.length), None) == 1
+        return self._insert_reduced(residual, np.arange(self.length)) == 1
 
-    def insert_block(self, block: np.ndarray, cols,
-                     stop_at_rank: int | None = None) -> int:
+    def insert_block(self, block: np.ndarray, cols) -> int:
         """Insert the rows of a residue block in order; returns how many entered.
 
         `block[:, k]` is the value at column `cols[k]`, as in reduce_block:
@@ -288,9 +284,9 @@ class PrimeBasis:
         quotient columns C of `quotient_cols`, or the block's own support
         all qualify and give the same result; a C too small gives a wrong
         one, with no error.  The result is identical to one insert() per
-        row.  No row enters once the rank has reached `stop_at_rank`.  The
-        block is reduced against the stored rows once; a row is then reduced
-        only against the rows that entered earlier in the same call, and the
+        row; once the rank is full the call stops reading rows.  The block
+        is reduced against the stored rows once; a row is then reduced only
+        against the rows that entered earlier in the same call, and the
         stored rows are brought to zero at the new pivots in one restricted
         product at the end; `_sub_product` keeps every product exact.  A
         call takes at most 2048 rows, which bounds its working copy of the
@@ -299,19 +295,23 @@ class PrimeBasis:
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:
             raise ValueError("insert_block is limited to 2048 rows per call")
-        return self._insert_reduced(*self.reduce_block(block, cols), stop_at_rank)
+        return self._insert_reduced(*self.reduce_block(block, cols))
 
 
 class RationalBasis:
     """Sparse fully reduced echelon basis over the rationals.
 
-    Rows are {column: Fraction} dicts.  Slow but exact; used by the optional
-    rational confirmation mode and the desk-scale commutant solve.
+    Rows are {column: value} dicts with no zero value.  An integral value is
+    a Python int and any other an exact Fraction; a Fraction arises only
+    when a pivot's inverse is not integral, so a basis whose pivots are all
+    +-1, as in the commutant solve, runs on integers alone.  Slow but
+    exact; used by the optional rational confirmation mode and the
+    desk-scale commutant solve.
     """
 
     def __init__(self, length: int):
         self.length = length
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[dict[int, int | Fraction]] = []
         self.pivot_of: dict[int, int] = {}
 
     @property
@@ -319,25 +319,33 @@ class RationalBasis:
         return len(self.rows)
 
     @staticmethod
-    def _to_dict(vec) -> dict[int, Fraction]:
-        if isinstance(vec, dict):
-            return {c: Fraction(v) for c, v in vec.items() if v}
-        return {i: Fraction(int(v)) for i, v in enumerate(vec) if v}
+    def _exact(value) -> int | Fraction:
+        """The value as an exact number: a Python int when it is integral."""
+        if not isinstance(value, (int, np.integer)):
+            value = Fraction(value)
+            if value.denominator != 1:
+                return value
+        return int(value)
 
-    def reduce(self, vec) -> dict[int, Fraction]:
-        v = self._to_dict(vec)
+    @staticmethod
+    def _subtract(v: dict, coeff, row: dict) -> None:
+        """v -= coeff * row in place, dropping zeros; integral values are
+        stored as int."""
+        for c, rv in row.items():
+            nv = v.get(c, 0) - coeff * rv
+            if not nv:
+                v.pop(c, None)
+            else:
+                v[c] = int(nv) if nv.denominator == 1 else nv
+
+    def reduce(self, vec) -> dict[int, int | Fraction]:
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {c: self._exact(x) for c, x in items if x}
         # stored rows carry no pivot column but their own, so one pass suffices
         for col in sorted(v):
             coeff = v.get(col)
-            if not coeff or col not in self.pivot_of:
-                continue
-            row = self.rows[self.pivot_of[col]]
-            for c, rv in row.items():
-                nv = v.get(c, Fraction(0)) - coeff * rv
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
+            if coeff and col in self.pivot_of:
+                self._subtract(v, coeff, self.rows[self.pivot_of[col]])
         return v
 
     def insert(self, vec) -> bool:
@@ -345,17 +353,15 @@ class RationalBasis:
         if not v:
             return False
         pivot = min(v)
-        inv = 1 / v[pivot]
-        v = {c: val * inv for c, val in v.items()}
+        lead = v[pivot]
+        if lead != 1:
+            # the only other integral inverse is that of -1
+            inv = -1 if lead == -1 else 1 / Fraction(lead)
+            v = {c: self._exact(val * inv) for c, val in v.items()}
         for row in self.rows:
             coeff = row.get(pivot)
             if coeff:
-                for c, rv in v.items():
-                    nv = row.get(c, Fraction(0)) - coeff * rv
-                    if nv:
-                        row[c] = nv
-                    else:
-                        row.pop(c, None)
+                self._subtract(row, coeff, v)
         self.rows.append(v)
         self.pivot_of[pivot] = len(self.rows) - 1
         return True

@@ -7,7 +7,8 @@ character table with both multiplicity routes, Wedderburn blocks, and the
 desk-scale certificates (commutant solve, central idempotents) when the
 group is small enough.  Every verdict lands in an ordered checks dict;
 consistency exceptions from the underlying operations are caught per step
-and reported as failed verdicts rather than tracebacks.
+and reported as failed verdicts rather than tracebacks, and so is a closure
+that runs out of memory.
 """
 
 from __future__ import annotations
@@ -142,10 +143,21 @@ def analyze_pair(n: int, s: int, *,
     certificate = None
     if closure:
         idem = algebra.dual_idempotents(scheme_data)
-        certificate = step("closure_two_primes_agree", lambda: algebra.algebra_closure(
-            scheme_data, idem, dim_t0_value=t0, primes=primes,
-            seed_order=_generator_order(generator_order_seed, 2 * classes.num_classes),
-            exact_rational=exact_rational))
+
+        def closure_certificate():
+            try:
+                return algebra.algebra_closure(
+                    scheme_data, idem, dim_t0_value=t0, primes=primes,
+                    seed_order=_generator_order(generator_order_seed,
+                                                2 * classes.num_classes),
+                    exact_rational=exact_rational)
+            except MemoryError as exc:
+                # an allocation that fails is caught here; an OOM kill is not
+                detail = f" ({exc})" if str(exc) else ""
+                raise ConsistencyError(f"out of memory at (n, s) = ({n}, {s}), "
+                                       f"dim T~ = {t_tilde}{detail}") from exc
+
+        certificate = step("closure_two_primes_agree", closure_certificate)
         if certificate is not None:
             checks["closure_matches_formula"] = certificate.dim_t == formula
             checks["closure_provenance_exact"] = certificate.provenance.startswith("exact")

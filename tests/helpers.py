@@ -8,6 +8,7 @@ internals beyond the table itself.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -135,6 +136,38 @@ def oracle_echelon(vectors, p: int) -> tuple[list[list[int]], list[int]]:
         rows.append(v)
         pivots.append(c)
     return rows, pivots
+
+
+def oracle_rational_echelon(vectors) -> tuple[list[list[Fraction]], list[int]]:
+    """Fully reduced echelon basis over the rationals built one vector at a
+    time in Fractions, as oracle_echelon does over F_p: each residual's
+    first nonzero column becomes its pivot, the row is scaled to 1 there,
+    and every earlier row is cleared there.  Returns (rows, pivot columns)."""
+    rows: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for vec in vectors:
+        v = oracle_rational_residual(vec, rows, pivots)
+        if not any(v):
+            continue
+        c = next(i for i, a in enumerate(v) if a)
+        v = [a / v[c] for a in v]
+        for k, row in enumerate(rows):
+            if row[c]:
+                f = row[c]
+                rows[k] = [a - f * b for a, b in zip(row, v)]
+        rows.append(v)
+        pivots.append(c)
+    return rows, pivots
+
+
+def oracle_rational_residual(vec, rows, pivots) -> list[Fraction]:
+    """vec minus its component along fully reduced rows, in Fractions."""
+    v = [Fraction(int(x)) for x in vec]
+    for row, c in zip(rows, pivots):
+        if v[c]:
+            f = v[c]
+            v = [a - f * b for a, b in zip(v, row)]
+    return v
 
 
 def s4_table() -> np.ndarray:

@@ -147,6 +147,24 @@ class TestExitCodes:
         assert err.startswith("error: cannot write --output: ") and err.count("\n") == 1
         assert not target.parent.exists()
 
+    def test_closure_out_of_memory_exit_1_with_report(self, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr("terwilliger.algebra.algebra_closure", no_memory)
+        code, out = run_cli("analyze", "--n", "8", "--s", "3")
+        assert code == 1
+        assert "  FAIL  closure_two_primes_agree\n" in out
+        assert ("  note: closure_two_primes_agree: out of memory at (n, s) = (8, 3), "
+                "dim T~ = 64\n") in out
+        assert out.endswith("result: FAIL\n")
+        code, out = run_cli("analyze", "--n", "8", "--s", "3", "--format", "json")
+        obj = json.loads(out)
+        assert code == 1 and obj["closure"] is None
+        assert obj["checks"]["closure_two_primes_agree"] is False
+        assert obj["notes"] == ["closure_two_primes_agree: out of memory at (n, s) = "
+                                "(8, 3), dim T~ = 64"]
+
     @pytest.mark.parametrize("command", ["analyze", "char-table", "tensor"])
     def test_invalid_params_leave_existing_output(self, command, tmp_path, capsys):
         target = tmp_path / "kept.json"

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
                          build_scheme, conjugacy_classes, validate_params)
 
-from helpers import oracle_echelon
+from helpers import oracle_echelon, oracle_rational_echelon, oracle_rational_residual
 
 PRIMES = (97, *DEFAULT_PRIMES)
 
@@ -137,9 +138,8 @@ class TestPrimeBasis:
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    @pytest.mark.parametrize("stop", [None, 14])
     def test_consecutive_blocks_on_nonempty_basis_match_sequential_inserts(
-            self, p, kind, stop):
+            self, p, kind):
         # rows stored before a call are only updated at its end
         rng = np.random.default_rng(p % 1000 + len(kind))
         start = _vectors(rng, kind, 6, 30, p)
@@ -152,10 +152,8 @@ class TestPrimeBasis:
         for block in blocks:
             before = two.rank
             for vec in block:
-                if stop is not None and two.rank >= stop:
-                    break
                 two.insert(vec)
-            added = one.insert_block(block.astype(np.float64), np.arange(30), stop_at_rank=stop)
+            added = one.insert_block(block.astype(np.float64), np.arange(30))
             assert added == two.rank - before
             assert _state(one) == _state(two)
             _check_store(one)
@@ -235,8 +233,7 @@ class TestPrimeBasis:
         assert basis.rank == 0
 
     @pytest.mark.parametrize("p", PRIMES)
-    @pytest.mark.parametrize("stop", [None, 33])
-    def test_blocks_on_quotient_cols_match_full_width(self, p, stop):
+    def test_blocks_on_quotient_cols_match_full_width(self, p):
         # unit rows have their pivot outside C; the blocks are nonzero there,
         # as a later closure round's products are, and one C serves every block
         rng = np.random.default_rng(p % 1000 + 7)
@@ -259,27 +256,42 @@ class TestPrimeBasis:
             scattered = np.zeros_like(want)
             scattered[:, got_cols] = got
             assert np.array_equal(scattered, want)
-            assert full.insert_block(block, np.arange(40), stop_at_rank=stop) == \
-                compact.insert_block(block[:, cols], cols, stop_at_rank=stop)
+            assert full.insert_block(block, np.arange(40)) == \
+                compact.insert_block(block[:, cols], cols)
             assert _state(compact) == _state(full)
             assert _off_index(compact) == _off_index(full) == _nonzeros_off_pivot(full)
             _check_store(compact)
             _check_store(full)
             inserted = np.concatenate([inserted, block.astype(np.int64)])
-            if stop is None:
-                # an independent check of the rows that `rows` densifies
-                rows, pivots = oracle_echelon(inserted, p)
-                assert full.rows.astype(np.int64).tolist() == rows
-                assert full._pivot_cols[:full.rank].tolist() == pivots
+            # an independent check of the rows that `rows` densifies
+            rows, pivots = oracle_echelon(inserted, p)
+            assert full.rows.astype(np.int64).tolist() == rows
+            assert full._pivot_cols[:full.rank].tolist() == pivots
         assert np.isin(compact.quotient_cols(), cols).all()
 
-    def test_insert_block_at_stop_rank_inserts_nothing(self):
-        basis = PrimeBasis(97, 6)
-        assert basis.insert_block(np.eye(6)[:3], np.arange(6)) == 3
-        assert basis.insert_block(np.eye(6)[3:], np.arange(6), stop_at_rank=2) == 0
-        assert basis.rank == 3
-        assert basis.insert_block(np.eye(6)[3:], np.arange(6), stop_at_rank=5) == 2
-        assert basis.rank == 5
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_block_reaching_full_rank_partway_matches_sequential_inserts(self, p):
+        # the rank reaches length in the middle of the call; the rows after
+        # that point are nonzero against the stored rows but must not enter
+        rng = np.random.default_rng(p % 1000 + 3)
+        start = _vectors(rng, "dense", 24, 30, p)
+        block = _vectors(rng, "dense", 24, 30, p)
+        one, two = PrimeBasis(p, 30), PrimeBasis(p, 30)
+        one.insert_block(start.astype(np.float64), np.arange(30))
+        for vec in start:
+            two.insert(vec)
+        assert _state(one) == _state(two) and one.rank < 20
+        full_at = None
+        for i, vec in enumerate(block):
+            two.insert(vec)
+            if full_at is None and two.rank == 30:
+                full_at = i
+        assert full_at is not None and full_at < len(block) - 2
+        before = one.rank
+        assert one.insert_block(block.astype(np.float64), np.arange(30)) == 30 - before
+        assert _state(one) == _state(two)
+        _check_store(one)
+        assert one.insert_block(block.astype(np.float64), np.arange(30)) == 0
 
     def test_footprint_does_not_grow_with_length_squared(self):
         # a dense length x length float64 store would take 3.2 GB here
@@ -341,3 +353,43 @@ class TestRationalBasis:
         basis = RationalBasis(3)
         basis.insert([1, 1, 0])
         assert basis.reduce([2, 2, 0]) == {}
+
+    def test_unit_pivots_keep_integer_entries(self):
+        # the commutant solve's rows: +-1 entries whose pivots stay +-1
+        basis = RationalBasis(6)
+        for a, b in [(1, 0), (3, 1), (4, 3), (0, 4), (5, 2), (2, 5), (1, 4)]:
+            basis.insert({a: 1, b: -1})
+        values = [x for row in basis.rows for x in row.values()]
+        assert basis.rank == 4 and all(type(x) is int for x in values)
+        assert basis.reduce({0: 2, 4: -2}) == {}
+        assert basis.reduce({0: 2, 5: -2}) == {4: 2, 5: -2}
+
+    def test_integral_difference_of_fractions_is_stored_as_int(self):
+        basis = RationalBasis(3)
+        basis.insert([2, 1, 3])  # stored as 1, 1/2, 3/2
+        basis.insert([0, 2, 2])  # clears 1/2 and leaves 3/2 - 1/2 = 1
+        assert basis.rows == [{0: 1, 2: 1}, {1: 1, 2: 1}]
+        assert all(type(x) is int for row in basis.rows for x in row.values())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_fraction_oracle_with_non_unit_pivots(self, seed):
+        # entries in [-3, 3] give pivots other than +-1, so some stored
+        # values are proper fractions; every fourth row is dependent
+        rng = np.random.default_rng(seed)
+        vectors = rng.integers(-3, 4, size=(10, 14))
+        vectors[::3, :2] = 0  # rows that start later
+        for i in range(3, 10, 4):
+            vectors[i] = 2 * vectors[i - 1] - 3 * vectors[i - 3]
+        basis = RationalBasis(14)
+        for vec in vectors:
+            basis.insert(vec.tolist())
+        rows, pivots = oracle_rational_echelon(vectors)
+        assert basis.rank == len(rows)
+        assert list(basis.pivot_of) == pivots
+        assert [[row.get(c, 0) for c in range(14)] for row in basis.rows] == rows
+        values = [x for row in basis.rows for x in row.values()]
+        assert any(isinstance(x, Fraction) for x in values)
+        assert all(x != 0 and (isinstance(x, int) or x.denominator != 1) for x in values)
+        for probe in rng.integers(-5, 6, size=(6, 14)):
+            want = oracle_rational_residual(probe, rows, pivots)
+            assert basis.reduce(probe.tolist()) == {c: x for c, x in enumerate(want) if x}

@@ -54,6 +54,20 @@ class TestAnalyzePair:
         obj = a.to_json_dict()
         assert obj["closure"] is None and obj["notes"] == a.notes
 
+    def test_closure_out_of_memory_is_a_failed_verdict(self, monkeypatch):
+        from terwilliger import algebra
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 267. MiB")
+
+        monkeypatch.setattr(algebra, "algebra_closure", no_memory)
+        a = analyze_pair(8, 3)
+        assert a.checks["closure_two_primes_agree"] is False
+        assert a.certificate is None and not a.passed
+        assert a.notes == ["closure_two_primes_agree: out of memory at (n, s) = (8, 3), "
+                           "dim T~ = 64 (Unable to allocate 267. MiB)"]
+        assert a.checks["char_orthogonality"] and a.checks["blocks_match_dimension"]
+
     def test_report_holds_no_arrays(self):
         # the tables and arrays are rebuilt by the layers that make them;
         # an analysis keeps only what the reports print
