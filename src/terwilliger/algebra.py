@@ -88,38 +88,44 @@ class _GeneratorProducts:
 
     Every element of T lies in T~, so it is constant on the orbits of G on
     pairs and is stored as its values at the representative pairs: M[x, y]
-    is m[ids[x, y]].  Then (A_i M)[u, v] = sum over c in Cl_i of M[c u, v],
-    for all classes in one gather plus one segment sum.
+    is m[ids[x, y]].  The generators are label matrices, so their
+    coordinates are read from two labels per representative (u, v): its
+    relation, the class of v u^-1, gives A_i as relation == i, and its
+    diagonal label, the class of u where u = v and -1 elsewhere, gives E*_i
+    as diagonal == i.  Then (A_i M)[u, v] = sum over c in Cl_i of
+    M[c u, v], for all classes in one gather plus one segment sum.
     """
 
     def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
         group, classes = scheme.group, scheme.classes
-        elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
+        self.elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
         self.offsets = np.cumsum([0] + [len(c) for c in classes.classes])[:-1]
-        self.ids = ids
+        self.mult, self.ids = group.mult, ids
         self.u, self.v = np.divmod(reps, group.order)
-        self.left_index = ids[group.mult[elems][:, self.u], self.v]
         class_of = np.asarray(classes.class_of, dtype=np.int64)
-        labels = np.arange(classes.num_classes)[:, None]
-        # E*_i M keeps the pairs with u in Cl_i, M E*_i those with v in Cl_i
-        self.masks = np.concatenate([class_of[self.u] == labels,
-                                     class_of[self.v] == labels]).astype(np.float64)
-
-    def coordinates(self, matrix: np.ndarray) -> np.ndarray:
-        """The values of a matrix at the representatives; it must be constant
-        on every orbit, or the coordinates would not determine it."""
-        coords = matrix[self.u, self.v]
-        if not np.array_equal(coords[self.ids], matrix):
+        self.relation = scheme.class_matrix[self.u, self.v]
+        self.diagonal = np.where(self.u == self.v, class_of[self.u], -1)
+        # the labels determine the generators only if they are orbit invariants
+        if not (np.array_equal(self.relation[ids], scheme.class_matrix)
+                and np.array_equal(self.diagonal[ids], np.diag(class_of + 1) - 1)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
-        return coords
+        self.labels = np.arange(classes.num_classes)[:, None]
+        # E*_i M keeps the pairs with u in Cl_i, M E*_i those with v in Cl_i
+        self.masks = np.concatenate([class_of[self.u] == self.labels,
+                                     class_of[self.v] == self.labels])
+
+    def seeds(self) -> np.ndarray:
+        """The coordinates of A_0..A_t, E*_0..E*_t, one 0/1 row each."""
+        return np.concatenate([self.relation == self.labels, self.diagonal == self.labels])
 
     def all_products(self, cols: np.ndarray):
         """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
         read at `cols` only: each product entry needs only its own column's
         gather.  The gather index for `cols` is taken here, once, so one map
-        serves a whole closure round."""
-        index = self.left_index[:, cols]
-        masks = self.masks[:len(self.offsets), cols]
+        serves a whole closure round.  It is built per column and transposed,
+        so that the segment sums over each class run on contiguous memory."""
+        index = self.ids[self.mult[self.elems, self.u[cols, None]], self.v[cols, None]].T
+        masks = self.masks[:len(self.offsets), cols].astype(np.float64)  # once, not per m
 
         def products(m: np.ndarray) -> np.ndarray:
             left = np.add.reduceat(m[index], self.offsets, axis=0)
@@ -127,44 +133,33 @@ class _GeneratorProducts:
         return products
 
 
-def _generators(scheme: SchemeData, idem: DualIdempotents,
-                seed_order: list[int] | None) -> tuple[list[np.ndarray], list[int]]:
-    """The generators A_0..A_t, E*_0..E*_t, and the order they are seeded in."""
-    t1 = scheme.num_relations
-    gens = [scheme.adjacency(i) for i in range(t1)]
-    gens += [np.diag(idem.diagonals[i]) for i in range(t1)]
-    order = list(range(len(gens))) if seed_order is None else list(seed_order)
-    if sorted(order) != list(range(len(gens))):
-        raise ValueError("seed_order must be a permutation of the generators")
-    return gens, order
-
-
 def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
-                     seeds: np.ndarray, adjacency: np.ndarray,
-                     bound: int) -> tuple[int, list[int]]:
+                     seeds: np.ndarray, bound: int) -> tuple[int, list[int]]:
     """Saturate the generated algebra in a fresh basis over F_p; returns the
     rounds and the rank history (after the seeds, then after each round).
 
     Round 1 offers the products of the generators themselves.  A_i A_j lies
     in the span of the A's (the scheme product identity) and E_i E_j in the
     span of the E's, so only the masked products E_j A_i and A_i E_j, the
-    rows of masks * A_i, can grow the span.  Every later round offers the
-    left products of the rows the round before added.  Each source gives
-    2(t+1) rows, and a chunk of sources fills one insert_block call.
+    rows of masks & (relation == i), can grow the span.  Every later round
+    offers the left products of the rows the round before added.  Each
+    source gives 2(t+1) rows, and a chunk of sources fills one insert_block
+    call.  The seeds and the round-1 rows are 0/1, so they are residues as
+    they stand.
 
     Every block is formed only on columns that can change its residual (see
     the modular docstring).  In round 1 those are the support of the chunk's
-    sources: masks * A_i is zero wherever A_i is.  A later round's products
-    are dense, so they are formed on the quotient columns C of the basis,
-    taken once at the start of the round: C only shrinks while rows enter,
-    so the round's first C stays enough for all of it.  The gather index for
-    C is taken once per round too, and each chunk densifies only its own
-    source rows.
+    sources: the pairs whose relation is one of them.  A later round's
+    products are dense, so they are formed on the quotient columns C of the
+    basis, taken once at the start of the round: C only shrinks while rows
+    enter, so the round's first C stays enough for all of it.  The gather
+    index for C is taken once per round too, and each chunk densifies only
+    its own source rows.
     """
-    basis.insert_block(seeds % basis.p, np.arange(len(products.u)))
+    basis.insert_block(seeds, np.arange(len(products.u)))
     history = [basis.rank]
     chunk = -(-BATCH_ROWS // len(products.masks))
-    rounds, sources = 0, range(len(adjacency))
+    rounds, sources = 0, range(len(products.offsets))
     while sources and basis.rank < bound:
         rounds += 1
         if rounds > ROUND_BUDGET:
@@ -177,9 +172,10 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
         for lo in range(0, len(sources), chunk):
             part = sources[lo:lo + chunk]
             if rounds == 1:
-                cols = np.flatnonzero(adjacency[part].any(axis=0))
-                masks = products.masks[:, cols]
-                block = [masks * adjacency[i, cols] for i in part]
+                cols = np.flatnonzero((products.relation >= part.start)
+                                      & (products.relation < part.stop))
+                masks, relation = products.masks[:, cols], products.relation[cols]
+                block = [masks & (relation == i) for i in part]
             else:
                 block = [multiply(m) for m in basis.dense_rows(part.start, part.stop)]
             basis.insert_block(np.concatenate(block), cols)
@@ -191,11 +187,14 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
 
 
 def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
-                      seed_order: list[int] | None) -> int:
-    """The same saturation over the rationals; exact but only for small groups."""
+                      seed_order: list[int]) -> int:
+    """The same saturation over the rationals, on dense generators; exact but
+    only for small groups."""
     order = scheme.order
     basis = RationalBasis(order * order)
-    gens, seed_order = _generators(scheme, idem, seed_order)
+    t1 = scheme.num_relations
+    gens = [scheme.adjacency(i) for i in range(t1)]
+    gens += [np.diag(idem.diagonals[i]) for i in range(t1)]
     gens = [gens[i] for i in seed_order]
     frontier: list[np.ndarray] = []
     for seed in gens:
@@ -235,19 +234,20 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     """
     if primes[0] == primes[1]:
         raise ValueError("the two moduli must be distinct primes")
+    canonical = list(range(2 * scheme.num_relations))
+    seed_order = canonical if seed_order is None else list(seed_order)
+    if sorted(seed_order) != canonical:
+        raise ValueError("seed_order must be a permutation of the generators")
     group = scheme.group
     bound = dim_t_tilde(group)
     products = _GeneratorProducts(scheme, *pair_orbits(group))
-    gens, seed_order = _generators(scheme, idem, seed_order)
-    coords = np.array([products.coordinates(g) for g in gens])
-    adjacency = coords[:scheme.num_relations]
+    seeds = products.seeds()[seed_order]
 
     rounds: list[int] = []
     histories: list[list[int]] = []
     for p in primes:
         nrounds, history = _modular_closure(
-            PrimeBasis(p, len(products.u)), products,
-            coords[seed_order], adjacency, bound)
+            PrimeBasis(p, len(products.u)), products, seeds, bound)
         rounds.append(nrounds)
         histories.append(history)
     ranks = [history[-1] for history in histories]

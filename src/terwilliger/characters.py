@@ -128,14 +128,13 @@ def char_table(params: GroupParams, classes: ConjugacyData) -> CharTable:
     )
 
 
-def orthogonality_check(table: CharTable, classes: ConjugacyData,
-                        tol: float = ORTHOGONALITY_TOL) -> float:
+def orthogonality_check(table: CharTable, classes: ConjugacyData) -> float:
     """First orthogonality: the weighted Gram matrix of the rows must be I;
     returns the largest deviation."""
     sizes = np.asarray(classes.sizes(), dtype=np.float64)
     gram = (table.values * sizes) @ table.values.conj().T / (2 * table.params.n)
     deviation = float(np.max(np.abs(gram - np.eye(table.num_rows))))
-    if deviation > tol:
+    if deviation > ORTHOGONALITY_TOL:
         raise ConsistencyError(
             f"character table fails first orthogonality: deviation {deviation:.3e}")
     return deviation
@@ -218,14 +217,13 @@ def multiplicities_closedform(params: GroupParams) -> Multiplicities:
 
 
 def conjugation_character_check(table: CharTable, mults: Multiplicities,
-                                classes: ConjugacyData,
-                                tol: float = INTEGRALITY_TOL) -> float:
+                                classes: ConjugacyData) -> float:
     """Verify sum_i d_i chi_i(g) = |C_G(g)| on every class; returns the residual."""
     d = np.asarray(mults.row_values(), dtype=np.float64)
     combined = d @ table.values
     expected = np.asarray(classes.centralizer_orders, dtype=np.float64)
     residual = float(np.max(np.abs(combined - expected)))
-    if residual > tol:
+    if residual > INTEGRALITY_TOL:
         raise ConsistencyError(
             f"conjugation character mismatch: residual {residual:.3e}")
     return residual

@@ -224,10 +224,10 @@ def sweep(n_min: int, n_max: int, *,
           force_closure: bool = False,
           threads: int = 1,
           primes: tuple[int, int] = DEFAULT_PRIMES,
-          generator_order_seed: int | None = None,
-          desk_certificates: bool = False) -> list[Analysis]:
-    """Analyze every valid pair in range; closure runs only up to closure_limit
-    unless forced.  Rows are computed in parallel but returned in (n, s) order."""
+          generator_order_seed: int | None = None) -> list[Analysis]:
+    """Analyze every valid pair in range, without the desk certificates; the
+    closure runs only up to closure_limit unless forced.  Rows are computed
+    in parallel but returned in (n, s) order."""
     pairs = enumerate_pairs(n_min, n_max)
 
     def run(pair: tuple[int, int]) -> Analysis:
@@ -237,7 +237,7 @@ def sweep(n_min: int, n_max: int, *,
             closure=force_closure or n <= closure_limit,
             primes=primes,
             generator_order_seed=generator_order_seed,
-            desk_certificates=desk_certificates,
+            desk_certificates=False,
         )
 
     if threads <= 1:

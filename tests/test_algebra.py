@@ -9,8 +9,7 @@ from terwilliger import (GroupTable, build_group, build_scheme,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params)
 from terwilliger import algebra
-from terwilliger.algebra import (_GeneratorProducts, _generators, _modular_closure,
-                                 algebra_closure)
+from terwilliger.algebra import _GeneratorProducts, _modular_closure, algebra_closure
 from terwilliger.groups import ConsistencyError, pair_orbits
 from terwilliger.modular import DEFAULT_PRIMES, PrimeBasis
 
@@ -26,13 +25,11 @@ def closure_inputs(n, s):
 def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
     """One prime's closure in canonical seed order; returns the basis, the
     generator products, the rounds and the history."""
-    sd, idem, _ = closure_inputs(n, s)
+    sd, _, _ = closure_inputs(n, s)
     products = _GeneratorProducts(sd, *pair_orbits(sd.group))
-    coords = np.array([products.coordinates(g) for g in _generators(sd, idem, None)[0]])
     bound = dim_t_tilde(sd.group) + bound_above_t_tilde
     basis = PrimeBasis(prime, len(products.u))
-    rounds, history = _modular_closure(basis, products, coords,
-                                       coords[:sd.num_relations], bound)
+    rounds, history = _modular_closure(basis, products, products.seeds(), bound)
     return basis, products, rounds, tuple(history)
 
 
@@ -123,16 +120,19 @@ class TestAlgebraClosure:
             assert not basis.reduce(m[transposed]).any()
 
     def test_generators_must_be_constant_on_orbit_cells(self, monkeypatch):
-        # merge an orbit inside relation 1 into an orbit outside it
+        # each case merges two orbits that only one label tells apart: two
+        # off-diagonal orbits of different relations (the A side), and the
+        # diagonal orbits of two classes, both in the identity relation (E*)
         sd, idem, t0 = closure_inputs(8, 3)
         ids, reps = pair_orbits(sd.group)
         u, v = np.divmod(reps, sd.order)
-        relation = sd.adjacency(1)[u, v]
-        a, b = np.flatnonzero(relation == 0)[0], np.flatnonzero(relation == 1)[0]
-        corrupted = np.where(ids == b, a, ids)
-        monkeypatch.setattr(algebra, "pair_orbits", lambda group: (corrupted, reps))
-        with pytest.raises(ConsistencyError, match="not constant"):
-            algebra_closure(sd, idem, dim_t0_value=t0)
+        relation = sd.class_matrix[u, v]
+        off, diagonal = np.flatnonzero(u != v), np.flatnonzero(u == v)
+        for a, b in [(off[0], off[relation[off] != relation[off[0]]][0]), diagonal[:2]]:
+            corrupted = np.where(ids == b, a, ids)
+            monkeypatch.setattr(algebra, "pair_orbits", lambda group: (corrupted, reps))
+            with pytest.raises(ConsistencyError, match="not constant"):
+                algebra_closure(sd, idem, dim_t0_value=t0)
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 3, (13, 63, 64, 64)),
@@ -219,13 +219,26 @@ class TestGeneratorProducts:
         for element in elements:
             if modulus is not None:
                 element = (5 * element) % modulus
-            m = products.coordinates(element).astype(np.float64)
+            m = element[products.u, products.v].astype(np.float64)
             got = products.all_products(np.arange(len(products.u)))(m)
             assert got.shape == (2 * t1, len(products.u))
             want = np.array([(g @ element)[products.u, products.v] for g in adj + dual])
             if modulus is not None:
                 got, want = got % modulus, want % modulus
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_seeds_match_dense_generators(self, case):
+        # rows i and t+1+i of seeds() are A_i and E*_i read at the representatives
+        sd, idem = self.CASES[case]()
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        u, v = products.u, products.v
+        t1 = sd.num_relations
+        want = [sd.adjacency(i)[u, v] for i in range(t1)]
+        want += [np.diag(idem.diagonals[i])[u, v] for i in range(t1)]
+        seeds = products.seeds()
+        assert seeds.shape == (2 * t1, len(u))
+        assert np.array_equal(seeds, np.array(want))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_products_on_cols_match_full_width(self, case):
