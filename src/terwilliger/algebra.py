@@ -39,6 +39,7 @@ from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
 BATCH_ROWS = 256  # products collected before each insert_block call
+SEED_ROWS = 64  # seeds per insert_block call, each chunk on its own support
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 PROVENANCE_EXACT = "exact"
@@ -148,15 +149,19 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     they stand.
 
     Every block is formed only on columns that can change its residual (see
-    the modular docstring).  In round 1 those are the support of the chunk's
-    sources: the pairs whose relation is one of them.  A later round's
+    the modular docstring).  The seeds go in SEED_ROWS at a time, each chunk
+    on its own support.  In round 1 those columns are the support of the
+    chunk's sources: the pairs whose relation is one of them.  A later round's
     products are dense, so they are formed on the quotient columns C of the
     basis, taken once at the start of the round: C only shrinks while rows
     enter, so the round's first C stays enough for all of it.  The gather
     index for C is taken once per round too, and each chunk densifies only
     its own source rows.
     """
-    basis.insert_block(seeds, np.arange(len(products.u)))
+    for lo in range(0, len(seeds), SEED_ROWS):
+        part = seeds[lo:lo + SEED_ROWS]
+        cols = np.flatnonzero(part.any(axis=0))
+        basis.insert_block(part[:, cols], cols)
     history = [basis.rank]
     chunk = -(-BATCH_ROWS // len(products.masks))
     rounds, sources = 0, range(len(products.offsets))

@@ -132,7 +132,10 @@ def orthogonality_check(table: CharTable, classes: ConjugacyData) -> float:
     """First orthogonality: the weighted Gram matrix of the rows must be I;
     returns the largest deviation."""
     sizes = np.asarray(classes.sizes(), dtype=np.float64)
-    gram = (table.values * sizes) @ table.values.conj().T / (2 * table.params.n)
+    # einsum runs numpy's own single-threaded loop: a multithreaded BLAS call
+    # leaves its threads spinning on another core for a while after it returns
+    gram = np.einsum("ik,jk->ij", table.values * sizes,
+                     table.values.conj()) / (2 * table.params.n)
     deviation = float(np.max(np.abs(gram - np.eye(table.num_rows))))
     if deviation > ORTHOGONALITY_TOL:
         raise ConsistencyError(
@@ -220,7 +223,7 @@ def conjugation_character_check(table: CharTable, mults: Multiplicities,
                                 classes: ConjugacyData) -> float:
     """Verify sum_i d_i chi_i(g) = |C_G(g)| on every class; returns the residual."""
     d = np.asarray(mults.row_values(), dtype=np.float64)
-    combined = d @ table.values
+    combined = np.einsum("i,ij->j", d, table.values)  # not BLAS: see orthogonality_check
     expected = np.asarray(classes.centralizer_orders, dtype=np.float64)
     residual = float(np.max(np.abs(combined - expected)))
     if residual > INTEGRALITY_TOL:

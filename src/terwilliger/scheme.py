@@ -20,6 +20,7 @@ CASE_ORDER: tuple[tuple[str, str], ...] = (
     ("X", "X"), ("X", "Y"), ("Y", "X"), ("X", "Z"), ("Z", "X"),
     ("Y", "Y"), ("Y", "Z"), ("Z", "Y"), ("Z", "Z"),
 )
+TENSOR_CHUNK_BINS = 1 << 16  # bins per intersection_numbers bincount
 
 
 class SchemeData:
@@ -89,6 +90,8 @@ class IntersectionTensor:
     """All intersection numbers p[i, j, k] of the scheme.
 
     Held as int32: p[i, j, k] <= |Cl_i| <= |G|, far below 2^31.
+    intersection_numbers gives p as a view of an array indexed [k, i, j], so
+    that the counts at each base point are written as one contiguous slab.
     """
 
     p: np.ndarray
@@ -107,25 +110,29 @@ def intersection_numbers(group: GroupTable, classes: ConjugacyData) -> Intersect
 
     Well-definedness (independence of the choice of y) is re-verified with a
     second base point whenever the class has one; a dependence would mean the
-    scheme axioms fail and raises ConsistencyError.
+    scheme axioms fail and raises ConsistencyError.  The counts for a chunk
+    of classes, at both base points of each, come from one bincount of at
+    most TENSOR_CHUNK_BINS bins (a single class may exceed it).
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
     t1 = classes.num_classes
-    p = np.empty((t1, t1, t1), dtype=np.int32)
-
-    def column(y: int) -> np.ndarray:
-        # slab[i, j] = |{z in Cl_i : y z^-1 in Cl_j}|, one count per z
-        quot_class = cls[group.mult[y, group.inv]]
-        return np.bincount(cls * t1 + quot_class, minlength=t1 * t1).reshape(t1, t1)
-
-    for k in range(t1):
-        members = classes.classes[k]
-        slab = column(members[0])
-        if len(members) > 1 and not np.array_equal(slab, column(members[1])):
-            raise ConsistencyError(
-                f"intersection numbers depend on the base point in class {classes.labels[k]}")
-        p[:, :, k] = slab
-    return IntersectionTensor(p=p, num_classes=t1)
+    by_k = np.empty((t1, t1, t1), dtype=np.int32)
+    first = np.array([c[0] for c in classes.classes])
+    second = np.array([c[1] if len(c) > 1 else c[0] for c in classes.classes])
+    chunk = max(1, TENSOR_CHUNK_BINS // (2 * t1 * t1))
+    for lo in range(0, t1, chunk):
+        points = np.concatenate([first[lo:lo + chunk], second[lo:lo + chunk]])
+        # slabs[b, k, i, j] = |{z in Cl_i : y z^-1 in Cl_j}| for y = points[b, k]
+        quot_class = cls[group.mult[points[:, None], group.inv]]
+        keys = (np.arange(len(points))[:, None] * t1 + cls) * t1 + quot_class
+        slabs = np.bincount(keys.ravel(), minlength=len(points) * t1 * t1)
+        slabs = slabs.reshape(2, -1, t1, t1)
+        moved = np.flatnonzero(np.any(slabs[0] != slabs[1], axis=(1, 2)))
+        if len(moved):
+            raise ConsistencyError("intersection numbers depend on the base point "
+                                   f"in class {classes.labels[lo + moved[0]]}")
+        by_k[lo:lo + chunk] = slabs[0]
+    return IntersectionTensor(p=by_k.transpose(1, 2, 0), num_classes=t1)
 
 
 def dim_t0(tensor: IntersectionTensor) -> int:
@@ -165,22 +172,48 @@ def closed_form_dimension(params: GroupParams) -> int:
     return value // 2
 
 
+def _slot_table(a: np.ndarray) -> np.ndarray:
+    """Row x lists the z with a[x, z], ascending, padded with len(a): the
+    index of an all-zero row appended below the matrix the table indexes."""
+    xs, zs = np.divmod(np.flatnonzero(a), a.shape[1])
+    slot = np.arange(len(xs)) - np.searchsorted(xs, xs)
+    table = np.full((len(a), slot.max(initial=-1) + 1), len(a))
+    table[xs, slot] = zs
+    return table
+
+
 def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
                             pairs: list[tuple[int, int]] | None = None) -> bool:
     """Check A_i A_j == sum_k p[i,j,k] A_k as exact matrix identities.
 
     With pairs=None every (i, j) is checked; callers pass a deterministic
     sample for larger groups.  The relations partition the pairs, so the
-    right side is p[i, j] read at each entry's class.  The left side is a
-    float64 product of 0/1 matrices, exact since each entry is at most |G|.
+    right side is p[i, j] read at each entry's class.  The left side is
+    counted in integers from the class matrix Q alone: (A_i A_j)[x, y] is the
+    number of z with Q[x, z] = i and Q[z, y] = j, so row x of the product is
+    the sum of the rows z of A_j over the z of class i in row x, added one
+    slot of a _slot_table at a time.  Since (A_i A_j)^T = A_j^T A_i^T, the
+    same count can walk the z of class j in Q^T instead; the class with
+    fewer entries is walked.  Each entry is a count of at most |G|, with no
+    floating point and no assumption on Q.
     """
     t1 = tensor.num_classes
     if pairs is None:
         pairs = [(i, j) for i in range(t1) for j in range(t1)]
-    adjacency = {i: (scheme.class_matrix == i).astype(np.float64)
-                 for i in {i for pair in pairs for i in pair}}
+    q = np.ascontiguousarray(scheme.class_matrix)
+    sides = (q, np.ascontiguousarray(q.T))
+    entries = np.bincount(q.ravel(), minlength=t1)
+    zero_row = np.zeros((1, len(q)), dtype=bool)
+    tables: dict[tuple[int, int], np.ndarray] = {}
     for i, j in pairs:
-        lhs = adjacency[i] @ adjacency[j]
-        if not np.array_equal(lhs, tensor.p[i, j][scheme.class_matrix]):
+        side = int(entries[i] > entries[j])
+        walked, summed = (j, i) if side else (i, j)
+        if (side, walked) not in tables:
+            tables[side, walked] = _slot_table(sides[side] == walked)
+        rows = np.concatenate([sides[side] == summed, zero_row])
+        lhs = np.zeros(q.shape, dtype=np.int32)
+        for z in tables[side, walked].T:
+            lhs += rows[z]
+        if not np.array_equal(lhs.T if side else lhs, tensor.p[i, j][q]):
             return False
     return True

@@ -112,6 +112,22 @@ def oracle_intersection_tensor(mult: np.ndarray,
     return p
 
 
+def oracle_tensor_per_class(mult: np.ndarray,
+                            classes: list[tuple[int, ...]]) -> np.ndarray:
+    """The same p[i, j, k] as oracle_intersection_tensor, counted one class k
+    at a time with numpy, for groups too large for the one-z-at-a-time loop;
+    inverses are read off the table, whose identity is 0."""
+    class_of = np.empty(mult.shape[0], dtype=np.int64)
+    for ci, members in enumerate(classes):
+        class_of[list(members)] = ci
+    inverse = np.argmax(mult == 0, axis=1)
+    t1 = len(classes)
+    p = np.zeros((t1, t1, t1), dtype=np.int64)
+    for k, members in enumerate(classes):
+        np.add.at(p[:, :, k], (class_of, class_of[mult[members[0], inverse]]), 1)
+    return p
+
+
 def oracle_echelon(vectors, p: int) -> tuple[list[list[int]], list[int]]:
     """Fully reduced echelon basis over F_p built one vector at a time, in
     Python integers: each residual's first nonzero column becomes its pivot,

@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 
@@ -77,6 +78,20 @@ class TestAnalyzePair:
                 for f in dataclasses.fields(a)
                 if isinstance(getattr(a, f.name), working)}
         assert held == {}
+
+    def test_no_closure_keeps_to_one_thread(self):
+        # a multithreaded BLAS call leaves its threads spinning for a while
+        # after it returns; without the closure, no call should start them.
+        # The first sleep lets threads from earlier tests go idle, the last
+        # one catches the spinning that the last pair's calls would cause.
+        # (100, 51) has 125 classes, enough for d @ values to be split
+        time.sleep(0.5)
+        start = time.process_time() - time.thread_time()
+        for n, s in [(100, 99), (99, 98), (98, 97), (100, 51)]:
+            assert analyze_pair(n, s, closure=False).passed
+        time.sleep(0.3)
+        other_threads = time.process_time() - time.thread_time() - start
+        assert other_threads < 0.05, other_threads
 
     def test_json_shape(self):
         obj = analyze_pair(4, 3).to_json_dict()

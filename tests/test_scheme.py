@@ -3,13 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import oracle_intersection_tensor, oracle_t0_count, s4_table
+from helpers import (oracle_intersection_tensor, oracle_t0_count,
+                     oracle_tensor_per_class, s4_table)
 from terwilliger import (ConsistencyError, GroupTable, IntersectionTensor,
-                         build_group, build_scheme, case_counts,
+                         SchemeData, build_group, build_scheme, case_counts,
                          closed_form_dimension, conjugacy_classes, dim_t0,
                          expected_case_counts, generic_conjugacy_classes,
-                         intersection_numbers, valid_twists, validate_params,
-                         verify_product_identity)
+                         intersection_numbers, scheme, valid_twists,
+                         validate_params, verify_product_identity)
 from terwilliger.scheme import CASE_ORDER
 
 
@@ -18,6 +19,21 @@ def pipeline(n, s):
     group = build_group(params)
     classes = conjugacy_classes(group)
     return params, group, classes
+
+
+def swapped_d43_classes():
+    """D(4,3) with a and a^2 swapped between their classes: {a} and {a^2, a^3}
+    are no longer conjugation-invariant, and base points a^2 and a^3 of Y1
+    disagree."""
+    _, g, c = pipeline(4, 3)
+    classes = ((1,), (0,), (2, 3), (5, 7), (4, 6))
+    assert sorted(map(sorted, c.classes)) != sorted(map(sorted, classes))
+    assert c.labels[2] == "Y1"
+    class_of = [0] * g.order
+    for ci, members in enumerate(classes):
+        for x in members:
+            class_of[x] = ci
+    return g, dataclasses.replace(c, classes=classes, class_of=tuple(class_of))
 
 
 class TestBuildScheme:
@@ -104,19 +120,47 @@ class TestIntersectionNumbers:
             perturbed = IntersectionTensor(p=p, num_classes=t1)
             assert not verify_product_identity(sd, perturbed, pairs), k
 
+    @pytest.mark.parametrize("n,s,sampled", [(8, 3, False), (12, 5, False), (16, 7, True)])
+    def test_product_identity_detects_one_corrupted_relation(self, n, s, sampled):
+        # two entries of different classes swapped in one row of Q: every row
+        # still meets each class |Cl_i| times, but two columns no longer do
+        _, g, c = pipeline(n, s)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        q = sd.class_matrix.copy()
+        x = 1
+        z1, z2 = 2, next(z for z in range(3, g.order) if q[x, z] not in (q[x, 2], q[x, x]))
+        a, b = int(q[x, z1]), int(q[x, z2])
+        q[x, z1], q[x, z2] = b, a
+        rows = np.arange(g.order)[:, None] * c.num_classes + q
+        assert np.array_equal(np.bincount(rows.ravel()).reshape(g.order, -1),
+                              np.tile(c.sizes(), (g.order, 1)))
+        corrupted = SchemeData(g, q, c)
+        pairs = [(0, 0), (a, b), (b, a)] if sampled else None
+        assert verify_product_identity(sd, tensor, pairs)
+        assert not verify_product_identity(corrupted, tensor, pairs)
+
     def test_base_point_dependence_raises(self):
-        # a and a^2 swapped between their classes: {a} and {a^2, a^3} are no
-        # longer conjugation-invariant, and base points a^2 and a^3 disagree
-        _, g, c = pipeline(4, 3)
-        classes = ((1,), (0,), (2, 3), (5, 7), (4, 6))
-        assert sorted(map(sorted, c.classes)) != sorted(map(sorted, classes))
-        class_of = [0] * g.order
-        for ci, members in enumerate(classes):
-            for x in members:
-                class_of[x] = ci
-        corrupted = dataclasses.replace(c, classes=classes, class_of=tuple(class_of))
+        g, corrupted = swapped_d43_classes()
         with pytest.raises(ConsistencyError, match="depend on the base point"):
             intersection_numbers(g, corrupted)
+
+    @pytest.mark.parametrize("chunk_classes", [1, 2])
+    def test_base_point_check_names_the_first_class_in_chunks(self, monkeypatch,
+                                                              chunk_classes):
+        # Y1 fails first, also when it is counted in a chunk of its own or
+        # as the first class of the second chunk of two
+        g, corrupted = swapped_d43_classes()
+        monkeypatch.setattr(scheme, "TENSOR_CHUNK_BINS", 2 * chunk_classes * 5 ** 2)
+        with pytest.raises(ConsistencyError, match="depend on the base point in class Y1$"):
+            intersection_numbers(g, corrupted)
+
+    def test_chunks_match_per_class_oracle(self):
+        # (100, 99) has 53 classes, counted in 5 chunks of at most 11
+        _, g, c = pipeline(100, 99)
+        assert 2 * c.num_classes ** 3 > 4 * scheme.TENSOR_CHUNK_BINS
+        expected = oracle_tensor_per_class(g.mult, list(c.classes))
+        assert np.array_equal(intersection_numbers(g, c).p, expected)
 
     @pytest.mark.parametrize("group", ["S4", (8, 3), (12, 5), (15, 4)])
     def test_matches_oracle_tensor(self, group):
