@@ -93,7 +93,9 @@ class _GeneratorProducts:
     coordinates are read from two labels per representative (u, v): its
     relation, the class of v u^-1, gives A_i as relation == i, and its
     diagonal label, the class of u where u = v and -1 elsewhere, gives E*_i
-    as diagonal == i.  Then (A_i M)[u, v] = sum over c in Cl_i of
+    as diagonal == i; E*_j M keeps the pairs with class_u == j, and M E*_j
+    those with class_v == j.  Every 0/1 row is built from these four labels
+    on the columns that need it.  Then (A_i M)[u, v] = sum over c in Cl_i of
     M[c u, v], for all classes in one gather plus one segment sum.
     """
 
@@ -110,14 +112,12 @@ class _GeneratorProducts:
         if not (np.array_equal(self.relation[ids], scheme.class_matrix)
                 and np.array_equal(self.diagonal[ids], np.diag(class_of + 1) - 1)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
-        self.labels = np.arange(classes.num_classes)[:, None]
-        # E*_i M keeps the pairs with u in Cl_i, M E*_i those with v in Cl_i
-        self.masks = np.concatenate([class_of[self.u] == self.labels,
-                                     class_of[self.v] == self.labels])
+        self.class_u, self.class_v = class_of[self.u], class_of[self.v]
 
-    def seeds(self) -> np.ndarray:
-        """The coordinates of A_0..A_t, E*_0..E*_t, one 0/1 row each."""
-        return np.concatenate([self.relation == self.labels, self.diagonal == self.labels])
+    def seeds(self, gens) -> np.ndarray:
+        """A 0/1 row per generator g in `gens`: A_g for g <= t, else E*_(g-t-1)."""
+        t1 = len(self.offsets)
+        return np.array([self.relation == g if g < t1 else self.diagonal == g - t1 for g in gens])
 
     def all_products(self, cols: np.ndarray):
         """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
@@ -126,7 +126,8 @@ class _GeneratorProducts:
         serves a whole closure round.  It is built per column and transposed,
         so that the segment sums over each class run on contiguous memory."""
         index = self.ids[self.mult[self.elems, self.u[cols, None]], self.v[cols, None]].T
-        masks = self.masks[:len(self.offsets), cols].astype(np.float64)  # once, not per m
+        masks = self.class_u[cols] == np.arange(len(self.offsets))[:, None]
+        masks = masks.astype(np.float64)  # once, not per m
 
         def products(m: np.ndarray) -> np.ndarray:
             left = np.add.reduceat(m[index], self.offsets, axis=0)
@@ -135,35 +136,37 @@ class _GeneratorProducts:
 
 
 def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
-                     seeds: np.ndarray, bound: int) -> tuple[int, list[int]]:
-    """Saturate the generated algebra in a fresh basis over F_p; returns the
-    rounds and the rank history (after the seeds, then after each round).
+                     seed_order: list[int], bound: int) -> tuple[int, list[int]]:
+    """Saturate the algebra of the generators in `seed_order` in a fresh basis
+    over F_p; returns the rounds and the rank history (after the seeds, then
+    after each round).
 
     Round 1 offers the products of the generators themselves.  A_i A_j lies
     in the span of the A's (the scheme product identity) and E_i E_j in the
     span of the E's, so only the masked products E_j A_i and A_i E_j, the
-    rows of masks & (relation == i), can grow the span.  Every later round
-    offers the left products of the rows the round before added.  Each
-    source gives 2(t+1) rows, and a chunk of sources fills one insert_block
-    call.  The seeds and the round-1 rows are 0/1, so they are residues as
-    they stand.
+    rows where relation == i and class_u or class_v == j, can grow the span.
+    Every later round offers the left products of the rows the round before
+    added.  Each source gives 2(t+1) rows, and a chunk of sources fills one
+    insert_block call.  The seeds and the round-1 rows are 0/1, so they are
+    residues as they stand.
 
     Every block is formed only on columns that can change its residual (see
-    the modular docstring).  The seeds go in SEED_ROWS at a time, each chunk
-    on its own support.  In round 1 those columns are the support of the
-    chunk's sources: the pairs whose relation is one of them.  A later round's
+    the modular docstring), and its 0/1 rows are built from the labels there
+    alone.  The seeds go in SEED_ROWS at a time, each chunk on its own
+    support.  In round 1 those columns are the support of the chunk's
+    sources: the pairs whose relation is one of them.  A later round's
     products are dense, so they are formed on the quotient columns C of the
     basis, taken once at the start of the round: C only shrinks while rows
     enter, so the round's first C stays enough for all of it.  The gather
     index for C is taken once per round too, and each chunk densifies only
     its own source rows.
     """
-    for lo in range(0, len(seeds), SEED_ROWS):
-        part = seeds[lo:lo + SEED_ROWS]
+    for lo in range(0, len(seed_order), SEED_ROWS):
+        part = products.seeds(seed_order[lo:lo + SEED_ROWS])
         cols = np.flatnonzero(part.any(axis=0))
         basis.insert_block(part[:, cols], cols)
     history = [basis.rank]
-    chunk = -(-BATCH_ROWS // len(products.masks))
+    chunk = -(-BATCH_ROWS // (2 * len(products.offsets)))
     rounds, sources = 0, range(len(products.offsets))
     while sources and basis.rank < bound:
         rounds += 1
@@ -179,7 +182,10 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
             if rounds == 1:
                 cols = np.flatnonzero((products.relation >= part.start)
                                       & (products.relation < part.stop))
-                masks, relation = products.masks[:, cols], products.relation[cols]
+                labels = np.arange(len(products.offsets))[:, None]
+                masks = np.concatenate([products.class_u[cols] == labels,
+                                        products.class_v[cols] == labels])
+                relation = products.relation[cols]
                 block = [masks & (relation == i) for i in part]
             else:
                 block = [multiply(m) for m in basis.dense_rows(part.start, part.stop)]
@@ -246,13 +252,12 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     group = scheme.group
     bound = dim_t_tilde(group)
     products = _GeneratorProducts(scheme, *pair_orbits(group))
-    seeds = products.seeds()[seed_order]
 
     rounds: list[int] = []
     histories: list[list[int]] = []
     for p in primes:
         nrounds, history = _modular_closure(
-            PrimeBasis(p, len(products.u)), products, seeds, bound)
+            PrimeBasis(p, len(products.u)), products, seed_order, bound)
         rounds.append(nrounds)
         histories.append(history)
     ranks = [history[-1] for history in histories]

@@ -192,14 +192,6 @@ class PrimeBasis:
                                          self._off_pivot(stored, support, at))
         return out, out_cols
 
-    def reduce(self, vec) -> np.ndarray:
-        """The residual of one vector: zero exactly when it lies in the span."""
-        arr = np.asarray(vec, dtype=np.int64) % self.p
-        if arr.shape != (self.length,):
-            raise ValueError(f"expected a vector of length {self.length}")
-        out, _ = self.reduce_block(arr.astype(np.float64)[None, :], np.arange(self.length))
-        return out[0].astype(np.int64)
-
     def _insert_reduced(self, block: np.ndarray, cols: np.ndarray) -> int:
         """Insert the rows of a block already reduced against the basis and
         given on the sorted global columns `cols`, until the rank is full.
@@ -272,8 +264,8 @@ class PrimeBasis:
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
-        residual = self.reduce(vec).astype(np.float64)[None, :]
-        return self._insert_reduced(residual, np.arange(self.length)) == 1
+        row = np.asarray(vec, dtype=np.int64)[None, :] % self.p
+        return self.insert_block(row, np.arange(self.length)) == 1
 
     def insert_block(self, block: np.ndarray, cols) -> int:
         """Insert the rows of a residue block in order; returns how many entered.
@@ -283,8 +275,8 @@ class PrimeBasis:
         other column can change a row's residual.  Every column, the
         quotient columns C of `quotient_cols`, or the block's own support
         all qualify and give the same result; a C too small gives a wrong
-        one, with no error.  The result is identical to one insert() per
-        row; once the rank is full the call stops reading rows.  The block
+        one, with no error.  The result is identical to one call per row;
+        once the rank is full the call stops reading rows.  The block
         is reduced against the stored rows once; a row is then reduced only
         against the rows that entered earlier in the same call, and the
         stored rows are brought to zero at the new pivots in one restricted

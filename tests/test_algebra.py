@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,8 @@ def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
     products = _GeneratorProducts(sd, *pair_orbits(sd.group))
     bound = dim_t_tilde(sd.group) + bound_above_t_tilde
     basis = PrimeBasis(prime, len(products.u))
-    rounds, history = _modular_closure(basis, products, products.seeds(), bound)
+    canonical = list(range(2 * sd.num_relations))
+    rounds, history = _modular_closure(basis, products, canonical, bound)
     return basis, products, rounds, tuple(history)
 
 
@@ -115,9 +117,8 @@ class TestAlgebraClosure:
         # in orbital coordinates M[x, y] = m[ids[x, y]], so M^T reads m[ids[v, u]]
         basis, products, _, _ = run_modular_closure(n, s)
         transposed = products.ids[products.v, products.u]
-        for r in range(basis.rank):
-            m = basis.rows[r].astype(np.int64)
-            assert not basis.reduce(m[transposed]).any()
+        out, _ = basis.reduce_block(basis.rows[:, transposed], np.arange(len(transposed)))
+        assert not out.any()
 
     def test_generators_must_be_constant_on_orbit_cells(self, monkeypatch):
         # each case merges two orbits that only one label tells apart: two
@@ -229,16 +230,20 @@ class TestGeneratorProducts:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_seeds_match_dense_generators(self, case):
-        # rows i and t+1+i of seeds() are A_i and E*_i read at the representatives
+        # generators i and t+1+i are A_i and E*_i read at the representatives;
+        # seeds(gens) gives the rows of the generators asked for, in that order
         sd, idem = self.CASES[case]()
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
         want = [sd.adjacency(i)[u, v] for i in range(t1)]
         want += [np.diag(idem.diagonals[i])[u, v] for i in range(t1)]
-        seeds = products.seeds()
-        assert seeds.shape == (2 * t1, len(u))
-        assert np.array_equal(seeds, np.array(want))
+        want = np.array(want)
+        subset = [int(g) for g in np.random.default_rng(t1).permutation(2 * t1)[:t1 + 1]]
+        for gens in (subset, list(range(2 * t1))):
+            seeds = products.seeds(gens)
+            assert seeds.shape == (len(gens), len(u))
+            assert np.array_equal(seeds, want[gens])
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_products_on_cols_match_full_width(self, case):
@@ -251,6 +256,21 @@ class TestGeneratorProducts:
         for size in (1, length // 3, length):
             cols = np.sort(rng.choice(length, size=size, replace=False))
             assert np.array_equal(products.all_products(cols)(m), full[:, cols])
+
+    @pytest.mark.parametrize("n,s", [(64, 33), (100, 51)])
+    def test_retains_labels_not_generator_stacks(self, n, s):
+        # a few arrays of length dim T~ fit; one 2(t+1) x dim T~ stack does not
+        group = build_group(validate_params(n, s))
+        sd = build_scheme(group, conjugacy_classes(group))
+        orbits = pair_orbits(group)
+        tracemalloc.start()
+        try:
+            products = _GeneratorProducts(sd, *orbits)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(products.u) == dim_t_tilde(group)
+        assert retained < 64 * len(products.u)
 
 
 class TestDimTTilde:

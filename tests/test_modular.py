@@ -25,6 +25,13 @@ def _vectors(rng, kind: str, count: int, length: int, p: int) -> np.ndarray:
     return rows
 
 
+def _residual(basis: PrimeBasis, vec) -> np.ndarray:
+    """The residual of one vector, on every column."""
+    out, _ = basis.reduce_block(np.asarray(vec, dtype=np.float64)[None, :],
+                                np.arange(basis.length))
+    return out[0]
+
+
 def _state(basis: PrimeBasis) -> tuple:
     return basis.rank, basis.rows.tolist(), basis._pivot_cols[:basis.rank].tolist()
 
@@ -33,12 +40,13 @@ class TestPrimeBasis:
     def test_reduce_against_empty_basis(self):
         basis = PrimeBasis(97, 5)
         v = [3, 1, 4, 1, 5]
-        assert np.array_equal(basis.reduce(v), np.array(v))
+        assert np.array_equal(_residual(basis, v), np.array(v))
 
     def test_membership_after_insert(self):
         basis = PrimeBasis(97, 4)
         assert basis.insert([2, 4, 6, 8])
-        assert not basis.reduce([1, 2, 3, 4]).any()  # scalar multiple
+        assert not _residual(basis, [1, 2, 3, 4]).any()  # scalar multiple
+        assert basis.insert_block(np.array([[3.0, 6.0, 9.0, 12.0]]), np.arange(4)) == 0
 
     def test_double_insert(self):
         basis = PrimeBasis(101, 3)
@@ -61,8 +69,8 @@ class TestPrimeBasis:
         basis.insert([0, 1, 0, 0, 3, 0])
         in_span = np.array([2, 3, 0, 4, 9, 0])
         w = np.array([0, 0, 5, 0, 0, 7])   # supported away from the pivots
-        assert not basis.reduce(in_span).any()
-        assert np.array_equal(basis.reduce(in_span + w), w % 97)
+        assert not _residual(basis, in_span).any()
+        assert np.array_equal(_residual(basis, in_span + w), w % 97)
 
     def test_bose_mesner_rank(self):
         # the adjacency matrices of D(3,2) are disjointly supported 0/1 matrices
@@ -222,7 +230,8 @@ class TestPrimeBasis:
     def test_modulus_mismatch_length(self):
         basis = PrimeBasis(97, 4)
         with pytest.raises(ValueError):
-            basis.reduce([1, 2, 3])
+            basis.insert([1, 2, 3])
+        assert basis.rank == 0
 
     @pytest.mark.parametrize("length,width", [(5, 3), (3, 6)])
     def test_insert_block_width_mismatch(self, length, width):
