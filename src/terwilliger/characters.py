@@ -132,11 +132,17 @@ def orthogonality_check(table: CharTable, classes: ConjugacyData) -> float:
     """First orthogonality: the weighted Gram matrix of the rows must be I;
     returns the largest deviation."""
     sizes = np.asarray(classes.sizes(), dtype=np.float64)
-    # einsum runs numpy's own single-threaded loop: a multithreaded BLAS call
-    # leaves its threads spinning on another core for a while after it returns
-    gram = np.einsum("ik,jk->ij", table.values * sizes,
-                     table.values.conj()) / (2 * table.params.n)
-    deviation = float(np.max(np.abs(gram - np.eye(table.num_rows))))
+    # with values x + iy and the sizes weighting the left factor, the Gram
+    # matrix is (x x^T + y y^T) + i (y x^T - x y^T): one float64 einsum per
+    # part, as numpy's complex128 einsum loop is not vectorised.  einsum runs
+    # on one thread: a multithreaded BLAS call leaves its threads spinning on
+    # another core for a while after it returns
+    x, y = table.values.real, table.values.imag
+    parts = np.hstack([x, y])
+    weights = np.tile(sizes, 2) / (2 * table.params.n)
+    real = np.einsum("ik,jk->ij", parts * weights, parts)
+    imag = np.einsum("ik,jk->ij", np.hstack([y, -x]) * weights, parts)
+    deviation = float(np.max(np.hypot(real - np.eye(table.num_rows), imag)))
     if deviation > ORTHOGONALITY_TOL:
         raise ConsistencyError(
             f"character table fails first orthogonality: deviation {deviation:.3e}")

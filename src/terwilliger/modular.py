@@ -37,12 +37,26 @@ Within those columns the products are restricted further to what they can
 change: the block rows with a nonzero coefficient, the stored rows whose
 pivot one of them hits, and the columns where those stored rows are
 nonzero off their pivots, read from the store.  Every term left out is
-zero, so the result equals the dense product exactly.  insert_block works
-the same way: a row is reduced only against the rows that entered earlier
-in the same call, on the block's own nonzero columns, and the older rows
-are brought to zero at the new pivots once per call, on those columns
-only; the rows a new pivot hits, and their entries at those columns, are
-found in the store.
+zero, so the result equals the dense product exactly.
+
+insert_block reduces the block against the store that way, then eliminates
+its rows among themselves on the block's own nonzero columns: a row is
+reduced only against the rows that entered earlier in the same call, and
+the older rows are brought to zero at the new pivots once per call, on
+those columns only; the rows a new pivot hits, and their entries at those
+columns, are found in the store.  The in-call elimination has two loops
+that return the same rows, chosen by the block's width, its number of
+nonzero columns.  A block narrower than SPARSE_WIDTH runs the sparse loop,
+on {column: residue} rows of Python ints, each value taken mod p as it is
+formed; the closure's reduced blocks have a few nonzeros per row, and
+Python arithmetic on a handful of entries beats about 20 numpy calls per
+row.  A block at least that wide runs the dense loop on float64 rows:
+such blocks fill in as rows enter, and a whole-row numpy step then wins.  Both loops
+reduce each row against the same earlier rows, take the same first nonzero
+as its pivot, scale by the same inverse and clear the same column, so they
+enter the same rows in the same order: the unique fully reduced basis with
+that pivot sequence.  The store and every product outside the in-call loop
+are shared.
 
 Residues are stored in float64 so the products run through BLAS.  Every
 multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
@@ -50,9 +64,11 @@ slabs of k inner terms with k * (p-1)^2 < 2^53, reduced mod p after each
 slab (the delayed reduction of FFLAS-FFPACK), so every sum is an exact
 float64 integer; `_mod` takes it back to [0, p) by an exact int64 remainder.
 At the default moduli, the two largest primes below 2^20, one slab holds
-8192 terms.  Modular rank only lower-bounds the rational rank, so callers
-must close the gap themselves (see the algebra closure, which pins the
-rank exactly whenever it reaches the centralizer bound).
+8192 terms.  The sparse loop needs no such window: a Python int is exact
+at any size, and its residues, below p < 2^53, convert to float64 exactly
+when its rows are stored.  Modular rank only lower-bounds the rational
+rank, so callers must close the gap themselves (see the algebra closure,
+which pins the rank exactly whenever it reaches the centralizer bound).
 """
 
 from __future__ import annotations
@@ -65,6 +81,10 @@ import numpy as np
 DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
 FLOAT_EXACT = 2 ** 53
+
+# blocks with fewer nonzero columns than this run the sparse in-call loop;
+# near the measured break-even, since wider blocks fill in as rows enter
+SPARSE_WIDTH = 320
 
 
 class PrimeBasis:
@@ -201,43 +221,22 @@ class PrimeBasis:
         reduced only against the rows that entered earlier in this call,
         which are zero at the old pivots and fully reduced among themselves.
         So each residual, and its pivot, is the one a fully reduced basis
-        would give.  The stored rows are brought to zero at the new pivots
-        once, at the end, which leaves the unique fully reduced basis with
-        this pivot sequence.  A new row is zero off those nonzero columns,
-        none of which is an old pivot, so the update changes only those
-        columns of the older rows it hits, and never their pivots.
+        would give.  Fewer than SPARSE_WIDTH such columns go to the sparse
+        loop, SPARSE_WIDTH or more to the dense one; both return the same
+        rows.  The stored rows are brought to zero at the new pivots once, at
+        the end, which leaves the unique fully reduced basis with this pivot
+        sequence.  A new row is zero off those nonzero columns, none of which
+        is an old pivot, so the update changes only those columns of the
+        older rows it hits, and never their pivots.
         """
         nonzero_cols = block.any(axis=0)
         cols = cols[nonzero_cols]
         todo = block[:, nonzero_cols]
         todo = todo[todo.any(axis=1)]
         room = self.length - self.rank  # rows past a full rank reduce to zero
-        new = np.zeros_like(todo)
-        pivots = np.zeros(len(todo), dtype=np.int64)  # indices into cols
-        added = 0
-        for row in todo:
-            if added:
-                coeffs = row[pivots[:added]]
-                hit = coeffs.nonzero()[0]
-                if len(hit):
-                    row = self._sub_product(row, coeffs[hit], new[hit])
-            nonzero = row.nonzero()[0]
-            if not len(nonzero):
-                continue
-            pivot = nonzero[0]
-            if row[pivot] != 1:
-                row = self._mod(row * float(pow(int(row[pivot]), -1, self.p)))
-            col = new[:added, pivot]
-            hit = col.nonzero()[0]
-            if len(hit):
-                new[hit] = self._mod(new[hit] - col[hit, None] * row)
-            pivots[added] = pivot
-            new[added] = row
-            added += 1
-            if added == room:
-                break
-        start, end = self.rank, self.rank + added
-        new, pivots = new[:added], pivots[:added]
+        eliminate = self._eliminate_sparse if len(cols) < SPARSE_WIDTH else self._eliminate_dense
+        new, pivots = eliminate(todo, room)
+        start, end = self.rank, self.rank + len(new)
         self._pivot_cols[start:end] = cols[pivots]
         self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
         # older rows with an off-pivot nonzero at one of the new pivots; they
@@ -260,7 +259,92 @@ class PrimeBasis:
         self._off_cols = np.concatenate([self._off_cols[keep], cols[c], cols[nc]])
         self._off_vals = np.concatenate([self._off_vals[keep], older[r, c], new[nr, nc]])
         self.rank = end
-        return added
+        return len(new)
+
+    def _eliminate_dense(self, todo: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray]:
+        """The in-call elimination on float64 rows: at most `room` fully
+        reduced rows, in the order they entered, and their pivots as indices
+        into the block's columns; every multi-term product goes through
+        `_sub_product`."""
+        new = np.zeros_like(todo)
+        pivots = np.zeros(len(todo), dtype=np.int64)
+        added = 0
+        for row in todo:
+            if added:
+                coeffs = row[pivots[:added]]
+                hit = coeffs.nonzero()[0]
+                if len(hit):
+                    row = self._sub_product(row, coeffs[hit], new[hit])
+            nonzero = row.nonzero()[0]
+            if not len(nonzero):
+                continue
+            pivot = nonzero[0]
+            if row[pivot] != 1:
+                row = self._mod(row * float(pow(int(row[pivot]), -1, self.p)))
+            col = new[:added, pivot]
+            hit = col.nonzero()[0]
+            if len(hit):
+                new[hit] = self._mod(new[hit] - col[hit, None] * row)
+            pivots[added] = pivot
+            new[added] = row
+            added += 1
+            if added == room:
+                break
+        return new[:added], pivots[:added]
+
+    def _eliminate_sparse(self, todo: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray]:
+        """The same elimination on {column: residue} rows of Python ints,
+        each value reduced mod p as it is formed, so it is exact at any p
+        with no float window.  A row's coefficients at the entered pivots
+        are read as it is reduced: an entered row is zero at every other
+        entered pivot, so subtracting it changes none of them.  `holders`
+        maps a column to the entered rows that may be nonzero there off
+        their pivot, a superset of the rows a new pivot there must clear."""
+        p = self.p
+
+        def subtract(target: dict[int, int], coeff: int, source: dict[int, int]) -> None:
+            for j, v in source.items():
+                x = (target.get(j, 0) - coeff * v) % p
+                if x:
+                    target[j] = x
+                else:
+                    del target[j]
+
+        rows: list[dict[int, int]] = [{} for _ in range(len(todo))]
+        r, c = np.nonzero(todo)
+        for i, j, v in zip(r.tolist(), c.tolist(), todo[r, c].astype(np.int64).tolist()):
+            rows[i][j] = v
+        new: list[dict[int, int]] = []
+        pivots: list[int] = []
+        pivot_of: dict[int, int] = {}
+        holders: dict[int, set[int]] = {}
+        for row in rows:
+            for col in [col for col in row if col in pivot_of]:
+                subtract(row, row[col], new[pivot_of[col]])
+            if not row:
+                continue
+            pivot = min(row)
+            if row[pivot] != 1:
+                inv = pow(row[pivot], -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            off = [j for j in row if j != pivot]
+            for k in holders.pop(pivot, ()):
+                coeff = new[k].get(pivot)
+                if coeff:  # none if that entry of row k has cancelled since
+                    subtract(new[k], coeff, row)
+                    for j in off:
+                        holders.setdefault(j, set()).add(k)
+            for j in off:
+                holders.setdefault(j, set()).add(len(new))
+            pivot_of[pivot] = len(new)
+            pivots.append(pivot)
+            new.append(row)
+            if len(new) == room:
+                break
+        out = np.zeros((len(new), todo.shape[1]))
+        at = [i for i, row in enumerate(new) for _ in row]
+        out[at, [j for row in new for j in row]] = [v for row in new for v in row.values()]
+        return out, np.array(pivots, dtype=np.int64)
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
@@ -280,9 +364,13 @@ class PrimeBasis:
         is reduced against the stored rows once; a row is then reduced only
         against the rows that entered earlier in the same call, and the
         stored rows are brought to zero at the new pivots in one restricted
-        product at the end; `_sub_product` keeps every product exact.  A
-        call takes at most 2048 rows, which bounds its working copy of the
-        block; the closure offers a few hundred at a time.
+        product at the end; `_sub_product` keeps every product exact.  The
+        in-call loop is the sparse one, on Python ints reduced mod p, when
+        the reduced block has fewer than SPARSE_WIDTH nonzero columns, and
+        the dense float64 one otherwise; both store the same rows (see the
+        module docstring).  A call takes at most 2048 rows, which bounds its
+        working copy of the block; the closure offers a few hundred at a
+        time.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:

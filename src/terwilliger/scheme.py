@@ -21,6 +21,7 @@ CASE_ORDER: tuple[tuple[str, str], ...] = (
     ("Y", "Y"), ("Y", "Z"), ("Z", "Y"), ("Z", "Z"),
 )
 TENSOR_CHUNK_BINS = 1 << 16  # bins per intersection_numbers bincount
+COUNT_CHUNK_ENTRIES = 1 << 22  # tensor entries per case_counts nonzero count
 
 
 class SchemeData:
@@ -143,7 +144,12 @@ def dim_t0(tensor: IntersectionTensor) -> int:
 def case_counts(tensor: IntersectionTensor, classes: ConjugacyData) -> dict[tuple[str, str], int]:
     """Nonzero-triple counts for each (kind of Cl_i, kind of Cl_j) case of CASE_ORDER."""
     kinds = np.asarray(classes.kinds)
-    nz = np.count_nonzero(tensor.p, axis=2)
+    # a few i-slices at a time: a bool temporary of the whole tensor would be
+    # (t+1)^3 bytes, 125 MB at t + 1 = 500
+    t1 = len(tensor.p)
+    chunk = max(1, COUNT_CHUNK_ENTRIES // (t1 * t1))
+    nz = np.concatenate([np.count_nonzero(tensor.p[lo:lo + chunk], axis=2)
+                         for lo in range(0, t1, chunk)])
     return {(u, v): int(nz[np.ix_(kinds == u, kinds == v)].sum()) for u, v in CASE_ORDER}
 
 

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from helpers import oracle_char_cells, one_dim_character, two_dim_character
-from terwilliger import (build_group, char_table, closed_form_dimension,
+from terwilliger import (ConsistencyError, build_group, char_table, closed_form_dimension,
                          conjugacy_classes, conjugation_character_check,
                          multiplicities_closedform, multiplicities_rowsum,
                          orthogonality_check, two_dim_reps, valid_twists,
@@ -112,6 +114,20 @@ class TestOrthogonality:
     def test_within_tolerance(self, n, s):
         _, classes, table = table_for(n, s)
         assert 0 <= orthogonality_check(table, classes) < 1e-9
+
+    @pytest.mark.parametrize("n,s", [(12, 5), (40, 21)])
+    def test_deviation_matches_complex_gram(self, n, s):
+        # a phase on one value moves both parts of the Gram matrix; the
+        # reported deviation is the one of the complex product
+        _, classes, table = table_for(n, s)
+        values = table.values.copy()
+        values[-1, 1] *= np.exp(0.3j)
+        sizes = np.array(classes.sizes())
+        gram = (values * sizes) @ values.conj().T / (2 * n)
+        want = np.max(np.abs(gram - np.eye(len(values))))
+        with pytest.raises(ConsistencyError, match="first orthogonality") as info:
+            orthogonality_check(dataclasses.replace(table, values=values), classes)
+        assert f"deviation {want:.3e}" in str(info.value)
 
 
 class TestMultiplicities:

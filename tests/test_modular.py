@@ -6,11 +6,20 @@ import numpy as np
 import pytest
 
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
-                         build_scheme, conjugacy_classes, validate_params)
+                         build_scheme, conjugacy_classes, modular, validate_params)
 
 from helpers import oracle_echelon, oracle_rational_echelon, oracle_rational_residual
 
 PRIMES = (97, *DEFAULT_PRIMES)
+# each prime on both in-call loops of insert_block; the sparse loop, which
+# these 30-column blocks take by their width, keeps the bare prime as its id
+PRIME_LOOPS = [pytest.param(p, loop, id=str(p) if loop == "sparse" else f"{p}-dense_loop")
+               for p in PRIMES for loop in ("sparse", "dense")]
+
+
+def force_loop(monkeypatch, loop: str) -> None:
+    """Send every insert_block call to one in-call loop, whatever its width."""
+    monkeypatch.setattr(modular, "SPARSE_WIDTH", 2 ** 62 if loop == "sparse" else 0)
 
 
 def _vectors(rng, kind: str, count: int, length: int, p: int) -> np.ndarray:
@@ -132,9 +141,10 @@ class TestPrimeBasis:
         assert one.rank == two.rank
         assert np.array_equal(one.rows, two.rows)
 
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p,loop", PRIME_LOOPS)
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_sequential_inserts_match_python_oracle(self, p, kind):
+    def test_sequential_inserts_match_python_oracle(self, p, loop, kind, monkeypatch):
+        force_loop(monkeypatch, loop)
         rng = np.random.default_rng(p % 1000 + len(kind))
         vectors = _vectors(rng, kind, 24, 30, p)
         basis = PrimeBasis(p, 30)
@@ -144,11 +154,12 @@ class TestPrimeBasis:
         assert basis.rows.astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
 
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p,loop", PRIME_LOOPS)
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     def test_consecutive_blocks_on_nonempty_basis_match_sequential_inserts(
-            self, p, kind):
+            self, p, loop, kind, monkeypatch):
         # rows stored before a call are only updated at its end
+        force_loop(monkeypatch, loop)
         rng = np.random.default_rng(p % 1000 + len(kind))
         start = _vectors(rng, kind, 6, 30, p)
         blocks = [_vectors(rng, kind, m, 30, p) for m in (9, 1, 8, 5)]
@@ -278,10 +289,12 @@ class TestPrimeBasis:
             assert full._pivot_cols[:full.rank].tolist() == pivots
         assert np.isin(compact.quotient_cols(), cols).all()
 
-    @pytest.mark.parametrize("p", PRIMES)
-    def test_block_reaching_full_rank_partway_matches_sequential_inserts(self, p):
+    @pytest.mark.parametrize("p,loop", PRIME_LOOPS)
+    def test_block_reaching_full_rank_partway_matches_sequential_inserts(
+            self, p, loop, monkeypatch):
         # the rank reaches length in the middle of the call; the rows after
         # that point are nonzero against the stored rows but must not enter
+        force_loop(monkeypatch, loop)
         rng = np.random.default_rng(p % 1000 + 3)
         start = _vectors(rng, "dense", 24, 30, p)
         block = _vectors(rng, "dense", 24, 30, p)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,23 @@ class TestCaseCounts:
             params, g, c = pipeline(n, s)
             counts = case_counts(intersection_numbers(g, c), c)
             assert counts == expected_case_counts(params)
+
+    def test_counts_the_tensor_by_chunks_of_slices(self, monkeypatch):
+        # a count over the whole tensor at once makes a (t+1)^3 bool
+        # temporary: 1.95 MB here, 125 MB at (400,201); 4 slices per chunk
+        # leave a partial last chunk of 1
+        monkeypatch.setattr(scheme, "COUNT_CHUNK_ENTRIES", 1 << 16)
+        params, g, c = pipeline(100, 51)
+        tensor = intersection_numbers(g, c)
+        assert len(tensor.p) == 125
+        tracemalloc.start()
+        try:
+            counts = case_counts(tensor, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts == expected_case_counts(params)
+        assert peak < tensor.p.size // 4, (peak, tensor.p.size)
 
     def test_case_total_is_dimension(self):
         params, g, c = pipeline(8, 5)
