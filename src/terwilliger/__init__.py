@@ -13,7 +13,7 @@ from .characters import (CharTable, IntegralityError, Multiplicities, char_table
                          conjugation_character_check, multiplicities_closedform,
                          multiplicities_rowsum, orthogonality_check, two_dim_reps)
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, GroupTable,
-                     build_group, centralizer_order, conjugacy_classes,
+                     build_group, centralizer_counts, conjugacy_classes,
                      generic_conjugacy_classes, orbital_count, valid_twists,
                      validate_params)
 from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
@@ -32,7 +32,7 @@ __all__ = [
     "GroupTable", "IdempotentReport", "IntegralityError", "IntersectionTensor",
     "Multiplicities", "PrimeBasis", "RationalBasis", "SchemeData", "WedderburnReport",
     "algebra_closure", "analyze_pair", "audit_corollaries", "build_group",
-    "build_scheme", "case_counts", "central_idempotents", "centralizer_order",
+    "build_scheme", "case_counts", "central_idempotents", "centralizer_counts",
     "char_table", "closed_form_dimension", "commutant_oracle", "conjugacy_classes",
     "conjugation_character_check", "corollary_audit", "decomposition", "dim_t0",
     "dim_t_tilde", "dual_idempotents", "enumerate_pairs", "expected_case_counts",

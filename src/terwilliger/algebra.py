@@ -89,14 +89,15 @@ class _GeneratorProducts:
 
     Every element of T lies in T~, so it is constant on the orbits of G on
     pairs and is stored as its values at the representative pairs: M[x, y]
-    is m[ids[x, y]].  The generators are label matrices, so their
-    coordinates are read from two labels per representative (u, v): its
-    relation, the class of v u^-1, gives A_i as relation == i, and its
-    diagonal label, the class of u where u = v and -1 elsewhere, gives E*_i
-    as diagonal == i; E*_j M keeps the pairs with class_u == j, and M E*_j
-    those with class_v == j.  Every 0/1 row is built from these four labels
-    on the columns that need it.  Then (A_i M)[u, v] = sum over c in Cl_i of
-    M[c u, v], for all classes in one gather plus one segment sum.
+    is m[ids[x, y]].  Every generator and every mask is a predicate on three
+    labels of a representative (u, v): its relation, the class of v u^-1,
+    and class_u and class_v, the classes of u and v.  A_i is relation == i;
+    E*_j is E*_j A_identity, the pairs with relation == identity_class and
+    class_u == j; E*_j M keeps the pairs with class_u == j, and M E*_j those
+    with class_v == j.  All three labels are checked to be orbit invariants,
+    and every 0/1 row is built from them on the columns that need it.  Then
+    (A_i M)[u, v] = sum over c in Cl_i of M[c u, v], for all classes in one
+    gather plus one segment sum.
     """
 
     def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
@@ -104,20 +105,35 @@ class _GeneratorProducts:
         self.elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
         self.offsets = np.cumsum([0] + [len(c) for c in classes.classes])[:-1]
         self.mult, self.ids = group.mult, ids
+        self.identity_class = scheme.identity_class
         self.u, self.v = np.divmod(reps, group.order)
         class_of = np.asarray(classes.class_of, dtype=np.int64)
         self.relation = scheme.class_matrix[self.u, self.v]
-        self.diagonal = np.where(self.u == self.v, class_of[self.u], -1)
+        self.class_u, self.class_v = class_of[self.u], class_of[self.v]
         # the labels determine the generators only if they are orbit invariants
         if not (np.array_equal(self.relation[ids], scheme.class_matrix)
-                and np.array_equal(self.diagonal[ids], np.diag(class_of + 1) - 1)):
+                and np.all(self.class_u[ids] == class_of[:, None])
+                and np.all(self.class_v[ids] == class_of)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
-        self.class_u, self.class_v = class_of[self.u], class_of[self.v]
 
     def seeds(self, gens) -> np.ndarray:
         """A 0/1 row per generator g in `gens`: A_g for g <= t, else E*_(g-t-1)."""
         t1 = len(self.offsets)
-        return np.array([self.relation == g if g < t1 else self.diagonal == g - t1 for g in gens])
+        identity = self.relation == self.identity_class
+        return np.array([self.relation == g if g < t1 else identity & (self.class_u == g - t1)
+                         for g in gens])
+
+    def masked_generators(self, part: range) -> tuple[np.ndarray, np.ndarray]:
+        """The rows E*_j A_i, then A_i E*_j, for every i in `part` and every j,
+        on the pairs whose relation lies in `part`, and those columns.  A_i A_j
+        lies in the span of the A's (the scheme product identity) and
+        E*_i E*_j in the span of the E*'s, so these are the generator
+        products that can grow the span of the generators."""
+        cols = np.flatnonzero((self.relation >= part.start) & (self.relation < part.stop))
+        labels = np.arange(len(self.offsets))[:, None]
+        masks = np.concatenate([self.class_u[cols] == labels, self.class_v[cols] == labels])
+        relation = self.relation[cols]
+        return np.concatenate([masks & (relation == i) for i in part]), cols
 
     def all_products(self, cols: np.ndarray):
         """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
@@ -141,14 +157,12 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     over F_p; returns the rounds and the rank history (after the seeds, then
     after each round).
 
-    Round 1 offers the products of the generators themselves.  A_i A_j lies
-    in the span of the A's (the scheme product identity) and E_i E_j in the
-    span of the E's, so only the masked products E_j A_i and A_i E_j, the
-    rows where relation == i and class_u or class_v == j, can grow the span.
-    Every later round offers the left products of the rows the round before
-    added.  Each source gives 2(t+1) rows, and a chunk of sources fills one
-    insert_block call.  The seeds and the round-1 rows are 0/1, so they are
-    residues as they stand.
+    Round 1 offers the products of the generators themselves that can grow
+    the span, the masked products E*_j A_i and A_i E*_j
+    (`masked_generators`).  Every later round offers the left products of
+    the rows the round before added.  Each source gives 2(t+1) rows, and a
+    chunk of sources fills one insert_block call.  The seeds and the
+    round-1 rows are 0/1, so they are residues as they stand.
 
     Every block is formed only on columns that can change its residual (see
     the modular docstring), and its 0/1 rows are built from the labels there
@@ -180,16 +194,11 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
         for lo in range(0, len(sources), chunk):
             part = sources[lo:lo + chunk]
             if rounds == 1:
-                cols = np.flatnonzero((products.relation >= part.start)
-                                      & (products.relation < part.stop))
-                labels = np.arange(len(products.offsets))[:, None]
-                masks = np.concatenate([products.class_u[cols] == labels,
-                                        products.class_v[cols] == labels])
-                relation = products.relation[cols]
-                block = [masks & (relation == i) for i in part]
+                block, cols = products.masked_generators(part)
             else:
-                block = [multiply(m) for m in basis.dense_rows(part.start, part.stop)]
-            basis.insert_block(np.concatenate(block), cols)
+                block = np.concatenate([multiply(m) for m in
+                                        basis.dense_rows(part.start, part.stop)])
+            basis.insert_block(block, cols)
             if basis.rank >= bound:
                 break
         history.append(basis.rank)

@@ -340,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # the input is valid, so not a usage error
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 1
     raise AssertionError("unreachable command")
 
 

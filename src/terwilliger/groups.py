@@ -164,11 +164,6 @@ class ConjugacyData:
         return tuple(len(c) for c in self.classes)
 
 
-def centralizer_order(group: GroupTable, g: int) -> int:
-    """|{h : hg = gh}| by brute force over the Cayley table."""
-    return int(np.count_nonzero(group.mult[:, g] == group.mult[g, :]))
-
-
 def _brute_partition(group: GroupTable) -> list[frozenset[int]]:
     """Conjugation orbits of every element, in first-seen order: the orbit of x
     is column x of the conjugation array."""
@@ -219,6 +214,19 @@ def _closed_form_classes(params: GroupParams) -> tuple[list, list, list, list, l
     return classes, labels, kinds, reps, cents
 
 
+def _conjugacy_data(order: int, classes, labels, kinds, reps, cents) -> ConjugacyData:
+    """ConjugacyData for classes already in their final order: each class is
+    sorted, and the element -> class map and the identity's class are read
+    from them."""
+    classes = tuple(tuple(sorted(c)) for c in classes)
+    class_of = [-1] * order
+    for ci, members in enumerate(classes):
+        for x in members:
+            class_of[x] = ci
+    return ConjugacyData(classes, tuple(labels), tuple(kinds), tuple(reps), tuple(cents),
+                         identity_class=class_of[0], class_of=tuple(class_of))
+
+
 def conjugacy_classes(group: GroupTable) -> ConjugacyData:
     """Conjugacy classes of a twisted dihedral group in canonical order.
 
@@ -229,55 +237,30 @@ def conjugacy_classes(group: GroupTable) -> ConjugacyData:
     params = group.params
     if params is None:
         return generic_conjugacy_classes(group)
-    classes, labels, kinds, reps, cents = _closed_form_classes(params)
+    data = _conjugacy_data(group.order, *_closed_form_classes(params))
 
     if params.n <= BRUTE_FORCE_LIMIT:
-        brute = set(_brute_partition(group))
-        closed = {frozenset(c) for c in classes}
-        if brute != closed:
+        if set(_brute_partition(group)) != set(map(frozenset, data.classes)):
             raise ConsistencyError(
                 f"conjugacy classes of {group.name}: brute force and closed form disagree")
-        for rep, cent in zip(reps, cents):
-            if centralizer_order(group, rep) != cent:
+        counts = centralizer_counts(group)
+        for rep, cent in zip(data.reps, data.centralizer_orders):
+            if counts[rep] != cent:
                 raise ConsistencyError(
                     f"centralizer order of {group.element_name(rep)} in {group.name} "
                     f"does not match the closed form {cent}")
-
-    class_of = [-1] * group.order
-    for ci, members in enumerate(classes):
-        for x in members:
-            class_of[x] = ci
-    identity_class = class_of[0]
-    return ConjugacyData(
-        classes=tuple(tuple(sorted(c)) for c in classes),
-        labels=tuple(labels),
-        kinds=tuple(kinds),
-        reps=tuple(reps),
-        centralizer_orders=tuple(cents),
-        identity_class=identity_class,
-        class_of=tuple(class_of),
-    )
+    return data
 
 
 def generic_conjugacy_classes(group: GroupTable) -> ConjugacyData:
     """Brute-force classes for an arbitrary Cayley table, identity class first."""
     partition = _brute_partition(group)
     partition.sort(key=lambda c: (0 if 0 in c else 1, len(c), min(c)))
-    classes = tuple(tuple(sorted(c)) for c in partition)
-    reps = tuple(c[0] for c in classes)
-    class_of = [-1] * group.order
-    for ci, members in enumerate(classes):
-        for x in members:
-            class_of[x] = ci
-    return ConjugacyData(
-        classes=classes,
-        labels=tuple(f"C{i}" for i in range(len(classes))),
-        kinds=tuple("C" for _ in classes),
-        reps=reps,
-        centralizer_orders=tuple(centralizer_order(group, r) for r in reps),
-        identity_class=0,
-        class_of=tuple(class_of),
-    )
+    reps = [min(c) for c in partition]
+    counts = centralizer_counts(group)
+    return _conjugacy_data(group.order, partition,
+                           [f"C{i}" for i in range(len(partition))], ["C"] * len(partition),
+                           reps, [int(counts[r]) for r in reps])
 
 
 def centralizer_counts(group: GroupTable) -> np.ndarray:

@@ -369,8 +369,9 @@ class PrimeBasis:
         the reduced block has fewer than SPARSE_WIDTH nonzero columns, and
         the dense float64 one otherwise; both store the same rows (see the
         module docstring).  A call takes at most 2048 rows, which bounds its
-        working copy of the block; the closure offers a few hundred at a
-        time.
+        working copy of the block.  The closure offers 64 seeds per call,
+        then whole sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources
+        per call: each round-1 call at (400,201) offers 1000 rows.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:

@@ -276,6 +276,23 @@ class TestGeneratorProducts:
             cols = np.sort(rng.choice(length, size=size, replace=False))
             assert np.array_equal(products.all_products(cols)(m), full[:, cols])
 
+    @pytest.mark.parametrize("rep,old,new", [(7, (1, 0), (1, 6)), (1, (0, 1), (6, 1))])
+    def test_class_labels_must_be_orbit_invariants(self, rep, old, new):
+        # a D(8,3) representative moved to a pair of another orbit with the
+        # same relation, off the diagonal: (1, 6) changes only the class of
+        # v, and (6, 1) only the class of u.  Unchecked, the first one makes
+        # the closure end short of the bound, with no error
+        sd, _, _ = closure_inputs(8, 3)
+        ids, reps = pair_orbits(sd.group)
+        cls = np.asarray(sd.classes.class_of)
+        assert divmod(int(reps[rep]), sd.order) == old
+        assert sd.class_matrix[old] == sd.class_matrix[new] and new[0] != new[1]
+        assert (cls[list(old)] != cls[list(new)]).sum() == 1
+        moved = reps.copy()
+        moved[rep] = new[0] * sd.order + new[1]
+        with pytest.raises(ConsistencyError, match="not constant"):
+            _GeneratorProducts(sd, ids, moved)
+
     @pytest.mark.parametrize("n,s", [(64, 33), (100, 51)])
     def test_retains_labels_not_generator_stacks(self, n, s):
         # a few arrays of length dim T~ fit; one 2(t+1) x dim T~ stack does not

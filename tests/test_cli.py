@@ -165,6 +165,26 @@ class TestExitCodes:
         assert obj["notes"] == ["closure_two_primes_agree: out of memory at (n, s) = "
                                 "(8, 3), dim T~ = 64"]
 
+    @pytest.mark.parametrize("target,args", [
+        ("terwilliger.pipeline.build_group", ("analyze", "--no-closure")),
+        ("terwilliger.pipeline.build_group", ("analyze", "--format", "json")),
+        ("terwilliger.cli.build_group", ("tensor",)),
+        ("terwilliger.cli.build_group", ("char-table",)),
+    ])
+    def test_group_out_of_memory_exit_1(self, target, args, monkeypatch, capsys):
+        # a valid pair whose Cayley table does not fit in memory: the input
+        # is not at fault, so exit 1 with one line on stderr
+        def no_memory(params):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(target, no_memory)
+        code, out = run_cli(args[0], "--n", "100000", "--s", "99999", *args[1:])
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == "out of memory: Unable to allocate 298. GiB for an array\n"
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["analyze", "char-table", "tensor"])
     def test_invalid_params_leave_existing_output(self, command, tmp_path, capsys):
         target = tmp_path / "kept.json"
