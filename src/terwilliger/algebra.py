@@ -23,6 +23,11 @@ holds every word in them, so it is the algebra.  The loop ends at the
 orbital bound or after a round that adds nothing, within ROUND_BUDGET
 rounds.  The rounds and the rank histories equal those of a two-sided
 saturation: after round r both span exactly the words of length <= r+1.
+Wherever T0 = T~, as for every D(n,s), which is triply transitive, round 2
+offers only the cells E*_k A_i E*_j, words of length 3 read from the same
+labels with disjoint supports; they alone end the round at the bound, and
+no left product is formed.  Round 1 offers its rows by descending class,
+an order in which they do not fill in.
 Each prime gets a fresh basis that is dropped once its history is taken,
 so only one basis is alive at a time.
 """
@@ -38,7 +43,7 @@ from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
 from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
-BATCH_ROWS = 256  # products collected before each insert_block call
+BATCH_ROWS = 256  # products or cells collected before each insert_block call
 SEED_ROWS = 64  # seeds per insert_block call, each chunk on its own support
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
@@ -124,16 +129,46 @@ class _GeneratorProducts:
                          for g in gens])
 
     def masked_generators(self, part: range) -> tuple[np.ndarray, np.ndarray]:
-        """The rows E*_j A_i, then A_i E*_j, for every i in `part` and every j,
-        on the pairs whose relation lies in `part`, and those columns.  A_i A_j
-        lies in the span of the A's (the scheme product identity) and
-        E*_i E*_j in the span of the E*'s, so these are the generator
-        products that can grow the span of the generators."""
+        """The rows E*_j A_i, then A_i E*_j, for every i in `part` and every j
+        from t down to 0, on the pairs whose relation lies in `part`, and
+        those columns.  A_i A_j lies in the span of the A's (the scheme
+        product identity) and E*_i E*_j in the span of the E*'s, so these
+        are the generator products that can grow the span of the generators.
+
+        The order is descending so that rows do not fill in.  The seed A_i
+        has its pivot at a pair (e, v), so the row E*_k A_i of the
+        identity's class k has the dense residual -sum over k' != k of
+        E*_k' A_i; offered early, it enters dense and every later row must
+        clear it again.  The identity's class comes early in the canonical
+        order (index tau - 1 for D(n,s)), so here that row comes late and
+        reduces to zero, or nearly, against the disjoint rows already in."""
         cols = np.flatnonzero((self.relation >= part.start) & (self.relation < part.stop))
-        labels = np.arange(len(self.offsets))[:, None]
+        labels = np.arange(len(self.offsets))[::-1, None]
         masks = np.concatenate([self.class_u[cols] == labels, self.class_v[cols] == labels])
         relation = self.relation[cols]
         return np.concatenate([masks & (relation == i) for i in part]), cols
+
+    def cells(self):
+        """The cells E*_k A_i E*_j: one 0/1 row per nonempty (class_u,
+        relation, class_v), the pairs with class(u) = k, relation i and
+        class(v) = j.  Returns their number and an iterator over blocks of
+        BATCH_ROWS cells, each given on its own support, in the order of
+        that key.  Every column lies in exactly one cell, so the cells are
+        independent, span T0, and one argsort of the key groups them."""
+        t1 = len(self.offsets)
+        key = (self.class_u * t1 + self.relation) * t1 + self.class_v
+        order = np.argsort(key)
+        cell = np.cumsum(np.diff(key[order], prepend=key[order[0]]) != 0)
+        starts = np.searchsorted(cell, np.arange(0, cell[-1] + 1, BATCH_ROWS))
+
+        def blocks():
+            for lo, hi in zip(starts, np.append(starts[1:], len(order))):
+                cols, rows = order[lo:hi], cell[lo:hi] - cell[lo]
+                sort = np.argsort(cols)
+                block = np.zeros((rows[-1] + 1, hi - lo), dtype=bool)
+                block[rows[sort], np.arange(hi - lo)] = True
+                yield block, cols[sort]
+        return int(cell[-1]) + 1, blocks()
 
     def all_products(self, cols: np.ndarray):
         """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
@@ -159,28 +194,34 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
 
     Round 1 offers the products of the generators themselves that can grow
     the span, the masked products E*_j A_i and A_i E*_j
-    (`masked_generators`).  Every later round offers the left products of
-    the rows the round before added.  Each source gives 2(t+1) rows, and a
-    chunk of sources fills one insert_block call.  The seeds and the
-    round-1 rows are 0/1, so they are residues as they stand.
+    (`masked_generators`).  Round 2 offers the cells E*_k A_i E*_j
+    (`cells`) when they are at least as many as the bound.  They are
+    independent words of length 3, so they then span T0 = T~, all that the
+    words of length <= 3 span, and the round ends at the bound with the
+    rank the left products would reach.  Otherwise round 2, like every
+    later round, offers the left products of the rows the round before
+    added.  The cells are then left out: inserting them first would change
+    those rows, and their products could hold longer words.  Each source
+    gives 2(t+1) rows, and a chunk of sources fills one insert_block
+    call.  The seeds, the round-1 rows and the cells are
+    0/1, so they are residues as they stand.
 
     Every block is formed only on columns that can change its residual (see
     the modular docstring), and its 0/1 rows are built from the labels there
-    alone.  The seeds go in SEED_ROWS at a time, each chunk on its own
-    support.  In round 1 those columns are the support of the chunk's
-    sources: the pairs whose relation is one of them.  A later round's
-    products are dense, so they are formed on the quotient columns C of the
-    basis, taken once at the start of the round: C only shrinks while rows
-    enter, so the round's first C stays enough for all of it.  The gather
-    index for C is taken once per round too, and each chunk densifies only
-    its own source rows.
+    alone.  The seeds go in SEED_ROWS at a time and the cells BATCH_ROWS at
+    a time, each block on its own support.  In round 1 those columns are
+    the support of the chunk's sources: the pairs whose relation is one of
+    them.  A later round's products are dense, so they are formed on the
+    quotient columns C of the basis, taken once at the start of the round:
+    C only shrinks while rows enter, so the round's first C stays enough for
+    all of it.  The gather index for C is taken once per round too, and each
+    chunk densifies only its own source rows.
     """
     for lo in range(0, len(seed_order), SEED_ROWS):
         part = products.seeds(seed_order[lo:lo + SEED_ROWS])
         cols = np.flatnonzero(part.any(axis=0))
         basis.insert_block(part[:, cols], cols)
     history = [basis.rank]
-    chunk = -(-BATCH_ROWS // (2 * len(products.offsets)))
     rounds, sources = 0, range(len(products.offsets))
     while sources and basis.rank < bound:
         rounds += 1
@@ -188,22 +229,35 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
             raise ConsistencyError(
                 f"closure did not stabilize within {ROUND_BUDGET} rounds")
         start = basis.rank
-        if rounds > 1:
-            cols = basis.quotient_cols()
-            multiply = products.all_products(cols)
-        for lo in range(0, len(sources), chunk):
-            part = sources[lo:lo + chunk]
-            if rounds == 1:
-                block, cols = products.masked_generators(part)
-            else:
-                block = np.concatenate([multiply(m) for m in
-                                        basis.dense_rows(part.start, part.stop)])
+        for block, cols in _offers(basis, products, rounds, sources, bound):
             basis.insert_block(block, cols)
             if basis.rank >= bound:
                 break
         history.append(basis.rank)
         sources = range(start, basis.rank)
     return rounds, history
+
+
+def _offers(basis: PrimeBasis, products: _GeneratorProducts, rounds: int,
+            sources: range, bound: int):
+    """The (block, cols) pairs one round offers, in order, formed as they
+    are taken (see `_modular_closure`)."""
+    chunk = -(-BATCH_ROWS // (2 * len(products.offsets)))
+    if rounds == 1:
+        for lo in range(0, len(sources), chunk):
+            yield products.masked_generators(sources[lo:lo + chunk])
+        return
+    if rounds == 2:
+        count, cells = products.cells()
+        if count >= bound:
+            yield from cells
+            return
+    cols = basis.quotient_cols()
+    multiply = products.all_products(cols)
+    for lo in range(0, len(sources), chunk):
+        part = sources[lo:lo + chunk]
+        yield np.concatenate([multiply(m) for m in
+                              basis.dense_rows(part.start, part.stop)]), cols
 
 
 def _rational_closure(scheme: SchemeData, idem: DualIdempotents,

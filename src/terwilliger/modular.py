@@ -151,7 +151,16 @@ class PrimeBasis:
     def _sub_product(self, a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
         """(a - c @ r) mod p for residues, c a row or a matrix: each inner
         term lies in [0, (p-1)^2], so with at most `_slab` terms per slab and
-        a mod p after each, every sum below stays an exact float64 integer."""
+        a mod p after each, every sum below stays an exact float64 integer.
+
+        A matrix c with exactly one nonzero per row, as when single-orbit
+        cells hit stored pivots, makes the product a scaled gather of rows
+        of r, one term per entry and exact for the same reason; it runs
+        without BLAS, which would spread such products over every core."""
+        if c.ndim == 2:
+            ri, sj = np.nonzero(c)
+            if np.array_equal(ri, np.arange(len(c))):
+                return self._mod(a - c[ri, sj, None] * r[sj])
         for lo in range(0, c.shape[-1], self._slab):
             a = self._mod(a - c[..., lo:lo + self._slab] @ r[lo:lo + self._slab])
         return a
@@ -371,7 +380,8 @@ class PrimeBasis:
         module docstring).  A call takes at most 2048 rows, which bounds its
         working copy of the block.  The closure offers 64 seeds per call,
         then whole sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources
-        per call: each round-1 call at (400,201) offers 1000 rows.
+        per call: each round-1 call at (400,201) offers 1000 rows.  The
+        cells of round 2 go 256 per call.
         """
         block = np.asarray(block, dtype=np.float64)
         if block.shape[0] > 2048:

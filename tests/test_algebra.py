@@ -144,6 +144,17 @@ class TestAlgebraClosure:
         _, _, got_rounds, got_history = run_modular_closure(n, s, bound_above_t_tilde=1)
         assert (got_rounds, got_history) == (rounds, history)
 
+    def test_cells_alone_end_round_two_at_the_bound(self, monkeypatch):
+        # T0 = T~ for every D(n,s), so the cells reach the bound and no left
+        # product is formed; above the bound they fall short and are left out
+        calls = []
+        all_products = _GeneratorProducts.all_products
+        monkeypatch.setattr(_GeneratorProducts, "all_products",
+                            lambda self, cols: calls.append(len(cols)) or all_products(self, cols))
+        assert run_modular_closure(16, 7)[2:] == (2, (21, 179, 184)) and not calls
+        assert run_modular_closure(16, 7, bound_above_t_tilde=1)[2:] == (3, (21, 179, 184, 184))
+        assert len(calls) == 2
+
     def test_round_budget_exhausted(self, monkeypatch):
         monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
         with pytest.raises(ConsistencyError, match="did not stabilize"):
@@ -154,6 +165,7 @@ class TestAlgebraClosure:
         (8, 5, 1, (19, 112)),
         (16, 7, 2, (21, 179, 184)),
         (24, 11, 2, (29, 351, 368)),
+        (72, 19, 2, (125, 5103, 5184)),
     ])
     def test_rounds_and_histories_pinned(self, n, s, rounds, history):
         # the JSON output carries the rounds and histories, so they are pinned
@@ -163,8 +175,8 @@ class TestAlgebraClosure:
         assert cert.basis_size_history == (history, history)
 
     FINAL_BASIS_SHA256 = {
-        (16, 7): "e0b5f7a0755ecc81655c61366e8d8d69d46c5505eee144739bc83a1e01f9575f",
-        (40, 19): "b30f1dff87615c0604898a445647592c249c521b43c251af796666cc804a0681",
+        (16, 7): "e3260f8da9f0306b430307601ef1759d4c567f180345aa059502564fe7a878f6",
+        (40, 19): "ad8ac023f3c6e5485898a3a6ff04942a3da3404e80ede5bc526fa3113c9011af",
     }
 
     @pytest.mark.parametrize("n,s", sorted(FINAL_BASIS_SHA256))
@@ -179,7 +191,10 @@ class TestAlgebraClosure:
 
     def test_both_in_call_loops_store_the_same_round_one_basis(self, monkeypatch):
         # round 1 of (40,19) is the narrow blocks the sparse loop takes by
-        # width; ROUND_BUDGET = 1 stops the closure as round 2 begins
+        # width; ROUND_BUDGET = 1 stops the closure as round 2 begins.  The
+        # span after round 1 fixes the pivots and the fully reduced rows,
+        # whatever order its rows were offered in, so their digest in pivot
+        # order is pinned
         sd, _, _ = closure_inputs(40, 19)
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
@@ -195,6 +210,11 @@ class TestAlgebraClosure:
                                                   basis._off_rows, basis._off_cols,
                                                   basis._off_vals)])
         assert stores[0] == stores[1]
+        pivots = basis._pivot_cols[:basis.rank]
+        order = np.argsort(pivots)
+        digest = hashlib.sha256(basis.rows[order].tobytes() + pivots[order].tobytes())
+        assert digest.hexdigest() == (
+            "e50a2c135f1b5d07dc5de2d3e2be05c30e778e8e6f7a7bfb78a52fe26186b1da")
 
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
@@ -211,6 +231,9 @@ class TestAlgebraClosure:
         assert t0 == 42
         assert cert.dim_t == cert.dim_t_tilde == 43
         assert cert.provenance == "exact"
+        # the cells fall short of the bound, so round 2 runs the left products
+        assert cert.closure_rounds == 2
+        assert cert.basis_size_history == ((9, 36, 43), (9, 36, 43))
 
 
 def generic_inputs(table, name):
@@ -263,6 +286,32 @@ class TestGeneratorProducts:
             seeds = products.seeds(gens)
             assert seeds.shape == (len(gens), len(u))
             assert np.array_equal(seeds, want[gens])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cells_match_dense_triple_products(self, case, monkeypatch):
+        # every nonempty E*_k A_i E*_j read at the representatives, exactly
+        # once and in (k, i, j) order; a small BATCH_ROWS makes several blocks
+        sd, idem = self.CASES[case]()
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        u, v = products.u, products.v
+        t1 = sd.num_relations
+        want = [(np.diag(idem.diagonals[k]) @ sd.adjacency(i) @ np.diag(idem.diagonals[j]))[u, v]
+                for k in range(t1) for i in range(t1) for j in range(t1)]
+        want = [row for row in want if row.any()]
+        monkeypatch.setattr(algebra, "BATCH_ROWS", 5)
+        count, blocks = products.cells()
+        got = []
+        for block, cols in blocks:
+            assert 0 < len(block) <= 5 and np.all(np.diff(cols) > 0)
+            # on its own support: each column lies in exactly one of its cells
+            assert np.array_equal(block.sum(axis=0), np.ones(len(cols)))
+            full = np.zeros((len(block), len(u)), dtype=np.int64)
+            full[:, cols] = block
+            got.extend(full)
+        assert count == len(got) == len(want) > 5
+        assert np.array_equal(np.array(got), np.array(want))
+        if case == "S4":
+            assert max(row.sum() for row in got) == 2  # a cell of two orbits
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_products_on_cols_match_full_width(self, case):

@@ -34,6 +34,17 @@ def _vectors(rng, kind: str, count: int, length: int, p: int) -> np.ndarray:
     return rows
 
 
+class _Spy(np.ndarray):
+    """An array that records the name of every ufunc it takes part in."""
+
+    calls: list[str] = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Spy.calls.append(ufunc.__name__)
+        inputs = [x.view(np.ndarray) if isinstance(x, _Spy) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
 def _residual(basis: PrimeBasis, vec) -> np.ndarray:
     """The residual of one vector, on every column."""
     out, _ = basis.reduce_block(np.asarray(vec, dtype=np.float64)[None, :],
@@ -233,6 +244,36 @@ class TestPrimeBasis:
         expected = (probe - probe[:, pivots] @ stored) % p
         out, _ = basis.reduce_block(probe.astype(np.float64), np.arange(30))
         assert out.astype(np.int64).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
+    def test_one_coefficient_per_row_is_a_gather(self, p):
+        # a 1-D c always takes the slab loop, so row by row it is the
+        # reference; a zero row or a row with two coefficients sends the
+        # whole matrix back through BLAS
+        rng = np.random.default_rng(p)
+        basis = PrimeBasis(p, 1)
+        a = rng.integers(0, p, size=(12, 9)).astype(np.float64)
+        r = rng.integers(0, p, size=(7, 9)).astype(np.float64)
+        single = np.zeros((12, 7))
+        single[np.arange(12), rng.integers(0, 7, 12)] = rng.integers(1, p, 12)
+        single[0] = 0
+        single[0, 3] = p - 1  # the largest term, (p-1)^2
+        r[3, 0] = p - 1
+        zero_row, two_terms = single.copy(), single.copy()
+        zero_row[5] = 0
+        two_terms[5, (np.flatnonzero(single[5])[0] + 1) % 7] = p - 1
+        both = two_terms.copy()  # as many coefficients as rows, not one per row
+        both[8] = 0
+        for c, path in [(single, "multiply"), (zero_row, "matmul"), (two_terms, "matmul"),
+                        (both, "matmul")]:
+            _Spy.calls = []
+            got = basis._sub_product(a, c, r.view(_Spy))
+            assert path in _Spy.calls and ("matmul" in _Spy.calls) == (path == "matmul")
+            loop = np.array([basis._sub_product(a[i], c[i], r) for i in range(12)])
+            oracle = (a.astype(np.int64).astype(object)
+                      - c.astype(np.int64).astype(object) @ r.astype(np.int64).astype(object)) % p
+            assert np.array_equal(got, loop)
+            assert got.astype(np.int64).tolist() == oracle.tolist()
 
     def test_modulus_outside_every_slab_rejected(self):
         with pytest.raises(ValueError):
