@@ -44,19 +44,12 @@ its rows among themselves on the block's own nonzero columns: a row is
 reduced only against the rows that entered earlier in the same call, and
 the older rows are brought to zero at the new pivots once per call, on
 those columns only; the rows a new pivot hits, and their entries at those
-columns, are found in the store.  The in-call elimination has two loops
-that return the same rows, chosen by the block's width, its number of
-nonzero columns.  A block narrower than SPARSE_WIDTH runs the sparse loop,
-on {column: residue} rows of Python ints, each value taken mod p as it is
-formed; the closure's reduced blocks have a few nonzeros per row, and
-Python arithmetic on a handful of entries beats about 20 numpy calls per
-row.  A block at least that wide runs the dense loop on float64 rows:
-such blocks fill in as rows enter, and a whole-row numpy step then wins.  Both loops
-reduce each row against the same earlier rows, take the same first nonzero
-as its pivot, scale by the same inverse and clear the same column, so they
-enter the same rows in the same order: the unique fully reduced basis with
-that pivot sequence.  The store and every product outside the in-call loop
-are shared.
+columns, are found in the store.  In the call, a row that shares no column
+with another row of the block enters as it stands, scaled to 1 at its
+first nonzero; the other rows are eliminated on {column: residue} rows of
+Python ints, each value taken mod p as it is formed.  The closure's
+reduced blocks have a few nonzeros per row, and Python arithmetic on a
+handful of entries beats about 20 numpy calls per row.
 
 Residues are stored in float64 so the products run through BLAS.  Every
 multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
@@ -64,11 +57,12 @@ slabs of k inner terms with k * (p-1)^2 < 2^53, reduced mod p after each
 slab (the delayed reduction of FFLAS-FFPACK), so every sum is an exact
 float64 integer; `_mod` takes it back to [0, p) by an exact int64 remainder.
 At the default moduli, the two largest primes below 2^20, one slab holds
-8192 terms.  The sparse loop needs no such window: a Python int is exact
-at any size, and its residues, below p < 2^53, convert to float64 exactly
-when its rows are stored.  Modular rank only lower-bounds the rational
-rank, so callers must close the gap themselves (see the algebra closure,
-which pins the rank exactly whenever it reaches the centralizer bound).
+8192 terms.  The in-call elimination needs no slab: a lone row is scaled
+by one product below (p-1)^2, and the loop's Python ints are exact at any
+size, with residues below p < 2^53 that convert to float64 exactly.
+Modular rank only lower-bounds the rational rank, so callers must close
+the gap themselves (see the algebra closure, which pins the rank exactly
+whenever it reaches the centralizer bound).
 """
 
 from __future__ import annotations
@@ -81,10 +75,6 @@ import numpy as np
 DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
 FLOAT_EXACT = 2 ** 53
-
-# blocks with fewer nonzero columns than this run the sparse in-call loop;
-# near the measured break-even, since wider blocks fill in as rows enter
-SPARSE_WIDTH = 320
 
 
 class PrimeBasis:
@@ -226,25 +216,19 @@ class PrimeBasis:
         given on the sorted global columns `cols`, until the rank is full.
 
         The rows that enter are combinations of block rows, so the in-call
-        elimination runs on the block's own nonzero columns: a row is
-        reduced only against the rows that entered earlier in this call,
-        which are zero at the old pivots and fully reduced among themselves.
-        So each residual, and its pivot, is the one a fully reduced basis
-        would give.  Fewer than SPARSE_WIDTH such columns go to the sparse
-        loop, SPARSE_WIDTH or more to the dense one; both return the same
-        rows.  The stored rows are brought to zero at the new pivots once, at
-        the end, which leaves the unique fully reduced basis with this pivot
-        sequence.  A new row is zero off those nonzero columns, none of which
-        is an old pivot, so the update changes only those columns of the
-        older rows it hits, and never their pivots.
+        elimination (`_eliminate`) runs on the block's own nonzero columns:
+        a row is reduced only against the rows that entered earlier in this
+        call, which are zero at the old pivots and fully reduced among
+        themselves.  So each residual, and its pivot, is the one a fully
+        reduced basis would give.  The stored rows are brought to zero at
+        the new pivots once, at the end, which leaves the unique fully
+        reduced basis with this pivot sequence.  A new row is zero off those
+        nonzero columns, none of which is an old pivot, so the update changes
+        only those columns of the older rows it hits, and never their pivots.
         """
-        nonzero_cols = block.any(axis=0)
-        cols = cols[nonzero_cols]
-        todo = block[:, nonzero_cols]
-        todo = todo[todo.any(axis=1)]
         room = self.length - self.rank  # rows past a full rank reduce to zero
-        eliminate = self._eliminate_sparse if len(cols) < SPARSE_WIDTH else self._eliminate_dense
-        new, pivots = eliminate(todo, room)
+        new, pivots, used = self._eliminate(block, room)
+        cols = cols[used]
         start, end = self.rank, self.rank + len(new)
         self._pivot_cols[start:end] = cols[pivots]
         self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
@@ -270,46 +254,34 @@ class PrimeBasis:
         self.rank = end
         return len(new)
 
-    def _eliminate_dense(self, todo: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray]:
-        """The in-call elimination on float64 rows: at most `room` fully
-        reduced rows, in the order they entered, and their pivots as indices
-        into the block's columns; every multi-term product goes through
-        `_sub_product`."""
-        new = np.zeros_like(todo)
-        pivots = np.zeros(len(todo), dtype=np.int64)
-        added = 0
-        for row in todo:
-            if added:
-                coeffs = row[pivots[:added]]
-                hit = coeffs.nonzero()[0]
-                if len(hit):
-                    row = self._sub_product(row, coeffs[hit], new[hit])
-            nonzero = row.nonzero()[0]
-            if not len(nonzero):
-                continue
-            pivot = nonzero[0]
-            if row[pivot] != 1:
-                row = self._mod(row * float(pow(int(row[pivot]), -1, self.p)))
-            col = new[:added, pivot]
-            hit = col.nonzero()[0]
-            if len(hit):
-                new[hit] = self._mod(new[hit] - col[hit, None] * row)
-            pivots[added] = pivot
-            new[added] = row
-            added += 1
-            if added == room:
-                break
-        return new[:added], pivots[:added]
+    def _eliminate(self, block: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The in-call elimination of a reduced block: at most `room` fully
+        reduced rows in the order they entered, given on the block's nonzero
+        columns; their pivots, as indices into those columns; and those
+        columns, as indices into the block's.
 
-    def _eliminate_sparse(self, todo: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray]:
-        """The same elimination on {column: residue} rows of Python ints,
-        each value reduced mod p as it is formed, so it is exact at any p
-        with no float window.  A row's coefficients at the entered pivots
-        are read as it is reduced: an entered row is zero at every other
-        entered pivot, so subtracting it changes none of them.  `holders`
-        maps a column to the entered rows that may be nonzero there off
-        their pivot, a superset of the rows a new pivot there must clear."""
+        A lone row, one that shares no column with another row of the block,
+        enters as it stands, scaled by the inverse of its first nonzero, all
+        lone rows in one step.  Every row that entered before it is a
+        combination of other rows, so it is zero at the lone row's columns,
+        and none of those columns is another row's pivot: nothing reduces
+        the lone row and it reduces nothing.  The other rows run as
+        {column: residue} rows of Python ints, each value reduced mod p as
+        it is formed, so the loop is exact at any p with no float window.  A
+        row's coefficients at the entered pivots are read as it is reduced:
+        an entered row is zero at every other entered pivot, so subtracting
+        it changes none of them.  `holders` maps a column to the entered
+        rows that may be nonzero there off their pivot, a superset of the
+        rows a new pivot there must clear.  The loop's decisions do not
+        depend on the lone rows, so both kinds, merged in block order and
+        cut at `room`, are the rows that one call per row would enter."""
         p = self.p
+        r, c = np.nonzero(block)
+        values = block[r, c]
+        held = np.bincount(c, minlength=block.shape[1])  # rows nonzero at each column
+        lone = np.bincount(r[held[c] > 1], minlength=len(block))[r] == 0  # lone rows' entries
+        used = np.flatnonzero(held)
+        c = (np.cumsum(held > 0) - 1)[c]  # as indices into used
 
         def subtract(target: dict[int, int], coeff: int, source: dict[int, int]) -> None:
             for j, v in source.items():
@@ -319,15 +291,18 @@ class PrimeBasis:
                 else:
                     del target[j]
 
-        rows: list[dict[int, int]] = [{} for _ in range(len(todo))]
-        r, c = np.nonzero(todo)
-        for i, j, v in zip(r.tolist(), c.tolist(), todo[r, c].astype(np.int64).tolist()):
+        any_lone = lone.any()
+        loop = ~lone if any_lone else slice(None)
+        rows: list[dict[int, int]] = [{} for _ in range(len(block))]
+        for i, j, v in zip(r[loop].tolist(), c[loop].tolist(),
+                           values[loop].astype(np.int64).tolist()):
             rows[i][j] = v
         new: list[dict[int, int]] = []
         pivots: list[int] = []
+        entered: list[int] = []  # the block row of each entered row
         pivot_of: dict[int, int] = {}
         holders: dict[int, set[int]] = {}
-        for row in rows:
+        for i, row in enumerate(rows):
             for col in [col for col in row if col in pivot_of]:
                 subtract(row, row[col], new[pivot_of[col]])
             if not row:
@@ -347,13 +322,33 @@ class PrimeBasis:
                 holders.setdefault(j, set()).add(len(new))
             pivot_of[pivot] = len(new)
             pivots.append(pivot)
+            entered.append(i)
             new.append(row)
             if len(new) == room:
                 break
-        out = np.zeros((len(new), todo.shape[1]))
-        at = [i for i, row in enumerate(new) for _ in row]
-        out[at, [j for row in new for j in row]] = [v for row in new for v in row.values()]
-        return out, np.array(pivots, dtype=np.int64)
+        at = np.array([k for k, row in enumerate(new) for _ in row], dtype=np.int64)
+        out_cols = np.array([j for row in new for j in row], dtype=np.int64)
+        out_vals = np.array([v for row in new for v in row.values()], dtype=np.float64)
+        pivots = np.array(pivots, dtype=np.int64)
+        if any_lone:
+            first = lone & (np.diff(r, prepend=-1) != 0)  # each lone row's first entry
+            lead, inverse = np.unique(values[first], return_inverse=True)
+            scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.float64)[inverse]
+            lone_at = np.cumsum(first)[lone] - 1  # each entry's lone row
+            # the lone rows, then the loop's, as candidates in block order
+            order = (np.argsort(np.concatenate([r[first], entered]))[:room] if new
+                     else np.arange(min(len(scale), room)))
+            slot = np.full(len(scale) + len(new), -1)
+            slot[order] = np.arange(len(order))
+            at = slot[np.concatenate([lone_at, at + len(scale)])]
+            keep = at >= 0
+            at = at[keep]
+            out_cols = np.concatenate([c[lone], out_cols])[keep]
+            out_vals = np.concatenate([self._mod(values[lone] * scale[lone_at]), out_vals])[keep]
+            pivots = np.concatenate([c[first], pivots])[order]
+        out = np.zeros((len(pivots), len(used)))
+        out[at, out_cols] = out_vals
+        return out, pivots, used
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
@@ -369,24 +364,24 @@ class PrimeBasis:
         quotient columns C of `quotient_cols`, or the block's own support
         all qualify and give the same result; a C too small gives a wrong
         one, with no error.  The result is identical to one call per row;
-        once the rank is full the call stops reading rows.  The block
-        is reduced against the stored rows once; a row is then reduced only
-        against the rows that entered earlier in the same call, and the
-        stored rows are brought to zero at the new pivots in one restricted
-        product at the end; `_sub_product` keeps every product exact.  The
-        in-call loop is the sparse one, on Python ints reduced mod p, when
-        the reduced block has fewer than SPARSE_WIDTH nonzero columns, and
-        the dense float64 one otherwise; both store the same rows (see the
-        module docstring).  A call takes at most 2048 rows, which bounds its
-        working copy of the block.  The closure offers 64 seeds per call,
-        then whole sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources
-        per call: each round-1 call at (400,201) offers 1000 rows.  The
-        cells of round 2 go 256 per call.
+        once the rank is full the call stops reading rows.  The block goes in
+        slices of at most 2048 rows, which bound the working copies.  Each
+        slice is reduced against the stored rows once; a row is then
+        reduced only against the rows that entered earlier in the same
+        slice, and the stored rows are brought to zero at the new pivots in
+        one restricted product at the end; `_sub_product` keeps every
+        product exact.  The closure offers 64 seeds per call, then whole
+        sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources per call:
+        each round-1 call at (400,201) offers 1000 rows.  The cells of round
+        2 go 256 per call.
         """
         block = np.asarray(block, dtype=np.float64)
-        if block.shape[0] > 2048:
-            raise ValueError("insert_block is limited to 2048 rows per call")
-        return self._insert_reduced(*self.reduce_block(block, cols))
+        added = 0
+        for lo in range(0, max(len(block), 1), 2048):  # an empty block is still checked
+            added += self._insert_reduced(*self.reduce_block(block[lo:lo + 2048], cols))
+            if self.rank == self.length:
+                break
+        return added
 
 
 class RationalBasis:

@@ -9,7 +9,7 @@ from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params)
-from terwilliger import algebra, modular
+from terwilliger import algebra
 from terwilliger.algebra import _GeneratorProducts, _modular_closure, algebra_closure
 from terwilliger.groups import ConsistencyError, pair_orbits
 from terwilliger.modular import DEFAULT_PRIMES, PrimeBasis
@@ -189,27 +189,19 @@ class TestAlgebraClosure:
         digest = hashlib.sha256(basis.rows.tobytes() + pivots.tobytes()).hexdigest()
         assert digest == self.FINAL_BASIS_SHA256[n, s]
 
-    def test_both_in_call_loops_store_the_same_round_one_basis(self, monkeypatch):
-        # round 1 of (40,19) is the narrow blocks the sparse loop takes by
-        # width; ROUND_BUDGET = 1 stops the closure as round 2 begins.  The
-        # span after round 1 fixes the pivots and the fully reduced rows,
+    def test_round_one_basis_pinned(self, monkeypatch):
+        # ROUND_BUDGET = 1 stops the closure of (40,19) as round 2 begins.
+        # The span after round 1 fixes the pivots and the fully reduced rows,
         # whatever order its rows were offered in, so their digest in pivot
         # order is pinned
         sd, _, _ = closure_inputs(40, 19)
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
-        stores = []
-        for width in (2 ** 62, 0):  # every block sparse, then every block dense
-            monkeypatch.setattr(modular, "SPARSE_WIDTH", width)
-            basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
-            with pytest.raises(ConsistencyError, match="did not stabilize"):
-                _modular_closure(basis, products, list(range(2 * sd.num_relations)),
-                                 dim_t_tilde(sd.group))
-            assert basis.rank == 895 and len(basis._off_vals) == 267
-            stores.append([a.tobytes() for a in (basis._pivot_cols, basis._pivot_row,
-                                                  basis._off_rows, basis._off_cols,
-                                                  basis._off_vals)])
-        assert stores[0] == stores[1]
+        basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
+        with pytest.raises(ConsistencyError, match="did not stabilize"):
+            _modular_closure(basis, products, list(range(2 * sd.num_relations)),
+                             dim_t_tilde(sd.group))
+        assert basis.rank == 895 and len(basis._off_vals) == 267
         pivots = basis._pivot_cols[:basis.rank]
         order = np.argsort(pivots)
         digest = hashlib.sha256(basis.rows[order].tobytes() + pivots[order].tobytes())

@@ -6,20 +6,11 @@ import numpy as np
 import pytest
 
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
-                         build_scheme, conjugacy_classes, modular, validate_params)
+                         build_scheme, conjugacy_classes, validate_params)
 
 from helpers import oracle_echelon, oracle_rational_echelon, oracle_rational_residual
 
 PRIMES = (97, *DEFAULT_PRIMES)
-# each prime on both in-call loops of insert_block; the sparse loop, which
-# these 30-column blocks take by their width, keeps the bare prime as its id
-PRIME_LOOPS = [pytest.param(p, loop, id=str(p) if loop == "sparse" else f"{p}-dense_loop")
-               for p in PRIMES for loop in ("sparse", "dense")]
-
-
-def force_loop(monkeypatch, loop: str) -> None:
-    """Send every insert_block call to one in-call loop, whatever its width."""
-    monkeypatch.setattr(modular, "SPARSE_WIDTH", 2 ** 62 if loop == "sparse" else 0)
 
 
 def _vectors(rng, kind: str, count: int, length: int, p: int) -> np.ndarray:
@@ -31,6 +22,31 @@ def _vectors(rng, kind: str, count: int, length: int, p: int) -> np.ndarray:
         rows = rng.integers(0, p, size=(count, length))
     for i in range(3, count, 4):
         rows[i] = (2 * rows[i - 1] + 3 * rows[i - 3]) % p
+    return rows
+
+
+def _lone_and_loop_rows(rng, kinds: str, p: int, ones: bool) -> np.ndarray:
+    """One row per letter of `kinds`, on columns in random order.  An "l"
+    row is lone: one to three columns that no other row touches.  An "o"
+    row has one to three columns of its own plus one column that every "o"
+    row shares, so it is never lone.  A "d" row is a combination of the last
+    two "o" rows, so it is dependent, and it is never lone either.  The
+    values are 1, as in the closure's 0/1 rows, or residues from 2 up, so
+    that every lone row's leading entry needs its inverse."""
+    length = 4 * len(kinds) + 1
+    perm = rng.permutation(length)
+    shared, free = perm[0], iter(perm[1:].tolist())
+    rows = np.zeros((len(kinds), length), dtype=np.int64)
+    for i, kind in enumerate(kinds):
+        if kind == "d":
+            a, b = [k for k in range(i) if kinds[k] == "o"][-2:]
+            rows[i] = (2 * rows[a] + 3 * rows[b]) % p
+            continue
+        own = [next(free) for _ in range(rng.integers(1, 4))] + [shared] * (kind == "o")
+        rows[i, own] = 1 if ones else rng.integers(2, p, len(own))
+    nonzero = rows != 0
+    lone = ~(nonzero & (nonzero.sum(axis=0) > 1)).any(axis=1)
+    assert lone.tolist() == [kind == "l" for kind in kinds]
     return rows
 
 
@@ -152,10 +168,9 @@ class TestPrimeBasis:
         assert one.rank == two.rank
         assert np.array_equal(one.rows, two.rows)
 
-    @pytest.mark.parametrize("p,loop", PRIME_LOOPS)
+    @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_sequential_inserts_match_python_oracle(self, p, loop, kind, monkeypatch):
-        force_loop(monkeypatch, loop)
+    def test_sequential_inserts_match_python_oracle(self, p, kind):
         rng = np.random.default_rng(p % 1000 + len(kind))
         vectors = _vectors(rng, kind, 24, 30, p)
         basis = PrimeBasis(p, 30)
@@ -165,12 +180,10 @@ class TestPrimeBasis:
         assert basis.rows.astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
 
-    @pytest.mark.parametrize("p,loop", PRIME_LOOPS)
+    @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_consecutive_blocks_on_nonempty_basis_match_sequential_inserts(
-            self, p, loop, kind, monkeypatch):
+    def test_consecutive_blocks_on_nonempty_basis_match_sequential_inserts(self, p, kind):
         # rows stored before a call are only updated at its end
-        force_loop(monkeypatch, loop)
         rng = np.random.default_rng(p % 1000 + len(kind))
         start = _vectors(rng, kind, 6, 30, p)
         blocks = [_vectors(rng, kind, m, 30, p) for m in (9, 1, 8, 5)]
@@ -330,12 +343,10 @@ class TestPrimeBasis:
             assert full._pivot_cols[:full.rank].tolist() == pivots
         assert np.isin(compact.quotient_cols(), cols).all()
 
-    @pytest.mark.parametrize("p,loop", PRIME_LOOPS)
-    def test_block_reaching_full_rank_partway_matches_sequential_inserts(
-            self, p, loop, monkeypatch):
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_block_reaching_full_rank_partway_matches_sequential_inserts(self, p):
         # the rank reaches length in the middle of the call; the rows after
         # that point are nonzero against the stored rows but must not enter
-        force_loop(monkeypatch, loop)
         rng = np.random.default_rng(p % 1000 + 3)
         start = _vectors(rng, "dense", 24, 30, p)
         block = _vectors(rng, "dense", 24, 30, p)
@@ -355,6 +366,81 @@ class TestPrimeBasis:
         assert _state(one) == _state(two)
         _check_store(one)
         assert one.insert_block(block.astype(np.float64), np.arange(30)) == 0
+
+    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("ones", [True, False], ids=["unit_leads", "non_unit_leads"])
+    @pytest.mark.parametrize("kinds", ["lllll", "ooodoo", "lololdlo", "oodolll", "llloood"],
+                             ids=["every_row_lone", "no_row_lone", "interleaved",
+                                  "lone_after_loop", "lone_before_loop"])
+    def test_lone_rows_match_python_oracle(self, p, ones, kinds):
+        # lone rows enter as they stand, the others through the loop, and
+        # both come out in block order; on a nonempty basis the block is
+        # reduced first, and the stored rows must then be cleared
+        rng = np.random.default_rng(p % 1000 + len(kinds))
+        block = _lone_and_loop_rows(rng, kinds, p, ones)
+        length = block.shape[1]
+        empty = PrimeBasis(p, length)
+        assert empty.insert_block(block.astype(np.float64), np.arange(length)) == \
+            len(kinds) - kinds.count("d")
+        rows, pivots = oracle_echelon(block, p)
+        assert empty.rows.astype(np.int64).tolist() == rows
+        assert empty._pivot_cols[:empty.rank].tolist() == pivots
+        start = _vectors(rng, "sparse", 6, length, p)
+        basis = PrimeBasis(p, length)
+        basis.insert_block(start.astype(np.float64), np.arange(length))
+        basis.insert_block(block.astype(np.float64), np.arange(length))
+        rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
+        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis._pivot_cols[:basis.rank].tolist() == pivots
+        _check_store(basis)
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_room_cut_falls_between_lone_and_loop_rows(self, p):
+        # the in-call elimination returns the first `room` rows that enter;
+        # here the cut falls after a lone row and before a loop row, and the
+        # other way round
+        rng = np.random.default_rng(p % 1000 + 11)
+        block = _lone_and_loop_rows(rng, "lolodlool", p, ones=False)
+        basis = PrimeBasis(p, block.shape[1])
+        for room in range(9):
+            new, pivots, used = basis._eliminate(block.astype(np.float64), room)
+            prefix = next(k for k in range(len(block) + 1)
+                          if len(oracle_echelon(block[:k], p)[0]) == room)
+            rows, want = oracle_echelon(block[:prefix], p)
+            full = np.zeros((len(new), block.shape[1]), dtype=np.int64)
+            full[:, used] = new
+            assert full.tolist() == rows and used[pivots].tolist() == want
+
+    @pytest.mark.parametrize("fill", [False, True], ids=["dependent_rows", "full_in_second_slice"])
+    def test_block_over_2048_rows_matches_sequential_inserts(self, fill, monkeypatch):
+        # a block goes in slices of at most 2048 rows.  The first slice spans
+        # 20 of the 24 columns; with `fill`, the second slice reaches full
+        # rank early and a third slice is never reduced
+        p, length = DEFAULT_PRIMES[0], 24
+        rng = np.random.default_rng(fill)
+        block = _vectors(rng, "sparse", 2100 + 2048 * fill, length, p)
+        block[:2048 if fill else None, 20:] = 0
+        block[2048:2060] = 0  # rows that reduce to zero at the slice border
+        if fill:
+            block[2060:2060 + length] = np.eye(length, dtype=np.int64)[::-1]
+        two = PrimeBasis(p, length)
+        for vec in block[:2100]:
+            two.insert(vec)
+        rows, pivots = oracle_echelon(block[:2100], p)
+        slices = []
+        reduce_block = PrimeBasis.reduce_block
+
+        def counted(basis, part, cols):
+            slices.append(len(part))
+            return reduce_block(basis, part, cols)
+        monkeypatch.setattr(PrimeBasis, "reduce_block", counted)
+        one = PrimeBasis(p, length)
+        added = one.insert_block(block.astype(np.float64), np.arange(length))
+        assert slices == [2048, 2048 if fill else 52]
+        assert one.rank == added == (length if fill else 20)
+        assert _state(one) == _state(two)
+        assert one.rows.astype(np.int64).tolist() == rows
+        assert one._pivot_cols[:one.rank].tolist() == pivots
 
     def test_footprint_does_not_grow_with_length_squared(self):
         # a dense length x length float64 store would take 3.2 GB here
