@@ -44,7 +44,7 @@ from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
 BATCH_ROWS = 256  # products or cells collected before each insert_block call
-SEED_ROWS = 64  # seeds per insert_block call, each chunk on its own support
+SEED_ROWS = 64  # seeds per insert_block call
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 PROVENANCE_EXACT = "exact"
@@ -100,7 +100,7 @@ class _GeneratorProducts:
     E*_j is E*_j A_identity, the pairs with relation == identity_class and
     class_u == j; E*_j M keeps the pairs with class_u == j, and M E*_j those
     with class_v == j.  All three labels are checked to be orbit invariants,
-    and every 0/1 row is built from them on the columns that need it.  Then
+    and every 0/1 row is read off them as its nonzero entries.  Then
     (A_i M)[u, v] = sum over c in Cl_i of M[c u, v], for all classes in one
     gather plus one segment sum.
     """
@@ -121,19 +121,29 @@ class _GeneratorProducts:
                 and np.all(self.class_v[ids] == class_of)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
 
-    def seeds(self, gens) -> np.ndarray:
-        """A 0/1 row per generator g in `gens`: A_g for g <= t, else E*_(g-t-1)."""
+    def seeds(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 0/1 row of each generator g in `gens`, A_g for g <= t, else
+        E*_(g-t-1), as entries (row, column, value 1) sorted by row and
+        column: a column lies in the A_g of its relation and, if that is
+        the identity relation, in the E*_j of its class_u."""
         t1 = len(self.offsets)
-        identity = self.relation == self.identity_class
-        return np.array([self.relation == g if g < t1 else identity & (self.class_u == g - t1)
-                         for g in gens])
+        row_of = np.full(2 * t1, -1)
+        row_of[gens] = np.arange(len(gens))
+        diagonal = np.flatnonzero(self.relation == self.identity_class)
+        rows = np.concatenate([row_of[self.relation], row_of[t1 + self.class_u[diagonal]]])
+        cols = np.concatenate([np.arange(len(self.relation)), diagonal])
+        asked = rows >= 0
+        return _by_row(rows[asked], cols[asked])
 
-    def masked_generators(self, part: range) -> tuple[np.ndarray, np.ndarray]:
+    def masked_generators(self, part: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The rows E*_j A_i, then A_i E*_j, for every i in `part` and every j
-        from t down to 0, on the pairs whose relation lies in `part`, and
-        those columns.  A_i A_j lies in the span of the A's (the scheme
+        from t down to 0, as entries (row, column, value 1) sorted by row
+        and column.  A_i A_j lies in the span of the A's (the scheme
         product identity) and E*_i E*_j in the span of the E*'s, so these
         are the generator products that can grow the span of the generators.
+        A column of relation i lies in exactly two of these rows, E*_j A_i
+        with j its class_u and A_i E*_j with j its class_v, so both row
+        indices are computed from its labels.
 
         The order is descending so that rows do not fill in.  The seed A_i
         has its pivot at a pair (e, v), so the row E*_k A_i of the
@@ -142,32 +152,30 @@ class _GeneratorProducts:
         clear it again.  The identity's class comes early in the canonical
         order (index tau - 1 for D(n,s)), so here that row comes late and
         reduces to zero, or nearly, against the disjoint rows already in."""
+        t1 = len(self.offsets)
         cols = np.flatnonzero((self.relation >= part.start) & (self.relation < part.stop))
-        labels = np.arange(len(self.offsets))[::-1, None]
-        masks = np.concatenate([self.class_u[cols] == labels, self.class_v[cols] == labels])
-        relation = self.relation[cols]
-        return np.concatenate([masks & (relation == i) for i in part]), cols
+        last = (self.relation[cols] - part.start) * 2 * t1 + t1 - 1  # the row E*_0 A_i
+        rows = np.concatenate([last - self.class_u[cols], last + t1 - self.class_v[cols]])
+        return _by_row(rows, np.concatenate([cols, cols]))
 
     def cells(self):
         """The cells E*_k A_i E*_j: one 0/1 row per nonempty (class_u,
         relation, class_v), the pairs with class(u) = k, relation i and
         class(v) = j.  Returns their number and an iterator over blocks of
-        BATCH_ROWS cells, each given on its own support, in the order of
-        that key.  Every column lies in exactly one cell, so the cells are
-        independent, span T0, and one argsort of the key groups them."""
+        BATCH_ROWS cells, each as entries (row, column, value 1) sorted by
+        row and column, in the order of that key.  Every column lies in
+        exactly one cell, so the cells are independent, span T0, and one
+        stable argsort of the key groups them, each with its columns in
+        order."""
         t1 = len(self.offsets)
         key = (self.class_u * t1 + self.relation) * t1 + self.class_v
-        order = np.argsort(key)
+        order = np.argsort(key, kind="stable")
         cell = np.cumsum(np.diff(key[order], prepend=key[order[0]]) != 0)
         starts = np.searchsorted(cell, np.arange(0, cell[-1] + 1, BATCH_ROWS))
 
         def blocks():
             for lo, hi in zip(starts, np.append(starts[1:], len(order))):
-                cols, rows = order[lo:hi], cell[lo:hi] - cell[lo]
-                sort = np.argsort(cols)
-                block = np.zeros((rows[-1] + 1, hi - lo), dtype=bool)
-                block[rows[sort], np.arange(hi - lo)] = True
-                yield block, cols[sort]
+                yield cell[lo:hi] - cell[lo], order[lo:hi], np.ones(hi - lo, dtype=np.int64)
         return int(cell[-1]) + 1, blocks()
 
     def all_products(self, cols: np.ndarray):
@@ -184,6 +192,12 @@ class _GeneratorProducts:
             left = np.add.reduceat(m[index], self.offsets, axis=0)
             return np.concatenate([left, masks * m[cols]])
         return products
+
+
+def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """0/1 entries sorted by row, the columns of each row kept in order."""
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], np.ones(len(rows), dtype=np.int64)
 
 
 def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
@@ -203,24 +217,22 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     added.  The cells are then left out: inserting them first would change
     those rows, and their products could hold longer words.  Each source
     gives 2(t+1) rows, and a chunk of sources fills one insert_block
-    call.  The seeds, the round-1 rows and the cells are
-    0/1, so they are residues as they stand.
+    call.
 
-    Every block is formed only on columns that can change its residual (see
-    the modular docstring), and its 0/1 rows are built from the labels there
-    alone.  The seeds go in SEED_ROWS at a time and the cells BATCH_ROWS at
-    a time, each block on its own support.  In round 1 those columns are
-    the support of the chunk's sources: the pairs whose relation is one of
-    them.  A later round's products are dense, so they are formed on the
-    quotient columns C of the basis, taken once at the start of the round:
-    C only shrinks while rows enter, so the round's first C stays enough for
-    all of it.  The gather index for C is taken once per round too, and each
-    chunk densifies only its own source rows.
+    Every block goes to the basis as its nonzero entries.  The seeds, the
+    round-1 rows and the cells are 0/1: their (row, column) pairs are read
+    off the labels and each value is 1, a residue as it stands, so no
+    dense block is formed for them.  The seeds go in SEED_ROWS at a time
+    and the cells BATCH_ROWS at a time.  A later round's products are
+    dense, so they are formed only on the quotient columns C of the basis
+    (see the modular docstring), taken once at the start of the round: C
+    only shrinks while rows enter, so the round's first C stays enough for
+    all of it.  The gather index for C is taken once per round too, each
+    chunk densifies only its own source rows, and one np.nonzero turns its
+    products into entries.
     """
     for lo in range(0, len(seed_order), SEED_ROWS):
-        part = products.seeds(seed_order[lo:lo + SEED_ROWS])
-        cols = np.flatnonzero(part.any(axis=0))
-        basis.insert_block(part[:, cols], cols)
+        basis.insert_block(*products.seeds(seed_order[lo:lo + SEED_ROWS]))
     history = [basis.rank]
     rounds, sources = 0, range(len(products.offsets))
     while sources and basis.rank < bound:
@@ -229,8 +241,8 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
             raise ConsistencyError(
                 f"closure did not stabilize within {ROUND_BUDGET} rounds")
         start = basis.rank
-        for block, cols in _offers(basis, products, rounds, sources, bound):
-            basis.insert_block(block, cols)
+        for block in _offers(basis, products, rounds, sources, bound):
+            basis.insert_block(*block)
             if basis.rank >= bound:
                 break
         history.append(basis.rank)
@@ -240,8 +252,8 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
 
 def _offers(basis: PrimeBasis, products: _GeneratorProducts, rounds: int,
             sources: range, bound: int):
-    """The (block, cols) pairs one round offers, in order, formed as they
-    are taken (see `_modular_closure`)."""
+    """The blocks one round offers, in order, each as its (rows, cols, vals)
+    entries and formed as it is taken (see `_modular_closure`)."""
     chunk = -(-BATCH_ROWS // (2 * len(products.offsets)))
     if rounds == 1:
         for lo in range(0, len(sources), chunk):
@@ -256,8 +268,15 @@ def _offers(basis: PrimeBasis, products: _GeneratorProducts, rounds: int,
     multiply = products.all_products(cols)
     for lo in range(0, len(sources), chunk):
         part = sources[lo:lo + chunk]
-        yield np.concatenate([multiply(m) for m in
-                              basis.dense_rows(part.start, part.stop)]), cols
+        yield _nonzeros(np.concatenate([multiply(m) for m in
+                                        basis.dense_rows(part.start, part.stop)]), cols)
+
+
+def _nonzeros(block: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of a dense block given on `cols`; the block itself is
+    not kept."""
+    rows, at = np.nonzero(block)
+    return rows, cols[at], block[rows, at]
 
 
 def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
@@ -290,9 +309,11 @@ def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
     return basis.rank
 
 
-def dim_t_tilde(group: GroupTable) -> int:
-    """Dimension of the centralizer algebra: the orbital count (dual-route)."""
-    return orbital_count(group)
+def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
+    """Dimension of the centralizer algebra: the orbital count (dual-route),
+    checked against the representatives `reps` of an enumeration already
+    made, if given."""
+    return orbital_count(group, reps)
 
 
 def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
@@ -313,8 +334,10 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     if sorted(seed_order) != canonical:
         raise ValueError("seed_order must be a permutation of the generators")
     group = scheme.group
-    bound = dim_t_tilde(group)
-    products = _GeneratorProducts(scheme, *pair_orbits(group))
+    # one enumeration of the orbits serves the bound's check and the closure
+    ids, reps = pair_orbits(group)
+    bound = dim_t_tilde(group, reps)
+    products = _GeneratorProducts(scheme, ids, reps)
 
     rounds: list[int] = []
     histories: list[list[int]] = []

@@ -268,12 +268,13 @@ def centralizer_counts(group: GroupTable) -> np.ndarray:
     return np.count_nonzero(group.mult == group.mult.T, axis=0)
 
 
-def orbital_count(group: GroupTable) -> int:
+def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
     """Number of orbits of G acting on G x G by simultaneous conjugation.
 
     Computed two ways, which must agree: the Burnside average of |C_G(g)|^2,
     and an explicit enumeration of the orbits by their least pairs
-    (pair_orbits).
+    (pair_orbits).  A caller that has already enumerated them passes the
+    representatives `reps`, which then stand in for a second enumeration.
     """
     counts = centralizer_counts(group)
     total = int(np.sum(counts.astype(object) ** 2))
@@ -281,7 +282,7 @@ def orbital_count(group: GroupTable) -> int:
         raise ConsistencyError("Burnside sum is not divisible by the group order")
     burnside = total // group.order
 
-    explicit = len(pair_orbits(group)[1])
+    explicit = len(pair_orbits(group)[1] if reps is None else reps)
     if explicit != burnside:
         raise ConsistencyError(
             f"orbital count mismatch for {group.name}: "

@@ -3,66 +3,70 @@
 Vectors have a fixed length (the closure passes matrices in orbital
 coordinates).  The workhorse is PrimeBasis, a fully reduced echelon basis
 over F_p: every stored row has a 1 at its pivot column and every other
-stored row has a 0 there, so reducing a block is a single matrix product
+stored row has a 0 there, so the residual of a vector v is
 
-    block - block[:, pivot_cols] @ rows.
+    v - sum over the pivots c of v[c] * row_c.
 
 Only the pivots and the entries off them are stored: a pivot column per
-row, and the row, column and value of every nonzero off its row's pivot.
-The memory is linear in length plus those entries, never length², and a
-basis of full rank, the identity, stores no entry.  The product above
-needs only the off-pivot part, since a row's pivot just cancels the block
-at that column, and its operand is densified from the store on the few
-rows and columns it involves; `rows` is a dense copy built on request.
+row, and the row, column and value of every nonzero off its row's pivot,
+kept sorted by row, so that one row's entries are one run found by
+searchsorted.  The memory is linear in length plus those entries, never
+length², and a basis of full rank, the identity, stores no entry; `rows`
+is a dense copy built on request.
 
-A block is given only on its own columns: `block[:, k]` is the value at
-column `cols[k]`, and every other column counts as zero.  The residual of a
-vector v is zero at every pivot, and at a non-pivot column j it is v[j]
-minus the sum of v[c] * row_c[j] over the pivots c whose row is nonzero at
-j.  So it depends on v only at the columns
+A block of vectors is handed over as its nonzero entries: three aligned
+arrays of block row, column and value, sorted by row and, within a row,
+by strictly increasing column.  The closure's 0/1 offers are built in that
+form; a dense block is converted at the boundary with one np.nonzero.  The
+residual of v is zero at every pivot, and at a non-pivot column j it is
+v[j] minus the sum of v[c] * row_c[j] over the pivots c whose row is
+nonzero at j.  So it depends on v only at the columns
 
     C = (non-pivot columns) + (pivots of rows with an off-pivot entry),
 
-and `cols` may leave out every column where v is zero or that lies outside
-C, such as the pivot of a unit row: that row only cancels v at its own
-pivot.  `quotient_cols` returns C.  C only shrinks while rows enter: a new
-pivot was a non-pivot column, and a row with an entry at a remaining
-non-pivot column is either old, with its pivot already in C, or new, with
-its pivot among the old non-pivot columns.  A caller may therefore keep one
-C while it inserts.  A C that is too small gives wrong residuals without any
-error, and a closure fed wrong residuals can still reach its bound, which
-would be a false exact certificate; pass every column when in doubt.
+and a block may leave out every entry outside C, such as one at the pivot
+of a unit row: that row only cancels v at its own pivot.  `quotient_cols`
+returns C.  C only shrinks while rows enter: a new pivot was a non-pivot
+column, and a row with an entry at a remaining non-pivot column is either
+old, with its pivot already in C, or new, with its pivot among the old
+non-pivot columns.  A caller may therefore keep one C while it inserts.  A
+C that is too small gives wrong residuals without any error, and a closure
+fed wrong residuals can still reach its bound, which would be a false
+exact certificate; keep every nonzero when in doubt.
 
-Within those columns the products are restricted further to what they can
-change: the block rows with a nonzero coefficient, the stored rows whose
-pivot one of them hits, and the columns where those stored rows are
-nonzero off their pivots, read from the store.  Every term left out is
-zero, so the result equals the dense product exactly.
+reduce_block follows the formula entry by entry.  An entry at a pivot c is
+a coefficient: the stored row cancels it there and is zero at every other
+pivot, so the entry is dropped and -v[c] times each off-pivot entry of that
+row is added instead, gathered from the store.  Each such product is taken
+mod p before the sums, so every term lies in [0, p), and the terms are
+summed by (row, column) in int64, exactly for fewer than 2^63 / p terms per
+entry (about 9.7e10 at the largest modulus allowed), then reduced mod p,
+and the zero sums are dropped.  No dense rows x length block is formed.
 
 insert_block reduces the block against the store that way, then eliminates
-its rows among themselves on the block's own nonzero columns: a row is
-reduced only against the rows that entered earlier in the same call, and
-the older rows are brought to zero at the new pivots once per call, on
-those columns only; the rows a new pivot hits, and their entries at those
-columns, are found in the store.  In the call, a row that shares no column
-with another row of the block enters as it stands, scaled to 1 at its
-first nonzero; the other rows are eliminated on {column: residue} rows of
-Python ints, each value taken mod p as it is formed.  The closure's
-reduced blocks have a few nonzeros per row, and Python arithmetic on a
-handful of entries beats about 20 numpy calls per row.
+its rows among themselves on their nonzeros: a row is reduced only against
+the rows that entered earlier in the same call, and the older rows are
+brought to zero at the new pivots once per call, on the new rows' columns
+only; the rows a new pivot hits, and their entries at those columns, are
+found in the store.  In the call, a row that shares no column with another
+row of the block enters as it stands, scaled to 1 at its first nonzero; the
+other rows are eliminated on {column: residue} rows of Python ints, each
+value taken mod p as it is formed.  The closure's reduced blocks have a few
+nonzeros per row, and Python arithmetic on a handful of entries beats about
+20 numpy calls per row.
 
-Residues are stored in float64 so the products run through BLAS.  Every
-multi-term product is formed as (a - C @ R) mod p by `_sub_product`, in
-slabs of k inner terms with k * (p-1)^2 < 2^53, reduced mod p after each
-slab (the delayed reduction of FFLAS-FFPACK), so every sum is an exact
-float64 integer; `_mod` takes it back to [0, p) by an exact int64 remainder.
-At the default moduli, the two largest primes below 2^20, one slab holds
-8192 terms.  The in-call elimination needs no slab: a lone row is scaled
-by one product below (p-1)^2, and the loop's Python ints are exact at any
-size, with residues below p < 2^53 that convert to float64 exactly.
-Modular rank only lower-bounds the rational rank, so callers must close
-the gap themselves (see the algebra closure, which pins the rank exactly
-whenever it reaches the centralizer bound).
+The store holds residues as int64.  The one product left dense, the update
+of the older rows at the new pivots, runs in float64 through BLAS:
+`_sub_product` forms (a - C @ R) mod p in slabs of k inner terms with
+k * (p-1)^2 < 2^53, reduced mod p after each slab (the delayed reduction of
+FFLAS-FFPACK), so every sum is an exact float64 integer; `_mod` takes it
+back to [0, p) by an exact int64 remainder.  At the default moduli, the two
+largest primes below 2^20, one slab holds 8192 terms.  The in-call
+elimination needs no slab: a lone row is scaled by one product below
+(p-1)^2, and the loop's Python ints are exact at any size.  Modular rank
+only lower-bounds the rational rank, so callers must close the gap
+themselves (see the algebra closure, which pins the rank exactly whenever
+it reaches the centralizer bound).
 """
 
 from __future__ import annotations
@@ -82,9 +86,9 @@ class PrimeBasis:
 
     Each stored row is its pivot column, where it holds an implicit 1, plus
     its nonzero entries off that pivot, kept as three aligned arrays of row,
-    column and value.  No zero value is stored, and nothing of size length²
-    is ever allocated: a basis that reaches full rank is the identity and
-    stores no entry at all.
+    column and value, sorted by row.  No zero value is stored, and nothing
+    of size length² is ever allocated: a basis that reaches full rank is
+    the identity and stores no entry at all.
     """
 
     def __init__(self, modulus: int, length: int):
@@ -98,10 +102,11 @@ class PrimeBasis:
         self._slab = (FLOAT_EXACT - 1) // (modulus - 1) ** 2
         self._pivot_cols = np.zeros(length, dtype=np.int64)
         self._pivot_row = np.full(length, -1, dtype=np.int64)  # -1: not a pivot
-        # row, column and value of every stored nonzero off its row's pivot
+        # row, column and value of every stored nonzero off its row's
+        # pivot, sorted by row
         self._off_rows = np.zeros(0, dtype=np.int64)
         self._off_cols = np.zeros(0, dtype=np.int64)
-        self._off_vals = np.zeros(0, dtype=np.float64)
+        self._off_vals = np.zeros(0, dtype=np.int64)
 
     @property
     def rows(self) -> np.ndarray:
@@ -111,20 +116,23 @@ class PrimeBasis:
 
     def dense_rows(self, start: int, stop: int) -> np.ndarray:
         """Stored rows start..stop-1 as a dense copy on every column."""
-        at = (self._off_rows >= start) & (self._off_rows < stop)
+        lo, hi = np.searchsorted(self._off_rows, [start, stop])
         out = np.zeros((stop - start, self.length))
-        out[self._off_rows[at] - start, self._off_cols[at]] = self._off_vals[at]
+        out[self._off_rows[lo:hi] - start, self._off_cols[lo:hi]] = self._off_vals[lo:hi]
         out[np.arange(stop - start), self._pivot_cols[start:stop]] = 1
         return out
 
-    def _off_pivot(self, rows: np.ndarray, cols: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The sorted stored `rows` on the sorted columns `cols`, off their
-        pivots: the entries selected by the mask `at`, which must all lie in
-        those rows and columns."""
-        out = np.zeros((len(rows), len(cols)))
-        out[np.searchsorted(rows, self._off_rows[at]),
-            np.searchsorted(cols, self._off_cols[at])] = self._off_vals[at]
-        return out
+    def _runs(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Where the entries of each of the stored `rows` start in the store,
+        and how many there are: the store is sorted by row, so a row's
+        entries are one run, found by searchsorted."""
+        lo = np.searchsorted(self._off_rows, rows)
+        return lo, np.searchsorted(self._off_rows, rows, side="right") - lo
+
+    @staticmethod
+    def _expand(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """The indices of the runs lo[k] .. lo[k] + n[k] - 1, run after run."""
+        return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
 
     def _mod(self, x: np.ndarray) -> np.ndarray:
         """Residues in [0, p) of float64 integers below 2^53 in magnitude.
@@ -143,8 +151,8 @@ class PrimeBasis:
         term lies in [0, (p-1)^2], so with at most `_slab` terms per slab and
         a mod p after each, every sum below stays an exact float64 integer.
 
-        A matrix c with exactly one nonzero per row, as when single-orbit
-        cells hit stored pivots, makes the product a scaled gather of rows
+        A matrix c with exactly one nonzero per row, as when each older row
+        is hit by one new pivot, makes the product a scaled gather of rows
         of r, one term per entry and exact for the same reason; it runs
         without BLAS, which would spread such products over every core."""
         if c.ndim == 2:
@@ -162,103 +170,152 @@ class PrimeBasis:
         return np.union1d(np.flatnonzero(self._pivot_row < 0),
                           self._pivot_cols[np.unique(self._off_rows)])
 
-    def reduce_block(self, block: np.ndarray, cols) -> tuple[np.ndarray, np.ndarray]:
-        """Reduce every row of an integer block against the basis; returns the
-        residual in residues and the sorted columns it is given on.
+    def _entries(self, rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A block's entries checked and returned as int64 arrays, with the
+        values reduced to residues and the zeros dropped."""
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals)
+        if not (rows.ndim == 1 and rows.shape == cols.shape == vals.shape):
+            raise ValueError("rows, cols and vals must be aligned 1-D arrays")
+        for name, x in (("rows", rows), ("cols", cols)):
+            if x.size and x.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be an integer array, not {x.dtype}")
+        rows, cols = rows.astype(np.int64, copy=False), cols.astype(np.int64, copy=False)
+        if len(rows):
+            if rows[0] < 0 or cols.min() < 0 or cols.max() >= self.length:
+                raise ValueError(f"rows must be nonnegative and cols in [0, {self.length})")
+            key = rows * self.length + cols
+            if np.any(key[1:] <= key[:-1]):
+                raise ValueError("entries must be sorted by row, with strictly "
+                                 "increasing columns within a row")
+        vals = vals.astype(np.int64)
+        vals %= self.p
+        nonzero = vals != 0
+        if not nonzero.all():
+            rows, cols, vals = rows[nonzero], cols[nonzero], vals[nonzero]
+        return rows, cols, vals
 
-        `block[:, k]` is the value at column `cols[k]`; `cols` is a strictly
-        increasing integer array and may leave out only columns that cannot
-        change the residual (see the module docstring).  Entries must be
-        below 2^53 in magnitude.  The residual is given on `cols` plus the
-        support of the stored rows that the block hits, and is zero at every
-        other column.
+    def _sum_entries(self, rows: np.ndarray, cols: np.ndarray,
+                     vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The residues in [0, p) summed by (row, column) and reduced mod p,
+        sorted by row and column, with the zero sums dropped."""
+        if not len(rows):
+            return rows, cols, vals
+        key = rows * self.length + cols
+        order = np.argsort(key)
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=-1))
+        sums = np.add.reduceat(vals[order], first) % self.p
+        nonzero = sums != 0
+        rows, cols = np.divmod(key[first[nonzero]], self.length)
+        return rows, cols, sums[nonzero]
+
+    def reduce_block(self, rows, cols, vals) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Reduce every row of a block against the basis; returns the
+        residual as entries in the same form, with residues in [1, p).
+
+        The block is its nonzero entries: `rows`, `cols` and `vals` are
+        aligned integer arrays, sorted by row and, within a row, by strictly
+        increasing column in [0, length); the values must fit in int64.  The
+        block may leave out only entries that cannot change the residual
+        (see the module docstring).  The terms are gathered and summed in
+        slices of whole rows of about as many terms as the store holds
+        entries (or `length`, if more), so the transient stays within a
+        small multiple of the store's own memory, however many terms the
+        block gathers in all.
         """
-        cols = np.asarray(cols)
-        if cols.size and cols.dtype.kind not in "iu":
-            raise ValueError(f"cols must be an integer array, not {cols.dtype}")
-        cols = cols.astype(np.int64)
-        if block.ndim != 2 or block.shape[1:] != cols.shape:
-            raise ValueError(f"expected a block with one column per col ({len(cols)})")
-        if len(cols) and (cols[0] < 0 or cols[-1] >= self.length
-                          or np.any(cols[1:] <= cols[:-1])):
-            raise ValueError(f"cols must be strictly increasing in [0, {self.length})")
-        out = self._mod(block)
-        at_pivot = np.flatnonzero(self._pivot_row[cols] >= 0)
-        hit = np.flatnonzero(out[:, at_pivot].any(axis=1))
-        if not len(hit):
-            return out, cols
-        # the hit pivots, ordered by their stored row
-        used = at_pivot[out[np.ix_(hit, at_pivot)].any(axis=0)]
-        stored = self._pivot_row[cols[used]]
-        order = np.argsort(stored)
-        stored, used = stored[order], used[order]
-        coeffs = out[np.ix_(hit, used)]
-        is_stored = np.zeros(self.rank, dtype=bool)
-        is_stored[stored] = True
-        at = is_stored[self._off_rows]
-        support = np.unique(self._off_cols[at])
-        out_cols = np.union1d(cols, support)
-        if len(out_cols) > len(cols):
-            wide = np.zeros((len(out), len(out_cols)))
-            wide[:, np.searchsorted(out_cols, cols)] = out
-            out = wide
-        # a stored row cancels the block at its own pivot and is zero at
-        # every other pivot, so only its off-pivot entries need a product
-        out[np.ix_(hit, np.searchsorted(out_cols, cols[used]))] = 0
-        if len(support):
-            sub = np.ix_(hit, np.searchsorted(out_cols, support))
-            out[sub] = self._sub_product(out[sub], coeffs,
-                                         self._off_pivot(stored, support, at))
-        return out, out_cols
+        rows, cols, vals = self._entries(rows, cols, vals)
+        stored = self._pivot_row[cols]
+        at_pivot = stored >= 0
+        if not at_pivot.any():
+            return rows, cols, vals
+        hit = np.flatnonzero(at_pivot)
+        first, n = self._runs(stored[hit])
+        hit_rows, coeffs = rows[hit], self.p - vals[hit]  # -v[c] mod p
+        # slices of whole rows: a row goes in slice k when k * cap to
+        # (k + 1) * cap - 1 terms are gathered before its first hit entry
+        start = np.cumsum(n) - n  # the terms before each hit entry
+        cap = max(self.length, len(self._off_rows))
+        slice_of = start[np.searchsorted(hit_rows, hit_rows)] // cap
+        cut = np.flatnonzero(np.diff(slice_of, prepend=-1))  # first hit entry of each slice
+        bounds = np.searchsorted(rows, hit_rows[cut[1:]])
+        parts = []
+        for a, b, lo, hi in zip(cut, np.append(cut[1:], len(hit)),
+                                np.append(0, bounds), np.append(bounds, len(rows))):
+            rest = ~at_pivot[lo:hi]
+            terms = self._expand(first[a:b], n[a:b])
+            parts.append(self._sum_entries(
+                np.concatenate([rows[lo:hi][rest], np.repeat(hit_rows[a:b], n[a:b])]),
+                np.concatenate([cols[lo:hi][rest], self._off_cols[terms]]),
+                np.concatenate([vals[lo:hi][rest],
+                                np.repeat(coeffs[a:b], n[a:b]) * self._off_vals[terms] % self.p])))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def _insert_reduced(self, block: np.ndarray, cols: np.ndarray) -> int:
-        """Insert the rows of a block already reduced against the basis and
-        given on the sorted global columns `cols`, until the rank is full.
+    def _insert_reduced(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> int:
+        """Insert the rows of a block already reduced against the basis,
+        given as entries, until the rank is full.
 
         The rows that enter are combinations of block rows, so the in-call
-        elimination (`_eliminate`) runs on the block's own nonzero columns:
-        a row is reduced only against the rows that entered earlier in this
-        call, which are zero at the old pivots and fully reduced among
-        themselves.  So each residual, and its pivot, is the one a fully
-        reduced basis would give.  The stored rows are brought to zero at
-        the new pivots once, at the end, which leaves the unique fully
-        reduced basis with this pivot sequence.  A new row is zero off those
-        nonzero columns, none of which is an old pivot, so the update changes
-        only those columns of the older rows it hits, and never their pivots.
+        elimination (`_eliminate`) runs on the block's own nonzeros: a row
+        is reduced only against the rows that entered earlier in this call,
+        which are zero at the old pivots and fully reduced among themselves.
+        So each residual, and its pivot, is the one a fully reduced basis
+        would give.  The stored rows are brought to zero at the new pivots
+        once, at the end, which leaves the unique fully reduced basis with
+        this pivot sequence.  The new rows are zero off their own columns,
+        none of which is an old pivot, so the update changes only those
+        columns of the older rows it hits, and never their pivots.
         """
         room = self.length - self.rank  # rows past a full rank reduce to zero
-        new, pivots, used = self._eliminate(block, room)
-        cols = cols[used]
-        start, end = self.rank, self.rank + len(new)
-        self._pivot_cols[start:end] = cols[pivots]
-        self._pivot_row[self._pivot_cols[start:end]] = np.arange(start, end)
+        new_rows, new_cols, new_vals, pivot_cols = self._eliminate(rows, cols, vals, room)
+        start, end = self.rank, self.rank + len(pivot_cols)
+        self._pivot_cols[start:end] = pivot_cols
+        self._pivot_row[pivot_cols] = np.arange(start, end)
         # older rows with an off-pivot nonzero at one of the new pivots; they
-        # change only at cols, so their entries there are taken out and
-        # stored again once updated
+        # change only at the new rows' columns, so their entries there are
+        # taken out and put back once updated, after the row's other entries
         hit = np.unique(self._off_rows[self._pivot_row[self._off_cols] >= start])
-        in_hit = np.zeros(start, dtype=bool)
-        in_hit[hit] = True
-        in_cols = np.zeros(self.length, dtype=bool)
-        in_cols[cols] = True
-        at = in_hit[self._off_rows] & in_cols[self._off_cols]
-        older = self._off_pivot(hit, cols, at)
-        older = self._sub_product(older, older[:, pivots], new)
-        keep = ~at  # every other entry is unchanged
-        r, c = np.nonzero(older)
-        nr, nc = np.nonzero(new)
-        new_off = nc != pivots[nr]
-        nr, nc = nr[new_off], nc[new_off]
-        self._off_rows = np.concatenate([self._off_rows[keep], hit[r], start + nr])
-        self._off_cols = np.concatenate([self._off_cols[keep], cols[c], cols[nc]])
-        self._off_vals = np.concatenate([self._off_vals[keep], older[r, c], new[nr, nc]])
+        keep = np.ones(len(self._off_rows), dtype=bool)
+        off = new_cols != pivot_cols[new_rows]
+        rows, cols, vals = start + new_rows[off], new_cols[off], new_vals[off]
+        if len(hit):
+            support = np.unique(new_cols)
+            new = np.zeros((end - start, len(support)))
+            new[new_rows, np.searchsorted(support, new_cols)] = new_vals
+            taken, n = self._runs(hit)
+            taken = self._expand(taken, n)
+            pos = np.searchsorted(support, self._off_cols[taken])
+            inside = support[np.minimum(pos, len(support) - 1)] == self._off_cols[taken]
+            taken, pos = taken[inside], pos[inside]
+            older = np.zeros((len(hit), len(support)))
+            older[np.repeat(np.arange(len(hit)), n)[inside], pos] = self._off_vals[taken]
+            older = self._sub_product(older, older[:, np.searchsorted(support, pivot_cols)], new)
+            keep[taken] = False
+            r, c = np.nonzero(older)
+            rows, cols = np.concatenate([hit[r], rows]), np.concatenate([support[c], cols])
+            vals = np.concatenate([older[r, c].astype(np.int64), vals])
+        # the store stays sorted by row: every entry goes in after the kept
+        # entries of its row, and the new rows come after every older one
+        at = np.searchsorted(self._off_rows[keep], rows, side="right") + np.arange(len(rows))
+        kept = np.ones(keep.sum() + len(rows), dtype=bool)
+        kept[at] = False
+        merged = []
+        for stored, entries in zip((self._off_rows, self._off_cols, self._off_vals),
+                                   (rows, cols, vals)):
+            out = np.empty(len(kept), dtype=np.int64)
+            out[kept], out[at] = stored[keep], entries
+            merged.append(out)
+        self._off_rows, self._off_cols, self._off_vals = merged
         self.rank = end
-        return len(new)
+        return end - start
 
-    def _eliminate(self, block: np.ndarray, room: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The in-call elimination of a reduced block: at most `room` fully
-        reduced rows in the order they entered, given on the block's nonzero
-        columns; their pivots, as indices into those columns; and those
-        columns, as indices into the block's.
+    def _eliminate(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                   room: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The in-call elimination of a reduced block, given as entries
+        sorted by row and column: at most `room` fully reduced rows in the
+        order they entered, as entries (k for the k-th row to enter, column,
+        value) sorted by k, and their pivot columns.
 
         A lone row, one that shares no column with another row of the block,
         enters as it stands, scaled by the inverse of its first nonzero, all
@@ -276,12 +333,13 @@ class PrimeBasis:
         depend on the lone rows, so both kinds, merged in block order and
         cut at `room`, are the rows that one call per row would enter."""
         p = self.p
-        r, c = np.nonzero(block)
-        values = block[r, c]
-        held = np.bincount(c, minlength=block.shape[1])  # rows nonzero at each column
-        lone = np.bincount(r[held[c] > 1], minlength=len(block))[r] == 0  # lone rows' entries
-        used = np.flatnonzero(held)
-        c = (np.cumsum(held > 0) - 1)[c]  # as indices into used
+        if not len(rows) or not room:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty, empty
+        used, c = np.unique(cols, return_inverse=True)  # c: as indices into used
+        held = np.bincount(c)  # rows nonzero at each column
+        # the entries of the lone rows
+        lone = np.bincount(rows[held[c] > 1], minlength=rows[-1] + 1)[rows] == 0
 
         def subtract(target: dict[int, int], coeff: int, source: dict[int, int]) -> None:
             for j, v in source.items():
@@ -293,16 +351,18 @@ class PrimeBasis:
 
         any_lone = lone.any()
         loop = ~lone if any_lone else slice(None)
-        rows: list[dict[int, int]] = [{} for _ in range(len(block))]
-        for i, j, v in zip(r[loop].tolist(), c[loop].tolist(),
-                           values[loop].astype(np.int64).tolist()):
-            rows[i][j] = v
+        loop_rows = rows[loop]
+        starts = np.flatnonzero(np.diff(loop_rows, prepend=-1))  # each loop row's first entry
+        bounds = [*starts.tolist(), len(loop_rows)]
+        loop_cols, loop_vals = c[loop].tolist(), vals[loop].tolist()
+        block = {i: dict(zip(loop_cols[lo:hi], loop_vals[lo:hi]))  # row: {column: residue}
+                 for i, lo, hi in zip(loop_rows[starts].tolist(), bounds, bounds[1:])}
         new: list[dict[int, int]] = []
         pivots: list[int] = []
         entered: list[int] = []  # the block row of each entered row
         pivot_of: dict[int, int] = {}
         holders: dict[int, set[int]] = {}
-        for i, row in enumerate(rows):
+        for i, row in block.items():
             for col in [col for col in row if col in pivot_of]:
                 subtract(row, row[col], new[pivot_of[col]])
             if not row:
@@ -328,15 +388,15 @@ class PrimeBasis:
                 break
         at = np.array([k for k, row in enumerate(new) for _ in row], dtype=np.int64)
         out_cols = np.array([j for row in new for j in row], dtype=np.int64)
-        out_vals = np.array([v for row in new for v in row.values()], dtype=np.float64)
+        out_vals = np.array([v for row in new for v in row.values()], dtype=np.int64)
         pivots = np.array(pivots, dtype=np.int64)
         if any_lone:
-            first = lone & (np.diff(r, prepend=-1) != 0)  # each lone row's first entry
-            lead, inverse = np.unique(values[first], return_inverse=True)
-            scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.float64)[inverse]
+            first = lone & (np.diff(rows, prepend=-1) != 0)  # each lone row's first entry
+            lead, inverse = np.unique(vals[first], return_inverse=True)
+            scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.int64)[inverse]
             lone_at = np.cumsum(first)[lone] - 1  # each entry's lone row
             # the lone rows, then the loop's, as candidates in block order
-            order = (np.argsort(np.concatenate([r[first], entered]))[:room] if new
+            order = (np.argsort(np.concatenate([rows[first], entered]))[:room] if new
                      else np.arange(min(len(scale), room)))
             slot = np.full(len(scale) + len(new), -1)
             slot[order] = np.arange(len(order))
@@ -344,41 +404,45 @@ class PrimeBasis:
             keep = at >= 0
             at = at[keep]
             out_cols = np.concatenate([c[lone], out_cols])[keep]
-            out_vals = np.concatenate([self._mod(values[lone] * scale[lone_at]), out_vals])[keep]
+            out_vals = np.concatenate([vals[lone] * scale[lone_at] % p, out_vals])[keep]
             pivots = np.concatenate([c[first], pivots])[order]
-        out = np.zeros((len(pivots), len(used)))
-        out[at, out_cols] = out_vals
-        return out, pivots, used
+            by_row = np.argsort(at, kind="stable")
+            at, out_cols, out_vals = at[by_row], out_cols[by_row], out_vals[by_row]
+        return at, used[out_cols], out_vals, used[pivots]
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""
-        row = np.asarray(vec, dtype=np.int64)[None, :] % self.p
-        return self.insert_block(row, np.arange(self.length)) == 1
+        vec = np.asarray(vec, dtype=np.int64)
+        if vec.shape != (self.length,):
+            raise ValueError(f"expected a vector of length {self.length}")
+        cols = np.flatnonzero(vec)
+        return self.insert_block(np.zeros(len(cols), dtype=np.int64), cols, vec[cols]) == 1
 
-    def insert_block(self, block: np.ndarray, cols) -> int:
-        """Insert the rows of a residue block in order; returns how many entered.
+    def insert_block(self, rows, cols, vals) -> int:
+        """Insert the rows of a block in order; returns how many entered.
 
-        `block[:, k]` is the value at column `cols[k]`, as in reduce_block:
-        `cols` is strictly increasing, and the caller promises that no
-        other column can change a row's residual.  Every column, the
-        quotient columns C of `quotient_cols`, or the block's own support
-        all qualify and give the same result; a C too small gives a wrong
+        The block is its nonzero entries, as in reduce_block, and the caller
+        promises that no entry it leaves out can change a row's residual.
+        Every nonzero, or those on the quotient columns C of
+        `quotient_cols`, give the same result; a C too small gives a wrong
         one, with no error.  The result is identical to one call per row;
-        once the rank is full the call stops reading rows.  The block goes in
-        slices of at most 2048 rows, which bound the working copies.  Each
-        slice is reduced against the stored rows once; a row is then
-        reduced only against the rows that entered earlier in the same
-        slice, and the stored rows are brought to zero at the new pivots in
-        one restricted product at the end; `_sub_product` keeps every
-        product exact.  The closure offers 64 seeds per call, then whole
-        sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources per call:
-        each round-1 call at (400,201) offers 1000 rows.  The cells of round
-        2 go 256 per call.
+        once the rank is full the call stops reading rows.  The block goes
+        in slices of at most 2048 rows, which bound the dense update of the
+        older rows.  Each slice is reduced against the stored rows once; a
+        row is then reduced only against the rows that entered earlier in
+        the same slice, and the stored rows are brought to zero at the new
+        pivots in one restricted product at the end; `_sub_product` keeps
+        every product exact.  The closure offers 64 seeds per call, then
+        whole sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources per
+        call: each round-1 call at (400,201) offers 1000 rows.  The cells of
+        round 2 go 256 per call.
         """
-        block = np.asarray(block, dtype=np.float64)
+        rows, cols, vals = self._entries(rows, cols, vals)
         added = 0
-        for lo in range(0, max(len(block), 1), 2048):  # an empty block is still checked
-            added += self._insert_reduced(*self.reduce_block(block[lo:lo + 2048], cols))
+        starts = np.flatnonzero(np.diff(rows // 2048, prepend=-1))  # each slice's first entry
+        for lo, hi in zip(starts, np.append(starts[1:], len(rows))):
+            added += self._insert_reduced(*self.reduce_block(rows[lo:hi], cols[lo:hi],
+                                                             vals[lo:hi]))
             if self.rank == self.length:
                 break
         return added

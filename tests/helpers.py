@@ -2,7 +2,8 @@
 
 Everything here recomputes quantities straight from a Cayley table with the
 dumbest possible method, deliberately sharing no code with the package
-internals beyond the table itself.
+internals beyond the table itself.  The last two functions convert between
+dense blocks and the (rows, cols, vals) entries that PrimeBasis takes.
 """
 
 from __future__ import annotations
@@ -238,3 +239,20 @@ def oracle_char_cells(n: int, s: int, kinds, reps) -> tuple[list[list], np.ndarr
     values = np.array([[coef * sum(powers[e] for e in es) for coef, es in row]
                        for row in rows], dtype=np.complex128)
     return rows, values
+
+
+def entries(block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A dense block as the (rows, cols, vals) entries that PrimeBasis takes:
+    its nonzeros, sorted by row and column."""
+    block = np.asarray(block)
+    rows, cols = np.nonzero(block)
+    return rows, cols, block[rows, cols]
+
+
+def densify(rows, cols, vals, shape) -> np.ndarray:
+    """Entries as a dense int64 array of the given shape; a repeated
+    (row, column) would overwrite, so each must come once."""
+    assert len(set(zip(np.asarray(rows).tolist(), np.asarray(cols).tolist()))) == len(rows)
+    out = np.zeros(shape, dtype=np.int64)
+    out[rows, cols] = vals
+    return out

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cyclic_table, oracle_burnside_pairs, s4_table
+from helpers import cyclic_table, densify, entries, oracle_burnside_pairs, s4_table
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -117,8 +117,8 @@ class TestAlgebraClosure:
         # in orbital coordinates M[x, y] = m[ids[x, y]], so M^T reads m[ids[v, u]]
         basis, products, _, _ = run_modular_closure(n, s)
         transposed = products.ids[products.v, products.u]
-        out, _ = basis.reduce_block(basis.rows[:, transposed], np.arange(len(transposed)))
-        assert not out.any()
+        rows, _, _ = basis.reduce_block(*entries(basis.rows[:, transposed].astype(np.int64)))
+        assert not len(rows)
 
     def test_generators_must_be_constant_on_orbit_cells(self, monkeypatch):
         # each case merges two orbits that only one label tells apart: two
@@ -134,6 +134,26 @@ class TestAlgebraClosure:
             monkeypatch.setattr(algebra, "pair_orbits", lambda group: (corrupted, reps))
             with pytest.raises(ConsistencyError, match="not constant"):
                 algebra_closure(sd, idem, dim_t0_value=t0)
+
+    def test_one_orbit_enumeration_checked_against_burnside(self, monkeypatch):
+        # the closure enumerates the orbits once and checks their number
+        # against the Burnside count; an enumeration one orbit short fails
+        from terwilliger import groups
+        sd, idem, t0 = closure_inputs(8, 3)
+        calls = []
+        enumerate_orbits = groups.pair_orbits
+
+        def counted(group):
+            calls.append(group)
+            return enumerate_orbits(group)
+        monkeypatch.setattr(algebra, "pair_orbits", counted)
+        monkeypatch.setattr(groups, "pair_orbits", counted)
+        assert algebra_closure(sd, idem, dim_t0_value=t0).dim_t_tilde == 64
+        assert len(calls) == 1
+        ids, reps = enumerate_orbits(sd.group)
+        monkeypatch.setattr(algebra, "pair_orbits", lambda group: (ids, reps[:-1]))
+        with pytest.raises(ConsistencyError, match="Burnside 64 vs enumeration 63"):
+            algebra_closure(sd, idem, dim_t0_value=t0)
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 3, (13, 63, 64, 64)),
@@ -275,9 +295,27 @@ class TestGeneratorProducts:
         want = np.array(want)
         subset = [int(g) for g in np.random.default_rng(t1).permutation(2 * t1)[:t1 + 1]]
         for gens in (subset, list(range(2 * t1))):
-            seeds = products.seeds(gens)
-            assert seeds.shape == (len(gens), len(u))
-            assert np.array_equal(seeds, want[gens])
+            rows, cols, vals = products.seeds(gens)
+            assert np.all(np.diff(rows * len(u) + cols) > 0) and np.all(vals == 1)
+            assert np.array_equal(densify(rows, cols, vals, (len(gens), len(u))), want[gens])
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_masked_generators_match_dense_masked_products(self, case):
+        # for each i in part, the rows E*_j A_i and then A_i E*_j, j from t
+        # down to 0, read at the representatives, empty rows included in the
+        # numbering; each part is numbered from its own first relation
+        sd, idem = self.CASES[case]()
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        u, v = products.u, products.v
+        t1 = sd.num_relations
+        dual = [np.diag(idem.diagonals[j]) for j in range(t1)][::-1]
+        for part in (range(t1), range(1, 3), range(t1 - 1, t1)):
+            want = [(m @ sd.adjacency(i) if left else sd.adjacency(i) @ m)[u, v]
+                    for i in part for left in (True, False) for m in dual]
+            rows, cols, vals = products.masked_generators(part)
+            assert np.all(np.diff(rows * len(u) + cols) > 0) and np.all(vals == 1)
+            assert np.array_equal(densify(rows, cols, vals, (len(want), len(u))),
+                                  np.array(want))
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cells_match_dense_triple_products(self, case, monkeypatch):
@@ -293,13 +331,14 @@ class TestGeneratorProducts:
         monkeypatch.setattr(algebra, "BATCH_ROWS", 5)
         count, blocks = products.cells()
         got = []
-        for block, cols in blocks:
-            assert 0 < len(block) <= 5 and np.all(np.diff(cols) > 0)
-            # on its own support: each column lies in exactly one of its cells
-            assert np.array_equal(block.sum(axis=0), np.ones(len(cols)))
-            full = np.zeros((len(block), len(u)), dtype=np.int64)
-            full[:, cols] = block
-            got.extend(full)
+        seen = []
+        for rows, cols, vals in blocks:
+            assert rows[0] == 0 and 0 < rows[-1] + 1 <= 5 and np.all(vals == 1)
+            assert np.all(np.diff(rows * len(u) + cols) > 0)
+            seen.extend(cols)
+            got.extend(densify(rows, cols, vals, (rows[-1] + 1, len(u))))
+        # each column lies in exactly one cell
+        assert sorted(seen) == list(range(len(u)))
         assert count == len(got) == len(want) > 5
         assert np.array_equal(np.array(got), np.array(want))
         if case == "S4":

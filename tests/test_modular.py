@@ -8,7 +8,8 @@ import pytest
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
                          build_scheme, conjugacy_classes, validate_params)
 
-from helpers import oracle_echelon, oracle_rational_echelon, oracle_rational_residual
+from helpers import (densify, entries, oracle_echelon, oracle_rational_echelon,
+                     oracle_rational_residual)
 
 PRIMES = (97, *DEFAULT_PRIMES)
 
@@ -63,9 +64,16 @@ class _Spy(np.ndarray):
 
 def _residual(basis: PrimeBasis, vec) -> np.ndarray:
     """The residual of one vector, on every column."""
-    out, _ = basis.reduce_block(np.asarray(vec, dtype=np.float64)[None, :],
-                                np.arange(basis.length))
-    return out[0]
+    return _reduced(basis, np.asarray(vec)[None, :])[0]
+
+
+def _reduced(basis: PrimeBasis, block) -> np.ndarray:
+    """The residual of a dense block, handed over as its entries and
+    densified back; the entries come out sorted, with nonzero residues."""
+    rows, cols, vals = basis.reduce_block(*entries(block))
+    key = rows * basis.length + cols
+    assert np.all(np.diff(key) > 0) and np.all((vals > 0) & (vals < basis.p))
+    return densify(rows, cols, vals, np.shape(block))
 
 
 def _state(basis: PrimeBasis) -> tuple:
@@ -82,7 +90,7 @@ class TestPrimeBasis:
         basis = PrimeBasis(97, 4)
         assert basis.insert([2, 4, 6, 8])
         assert not _residual(basis, [1, 2, 3, 4]).any()  # scalar multiple
-        assert basis.insert_block(np.array([[3.0, 6.0, 9.0, 12.0]]), np.arange(4)) == 0
+        assert basis.insert_block(*entries([[3, 6, 9, 12]])) == 0
 
     def test_double_insert(self):
         basis = PrimeBasis(101, 3)
@@ -161,7 +169,7 @@ class TestPrimeBasis:
         rng = np.random.default_rng(5)
         block = rng.integers(0, 97, size=(12, 9)).astype(float)
         one = PrimeBasis(97, 9)
-        one.insert_block(block.copy(), np.arange(9))
+        one.insert_block(*entries(block))
         two = PrimeBasis(97, 9)
         for row in block:
             two.insert(row.astype(int))
@@ -196,7 +204,7 @@ class TestPrimeBasis:
             before = two.rank
             for vec in block:
                 two.insert(vec)
-            added = one.insert_block(block.astype(np.float64), np.arange(30))
+            added = one.insert_block(*entries(block))
             assert added == two.rank - before
             assert _state(one) == _state(two)
             _check_store(one)
@@ -218,9 +226,9 @@ class TestPrimeBasis:
         basis.insert([1, 0, 5, 0, 0, 0, 0, 0])
         basis.insert([0, 0, 0, 1, 0, 7, 0, 0])
         block = np.array([[0, 3, 9, 0, 4, 96, 0, 1],
-                          [0, 0, 0, 0, 0, 0, 96, 0]], dtype=np.float64)
-        out, cols = basis.reduce_block(block, np.arange(8))
-        assert np.array_equal(out, block) and cols.tolist() == list(range(8))
+                          [0, 0, 0, 0, 0, 0, 96, 0]])
+        got = basis.reduce_block(*entries(block))
+        assert all(np.array_equal(x, y) for x, y in zip(got, entries(block)))
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_reduce_block_with_hit_and_unhit_rows_matches_dense_product(self, p):
@@ -234,8 +242,7 @@ class TestPrimeBasis:
         hit = (block % p)[:, pivots].any(axis=1)
         assert hit.any() and not hit.all()
         dense = (block % p - (block % p)[:, pivots] @ basis.rows.astype(np.int64)) % p
-        out, _ = basis.reduce_block(block.astype(np.float64), np.arange(40))
-        assert np.array_equal(out, dense)
+        assert np.array_equal(_reduced(basis, block), dense)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
     def test_large_prime_products_split_into_exact_slabs(self, kind):
@@ -247,16 +254,15 @@ class TestPrimeBasis:
         block = _vectors(rng, kind, 16, 30, p)
         basis = PrimeBasis(p, 30)
         assert basis._slab == 1
-        basis.insert_block(start.astype(np.float64), np.arange(30))
-        basis.insert_block(block.astype(np.float64), np.arange(30))
+        basis.insert_block(*entries(start))
+        basis.insert_block(*entries(block))
         rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
         assert basis.rows.astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
         probe = _vectors(rng, kind, 12, 30, p).astype(object)
         stored = np.array(rows, dtype=object)
         expected = (probe - probe[:, pivots] @ stored) % p
-        out, _ = basis.reduce_block(probe.astype(np.float64), np.arange(30))
-        assert out.astype(np.int64).tolist() == expected.tolist()
+        assert _reduced(basis, probe.astype(np.int64)).tolist() == expected.tolist()
 
     @pytest.mark.parametrize("p", [*PRIMES, 94906249])
     def test_one_coefficient_per_row_is_a_gather(self, p):
@@ -298,12 +304,14 @@ class TestPrimeBasis:
             basis.insert([1, 2, 3])
         assert basis.rank == 0
 
-    @pytest.mark.parametrize("length,width", [(5, 3), (3, 6)])
-    def test_insert_block_width_mismatch(self, length, width):
-        basis = PrimeBasis(97, length)
+    @pytest.mark.parametrize("rows,cols,vals", [([0, 0, 0], [0, 1, 2], [1, 2]),
+                                                 ([0, 0], [0, 1, 2], [1, 2, 3]),
+                                                 ([[0, 0]], [[0, 1]], [[1, 2]])],
+                             ids=["short_vals", "short_rows", "two_dimensional"])
+    def test_insert_block_misaligned_entries(self, rows, cols, vals):
+        basis = PrimeBasis(97, 5)
         with pytest.raises(ValueError):
-            basis.insert_block(np.arange(1, width + 1, dtype=np.float64)[None, :],
-                               np.arange(length))
+            basis.insert_block(np.array(rows), np.array(cols), np.array(vals))
         assert basis.rank == 0
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -324,19 +332,17 @@ class TestPrimeBasis:
         for m in (9, 1, 8, 5, 6):
             block = _vectors(rng, "sparse", m, 40, p) * rng.integers(1, 5 * p, size=(m, 1))
             block[:, unit_pivots] = rng.integers(1, p, size=(m, len(unit_pivots)))
-            block = block.astype(np.float64)
-            want, _ = full.reduce_block(block, np.arange(40))
-            got, got_cols = compact.reduce_block(block[:, cols], cols)
-            scattered = np.zeros_like(want)
-            scattered[:, got_cols] = got
-            assert np.array_equal(scattered, want)
-            assert full.insert_block(block, np.arange(40)) == \
-                compact.insert_block(block[:, cols], cols)
+            # the compact block leaves out every entry off C
+            r, c = np.nonzero(block[:, cols])
+            on_c = r, cols[c], block[r, cols[c]]
+            want = _reduced(full, block)
+            assert np.array_equal(densify(*compact.reduce_block(*on_c), want.shape), want)
+            assert full.insert_block(*entries(block)) == compact.insert_block(*on_c)
             assert _state(compact) == _state(full)
             assert _off_index(compact) == _off_index(full) == _nonzeros_off_pivot(full)
             _check_store(compact)
             _check_store(full)
-            inserted = np.concatenate([inserted, block.astype(np.int64)])
+            inserted = np.concatenate([inserted, block])
             # an independent check of the rows that `rows` densifies
             rows, pivots = oracle_echelon(inserted, p)
             assert full.rows.astype(np.int64).tolist() == rows
@@ -351,7 +357,7 @@ class TestPrimeBasis:
         start = _vectors(rng, "dense", 24, 30, p)
         block = _vectors(rng, "dense", 24, 30, p)
         one, two = PrimeBasis(p, 30), PrimeBasis(p, 30)
-        one.insert_block(start.astype(np.float64), np.arange(30))
+        one.insert_block(*entries(start))
         for vec in start:
             two.insert(vec)
         assert _state(one) == _state(two) and one.rank < 20
@@ -362,10 +368,10 @@ class TestPrimeBasis:
                 full_at = i
         assert full_at is not None and full_at < len(block) - 2
         before = one.rank
-        assert one.insert_block(block.astype(np.float64), np.arange(30)) == 30 - before
+        assert one.insert_block(*entries(block)) == 30 - before
         assert _state(one) == _state(two)
         _check_store(one)
-        assert one.insert_block(block.astype(np.float64), np.arange(30)) == 0
+        assert one.insert_block(*entries(block)) == 0
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("ones", [True, False], ids=["unit_leads", "non_unit_leads"])
@@ -380,15 +386,14 @@ class TestPrimeBasis:
         block = _lone_and_loop_rows(rng, kinds, p, ones)
         length = block.shape[1]
         empty = PrimeBasis(p, length)
-        assert empty.insert_block(block.astype(np.float64), np.arange(length)) == \
-            len(kinds) - kinds.count("d")
+        assert empty.insert_block(*entries(block)) == len(kinds) - kinds.count("d")
         rows, pivots = oracle_echelon(block, p)
         assert empty.rows.astype(np.int64).tolist() == rows
         assert empty._pivot_cols[:empty.rank].tolist() == pivots
         start = _vectors(rng, "sparse", 6, length, p)
         basis = PrimeBasis(p, length)
-        basis.insert_block(start.astype(np.float64), np.arange(length))
-        basis.insert_block(block.astype(np.float64), np.arange(length))
+        basis.insert_block(*entries(start))
+        basis.insert_block(*entries(block))
         rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
         assert basis.rows.astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
@@ -403,13 +408,13 @@ class TestPrimeBasis:
         block = _lone_and_loop_rows(rng, "lolodlool", p, ones=False)
         basis = PrimeBasis(p, block.shape[1])
         for room in range(9):
-            new, pivots, used = basis._eliminate(block.astype(np.float64), room)
+            new_rows, new_cols, new_vals, pivots = basis._eliminate(*entries(block), room)
             prefix = next(k for k in range(len(block) + 1)
                           if len(oracle_echelon(block[:k], p)[0]) == room)
             rows, want = oracle_echelon(block[:prefix], p)
-            full = np.zeros((len(new), block.shape[1]), dtype=np.int64)
-            full[:, used] = new
-            assert full.tolist() == rows and used[pivots].tolist() == want
+            assert np.all(np.diff(new_rows) >= 0)
+            full = densify(new_rows, new_cols, new_vals, (len(pivots), block.shape[1]))
+            assert full.tolist() == rows and pivots.tolist() == want
 
     @pytest.mark.parametrize("fill", [False, True], ids=["dependent_rows", "full_in_second_slice"])
     def test_block_over_2048_rows_matches_sequential_inserts(self, fill, monkeypatch):
@@ -430,26 +435,97 @@ class TestPrimeBasis:
         slices = []
         reduce_block = PrimeBasis.reduce_block
 
-        def counted(basis, part, cols):
-            slices.append(len(part))
-            return reduce_block(basis, part, cols)
+        def counted(basis, rows, cols, vals):
+            slices.append((rows[0], rows[-1]))
+            return reduce_block(basis, rows, cols, vals)
         monkeypatch.setattr(PrimeBasis, "reduce_block", counted)
         one = PrimeBasis(p, length)
-        added = one.insert_block(block.astype(np.float64), np.arange(length))
-        assert slices == [2048, 2048 if fill else 52]
+        added = one.insert_block(*entries(block))
+        # the zero rows 2048..2059 have no entries, so the second slice
+        # starts at the first nonzero row after them
+        last = max(np.flatnonzero(block[:4096].any(axis=1)))
+        assert slices == [(0, 2047), (2060, last)] and last == (4095 if fill else 2099)
         assert one.rank == added == (length if fill else 20)
         assert _state(one) == _state(two)
         assert one.rows.astype(np.int64).tolist() == rows
         assert one._pivot_cols[:one.rank].tolist() == pivots
 
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_store_stays_sorted_after_updates_to_older_rows(self, p):
+        # the first rows hold entries at 8..27; the next block puts pivots
+        # at 8..11 and is nonzero up to 23, so every older row changes at
+        # 8..23 and keeps its entries at 24..27: the changed entries go back
+        # in the middle of the store, before the new rows' entries
+        rng = np.random.default_rng(p % 1000 + 23)
+        length = 28
+        first = np.zeros((8, length), dtype=np.int64)
+        first[:, :8] = np.eye(8, dtype=np.int64)
+        first[:, 8:] = rng.integers(1, p, size=(8, 20))
+        second = np.zeros((4, length), dtype=np.int64)
+        second[:, 8:12] = np.eye(4, dtype=np.int64)
+        second[:, 12:24] = rng.integers(1, p, size=(4, 12))
+        third = _vectors(rng, "dense", 6, length, p)
+        basis = PrimeBasis(p, length)
+        inserted = np.zeros((0, length), dtype=np.int64)
+        for block in (first, second, third):
+            older = basis.dense_rows(0, min(basis.rank, 8))
+            basis.insert_block(*entries(block))
+            if block is second:  # every older row changed, at 8..23 only
+                changed = older != basis.dense_rows(0, 8)
+                assert changed[:, 8:24].any(axis=1).all() and not changed[:, 24:].any()
+            inserted = np.concatenate([inserted, block])
+            _check_store(basis)
+            rows, pivots = oracle_echelon(inserted, p)
+            assert basis.rows.astype(np.int64).tolist() == rows
+            assert basis._pivot_cols[:basis.rank].tolist() == pivots
+            probe = _vectors(rng, "dense", 5, length, p).astype(object)
+            stored = np.array(rows, dtype=object)
+            assert _reduced(basis, probe.astype(np.int64)).tolist() == \
+                ((probe - probe[:, pivots] @ stored) % p).tolist()
+
+    def test_one_entry_sums_over_1024_terms_at_the_largest_prime(self):
+        # 1100 stored rows e_i + (p-1) e_K, and a vector with 1 at each of
+        # their pivots: its residual at K sums 1100 terms -1 * (p-1), each
+        # (p-1)^2 near 2^53 as a residue, which overflow int64 unless each
+        # is reduced mod p first
+        p, k = 94906249, 1100
+        basis = PrimeBasis(p, k + 1)
+        pairs = np.stack([np.arange(k), np.full(k, k)], axis=1).ravel()
+        assert basis.insert_block(np.repeat(np.arange(k), 2), pairs, np.tile([1, p - 1], k)) == k
+        assert k * (p - 1) ** 2 >= 2 ** 63
+        got = basis.reduce_block(np.zeros(k, dtype=np.int64), np.arange(k),
+                                 np.ones(k, dtype=np.int64))
+        assert [x.tolist() for x in got] == [[0], [k], [k]]  # -k * (p-1) = k mod p
+
+    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
+    def test_gather_in_slices_matches_dense_product(self, p, monkeypatch):
+        # each probe row gathers about as many terms as the store holds, so
+        # the terms are summed in several slices of whole rows
+        rng = np.random.default_rng(p % 1000 + 29)
+        basis = PrimeBasis(p, 40)
+        basis.insert_block(*entries(_vectors(rng, "dense", 20, 40, p)))
+        probe = _vectors(rng, "dense", 30, 40, p)
+        probe[::3, 35:] = 0  # some shorter rows
+        sums = []
+        sum_entries = PrimeBasis._sum_entries
+        monkeypatch.setattr(PrimeBasis, "_sum_entries",
+                            lambda self, *block: sums.append(len(block[0])) or
+                            sum_entries(self, *block))
+        got = _reduced(basis, probe)
+        assert len(sums) > 5
+        pivots = basis._pivot_cols[:basis.rank]
+        stored = basis.rows.astype(np.int64).astype(object)
+        want = (probe.astype(object) - probe[:, pivots].astype(object) @ stored) % p
+        assert got.tolist() == want.tolist()
+
     def test_footprint_does_not_grow_with_length_squared(self):
         # a dense length x length float64 store would take 3.2 GB here
         length = 20000
-        block = np.random.default_rng(1).integers(0, 97, size=(3, length)).astype(np.float64)
+        block = entries(np.random.default_rng(1).integers(0, 97, size=(3, length)))
         tracemalloc.start()
         try:
             basis = PrimeBasis(DEFAULT_PRIMES[0], length)
-            assert basis.insert_block(block, np.arange(length)) == 3
+            assert basis.insert_block(*block) == 3
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -458,12 +534,25 @@ class TestPrimeBasis:
     @pytest.mark.parametrize("cols", [[0, 2, 1], [0, 0, 1], [-1, 0, 1], [0, 1, 6], [0, 1],
                                       [0.0, 1.5, 2.9]])
     def test_bad_cols_rejected(self, cols):
+        # one row's columns: out of order, repeated, out of range, one too
+        # few for the values, or not integers
         basis = PrimeBasis(97, 6)
-        block = np.ones((2, 3))
+        rows, vals = np.zeros(3, dtype=np.int64), np.ones(3, dtype=np.int64)
         with pytest.raises(ValueError):
-            basis.insert_block(block, np.array(cols))
+            basis.insert_block(rows, np.array(cols), vals)
         with pytest.raises(ValueError):
-            basis.reduce_block(block, np.array(cols))
+            basis.reduce_block(rows, np.array(cols), vals)
+        assert basis.rank == 0
+
+    @pytest.mark.parametrize("rows", [[1, 0], [0.0, 1.0], [-1, 0]],
+                             ids=["out_of_order", "not_integers", "negative"])
+    def test_bad_rows_rejected(self, rows):
+        basis = PrimeBasis(97, 6)
+        cols, vals = np.array([2, 3]), np.ones(2, dtype=np.int64)
+        with pytest.raises(ValueError):
+            basis.insert_block(np.array(rows), cols, vals)
+        with pytest.raises(ValueError):
+            basis.reduce_block(np.array(rows), cols, vals)
         assert basis.rank == 0
 
 
@@ -472,10 +561,11 @@ def _off_index(basis: PrimeBasis) -> list:
 
 
 def _check_store(basis: PrimeBasis) -> None:
-    """The off-pivot values are aligned with their rows and columns, and
-    every one is a nonzero residue."""
+    """The off-pivot values are aligned with their rows and columns, every
+    one is a nonzero residue, and the store is sorted by row."""
     assert len(basis._off_vals) == len(basis._off_rows) == len(basis._off_cols)
     assert ((basis._off_vals > 0) & (basis._off_vals < basis.p)).all()
+    assert np.all(np.diff(basis._off_rows) >= 0)
 
 
 def _nonzeros_off_pivot(basis: PrimeBasis) -> list:
