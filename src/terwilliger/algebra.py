@@ -120,6 +120,11 @@ class _GeneratorProducts:
                 and np.all(self.class_u[ids] == class_of[:, None])
                 and np.all(self.class_v[ids] == class_of)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
+        # the columns by relation, ascending within each: relation i holds
+        # by_relation[bounds[i]:bounds[i + 1]]
+        self.by_relation = np.argsort(self.relation, kind="stable")
+        self.bounds = np.searchsorted(self.relation[self.by_relation],
+                                      np.arange(len(self.offsets) + 1))
 
     def seeds(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The 0/1 row of each generator g in `gens`, A_g for g <= t, else
@@ -153,7 +158,7 @@ class _GeneratorProducts:
         order (index tau - 1 for D(n,s)), so here that row comes late and
         reduces to zero, or nearly, against the disjoint rows already in."""
         t1 = len(self.offsets)
-        cols = np.flatnonzero((self.relation >= part.start) & (self.relation < part.stop))
+        cols = self.by_relation[self.bounds[part.start]:self.bounds[part.stop]]
         last = (self.relation[cols] - part.start) * 2 * t1 + t1 - 1  # the row E*_0 A_i
         rows = np.concatenate([last - self.class_u[cols], last + t1 - self.class_v[cols]])
         return _by_row(rows, np.concatenate([cols, cols]))

@@ -17,7 +17,7 @@ import sys
 from . import characters, pipeline, scheme
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
                      conjugacy_classes, validate_params)
-from .modular import DEFAULT_PRIMES, FLOAT_EXACT
+from .modular import DEFAULT_PRIMES, check_modulus
 
 PRIME_ENV_VARS = ("TERWILLIGER_PRIME_1", "TERWILLIGER_PRIME_2")
 SWEEP_CSV_HEADER = "n,s,tau,dim_t0,dim_t,dim_t_tilde,formula,pass"
@@ -48,10 +48,7 @@ def resolve_primes(option: str | None) -> tuple[int, int]:
     if primes[0] == primes[1]:
         raise ValueError("the two moduli must be distinct")
     for p in primes:
-        # before the trial division, which would not finish on 64-bit moduli
-        if (p - 1) ** 2 >= FLOAT_EXACT:
-            raise ValueError(f"{p} is outside the exact float64 window "
-                             "((p-1)^2 must be below 2^53)")
+        check_modulus(p)  # before the trial division, which would not finish on 64-bit moduli
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
     return primes

@@ -45,28 +45,24 @@ and the zero sums are dropped.  No dense rows x length block is formed.
 
 insert_block reduces the block against the store that way, then eliminates
 its rows among themselves on their nonzeros: a row is reduced only against
-the rows that entered earlier in the same call, and the older rows are
-brought to zero at the new pivots once per call, on the new rows' columns
-only; the rows a new pivot hits, and their entries at those columns, are
-found in the store.  In the call, a row that shares no column with another
-row of the block enters as it stands, scaled to 1 at its first nonzero; the
-other rows are eliminated on {column: residue} rows of Python ints, each
-value taken mod p as it is formed.  The closure's reduced blocks have a few
-nonzeros per row, and Python arithmetic on a handful of entries beats about
-20 numpy calls per row.
+the rows that entered earlier in the same call.  In the call, a row that
+shares no column with another row of the block enters as it stands, scaled
+to 1 at its first nonzero; the other rows are eliminated on {column:
+residue} rows of Python ints, each value taken mod p as it is formed.  The
+closure's reduced blocks have a few nonzeros per row, and Python arithmetic
+on a handful of entries beats about 20 numpy calls per row.  The new rows
+then go into the store, and the older rows they hit are brought to zero at
+the new pivots by the same gather: an older row is nonzero at a pivot only
+at the new pivots, so one pass of its stored entries through the reduction
+of reduce_block gives the updated row.
 
-The store holds residues as int64.  The one product left dense, the update
-of the older rows at the new pivots, runs in float64 through BLAS:
-`_sub_product` forms (a - C @ R) mod p in slabs of k inner terms with
-k * (p-1)^2 < 2^53, reduced mod p after each slab (the delayed reduction of
-FFLAS-FFPACK), so every sum is an exact float64 integer; `_mod` takes it
-back to [0, p) by an exact int64 remainder.  At the default moduli, the two
-largest primes below 2^20, one slab holds 8192 terms.  The in-call
-elimination needs no slab: a lone row is scaled by one product below
-(p-1)^2, and the loop's Python ints are exact at any size.  Modular rank
-only lower-bounds the rational rank, so callers must close the gap
-themselves (see the algebra closure, which pins the rank exactly whenever
-it reaches the centralizer bound).
+So no float enters the arithmetic: a product of two int64 residues is
+below (p-1)^2 and is taken mod p before any sum, and the loop's Python
+ints are exact at any size.  Nothing is formed dense but the copies
+that `rows` and `dense_rows` return.  Modular rank only lower-bounds the
+rational rank, so callers must close the gap themselves (see the algebra
+closure, which pins the rank exactly whenever it reaches the centralizer
+bound).
 """
 
 from __future__ import annotations
@@ -78,7 +74,19 @@ import numpy as np
 # the two largest primes below 2^20
 DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
-FLOAT_EXACT = 2 ** 53
+
+def check_modulus(p: int) -> None:
+    """Reject a modulus p with (p-1)^2 >= 2^53, that is p >= 94906267.
+
+    Below it, a product of two residues is exact in int64, as in the
+    reduction and the scaling of lone rows, and the float64 later-round
+    products of `algebra.all_products`, sums of a class's worth of
+    residues, stay exact integers.  It needs no primality test, so a
+    caller can run it first on any integer.
+    """
+    if (p - 1) ** 2 >= 2 ** 53:
+        raise ValueError(f"modulus {p} is too large for exact products "
+                         "((p-1)^2 must be below 2^53)")
 
 
 class PrimeBasis:
@@ -92,14 +100,10 @@ class PrimeBasis:
     """
 
     def __init__(self, modulus: int, length: int):
-        if (modulus - 1) ** 2 >= FLOAT_EXACT:
-            raise ValueError(f"modulus {modulus} leaves no exact float64 product "
-                             "((p-1)^2 must be below 2^53)")
+        check_modulus(modulus)
         self.p = modulus
         self.length = length
         self.rank = 0
-        # inner terms per exact slab of a product
-        self._slab = (FLOAT_EXACT - 1) // (modulus - 1) ** 2
         self._pivot_cols = np.zeros(length, dtype=np.int64)
         self._pivot_row = np.full(length, -1, dtype=np.int64)  # -1: not a pivot
         # row, column and value of every stored nonzero off its row's
@@ -133,35 +137,6 @@ class PrimeBasis:
     def _expand(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
         """The indices of the runs lo[k] .. lo[k] + n[k] - 1, run after run."""
         return np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
-
-    def _mod(self, x: np.ndarray) -> np.ndarray:
-        """Residues in [0, p) of float64 integers below 2^53 in magnitude.
-
-        Every such float64 converts to int64 exactly, the int64 remainder by
-        p is exact and lies in [0, p), and a value below p < 2^53 converts
-        back to float64 exactly.  So the result is the integer residue at
-        every size and sign, with no rounding anywhere.
-        """
-        r = x.astype(np.int64)
-        r %= self.p
-        return r.astype(np.float64)
-
-    def _sub_product(self, a: np.ndarray, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """(a - c @ r) mod p for residues, c a row or a matrix: each inner
-        term lies in [0, (p-1)^2], so with at most `_slab` terms per slab and
-        a mod p after each, every sum below stays an exact float64 integer.
-
-        A matrix c with exactly one nonzero per row, as when each older row
-        is hit by one new pivot, makes the product a scaled gather of rows
-        of r, one term per entry and exact for the same reason; it runs
-        without BLAS, which would spread such products over every core."""
-        if c.ndim == 2:
-            ri, sj = np.nonzero(c)
-            if np.array_equal(ri, np.arange(len(c))):
-                return self._mod(a - c[ri, sj, None] * r[sj])
-        for lo in range(0, c.shape[-1], self._slab):
-            a = self._mod(a - c[..., lo:lo + self._slab] @ r[lo:lo + self._slab])
-        return a
 
     def quotient_cols(self) -> np.ndarray:
         """C: the non-pivot columns and the pivots of the rows with an
@@ -223,7 +198,12 @@ class PrimeBasis:
         small multiple of the store's own memory, however many terms the
         block gathers in all.
         """
-        rows, cols, vals = self._entries(rows, cols, vals)
+        return self._reduce(*self._entries(rows, cols, vals))
+
+    def _reduce(self, rows: np.ndarray, cols: np.ndarray,
+                vals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """reduce_block on entries already checked: int64 arrays sorted by
+        row, with distinct columns within a row and residues in [1, p)."""
         stored = self._pivot_row[cols]
         at_pivot = stored >= 0
         if not at_pivot.any():
@@ -269,42 +249,36 @@ class PrimeBasis:
         """
         room = self.length - self.rank  # rows past a full rank reduce to zero
         new_rows, new_cols, new_vals, pivot_cols = self._eliminate(rows, cols, vals, room)
+        if not len(pivot_cols):
+            return 0
         start, end = self.rank, self.rank + len(pivot_cols)
         self._pivot_cols[start:end] = pivot_cols
         self._pivot_row[pivot_cols] = np.arange(start, end)
-        # older rows with an off-pivot nonzero at one of the new pivots; they
-        # change only at the new rows' columns, so their entries there are
-        # taken out and put back once updated, after the row's other entries
-        hit = np.unique(self._off_rows[self._pivot_row[self._off_cols] >= start])
-        keep = np.ones(len(self._off_rows), dtype=bool)
+        # the older rows with an off-pivot entry at one of the new pivots
+        older = self._off_rows, self._off_cols, self._off_vals
+        hit = np.unique(older[0][self._pivot_row[older[1]] >= start])
+        taken = self._expand(*self._runs(hit))
+        keep = np.ones(len(older[0]), dtype=bool)
+        keep[taken] = False
+        # the new rows are stored first; the older rows are nonzero at a
+        # pivot only at the new pivots, so the new rows are all that the
+        # hit rows' entries gather from, and one pass brings them to zero
         off = new_cols != pivot_cols[new_rows]
-        rows, cols, vals = start + new_rows[off], new_cols[off], new_vals[off]
-        if len(hit):
-            support = np.unique(new_cols)
-            new = np.zeros((end - start, len(support)))
-            new[new_rows, np.searchsorted(support, new_cols)] = new_vals
-            taken, n = self._runs(hit)
-            taken = self._expand(taken, n)
-            pos = np.searchsorted(support, self._off_cols[taken])
-            inside = support[np.minimum(pos, len(support) - 1)] == self._off_cols[taken]
-            taken, pos = taken[inside], pos[inside]
-            older = np.zeros((len(hit), len(support)))
-            older[np.repeat(np.arange(len(hit)), n)[inside], pos] = self._off_vals[taken]
-            older = self._sub_product(older, older[:, np.searchsorted(support, pivot_cols)], new)
-            keep[taken] = False
-            r, c = np.nonzero(older)
-            rows, cols = np.concatenate([hit[r], rows]), np.concatenate([support[c], cols])
-            vals = np.concatenate([older[r, c].astype(np.int64), vals])
-        # the store stays sorted by row: every entry goes in after the kept
-        # entries of its row, and the new rows come after every older one
-        at = np.searchsorted(self._off_rows[keep], rows, side="right") + np.arange(len(rows))
-        kept = np.ones(keep.sum() + len(rows), dtype=bool)
-        kept[at] = False
+        new = start + new_rows[off], new_cols[off], new_vals[off]
+        self._off_rows, self._off_cols, self._off_vals = new
+        updated = self._reduce(*(x[taken] for x in older))
+        # one merge, which keeps the store sorted by row: each updated row
+        # goes where its old entries were, and the new rows after every
+        # older one
+        rows, cols, vals = (np.concatenate(x) for x in zip(updated, new))
+        kept = [x[keep] for x in older]
+        at = np.searchsorted(kept[0], rows, side="right") + np.arange(len(rows))
+        slot = np.ones(len(kept[0]) + len(rows), dtype=bool)
+        slot[at] = False
         merged = []
-        for stored, entries in zip((self._off_rows, self._off_cols, self._off_vals),
-                                   (rows, cols, vals)):
-            out = np.empty(len(kept), dtype=np.int64)
-            out[kept], out[at] = stored[keep], entries
+        for stored, entries in zip(kept, (rows, cols, vals)):
+            out = np.empty(len(slot), dtype=np.int64)
+            out[slot], out[at] = stored, entries
             merged.append(out)
         self._off_rows, self._off_cols, self._off_vals = merged
         self.rank = end
@@ -426,26 +400,16 @@ class PrimeBasis:
         Every nonzero, or those on the quotient columns C of
         `quotient_cols`, give the same result; a C too small gives a wrong
         one, with no error.  The result is identical to one call per row;
-        once the rank is full the call stops reading rows.  The block goes
-        in slices of at most 2048 rows, which bound the dense update of the
-        older rows.  Each slice is reduced against the stored rows once; a
-        row is then reduced only against the rows that entered earlier in
-        the same slice, and the stored rows are brought to zero at the new
-        pivots in one restricted product at the end; `_sub_product` keeps
-        every product exact.  The closure offers 64 seeds per call, then
-        whole sources of 2(t+1) rows each, ceil(256 / (2(t+1))) sources per
-        call: each round-1 call at (400,201) offers 1000 rows.  The cells of
-        round 2 go 256 per call.
+        once the rank is full, no later row is eliminated.  The block is
+        reduced against the stored rows once; a row is then reduced only
+        against the rows that entered earlier in the same call, and the
+        stored rows are brought to zero at the new pivots once, at the end,
+        by the gather of reduce_block.  The closure offers 64 seeds per
+        call, then whole sources of 2(t+1) rows each, ceil(256 / (2(t+1)))
+        sources per call: each round-1 call at (400,201) offers 1000 rows.
+        The cells of round 2 go 256 per call.
         """
-        rows, cols, vals = self._entries(rows, cols, vals)
-        added = 0
-        starts = np.flatnonzero(np.diff(rows // 2048, prepend=-1))  # each slice's first entry
-        for lo, hi in zip(starts, np.append(starts[1:], len(rows))):
-            added += self._insert_reduced(*self.reduce_block(rows[lo:hi], cols[lo:hi],
-                                                             vals[lo:hi]))
-            if self.rank == self.length:
-                break
-        return added
+        return self._insert_reduced(*self.reduce_block(rows, cols, vals))
 
 
 class RationalBasis:

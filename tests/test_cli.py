@@ -111,7 +111,7 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_largest_moduli_exit_0(self):
-        # (p-1)^2 just below 2^53: every product splits into one-term slabs
+        # the largest moduli accepted: (p-1)^2 is just below 2^53
         code, out = run_cli("analyze", "--n", "8", "--s", "3",
                             "--primes", "94906249,94906247", "--format", "json")
         assert code == 0

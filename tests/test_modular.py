@@ -51,17 +51,6 @@ def _lone_and_loop_rows(rng, kinds: str, p: int, ones: bool) -> np.ndarray:
     return rows
 
 
-class _Spy(np.ndarray):
-    """An array that records the name of every ufunc it takes part in."""
-
-    calls: list[str] = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        _Spy.calls.append(ufunc.__name__)
-        inputs = [x.view(np.ndarray) if isinstance(x, _Spy) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
 def _residual(basis: PrimeBasis, vec) -> np.ndarray:
     """The residual of one vector, on every column."""
     return _reduced(basis, np.asarray(vec)[None, :])[0]
@@ -209,18 +198,6 @@ class TestPrimeBasis:
             assert _state(one) == _state(two)
             _check_store(one)
 
-    @pytest.mark.parametrize("p", [2, *PRIMES, 2 ** 26 - 5])
-    def test_mod_matches_integer_remainder(self, p):
-        top = (2 ** 53 - 1) // p
-        rng = np.random.default_rng(p)
-        k = np.unique(np.concatenate([np.arange(1000), top - np.arange(1000),
-                                      rng.integers(0, top, 5000)]))
-        x = np.concatenate([k * p - 1, k * p, k * p + 1])
-        x = x[np.abs(x) < 2 ** 53]
-        x = np.concatenate([x, -x, [0]])
-        basis = PrimeBasis(p, 1)
-        assert np.array_equal(basis._mod(x.astype(np.float64)), (x % p).astype(np.float64))
-
     def test_reduce_block_leaves_rows_off_the_pivots_unchanged(self):
         basis = PrimeBasis(97, 8)
         basis.insert([1, 0, 5, 0, 0, 0, 0, 0])
@@ -245,15 +222,15 @@ class TestPrimeBasis:
         assert np.array_equal(_reduced(basis, block), dense)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
-    def test_large_prime_products_split_into_exact_slabs(self, kind):
-        # (p-1)^2 is just below 2^53, so every product runs one term per slab;
-        # an unsplit sum of two such terms would already be inexact
+    def test_older_rows_update_exactly_at_the_largest_prime(self, kind):
+        # (p-1)^2 is just below 2^53: every product of two residues is taken
+        # mod p before the int64 sums, in the block's reduction and in the
+        # update of the older rows the new pivots hit
         p = 94906249
         rng = np.random.default_rng(17)
         start = _vectors(rng, kind, 10, 30, p)
         block = _vectors(rng, kind, 16, 30, p)
         basis = PrimeBasis(p, 30)
-        assert basis._slab == 1
         basis.insert_block(*entries(start))
         basis.insert_block(*entries(block))
         rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
@@ -264,37 +241,31 @@ class TestPrimeBasis:
         expected = (probe - probe[:, pivots] @ stored) % p
         assert _reduced(basis, probe.astype(np.int64)).tolist() == expected.tolist()
 
-    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
-    def test_one_coefficient_per_row_is_a_gather(self, p):
-        # a 1-D c always takes the slab loop, so row by row it is the
-        # reference; a zero row or a row with two coefficients sends the
-        # whole matrix back through BLAS
-        rng = np.random.default_rng(p)
-        basis = PrimeBasis(p, 1)
-        a = rng.integers(0, p, size=(12, 9)).astype(np.float64)
-        r = rng.integers(0, p, size=(7, 9)).astype(np.float64)
-        single = np.zeros((12, 7))
-        single[np.arange(12), rng.integers(0, 7, 12)] = rng.integers(1, p, 12)
-        single[0] = 0
-        single[0, 3] = p - 1  # the largest term, (p-1)^2
-        r[3, 0] = p - 1
-        zero_row, two_terms = single.copy(), single.copy()
-        zero_row[5] = 0
-        two_terms[5, (np.flatnonzero(single[5])[0] + 1) % 7] = p - 1
-        both = two_terms.copy()  # as many coefficients as rows, not one per row
-        both[8] = 0
-        for c, path in [(single, "multiply"), (zero_row, "matmul"), (two_terms, "matmul"),
-                        (both, "matmul")]:
-            _Spy.calls = []
-            got = basis._sub_product(a, c, r.view(_Spy))
-            assert path in _Spy.calls and ("matmul" in _Spy.calls) == (path == "matmul")
-            loop = np.array([basis._sub_product(a[i], c[i], r) for i in range(12)])
-            oracle = (a.astype(np.int64).astype(object)
-                      - c.astype(np.int64).astype(object) @ r.astype(np.int64).astype(object)) % p
-            assert np.array_equal(got, loop)
-            assert got.astype(np.int64).tolist() == oracle.tolist()
+    def test_one_older_row_hit_by_many_new_pivots(self):
+        # row 0 is nonzero at all 40 pivots of the second block, so its
+        # update sums 40 gathered terms at each of the columns 41..80; where
+        # row 0 holds 1 and a new row p - 1, the term is (p-1)^2 before its
+        # reduction mod p
+        p, k = 94906249, 40
+        rng = np.random.default_rng(31)
+        first = np.zeros((1, 2 * k + 1), dtype=np.int64)
+        first[0, 0] = 1
+        first[0, 1:] = rng.integers(1, p, 2 * k)
+        first[0, 1:k + 1:3] = 1
+        second = np.zeros((k, 2 * k + 1), dtype=np.int64)
+        second[:, 1:k + 1] = np.eye(k, dtype=np.int64)
+        second[:, k + 1:] = rng.integers(1, p, size=(k, k))
+        second[::4, k + 1::2] = p - 1
+        basis = PrimeBasis(p, 2 * k + 1)
+        basis.insert_block(*entries(first))
+        assert basis.insert_block(*entries(second)) == k
+        _check_store(basis)
+        rows, pivots = oracle_echelon(np.concatenate([first, second]), p)
+        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis._pivot_cols[:basis.rank].tolist() == pivots
+        assert first[0, 1:k + 1].all() and not any(rows[0][1:k + 1])
 
-    def test_modulus_outside_every_slab_rejected(self):
+    def test_modulus_too_large_rejected(self):
         with pytest.raises(ValueError):
             PrimeBasis(94906267, 4)
 
@@ -417,34 +388,22 @@ class TestPrimeBasis:
             assert full.tolist() == rows and pivots.tolist() == want
 
     @pytest.mark.parametrize("fill", [False, True], ids=["dependent_rows", "full_in_second_slice"])
-    def test_block_over_2048_rows_matches_sequential_inserts(self, fill, monkeypatch):
-        # a block goes in slices of at most 2048 rows.  The first slice spans
-        # 20 of the 24 columns; with `fill`, the second slice reaches full
-        # rank early and a third slice is never reduced
+    def test_block_over_2048_rows_matches_sequential_inserts(self, fill):
+        # the first 2048 rows span 20 of the 24 columns; with `fill`, the
+        # rows after them reach full rank early, and no later row enters
         p, length = DEFAULT_PRIMES[0], 24
         rng = np.random.default_rng(fill)
         block = _vectors(rng, "sparse", 2100 + 2048 * fill, length, p)
         block[:2048 if fill else None, 20:] = 0
-        block[2048:2060] = 0  # rows that reduce to zero at the slice border
+        block[2048:2060] = 0  # rows with no entries
         if fill:
             block[2060:2060 + length] = np.eye(length, dtype=np.int64)[::-1]
         two = PrimeBasis(p, length)
         for vec in block[:2100]:
             two.insert(vec)
         rows, pivots = oracle_echelon(block[:2100], p)
-        slices = []
-        reduce_block = PrimeBasis.reduce_block
-
-        def counted(basis, rows, cols, vals):
-            slices.append((rows[0], rows[-1]))
-            return reduce_block(basis, rows, cols, vals)
-        monkeypatch.setattr(PrimeBasis, "reduce_block", counted)
         one = PrimeBasis(p, length)
         added = one.insert_block(*entries(block))
-        # the zero rows 2048..2059 have no entries, so the second slice
-        # starts at the first nonzero row after them
-        last = max(np.flatnonzero(block[:4096].any(axis=1)))
-        assert slices == [(0, 2047), (2060, last)] and last == (4095 if fill else 2099)
         assert one.rank == added == (length if fill else 20)
         assert _state(one) == _state(two)
         assert one.rows.astype(np.int64).tolist() == rows
