@@ -198,6 +198,28 @@ class TestPrimeBasis:
             assert _state(one) == _state(two)
             _check_store(one)
 
+    @pytest.mark.parametrize("p", [2, *PRIMES, 2 ** 26 - 5])
+    def test_mod_matches_integer_remainder(self, p):
+        # values near multiples of p up to 2^53, both signs: each block value
+        # is taken to its residue, and the product with the stored p - 1 at
+        # column 1 is reduced mod p before it is summed
+        top = (2 ** 53 - 1) // p
+        rng = np.random.default_rng(p)
+        k = np.unique(np.concatenate([np.arange(1000), top - np.arange(1000),
+                                      rng.integers(0, top, 5000)]))
+        x = np.concatenate([k * p - 1, k * p, k * p + 1])
+        x = x[np.abs(x) < 2 ** 53]
+        x = np.concatenate([x, -x, [0]])
+        y = rng.permutation(x)
+        basis = PrimeBasis(p, 2)
+        basis.insert([1, p - 1])
+        block = np.stack([x, y], axis=1)
+        rows, cols, vals = basis.reduce_block(*entries(block))
+        want = [(int(b) - int(a) * (p - 1)) % p for a, b in zip(x, y)]
+        assert rows.tolist() == [i for i, w in enumerate(want) if w]
+        assert cols.tolist() == [1] * len(rows)
+        assert vals.tolist() == [w for w in want if w]
+
     def test_reduce_block_leaves_rows_off_the_pivots_unchanged(self):
         basis = PrimeBasis(97, 8)
         basis.insert([1, 0, 5, 0, 0, 0, 0, 0])
@@ -240,6 +262,38 @@ class TestPrimeBasis:
         stored = np.array(rows, dtype=object)
         expected = (probe - probe[:, pivots] @ stored) % p
         assert _reduced(basis, probe.astype(np.int64)).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
+    def test_one_coefficient_per_row_is_a_gather(self, p):
+        # stored rows [I | r] on pivots 0..6; a block row [c | a] reduces to
+        # a - c @ r on columns 7..15.  Rows with one coefficient gather one
+        # stored row each; a zero row and rows with two or more coefficients
+        # sum their gathered terms, and every case matches row by row
+        rng = np.random.default_rng(p)
+        basis = PrimeBasis(p, 16)
+        a = rng.integers(0, p, size=(12, 9))
+        r = rng.integers(0, p, size=(7, 9))
+        single = np.zeros((12, 7), dtype=np.int64)
+        single[np.arange(12), rng.integers(0, 7, 12)] = rng.integers(1, p, 12)
+        single[0] = 0
+        single[0, 3] = p - 1  # the largest term, (p-1)^2
+        r[3, 0] = p - 1
+        zero_row, two_terms = single.copy(), single.copy()
+        zero_row[5] = 0
+        two_terms[5, (np.flatnonzero(single[5])[0] + 1) % 7] = p - 1
+        both = two_terms.copy()
+        both[8] = 0
+        both[9] = rng.integers(1, p, 7)  # every pivot at once
+        assert basis.insert_block(*entries(np.concatenate(
+            [np.eye(7, dtype=np.int64), r], axis=1))) == 7
+        for c in (single, zero_row, two_terms, both):
+            block = np.concatenate([c, a], axis=1)
+            got = _reduced(basis, block)
+            loop = np.array([_residual(basis, row) for row in block])
+            oracle = (a.astype(object) - c.astype(object) @ r.astype(object)) % p
+            assert np.array_equal(got, loop)
+            assert not got[:, :7].any()
+            assert got[:, 7:].tolist() == oracle.tolist()
 
     def test_one_older_row_hit_by_many_new_pivots(self):
         # row 0 is nonzero at all 40 pivots of the second block, so its
