@@ -48,13 +48,18 @@ its rows among themselves on their nonzeros: a row is reduced only against
 the rows that entered earlier in the same call.  In the call, a row that
 shares no column with another row of the block enters as it stands, scaled
 to 1 at its first nonzero; the other rows are eliminated on {column:
-residue} rows of Python ints, each value taken mod p as it is formed.  The
-closure's reduced blocks have a few nonzeros per row, and Python arithmetic
-on a handful of entries beats about 20 numpy calls per row.  The new rows
-then go into the store, and the older rows they hit are brought to zero at
-the new pivots by the same gather: an older row is nonzero at a pivot only
-at the new pivots, so one pass of its stored entries through the reduction
-of reduce_block gives the updated row.
+residue} rows of Python ints, each value taken mod p as it is formed, and
+each built only when the loop reaches it.  A row of one entry (j, x) needs
+no reduction: if j is no pivot of the call it enters as {j: 1}, and the
+rows entered before it only drop j; if j is a pivot, its residual is -x
+times that row off its pivot, which is zero at every other pivot, and
+empty when that row is a unit row.  Most reduced rows of the closure are
+of one entry, the others have a few, and Python arithmetic on a handful
+of entries beats about 20 numpy calls per row.  The new rows then go into
+the store, and the older rows they hit are brought to zero at the new
+pivots by the same gather: an older row is nonzero at a pivot only at the
+new pivots, so one pass of its stored entries through the reduction of
+reduce_block gives the updated row.
 
 So no float enters the arithmetic: a product of two int64 residues is
 below (p-1)^2 and is taken mod p before any sum, and the loop's Python
@@ -96,7 +101,10 @@ class PrimeBasis:
     its nonzero entries off that pivot, kept as three aligned arrays of row,
     column and value, sorted by row.  No zero value is stored, and nothing
     of size length² is ever allocated: a basis that reaches full rank is
-    the identity and stores no entry at all.
+    the identity and stores no entry at all.  An insert replaces those
+    arrays and never writes into them, and it writes pivot columns only
+    past the rank, so a shallow copy (copy.copy) keeps reading the rows as
+    they stood when it was taken, at no cost in memory.
     """
 
     def __init__(self, modulus: int, length: int):
@@ -297,15 +305,24 @@ class PrimeBasis:
         combination of other rows, so it is zero at the lone row's columns,
         and none of those columns is another row's pivot: nothing reduces
         the lone row and it reduces nothing.  The other rows run as
-        {column: residue} rows of Python ints, each value reduced mod p as
-        it is formed, so the loop is exact at any p with no float window.  A
-        row's coefficients at the entered pivots are read as it is reduced:
-        an entered row is zero at every other entered pivot, so subtracting
-        it changes none of them.  `holders` maps a column to the entered
-        rows that may be nonzero there off their pivot, a superset of the
-        rows a new pivot there must clear.  The loop's decisions do not
-        depend on the lone rows, so both kinds, merged in block order and
-        cut at `room`, are the rows that one call per row would enter."""
+        {column: residue} rows of Python ints, each built when the loop
+        reaches it and each value reduced mod p as it is formed, so the loop
+        is exact at any p with no float window.  A row's coefficients at the
+        entered pivots are read as it is reduced: an entered row is zero at
+        every other entered pivot, so subtracting it changes none of them.
+        A row of one entry (j, x) is not reduced that way: at a column j
+        that is no entered pivot it is its own residual, and at the pivot
+        of entered row k its residual is -x times row k off j, already zero
+        at every entered pivot (and empty when row k is a unit row); scaled
+        to 1 at its pivot, that residual does not depend on x.
+        `holders` maps a column to the entered rows that may be nonzero
+        there off their pivot, a superset of the rows a new pivot there must
+        clear; a unit row only takes its pivot out of them.  The loop's
+        decisions do not depend on the lone rows, which all enter, so it
+        stops before a row that `room` rows, lone ones included, precede
+        in block order: a row past the cut never changes a row before it.
+        Both kinds, merged in block order and cut at `room`, are then the
+        rows that one call per row would enter."""
         p = self.p
         if not len(rows) or not room:
             empty = np.zeros(0, dtype=np.int64)
@@ -324,48 +341,63 @@ class PrimeBasis:
                     del target[j]
 
         any_lone = lone.any()
+        first = lone & (np.diff(rows, prepend=-1) != 0)  # each lone row's first entry
         loop = ~lone if any_lone else slice(None)
         loop_rows = rows[loop]
         starts = np.flatnonzero(np.diff(loop_rows, prepend=-1))  # each loop row's first entry
         bounds = [*starts.tolist(), len(loop_rows)]
         loop_cols, loop_vals = c[loop].tolist(), vals[loop].tolist()
-        block = {i: dict(zip(loop_cols[lo:hi], loop_vals[lo:hi]))  # row: {column: residue}
-                 for i, lo, hi in zip(loop_rows[starts].tolist(), bounds, bounds[1:])}
+        # the loop rows that may enter before each loop row: room less the
+        # lone rows before it, which all enter
+        limits = (room - np.searchsorted(rows[first], loop_rows[starts])).tolist()
         new: list[dict[int, int]] = []
         pivots: list[int] = []
         entered: list[int] = []  # the block row of each entered row
         pivot_of: dict[int, int] = {}
         holders: dict[int, set[int]] = {}
-        for i, row in block.items():
-            for col in [col for col in row if col in pivot_of]:
-                subtract(row, row[col], new[pivot_of[col]])
+        for i, lo, hi, limit in zip(loop_rows[starts].tolist(), bounds, bounds[1:], limits):
+            if len(new) >= limit:
+                break
+            if hi - lo == 1:  # one entry (j, x): no reduction loop
+                j = loop_cols[lo]
+                k = pivot_of.get(j)
+                if k is None:
+                    row = {j: 1}
+                else:  # the residual, over -x: zero at every entered pivot
+                    row = {col: v for col, v in new[k].items() if col != j}
+            else:
+                row = dict(zip(loop_cols[lo:hi], loop_vals[lo:hi]))  # {column: residue}
+                for col in [col for col in row if col in pivot_of]:
+                    subtract(row, row[col], new[pivot_of[col]])
             if not row:
                 continue
             pivot = min(row)
-            if row[pivot] != 1:
-                inv = pow(row[pivot], -1, p)
-                row = {j: v * inv % p for j, v in row.items()}
-            off = [j for j in row if j != pivot]
-            for k in holders.pop(pivot, ()):
-                coeff = new[k].get(pivot)
-                if coeff:  # none if that entry of row k has cancelled since
-                    subtract(new[k], coeff, row)
-                    for j in off:
-                        holders.setdefault(j, set()).add(k)
-            for j in off:
-                holders.setdefault(j, set()).add(len(new))
+            if len(row) == 1:  # a unit row: the rows that hold its pivot drop it
+                row = {pivot: 1}
+                for k in holders.pop(pivot, ()):
+                    new[k].pop(pivot, None)
+            else:
+                if row[pivot] != 1:
+                    inv = pow(row[pivot], -1, p)
+                    row = {j: v * inv % p for j, v in row.items()}
+                off = [j for j in row if j != pivot]
+                for k in holders.pop(pivot, ()):
+                    coeff = new[k].get(pivot)
+                    if coeff:  # none if that entry of row k has cancelled since
+                        subtract(new[k], coeff, row)
+                        for j in off:
+                            holders.setdefault(j, set()).add(k)
+                for j in off:
+                    holders.setdefault(j, set()).add(len(new))
             pivot_of[pivot] = len(new)
             pivots.append(pivot)
             entered.append(i)
             new.append(row)
-            if len(new) == room:
-                break
         at = np.array([k for k, row in enumerate(new) for _ in row], dtype=np.int64)
         out_cols = np.array([j for row in new for j in row], dtype=np.int64)
         out_vals = np.array([v for row in new for v in row.values()], dtype=np.int64)
         pivots = np.array(pivots, dtype=np.int64)
         if any_lone:
-            first = lone & (np.diff(rows, prepend=-1) != 0)  # each lone row's first entry
             lead, inverse = np.unique(vals[first], return_inverse=True)
             scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.int64)[inverse]
             lone_at = np.cumsum(first)[lone] - 1  # each entry's lone row
@@ -404,10 +436,8 @@ class PrimeBasis:
         reduced against the stored rows once; a row is then reduced only
         against the rows that entered earlier in the same call, and the
         stored rows are brought to zero at the new pivots once, at the end,
-        by the gather of reduce_block.  The closure offers 64 seeds per
-        call, then whole sources of 2(t+1) rows each, ceil(256 / (2(t+1)))
-        sources per call: each round-1 call at (400,201) offers 1000 rows.
-        The cells of round 2 go 256 per call.
+        by the gather of reduce_block.  So how a caller splits its rows
+        into calls changes nothing but the time and the memory of a call.
         """
         return self._insert_reduced(*self.reduce_block(rows, cols, vals))
 

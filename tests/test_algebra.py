@@ -228,6 +228,33 @@ class TestAlgebraClosure:
         assert digest.hexdigest() == (
             "e50a2c135f1b5d07dc5de2d3e2be05c30e778e8e6f7a7bfb78a52fe26186b1da")
 
+    @pytest.mark.parametrize("batch", [1, 2 ** 40], ids=["one_unit_per_call", "one_call"])
+    @pytest.mark.parametrize("case", ["D(40,19)", "S4"])
+    def test_call_size_changes_nothing(self, case, batch, monkeypatch):
+        # insert_block gives the same basis however a block is split, so the
+        # final basis, the rounds and the history do not depend on how many
+        # entries each call takes; S4 runs the dense later-round products
+        if case == "S4":
+            sd, _ = generic_inputs(s4_table(), "S4")
+        else:
+            sd, _, _ = closure_inputs(40, 19)
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        canonical = list(range(2 * sd.num_relations))
+
+        def closure():
+            basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
+            rounds, history = _modular_closure(basis, products, canonical,
+                                               dim_t_tilde(sd.group))
+            pivots = basis._pivot_cols[:basis.rank]
+            digest = hashlib.sha256(basis.rows.tobytes() + pivots.tobytes()).hexdigest()
+            return digest, rounds, history
+
+        default = closure()
+        if case == "D(40,19)":
+            assert default[0] == self.FINAL_BASIS_SHA256[40, 19]
+        monkeypatch.setattr(algebra, "BATCH_ENTRIES", batch)
+        assert closure() == default
+
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
         with pytest.raises(ValueError):
@@ -320,7 +347,8 @@ class TestGeneratorProducts:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_cells_match_dense_triple_products(self, case, monkeypatch):
         # every nonempty E*_k A_i E*_j read at the representatives, exactly
-        # once and in (k, i, j) order; a small BATCH_ROWS makes several blocks
+        # once and in (k, i, j) order; a small BATCH_ENTRIES makes several
+        # blocks, each of whole cells
         sd, idem = self.CASES[case]()
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
@@ -328,7 +356,7 @@ class TestGeneratorProducts:
         want = [(np.diag(idem.diagonals[k]) @ sd.adjacency(i) @ np.diag(idem.diagonals[j]))[u, v]
                 for k in range(t1) for i in range(t1) for j in range(t1)]
         want = [row for row in want if row.any()]
-        monkeypatch.setattr(algebra, "BATCH_ROWS", 5)
+        monkeypatch.setattr(algebra, "BATCH_ENTRIES", 5)
         count, blocks = products.cells()
         got = []
         seen = []

@@ -33,7 +33,19 @@ def _lone_and_loop_rows(rng, kinds: str, p: int, ones: bool) -> np.ndarray:
     row shares, so it is never lone.  A "d" row is a combination of the last
     two "o" rows, so it is dependent, and it is never lone either.  The
     values are 1, as in the closure's 0/1 rows, or residues from 2 up, so
-    that every lone row's leading entry needs its inverse."""
+    that every lone row's leading entry needs its inverse.
+
+    The other letters are rows of one entry, each at a column of the rows
+    before it that are not lone, so never lone themselves.  Where it goes
+    is read off the echelon basis of those rows, which is what the in-call
+    elimination of the block holds when the row is reached: an "h" row at
+    a column that is no pivot but where an entered row is nonzero (it
+    enters, and that row drops the column), an "e" row at the pivot of an
+    entered row of one entry (it reduces to zero), and a "p" row at the
+    pivot of an entered row of more (its residual is that row's other
+    entries).  An "h" or "p" row needs an entered row of two entries or
+    more: right after the first "o" row there always is one, and an "h"
+    row leaves a row of one entry for an "e" row."""
     length = 4 * len(kinds) + 1
     perm = rng.permutation(length)
     shared, free = perm[0], iter(perm[1:].tolist())
@@ -43,12 +55,40 @@ def _lone_and_loop_rows(rng, kinds: str, p: int, ones: bool) -> np.ndarray:
             a, b = [k for k in range(i) if kinds[k] == "o"][-2:]
             rows[i] = (2 * rows[a] + 3 * rows[b]) % p
             continue
-        own = [next(free) for _ in range(rng.integers(1, 4))] + [shared] * (kind == "o")
+        if kind in "hep":
+            entered, pivots = oracle_echelon(rows[[k for k in range(i) if kinds[k] != "l"]], p)
+            weight = [np.count_nonzero(row) for row in entered]
+            cols = {"h": sorted({j for row in entered for j in np.flatnonzero(row)} - set(pivots)),
+                    "e": [c for c, w in zip(pivots, weight) if w == 1],
+                    "p": [c for c, w in zip(pivots, weight) if w > 1]}[kind]
+            assert cols, f"no column for a {kind!r} row"
+            own = [cols[rng.integers(len(cols))]]
+        else:
+            own = [next(free) for _ in range(rng.integers(1, 4))] + [shared] * (kind == "o")
         rows[i, own] = 1 if ones else rng.integers(2, p, len(own))
     nonzero = rows != 0
     lone = ~(nonzero & (nonzero.sum(axis=0) > 1)).any(axis=1)
     assert lone.tolist() == [kind == "l" for kind in kinds]
     return rows
+
+
+def _check_room_cuts(block: np.ndarray, p: int) -> set[int]:
+    """Check that the in-call elimination with each `room` up to the rank
+    returns the first `room` rows that enter, as the oracle gives them;
+    returns the block rows at which some cut falls, each the last row to
+    enter below one cut."""
+    basis = PrimeBasis(p, block.shape[1])
+    cut_after = set()
+    for room in range(len(oracle_echelon(block, p)[0]) + 1):
+        new_rows, new_cols, new_vals, pivots = basis._eliminate(*entries(block), room)
+        prefix = next(k for k in range(len(block) + 1)
+                      if len(oracle_echelon(block[:k], p)[0]) == room)
+        rows, want = oracle_echelon(block[:prefix], p)
+        assert np.all(np.diff(new_rows) >= 0)
+        full = densify(new_rows, new_cols, new_vals, (len(pivots), block.shape[1]))
+        assert full.tolist() == rows and pivots.tolist() == want
+        cut_after.add(prefix - 1)
+    return cut_after
 
 
 def _residual(basis: PrimeBasis, vec) -> np.ndarray:
@@ -398,20 +438,25 @@ class TestPrimeBasis:
         _check_store(one)
         assert one.insert_block(*entries(block)) == 0
 
-    @pytest.mark.parametrize("p", PRIMES)
+    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
     @pytest.mark.parametrize("ones", [True, False], ids=["unit_leads", "non_unit_leads"])
-    @pytest.mark.parametrize("kinds", ["lllll", "ooodoo", "lololdlo", "oodolll", "llloood"],
+    @pytest.mark.parametrize("kinds", ["lllll", "ooodoo", "lololdlo", "oodolll", "llloood",
+                                       "lolhelod", "oplold"],
                              ids=["every_row_lone", "no_row_lone", "interleaved",
-                                  "lone_after_loop", "lone_before_loop"])
+                                  "lone_after_loop", "lone_before_loop",
+                                  "one_entry_at_fresh_and_unit_pivot",
+                                  "one_entry_at_longer_pivot"])
     def test_lone_rows_match_python_oracle(self, p, ones, kinds):
         # lone rows enter as they stand, the others through the loop, and
-        # both come out in block order; on a nonempty basis the block is
-        # reduced first, and the stored rows must then be cleared
+        # both come out in block order; rows of one entry skip the loop's
+        # reduction; on a nonempty basis the block is reduced first, and
+        # the stored rows must then be cleared
         rng = np.random.default_rng(p % 1000 + len(kinds))
         block = _lone_and_loop_rows(rng, kinds, p, ones)
         length = block.shape[1]
         empty = PrimeBasis(p, length)
-        assert empty.insert_block(*entries(block)) == len(kinds) - kinds.count("d")
+        dependent = kinds.count("d") + kinds.count("e")
+        assert empty.insert_block(*entries(block)) == len(kinds) - dependent
         rows, pivots = oracle_echelon(block, p)
         assert empty.rows.astype(np.int64).tolist() == rows
         assert empty._pivot_cols[:empty.rank].tolist() == pivots
@@ -430,16 +475,17 @@ class TestPrimeBasis:
         # here the cut falls after a lone row and before a loop row, and the
         # other way round
         rng = np.random.default_rng(p % 1000 + 11)
-        block = _lone_and_loop_rows(rng, "lolodlool", p, ones=False)
-        basis = PrimeBasis(p, block.shape[1])
-        for room in range(9):
-            new_rows, new_cols, new_vals, pivots = basis._eliminate(*entries(block), room)
-            prefix = next(k for k in range(len(block) + 1)
-                          if len(oracle_echelon(block[:k], p)[0]) == room)
-            rows, want = oracle_echelon(block[:prefix], p)
-            assert np.all(np.diff(new_rows) >= 0)
-            full = densify(new_rows, new_cols, new_vals, (len(pivots), block.shape[1]))
-            assert full.tolist() == rows and pivots.tolist() == want
+        _check_room_cuts(_lone_and_loop_rows(rng, "lolodlool", p, ones=False), p)
+
+    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
+    @pytest.mark.parametrize("ones", [True, False], ids=["unit_leads", "non_unit_leads"])
+    def test_room_cut_falls_on_a_one_entry_row(self, p, ones):
+        # the "h" row enters through the loop with one entry, and some cut
+        # falls right after it
+        rng = np.random.default_rng(p % 1000 + 13)
+        kinds = "olhelo"
+        block = _lone_and_loop_rows(rng, kinds, p, ones)
+        assert _check_room_cuts(block, p) >= {i for i, kind in enumerate(kinds) if kind == "h"}
 
     @pytest.mark.parametrize("fill", [False, True], ids=["dependent_rows", "full_in_second_slice"])
     def test_block_over_2048_rows_matches_sequential_inserts(self, fill):
