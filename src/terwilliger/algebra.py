@@ -257,9 +257,9 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     a seed, a relation's 2(t+1) masked rows, a cell or a source's 2(t+1)
     dense products on C, go into one call until it holds about
     BATCH_ENTRIES nonzeros or values.  Fewer calls pay less of the fixed
-    cost of each, which includes a scan of the whole store.  At (400,201)
-    the 802 seeds go in 5 calls and round 1's 401 relations, about 1400
-    entries each, in 9, against 13 and 401 when calls were counted in rows.
+    cost of each, which includes a scan of the whole store.  At (400,201),
+    where t + 1 = 500, the 1000 seeds go in 5 calls and round 1's 500
+    relations, 1120 entries each, in 9.
     """
     for block in _row_calls(*products.seeds(seed_order)):
         basis.insert_block(*block)

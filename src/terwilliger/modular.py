@@ -11,8 +11,8 @@ Only the pivots and the entries off them are stored: a pivot column per
 row, and the row, column and value of every nonzero off its row's pivot,
 kept sorted by row, so that one row's entries are one run found by
 searchsorted.  The memory is linear in length plus those entries, never
-length², and a basis of full rank, the identity, stores no entry; `rows`
-is a dense copy built on request.
+length², and a basis of full rank, the identity, stores no entry;
+`dense_rows` builds a dense copy of some rows on request.
 
 A block of vectors is handed over as its nonzero entries: three aligned
 arrays of block row, column and value, sorted by row and, within a row,
@@ -44,15 +44,15 @@ entry (about 9.7e10 at the largest modulus allowed), then reduced mod p,
 and the zero sums are dropped.  No dense rows x length block is formed.
 
 insert_block reduces the block against the store that way, then eliminates
-its rows among themselves on their nonzeros: a row is reduced only against
-the rows that entered earlier in the same call.  In the call, a row that
-shares no column with another row of the block enters as it stands, scaled
-to 1 at its first nonzero; the other rows are eliminated on {column:
-residue} rows of Python ints, each value taken mod p as it is formed, and
-each built only when the loop reaches it.  A row of one entry (j, x) needs
-no reduction: if j is no pivot of the call it enters as {j: 1}, and the
-rows entered before it only drop j; if j is a pivot, its residual is -x
-times that row off its pivot, which is zero at every other pivot, and
+its rows among themselves on their nonzeros, in one pass in block order: a
+row is reduced only against the rows that entered earlier in the same
+call.  Each row is a {column: residue} dict of Python ints, each value
+taken mod p as it is formed, built only when the pass reaches it.  Two
+kinds of row skip the reduction.  A row that shares no column with another
+row of the block enters as it stands, scaled to 1 at its first nonzero.  A
+row of one entry (j, x) enters as {j: 1} if j is no pivot of the call, and
+the rows entered before it only drop j; if j is a pivot, its residual is
+-x times that row off its pivot, which is zero at every other pivot, and
 empty when that row is a unit row.  Most reduced rows of the closure are
 of one entry, the others have a few, and Python arithmetic on a handful
 of entries beats about 20 numpy calls per row.  The new rows then go into
@@ -64,10 +64,9 @@ reduce_block gives the updated row.
 So no float enters the arithmetic: a product of two int64 residues is
 below (p-1)^2 and is taken mod p before any sum, and the loop's Python
 ints are exact at any size.  Nothing is formed dense but the copies
-that `rows` and `dense_rows` return.  Modular rank only lower-bounds the
-rational rank, so callers must close the gap themselves (see the algebra
-closure, which pins the rank exactly whenever it reaches the centralizer
-bound).
+that `dense_rows` returns.  Modular rank only lower-bounds the rational
+rank, so callers must close the gap themselves (see the algebra closure,
+which pins the rank exactly whenever it reaches the centralizer bound).
 """
 
 from __future__ import annotations
@@ -84,9 +83,9 @@ def check_modulus(p: int) -> None:
     """Reject a modulus p with (p-1)^2 >= 2^53, that is p >= 94906267.
 
     Below it, a product of two residues is exact in int64, as in the
-    reduction and the scaling of lone rows, and the float64 later-round
-    products of `algebra.all_products`, sums of a class's worth of
-    residues, stay exact integers.  It needs no primality test, so a
+    reduction, and the float64 later-round products of
+    `algebra.all_products`, sums of a class's worth of residues, stay
+    exact integers.  It needs no primality test, so a
     caller can run it first on any integer.
     """
     if (p - 1) ** 2 >= 2 ** 53:
@@ -119,12 +118,6 @@ class PrimeBasis:
         self._off_rows = np.zeros(0, dtype=np.int64)
         self._off_cols = np.zeros(0, dtype=np.int64)
         self._off_vals = np.zeros(0, dtype=np.int64)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The stored rows as exact residues, densified into a new
-        rank x length array: a copy, not a view of the store."""
-        return self.dense_rows(0, self.rank)
 
     def dense_rows(self, start: int, stop: int) -> np.ndarray:
         """Stored rows start..stop-1 as a dense copy on every column."""
@@ -299,38 +292,34 @@ class PrimeBasis:
         order they entered, as entries (k for the k-th row to enter, column,
         value) sorted by k, and their pivot columns.
 
-        A lone row, one that shares no column with another row of the block,
-        enters as it stands, scaled by the inverse of its first nonzero, all
-        lone rows in one step.  Every row that entered before it is a
-        combination of other rows, so it is zero at the lone row's columns,
-        and none of those columns is another row's pivot: nothing reduces
-        the lone row and it reduces nothing.  The other rows run as
-        {column: residue} rows of Python ints, each built when the loop
-        reaches it and each value reduced mod p as it is formed, so the loop
-        is exact at any p with no float window.  A row's coefficients at the
-        entered pivots are read as it is reduced: an entered row is zero at
-        every other entered pivot, so subtracting it changes none of them.
-        A row of one entry (j, x) is not reduced that way: at a column j
-        that is no entered pivot it is its own residual, and at the pivot
-        of entered row k its residual is -x times row k off j, already zero
-        at every entered pivot (and empty when row k is a unit row); scaled
-        to 1 at its pivot, that residual does not depend on x.
-        `holders` maps a column to the entered rows that may be nonzero
-        there off their pivot, a superset of the rows a new pivot there must
-        clear; a unit row only takes its pivot out of them.  The loop's
-        decisions do not depend on the lone rows, which all enter, so it
-        stops before a row that `room` rows, lone ones included, precede
-        in block order: a row past the cut never changes a row before it.
-        Both kinds, merged in block order and cut at `room`, are then the
-        rows that one call per row would enter."""
+        One pass takes the block's rows in order and stops once `room` rows
+        have entered: a row past the cut never changes a row before it.
+        Each row is a {column: residue} dict of Python ints, built when the
+        pass reaches it, with each value reduced mod p as it is formed, so
+        the pass is exact at any p with no float window.  A lone row, one
+        that shares no column with another row of the block, enters as it
+        stands, scaled by the inverse of its first value.  No other row has
+        an entry at its columns, and the elimination's fill-in only spreads
+        the columns of rows that are not lone, so nothing reduces the lone
+        row and it reduces nothing: it is kept out of `pivot_of` and
+        `holders`.  Any other row's coefficients at the entered pivots are
+        read as it is reduced: an entered row is zero at every other entered
+        pivot, so subtracting it changes none of them.  A row of one entry
+        (j, x) is not reduced that way: at a column j that is no entered
+        pivot it is its own residual, and at the pivot of entered row k its
+        residual is -x times row k off j, already zero at every entered
+        pivot (and empty when row k is a unit row); scaled to 1 at its
+        pivot, that residual does not depend on x.  `holders` maps a column
+        to the entered rows that may be nonzero there off their pivot, a
+        superset of the rows a new pivot there must clear; a unit row only
+        takes its pivot out of them.  So the rows that enter are the ones
+        that one call per row would enter."""
         p = self.p
-        if not len(rows) or not room:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty, empty
-        used, c = np.unique(cols, return_inverse=True)  # c: as indices into used
-        held = np.bincount(c)  # rows nonzero at each column
-        # the entries of the lone rows
-        lone = np.bincount(rows[held[c] > 1], minlength=rows[-1] + 1)[rows] == 0
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first entry
+        bounds = [*starts.tolist(), len(rows)]
+        shared = np.bincount(cols)[cols] > 1  # the entries at a column of two rows or more
+        lone = np.bincount(rows[shared], minlength=rows.max(initial=0) + 1)[rows[starts]] == 0
+        cols, vals = cols.tolist(), vals.tolist()
 
         def subtract(target: dict[int, int], coeff: int, source: dict[int, int]) -> None:
             for j, v in source.items():
@@ -340,33 +329,27 @@ class PrimeBasis:
                 else:
                     del target[j]
 
-        any_lone = lone.any()
-        first = lone & (np.diff(rows, prepend=-1) != 0)  # each lone row's first entry
-        loop = ~lone if any_lone else slice(None)
-        loop_rows = rows[loop]
-        starts = np.flatnonzero(np.diff(loop_rows, prepend=-1))  # each loop row's first entry
-        bounds = [*starts.tolist(), len(loop_rows)]
-        loop_cols, loop_vals = c[loop].tolist(), vals[loop].tolist()
-        # the loop rows that may enter before each loop row: room less the
-        # lone rows before it, which all enter
-        limits = (room - np.searchsorted(rows[first], loop_rows[starts])).tolist()
         new: list[dict[int, int]] = []
         pivots: list[int] = []
-        entered: list[int] = []  # the block row of each entered row
         pivot_of: dict[int, int] = {}
         holders: dict[int, set[int]] = {}
-        for i, lo, hi, limit in zip(loop_rows[starts].tolist(), bounds, bounds[1:], limits):
-            if len(new) >= limit:
+        for lo, hi, alone in zip(bounds, bounds[1:], lone.tolist()):
+            if len(new) >= room:
                 break
+            if alone:
+                inv = pow(vals[lo], -1, p)
+                pivots.append(cols[lo])
+                new.append({j: v * inv % p for j, v in zip(cols[lo:hi], vals[lo:hi])})
+                continue
             if hi - lo == 1:  # one entry (j, x): no reduction loop
-                j = loop_cols[lo]
+                j = cols[lo]
                 k = pivot_of.get(j)
                 if k is None:
                     row = {j: 1}
                 else:  # the residual, over -x: zero at every entered pivot
                     row = {col: v for col, v in new[k].items() if col != j}
             else:
-                row = dict(zip(loop_cols[lo:hi], loop_vals[lo:hi]))  # {column: residue}
+                row = dict(zip(cols[lo:hi], vals[lo:hi]))  # {column: residue}
                 for col in [col for col in row if col in pivot_of]:
                     subtract(row, row[col], new[pivot_of[col]])
             if not row:
@@ -391,30 +374,11 @@ class PrimeBasis:
                     holders.setdefault(j, set()).add(len(new))
             pivot_of[pivot] = len(new)
             pivots.append(pivot)
-            entered.append(i)
             new.append(row)
         at = np.array([k for k, row in enumerate(new) for _ in row], dtype=np.int64)
         out_cols = np.array([j for row in new for j in row], dtype=np.int64)
         out_vals = np.array([v for row in new for v in row.values()], dtype=np.int64)
-        pivots = np.array(pivots, dtype=np.int64)
-        if any_lone:
-            lead, inverse = np.unique(vals[first], return_inverse=True)
-            scale = np.array([pow(int(x), -1, p) for x in lead], dtype=np.int64)[inverse]
-            lone_at = np.cumsum(first)[lone] - 1  # each entry's lone row
-            # the lone rows, then the loop's, as candidates in block order
-            order = (np.argsort(np.concatenate([rows[first], entered]))[:room] if new
-                     else np.arange(min(len(scale), room)))
-            slot = np.full(len(scale) + len(new), -1)
-            slot[order] = np.arange(len(order))
-            at = slot[np.concatenate([lone_at, at + len(scale)])]
-            keep = at >= 0
-            at = at[keep]
-            out_cols = np.concatenate([c[lone], out_cols])[keep]
-            out_vals = np.concatenate([vals[lone] * scale[lone_at] % p, out_vals])[keep]
-            pivots = np.concatenate([c[first], pivots])[order]
-            by_row = np.argsort(at, kind="stable")
-            at, out_cols, out_vals = at[by_row], out_cols[by_row], out_vals[by_row]
-        return at, used[out_cols], out_vals, used[pivots]
+        return at, out_cols, out_vals, np.array(pivots, dtype=np.int64)
 
     def insert(self, vec) -> bool:
         """Insert one vector; True iff it was independent and the rank grew."""

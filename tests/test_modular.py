@@ -106,7 +106,8 @@ def _reduced(basis: PrimeBasis, block) -> np.ndarray:
 
 
 def _state(basis: PrimeBasis) -> tuple:
-    return basis.rank, basis.rows.tolist(), basis._pivot_cols[:basis.rank].tolist()
+    return (basis.rank, basis.dense_rows(0, basis.rank).tolist(),
+            basis._pivot_cols[:basis.rank].tolist())
 
 
 class TestPrimeBasis:
@@ -186,7 +187,7 @@ class TestPrimeBasis:
         basis = PrimeBasis(97, 10)
         for _ in range(8):
             basis.insert(rng.integers(0, 97, size=10))
-        rows = basis.rows
+        rows = basis.dense_rows(0, basis.rank)
         for r in range(basis.rank):
             pivot = int(basis._pivot_cols[r])
             assert rows[r, pivot] == 1
@@ -203,7 +204,7 @@ class TestPrimeBasis:
         for row in block:
             two.insert(row.astype(int))
         assert one.rank == two.rank
-        assert np.array_equal(one.rows, two.rows)
+        assert np.array_equal(one.dense_rows(0, one.rank), two.dense_rows(0, two.rank))
 
     @pytest.mark.parametrize("p", PRIMES)
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
@@ -214,7 +215,7 @@ class TestPrimeBasis:
         for vec in vectors:
             basis.insert(vec)
         rows, pivots = oracle_echelon(vectors, p)
-        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis.dense_rows(0, basis.rank).astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -280,7 +281,8 @@ class TestPrimeBasis:
         block[::2, pivots] = 0  # these rows touch no pivot
         hit = (block % p)[:, pivots].any(axis=1)
         assert hit.any() and not hit.all()
-        dense = (block % p - (block % p)[:, pivots] @ basis.rows.astype(np.int64)) % p
+        stored = basis.dense_rows(0, basis.rank).astype(np.int64)
+        dense = (block % p - (block % p)[:, pivots] @ stored) % p
         assert np.array_equal(_reduced(basis, block), dense)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
@@ -296,7 +298,7 @@ class TestPrimeBasis:
         basis.insert_block(*entries(start))
         basis.insert_block(*entries(block))
         rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
-        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis.dense_rows(0, basis.rank).astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
         probe = _vectors(rng, kind, 12, 30, p).astype(object)
         stored = np.array(rows, dtype=object)
@@ -355,7 +357,7 @@ class TestPrimeBasis:
         assert basis.insert_block(*entries(second)) == k
         _check_store(basis)
         rows, pivots = oracle_echelon(np.concatenate([first, second]), p)
-        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis.dense_rows(0, basis.rank).astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
         assert first[0, 1:k + 1].all() and not any(rows[0][1:k + 1])
 
@@ -410,7 +412,7 @@ class TestPrimeBasis:
             inserted = np.concatenate([inserted, block])
             # an independent check of the rows that `rows` densifies
             rows, pivots = oracle_echelon(inserted, p)
-            assert full.rows.astype(np.int64).tolist() == rows
+            assert full.dense_rows(0, full.rank).astype(np.int64).tolist() == rows
             assert full._pivot_cols[:full.rank].tolist() == pivots
         assert np.isin(compact.quotient_cols(), cols).all()
 
@@ -458,24 +460,27 @@ class TestPrimeBasis:
         dependent = kinds.count("d") + kinds.count("e")
         assert empty.insert_block(*entries(block)) == len(kinds) - dependent
         rows, pivots = oracle_echelon(block, p)
-        assert empty.rows.astype(np.int64).tolist() == rows
+        assert empty.dense_rows(0, empty.rank).astype(np.int64).tolist() == rows
         assert empty._pivot_cols[:empty.rank].tolist() == pivots
         start = _vectors(rng, "sparse", 6, length, p)
         basis = PrimeBasis(p, length)
         basis.insert_block(*entries(start))
         basis.insert_block(*entries(block))
         rows, pivots = oracle_echelon(np.concatenate([start, block]), p)
-        assert basis.rows.astype(np.int64).tolist() == rows
+        assert basis.dense_rows(0, basis.rank).astype(np.int64).tolist() == rows
         assert basis._pivot_cols[:basis.rank].tolist() == pivots
         _check_store(basis)
 
     @pytest.mark.parametrize("p", PRIMES)
-    def test_room_cut_falls_between_lone_and_loop_rows(self, p):
+    @pytest.mark.parametrize("kinds", ["lolodlool", "lllll", "llloood", "oodolll"],
+                             ids=["interleaved", "every_row_lone", "lone_before_loop",
+                                  "lone_after_loop"])
+    def test_room_cut_falls_between_lone_and_loop_rows(self, p, kinds):
         # the in-call elimination returns the first `room` rows that enter;
-        # here the cut falls after a lone row and before a loop row, and the
-        # other way round
+        # the cuts fall after a lone row and before a loop row and the other
+        # way round, among lone rows only, and at one boundary either way
         rng = np.random.default_rng(p % 1000 + 11)
-        _check_room_cuts(_lone_and_loop_rows(rng, "lolodlool", p, ones=False), p)
+        _check_room_cuts(_lone_and_loop_rows(rng, kinds, p, ones=False), p)
 
     @pytest.mark.parametrize("p", [*PRIMES, 94906249])
     @pytest.mark.parametrize("ones", [True, False], ids=["unit_leads", "non_unit_leads"])
@@ -506,7 +511,7 @@ class TestPrimeBasis:
         added = one.insert_block(*entries(block))
         assert one.rank == added == (length if fill else 20)
         assert _state(one) == _state(two)
-        assert one.rows.astype(np.int64).tolist() == rows
+        assert one.dense_rows(0, one.rank).astype(np.int64).tolist() == rows
         assert one._pivot_cols[:one.rank].tolist() == pivots
 
     @pytest.mark.parametrize("p", PRIMES)
@@ -535,7 +540,7 @@ class TestPrimeBasis:
             inserted = np.concatenate([inserted, block])
             _check_store(basis)
             rows, pivots = oracle_echelon(inserted, p)
-            assert basis.rows.astype(np.int64).tolist() == rows
+            assert basis.dense_rows(0, basis.rank).astype(np.int64).tolist() == rows
             assert basis._pivot_cols[:basis.rank].tolist() == pivots
             probe = _vectors(rng, "dense", 5, length, p).astype(object)
             stored = np.array(rows, dtype=object)
@@ -573,7 +578,7 @@ class TestPrimeBasis:
         got = _reduced(basis, probe)
         assert len(sums) > 5
         pivots = basis._pivot_cols[:basis.rank]
-        stored = basis.rows.astype(np.int64).astype(object)
+        stored = basis.dense_rows(0, basis.rank).astype(np.int64).astype(object)
         want = (probe.astype(object) - probe[:, pivots].astype(object) @ stored) % p
         assert got.tolist() == want.tolist()
 
@@ -628,7 +633,7 @@ def _check_store(basis: PrimeBasis) -> None:
 
 
 def _nonzeros_off_pivot(basis: PrimeBasis) -> list:
-    rows, cols = np.nonzero(basis.rows)
+    rows, cols = np.nonzero(basis.dense_rows(0, basis.rank))
     off = cols != basis._pivot_cols[rows]
     return sorted(zip(rows[off].tolist(), cols[off].tolist()))
 
