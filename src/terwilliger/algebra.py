@@ -28,8 +28,26 @@ offers only the cells E*_k A_i E*_j, words of length 3 read from the same
 labels with disjoint supports; they alone end the round at the bound, and
 no left product is formed.  Round 1 offers its rows by descending class,
 an order in which they do not fill in.
-Each prime gets a fresh basis that is dropped once its history is taken,
-so only one basis is alive at a time.
+
+Through round 1, and through a round 2 that the cells end, the rank
+history does not depend on the field, and it is counted from the labels
+(`_GeneratorProducts.rank_history`) without forming a basis.  The seeds have rank 2t + 1 for any group: A_identity is
+the sum of the E*_j, and the other A_i and the E*_j have disjoint nonempty
+supports.  Round 1's rows of different relations share no column, and
+within relation i every column lies in exactly one row E*_j A_i and one
+row A_i E*_j, so those rows are the vertex-edge incidence matrix of a
+bipartite graph whose vertices are the nonempty rows and whose edges are
+the columns.  Such a matrix is totally unimodular (Heller-Tompkins), so its
+rank over Q and over every F_p is the number of vertices less the number
+of components; the seeds lie in its span (A_i = sum of the E*_j A_i, and
+E*_j = E*_j A_identity).  The cells are nonempty 0/1 rows with disjoint
+supports, each a union of orbits, so when they are at least as many as
+the bound they are the orbits themselves, and round 2 ends at the bound
+over every field.  For every D(n,s) this decides the whole closure, and
+the two prime histories agree by this argument rather than by two
+computations.  Where round 2 needs left products (S4, say), the closure
+eliminates over each prime: each gets a fresh basis that is dropped once
+its history is taken, so only one basis is alive at a time.
 """
 
 from __future__ import annotations
@@ -178,6 +196,23 @@ class _GeneratorProducts:
         cell = np.cumsum(np.diff(key[order], prepend=key[order[0]]) != 0)
         return int(cell[-1]) + 1, _row_calls(cell, order, np.ones(len(order), dtype=np.int64))
 
+    def rank_history(self, bound: int) -> list[int] | None:
+        """The rank after the seeds and after each round of the closure,
+        over Q and over every F_p, counted from the labels; None when round
+        2 is reached and the cells fall short of the bound, since its left
+        products are then not decided by the labels (see the module
+        docstring).  The rounds end as `_modular_closure`'s do: at the
+        bound, or after a round that adds nothing."""
+        t1 = len(self.offsets)
+        history = [2 * t1 - 1]
+        if history[0] < bound:
+            history.append(_round_one_rank(self.relation, self.class_u, self.class_v, t1))
+        if history[0] < history[-1] < bound:
+            if self.cells()[0] < bound:
+                return None
+            history.append(bound)
+        return history
+
     def all_products(self, cols: np.ndarray):
         """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
         read at `cols` only: each product entry needs only its own column's
@@ -192,6 +227,43 @@ class _GeneratorProducts:
             left = np.add.reduceat(m[index], self.offsets, axis=0)
             return np.concatenate([left, masks * m[cols]])
         return products
+
+
+def _round_one_rank(relation: np.ndarray, class_u: np.ndarray, class_v: np.ndarray,
+                    t1: int) -> int:
+    """The rank of the rows E*_j A_i and A_i E*_j, given the labels of each
+    column: the number of nonempty rows less the number of components of
+    the graph whose vertices are those rows and whose edges are the
+    columns, each joining the two rows it lies in.  Row E*_j A_i is vertex
+    i * t1 + j and row A_i E*_j is (t1 + i) * t1 + j, so the used vertices
+    are marked by one bincount and renumbered densely."""
+    left = relation * t1 + class_u
+    right = (t1 + relation) * t1 + class_v
+    vertex = np.cumsum(np.bincount(np.concatenate([left, right])) > 0) - 1
+    return int(vertex[-1]) + 1 - _components(vertex[left], vertex[right])
+
+
+def _components(a: np.ndarray, b: np.ndarray) -> int:
+    """The number of components of the graph with edges (a[e], b[e]) on the
+    vertices 0 .. max, each of which is on some edge, by min-label hooking
+    and pointer jumping (Shiloach-Vishkin).  Every vertex starts as its own
+    label, and the labels form stars: each points at a root, a vertex that
+    is its own label.  Each step hooks the root of either end of every edge
+    onto the other end's label when that is less, then jumps every label to
+    its label's label until they form stars again.  A label only falls and
+    stays inside its component, so once a step changes nothing, the labels
+    agree along every edge and each component carries its least vertex,
+    its one root."""
+    label = np.arange(int(max(a.max(), b.max())) + 1)
+    while True:
+        least = label.copy()
+        np.minimum.at(least, label[a], label[b])
+        np.minimum.at(least, label[b], label[a])
+        while not np.array_equal(least[least], least):
+            least = least[least]
+        if np.array_equal(least, label):
+            return int(np.count_nonzero(label == np.arange(len(label))))
+        label = least
 
 
 def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,9 +329,14 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     a seed, a relation's 2(t+1) masked rows, a cell or a source's 2(t+1)
     dense products on C, go into one call until it holds about
     BATCH_ENTRIES nonzeros or values.  Fewer calls pay less of the fixed
-    cost of each, which includes a scan of the whole store.  At (400,201),
-    where t + 1 = 500, the 1000 seeds go in 5 calls and round 1's 500
-    relations, 1120 entries each, in 9.
+    cost of each, which includes a scan of the whole store.
+
+    Up to the end of round 1, and of round 2 when the cells end it, the
+    ranks do not depend on the field (the seeds and the cells are disjoint
+    0/1 rows, and round 1's rows form totally unimodular incidence
+    matrices; see the module docstring), so they equal what
+    `_GeneratorProducts.rank_history` counts.  `algebra_closure` therefore
+    runs this elimination only where that count returns None.
     """
     for block in _row_calls(*products.seeds(seed_order)):
         basis.insert_block(*block)
@@ -267,9 +344,7 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     rounds, sources = 0, range(len(products.offsets))
     while sources and basis.rank < bound:
         rounds += 1
-        if rounds > ROUND_BUDGET:
-            raise ConsistencyError(
-                f"closure did not stabilize within {ROUND_BUDGET} rounds")
+        _check_budget(rounds)
         start = basis.rank
         for block in _offers(basis, products, rounds, sources, bound):
             basis.insert_block(*block)
@@ -278,6 +353,11 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
         history.append(basis.rank)
         sources = range(start, basis.rank)
     return rounds, history
+
+
+def _check_budget(rounds: int) -> None:
+    if rounds > ROUND_BUDGET:
+        raise ConsistencyError(f"closure did not stabilize within {ROUND_BUDGET} rounds")
 
 
 def _offers(basis: PrimeBasis, products: _GeneratorProducts, rounds: int,
@@ -353,9 +433,15 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
                     exact_rational: bool = False) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
 
-    Runs one independent saturation per prime; the two ranks must agree.
-    Early exit happens at the centralizer bound, which also upgrades the
-    modular rank to an exact certificate.
+    The rank history is counted from the closure's labels wherever they
+    decide it (`_GeneratorProducts.rank_history`), as they do for every
+    D(n,s).  That count does not depend on the field: the seeds and the
+    cells are disjoint 0/1 rows, and round 1's rows are the incidence
+    matrices of bipartite graphs, which are totally unimodular.  So it is
+    the history over each prime, and no basis is formed.  Otherwise one
+    independent saturation runs per prime (`_modular_closure`), and the two
+    ranks must agree.  Early exit happens at the centralizer bound, which
+    also upgrades the modular rank to an exact certificate.
     """
     if primes[0] == primes[1]:
         raise ValueError("the two moduli must be distinct primes")
@@ -369,13 +455,13 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     bound = dim_t_tilde(group, reps)
     products = _GeneratorProducts(scheme, ids, reps)
 
-    rounds: list[int] = []
-    histories: list[list[int]] = []
-    for p in primes:
-        nrounds, history = _modular_closure(
-            PrimeBasis(p, len(products.u)), products, seed_order, bound)
-        rounds.append(nrounds)
-        histories.append(history)
+    history = products.rank_history(bound)
+    if history is None:
+        histories = [_modular_closure(PrimeBasis(p, len(products.u)), products,
+                                      seed_order, bound)[1] for p in primes]
+    else:
+        _check_budget(len(history) - 1)
+        histories = [history, history]
     ranks = [history[-1] for history in histories]
     if ranks[0] != ranks[1]:
         raise ConsistencyError(
@@ -406,7 +492,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
         dim_t=dim_t,
         dim_t_tilde=bound,
         provenance=provenance,
-        closure_rounds=max(rounds),
+        closure_rounds=max(len(history) for history in histories) - 1,
         basis_size_history=(tuple(histories[0]), tuple(histories[1])),
         primes=tuple(primes),
     )

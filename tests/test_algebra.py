@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import cyclic_table, densify, entries, oracle_burnside_pairs, s4_table
+from helpers import (cyclic_table, densify, entries, oracle_burnside_pairs, oracle_echelon,
+                     s4_table)
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -277,6 +278,114 @@ class TestAlgebraClosure:
         # the cells fall short of the bound, so round 2 runs the left products
         assert cert.closure_rounds == 2
         assert cert.basis_size_history == ((9, 36, 43), (9, 36, 43))
+
+
+class TestCountedHistory:
+    """The closure's rank history counted from the labels, against the
+    elimination it replaces and against an independent echelon oracle."""
+
+    @staticmethod
+    def eliminated(sd, seed_order):
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        bound = len(products.u)
+        histories = [_modular_closure(PrimeBasis(p, bound), products, seed_order, bound)[1]
+                     for p in DEFAULT_PRIMES]
+        return products.rank_history(bound), histories
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_matches_elimination_on_every_small_pair(self, n):
+        # the count reads no seed order; the elimination runs in canonical
+        # order and in one shuffled order, at both default primes
+        import random
+        for s in valid_twists(n):
+            sd, _, _ = closure_inputs(n, s)
+            canonical = list(range(2 * sd.num_relations))
+            shuffled = random.Random(n * 1000 + s).sample(canonical, len(canonical))
+            for order in (canonical, shuffled):
+                counted, histories = self.eliminated(sd, order)
+                assert histories == [counted, counted], (n, s, order)
+
+    @pytest.mark.parametrize("name,table,history", [
+        ("C4", cyclic_table(4), [7, 16]),
+        ("C7", cyclic_table(7), [13, 49]),
+        ("C12", cyclic_table(12), [23, 144]),
+    ])
+    def test_matches_elimination_on_cyclic_groups(self, name, table, history):
+        sd, _ = generic_inputs(table, name)
+        counted, histories = self.eliminated(sd, list(range(2 * sd.num_relations)))
+        assert counted == history and histories == [history, history]
+
+    def test_s4_round_one_counted_then_left_to_elimination(self):
+        # round 1 of S4 is counted like any other; its cells fall short of
+        # the bound, so round 2 is not decided by the labels
+        sd, _ = generic_inputs(s4_table(), "S4")
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        t1 = sd.num_relations
+        assert algebra._round_one_rank(products.relation, products.class_u,
+                                       products.class_v, t1) == 36
+        assert products.rank_history(dim_t_tilde(sd.group)) is None
+
+    def test_above_the_bound_the_count_does_not_decide(self):
+        # cells as many as dim T~ fall short of dim T~ + 1
+        sd, _, _ = closure_inputs(16, 7)
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        assert products.rank_history(184) == [21, 179, 184]
+        assert products.rank_history(185) is None
+
+    # relation 0: a matching of two edges; relation 1: u0-v1-u1-v2-u0 plus
+    # the lone edge u2-v0; relation 2: two parallel edges u2-v2; relation 3
+    # has no column, and class 3 labels no column at all
+    LABELS = {"relation": [0, 0, 1, 1, 1, 1, 1, 2, 2],
+              "class_u":  [0, 1, 0, 1, 1, 0, 2, 2, 2],
+              "class_v":  [0, 1, 1, 1, 2, 2, 0, 2, 2]}
+
+    @pytest.mark.parametrize("p", [2, 97])
+    @pytest.mark.parametrize("labels", ["hand", "random-5", "random-6", "random-7"])
+    def test_round_one_rank_matches_oracle(self, labels, p):
+        # the rows E*_j A_i and A_i E*_j as dense 0/1 vectors, ranked over
+        # F_p one vector at a time; the incidence matrices of bipartite
+        # graphs have the same rank over every field
+        if labels == "hand":
+            t1 = 4
+            relation, class_u, class_v = (np.array(self.LABELS[k]) for k in
+                                          ("relation", "class_u", "class_v"))
+        else:
+            t1 = int(labels.split("-")[1])
+            rng = np.random.default_rng(t1)
+            relation, class_u, class_v = rng.integers(0, t1, size=(3, 4 * t1))
+        rows = [(relation == i) & (label == j)
+                for i in range(t1) for label in (class_u, class_v) for j in range(t1)]
+        rank = len(oracle_echelon(rows, p)[0])
+        assert algebra._round_one_rank(relation, class_u, class_v, t1) == rank
+        if labels == "hand":
+            assert rank == (4 - 2) + (6 - 2) + (2 - 1)
+
+    @pytest.mark.parametrize("n,s,history", [(40, 21, (99, 2800)), (100, 51, (249, 17500))])
+    def test_round_one_alone_pinned(self, n, s, history):
+        # tau = n/2: round 1 alone reaches the bound
+        sd, idem, t0 = closure_inputs(n, s)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        assert cert.closure_rounds == 1
+        assert cert.basis_size_history == (history, history)
+        assert cert.dim_t == cert.dim_t_tilde == history[-1]
+
+    @pytest.mark.parametrize("case,built", [("D(16,7)", 0), ("S4", 2)])
+    def test_prime_bases_built_only_where_the_count_does_not_decide(self, case, built,
+                                                                   monkeypatch):
+        if case == "S4":
+            sd, idem = generic_inputs(s4_table(), "S4")
+            t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
+        else:
+            sd, idem, t0 = closure_inputs(16, 7)
+        moduli = []
+
+        def counted(p, length):
+            moduli.append(p)
+            return PrimeBasis(p, length)
+        monkeypatch.setattr(algebra, "PrimeBasis", counted)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        assert cert.provenance == "exact"
+        assert moduli == list(DEFAULT_PRIMES)[:built]
 
 
 def generic_inputs(table, name):
