@@ -133,7 +133,6 @@ def analyze_pair(n: int, s: int, *,
     else:
         pairs = _sampled_pairs(params, SAMPLED_PRODUCT_PAIRS, classes.num_classes)
     checks["product_identity"] = scheme.verify_product_identity(scheme_data, tensor, pairs)
-    del tensor  # (t+1)^3 int32, 477 MB at (400,201); nothing below reads it
 
     t_tilde = step("orbital_routes_agree", lambda: algebra.dim_t_tilde(group))
     if t_tilde is None:

@@ -3,7 +3,9 @@
 The scheme of a group puts (x, y) in relation i exactly when y*x^-1 lies in
 the i-th conjugacy class.  The whole scheme is held as one integer matrix Q
 with Q[x, y] = class index of y*x^-1; the 0/1 adjacency matrix of a relation
-and its sparse rows are views derived from Q on demand.
+and its sparse rows are views derived from Q on demand.  The intersection
+numbers are held as their nonzero triples (i, j, k, p_ijk) in (i, j, k)
+order, counted by one sort of the (i, j, k) key of every (z, Cl_k) pair.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ CASE_ORDER: tuple[tuple[str, str], ...] = (
     ("X", "X"), ("X", "Y"), ("Y", "X"), ("X", "Z"), ("Z", "X"),
     ("Y", "Y"), ("Y", "Z"), ("Z", "Y"), ("Z", "Z"),
 )
-TENSOR_CHUNK_BINS = 1 << 16  # bins per intersection_numbers bincount
-COUNT_CHUNK_ENTRIES = 1 << 22  # tensor entries per case_counts nonzero count
 
 
 class SchemeData:
@@ -88,69 +88,64 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
 
 @dataclass(frozen=True)
 class IntersectionTensor:
-    """All intersection numbers p[i, j, k] of the scheme.
+    """The nonzero intersection numbers p[i, j, k] of the scheme, as triples.
 
-    Held as int32: p[i, j, k] <= |Cl_i| <= |G|, far below 2^31.
-    intersection_numbers gives p as a view of an array indexed [k, i, j], so
-    that the counts at each base point are written as one contiguous slab.
+    Four aligned int32 arrays i, j, k, p, sorted by (i, j, k) with no repeat,
+    hold p[i[r], j[r], k[r]] = p[r] >= 1; every other p[i, j, k] is 0.  Each
+    p[i, j, k] <= |Cl_i| <= |G|, far below 2^31.
     """
 
+    i: np.ndarray
+    j: np.ndarray
+    k: np.ndarray
     p: np.ndarray
     num_classes: int
 
     def nonzero_triples(self) -> list[tuple[int, int, int, int]]:
         """(i, j, k, p_ijk) rows for the nonzero entries, for export."""
-        out = []
-        for i, j, k in zip(*np.nonzero(self.p)):
-            out.append((int(i), int(j), int(k), int(self.p[i, j, k])))
-        return out
+        return list(zip(self.i.tolist(), self.j.tolist(), self.k.tolist(), self.p.tolist()))
 
 
 def intersection_numbers(group: GroupTable, classes: ConjugacyData) -> IntersectionTensor:
     """Count p[i, j, k] = |{z in Cl_i : y z^-1 in Cl_j}| for a fixed y in Cl_k.
 
-    Well-definedness (independence of the choice of y) is re-verified with a
-    second base point whenever the class has one; a dependence would mean the
-    scheme axioms fail and raises ConsistencyError.  The counts for a chunk
-    of classes, at both base points of each, come from one bincount of at
-    most TENSOR_CHUNK_BINS bins (a single class may exceed it).
+    With y the first member of each class k, every z gives the key
+    (class(z) t1 + class(y z^-1)) t1 + k, and one np.unique of the keys gives
+    the nonzero triples in (i, j, k) order with their counts.  The count is
+    redone with the second member of each class that has one (independence
+    of the choice of y); any difference raises ConsistencyError naming the
+    least class k at which the two counts differ.
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
     t1 = classes.num_classes
-    by_k = np.empty((t1, t1, t1), dtype=np.int32)
     first = np.array([c[0] for c in classes.classes])
     second = np.array([c[1] if len(c) > 1 else c[0] for c in classes.classes])
-    chunk = max(1, TENSOR_CHUNK_BINS // (2 * t1 * t1))
-    for lo in range(0, t1, chunk):
-        points = np.concatenate([first[lo:lo + chunk], second[lo:lo + chunk]])
-        # slabs[b, k, i, j] = |{z in Cl_i : y z^-1 in Cl_j}| for y = points[b, k]
-        quot_class = cls[group.mult[points[:, None], group.inv]]
-        keys = (np.arange(len(points))[:, None] * t1 + cls) * t1 + quot_class
-        slabs = np.bincount(keys.ravel(), minlength=len(points) * t1 * t1)
-        slabs = slabs.reshape(2, -1, t1, t1)
-        moved = np.flatnonzero(np.any(slabs[0] != slabs[1], axis=(1, 2)))
-        if len(moved):
-            raise ConsistencyError("intersection numbers depend on the base point "
-                                   f"in class {classes.labels[lo + moved[0]]}")
-        by_k[lo:lo + chunk] = slabs[0]
-    return IntersectionTensor(p=by_k.transpose(1, 2, 0), num_classes=t1)
+    counted = []
+    for points in (first, second):
+        # keys[k, z] = (class of z, class of y_k z^-1, k) in base t1, with y_k = points[k]
+        keys = (cls * t1 + cls[group.mult[points[:, None], group.inv]]) * t1 + np.arange(t1)[:, None]
+        counted.append(np.unique(keys, return_counts=True))
+    (keys, counts), (keys2, counts2) = counted
+    if not (np.array_equal(keys, keys2) and np.array_equal(counts, counts2)):
+        # the (key, count) pairs found at one base point only, as one integer each
+        span = group.order + 1
+        moved = np.setxor1d(keys * span + counts, keys2 * span + counts2)
+        raise ConsistencyError("intersection numbers depend on the base point "
+                               f"in class {classes.labels[np.min(moved // span % t1)]}")
+    i, j, k = np.unravel_index(keys, (t1, t1, t1))
+    return IntersectionTensor(*(a.astype(np.int32) for a in (i, j, k, counts)), num_classes=t1)
 
 
 def dim_t0(tensor: IntersectionTensor) -> int:
     """Dimension of the span of the E*_i A_j E*_k products: nonzero triples."""
-    return int(np.count_nonzero(tensor.p))
+    return len(tensor.p)
 
 
 def case_counts(tensor: IntersectionTensor, classes: ConjugacyData) -> dict[tuple[str, str], int]:
     """Nonzero-triple counts for each (kind of Cl_i, kind of Cl_j) case of CASE_ORDER."""
-    kinds = np.asarray(classes.kinds)
-    # a few i-slices at a time: a bool temporary of the whole tensor would be
-    # (t+1)^3 bytes, 125 MB at t + 1 = 500
-    t1 = len(tensor.p)
-    chunk = max(1, COUNT_CHUNK_ENTRIES // (t1 * t1))
-    nz = np.concatenate([np.count_nonzero(tensor.p[lo:lo + chunk], axis=2)
-                         for lo in range(0, t1, chunk)])
-    return {(u, v): int(nz[np.ix_(kinds == u, kinds == v)].sum()) for u, v in CASE_ORDER}
+    code = np.array(["XYZC".index(u) for u in classes.kinds])  # 'C': generic groups
+    nz = np.bincount(code[tensor.i] * 4 + code[tensor.j], minlength=16)
+    return {(u, v): int(nz["XYZC".index(u) * 4 + "XYZC".index(v)]) for u, v in CASE_ORDER}
 
 
 def expected_case_counts(params: GroupParams) -> dict[tuple[str, str], int]:
@@ -194,7 +189,8 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
 
     With pairs=None every (i, j) is checked; callers pass a deterministic
     sample for larger groups.  The relations partition the pairs, so the
-    right side is p[i, j] read at each entry's class.  The left side is
+    right side is p[i, j, :] read at each entry's class; its triples are one
+    searchsorted slice of the (i, j) keys.  The left side is
     counted in integers from the class matrix Q alone: (A_i A_j)[x, y] is the
     number of z with Q[x, z] = i and Q[z, y] = j, so row x of the product is
     the sum of the rows z of A_j over the z of class i in row x, added one
@@ -206,6 +202,7 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
     t1 = tensor.num_classes
     if pairs is None:
         pairs = [(i, j) for i in range(t1) for j in range(t1)]
+    ij = tensor.i.astype(np.int64) * t1 + tensor.j  # sorted, as the triples are
     q = np.ascontiguousarray(scheme.class_matrix)
     sides = (q, np.ascontiguousarray(q.T))
     entries = np.bincount(q.ravel(), minlength=t1)
@@ -220,6 +217,9 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
         lhs = np.zeros(q.shape, dtype=np.int32)
         for z in tables[side, walked].T:
             lhs += rows[z]
-        if not np.array_equal(lhs.T if side else lhs, tensor.p[i, j][q]):
+        lo, hi = np.searchsorted(ij, [i * t1 + j, i * t1 + j + 1])
+        p_ij = np.zeros(t1, dtype=np.int32)
+        p_ij[tensor.k[lo:hi]] = tensor.p[lo:hi]
+        if not np.array_equal(lhs.T if side else lhs, p_ij[q]):
             return False
     return True

@@ -10,8 +10,8 @@ from terwilliger import (ConsistencyError, GroupTable, IntersectionTensor,
                          SchemeData, build_group, build_scheme, case_counts,
                          closed_form_dimension, conjugacy_classes, dim_t0,
                          expected_case_counts, generic_conjugacy_classes,
-                         intersection_numbers, scheme, valid_twists,
-                         validate_params, verify_product_identity)
+                         intersection_numbers, valid_twists, validate_params,
+                         verify_product_identity)
 from terwilliger.scheme import CASE_ORDER
 
 
@@ -20,6 +20,30 @@ def pipeline(n, s):
     group = build_group(params)
     classes = conjugacy_classes(group)
     return params, group, classes
+
+
+def dense(tensor):
+    """p[i, j, k] as a dense (t+1)^3 array, filled in from the triples."""
+    t1 = tensor.num_classes
+    p = np.zeros((t1, t1, t1), dtype=tensor.p.dtype)
+    p[tensor.i, tensor.j, tensor.k] = tensor.p
+    return p
+
+
+def raised(tensor, i, j, k):
+    """The tensor with p[i, j, k] one higher: its triple's p is raised, or a
+    triple with p = 1 is inserted in (i, j, k) order at a zero entry."""
+    t1 = tensor.num_classes
+    keys = (tensor.i.astype(np.int64) * t1 + tensor.j) * t1 + tensor.k
+    key = (i * t1 + j) * t1 + k
+    r = int(np.searchsorted(keys, key))
+    if r < len(keys) and keys[r] == key:
+        p = tensor.p.copy()
+        p[r] += 1
+        return dataclasses.replace(tensor, p=p)
+    i, j, k, p = (np.insert(a, r, v).astype(np.int32)
+                  for a, v in ((tensor.i, i), (tensor.j, j), (tensor.k, k), (tensor.p, 1)))
+    return IntersectionTensor(i=i, j=j, k=k, p=p, num_classes=t1)
 
 
 def swapped_d43_classes():
@@ -81,7 +105,7 @@ class TestIntersectionNumbers:
         # p[i, j, identity] = |Cl_i| when Cl_j is the inverse class of Cl_i
         for n, s in [(3, 2), (8, 3)]:
             _, g, c = pipeline(n, s)
-            tensor = intersection_numbers(g, c)
+            p = dense(intersection_numbers(g, c))
             ident = c.identity_class
             inverse_of = {}
             for i, members in enumerate(c.classes):
@@ -91,13 +115,12 @@ class TestIntersectionNumbers:
             for i in range(c.num_classes):
                 for j in range(c.num_classes):
                     expected = len(c.classes[i]) if j == inverse_of[i] else 0
-                    assert tensor.p[i, j, ident] == expected
+                    assert p[i, j, ident] == expected
 
     def test_s3_rotation_triple(self):
         # z in {a, a^2} with a*z^-1 in {a, a^2} forces z = a^2
         _, g, c = pipeline(3, 2)
-        tensor = intersection_numbers(g, c)
-        assert tensor.p[1, 1, 1] == 1
+        assert dense(intersection_numbers(g, c))[1, 1, 1] == 1
 
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (6, 5), (8, 3), (8, 5), (12, 7)])
     def test_product_identity_full(self, n, s):
@@ -108,6 +131,7 @@ class TestIntersectionNumbers:
 
     @pytest.mark.parametrize("n,s,sampled", [(8, 3, False), (12, 5, False), (16, 7, True)])
     def test_product_identity_detects_one_perturbed_entry(self, n, s, sampled):
+        # an existing triple's p raised by 1, and a new triple at a zero entry
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
@@ -115,10 +139,11 @@ class TestIntersectionNumbers:
         i, j = 1, t1 - 1
         pairs = [(0, 0), (i, j), (t1 - 1, 1)] if sampled else None
         assert verify_product_identity(sd, tensor, pairs)
-        for k in (int(np.argmax(tensor.p[i, j])), int(np.argmin(tensor.p[i, j]))):
-            p = tensor.p.copy()
-            p[i, j, k] += 1
-            perturbed = IntersectionTensor(p=p, num_classes=t1)
+        p_ij = dense(tensor)[i, j]
+        assert p_ij.max() > 0 and p_ij.min() == 0
+        for k in (int(np.argmax(p_ij)), int(np.argmin(p_ij))):
+            perturbed = raised(tensor, i, j, k)
+            assert dim_t0(perturbed) == dim_t0(tensor) + (p_ij[k] == 0)
             assert not verify_product_identity(sd, perturbed, pairs), k
 
     @pytest.mark.parametrize("n,s,sampled", [(8, 3, False), (12, 5, False), (16, 7, True)])
@@ -146,22 +171,18 @@ class TestIntersectionNumbers:
         with pytest.raises(ConsistencyError, match="depend on the base point"):
             intersection_numbers(g, corrupted)
 
-    @pytest.mark.parametrize("chunk_classes", [1, 2])
-    def test_base_point_check_names_the_first_class_in_chunks(self, monkeypatch,
-                                                              chunk_classes):
-        # Y1 fails first, also when it is counted in a chunk of its own or
-        # as the first class of the second chunk of two
+    def test_base_point_check_names_the_first_class(self):
+        # the base points of Y1 (k = 2) disagree, and so may those of later
+        # classes; the least k at which the counts differ is named
         g, corrupted = swapped_d43_classes()
-        monkeypatch.setattr(scheme, "TENSOR_CHUNK_BINS", 2 * chunk_classes * 5 ** 2)
         with pytest.raises(ConsistencyError, match="depend on the base point in class Y1$"):
             intersection_numbers(g, corrupted)
 
-    def test_chunks_match_per_class_oracle(self):
-        # (100, 99) has 53 classes, counted in 5 chunks of at most 11
+    def test_matches_per_class_oracle(self):
+        # (100, 99) has 53 classes
         _, g, c = pipeline(100, 99)
-        assert 2 * c.num_classes ** 3 > 4 * scheme.TENSOR_CHUNK_BINS
         expected = oracle_tensor_per_class(g.mult, list(c.classes))
-        assert np.array_equal(intersection_numbers(g, c).p, expected)
+        assert np.array_equal(dense(intersection_numbers(g, c)), expected)
 
     @pytest.mark.parametrize("group", ["S4", (8, 3), (12, 5), (15, 4)])
     def test_matches_oracle_tensor(self, group):
@@ -171,7 +192,7 @@ class TestIntersectionNumbers:
         else:
             _, g, c = pipeline(*group)
         expected = oracle_intersection_tensor(g.mult, list(c.classes))
-        assert intersection_numbers(g, c).p.tolist() == expected
+        assert dense(intersection_numbers(g, c)).tolist() == expected
 
     @pytest.mark.parametrize("n,s", [(8, 3), (40, 21), (100, 51)])
     def test_tensor_is_int32_with_int64_values(self, n, s):
@@ -185,7 +206,19 @@ class TestIntersectionNumbers:
         for k, members in enumerate(c.classes):
             quot_class = cls[g.mult[members[0], g.inv]]
             np.add.at(wide, (cls, quot_class, k), 1)
-        assert np.array_equal(tensor.p.astype(np.int64), wide)
+        assert np.array_equal(dense(tensor).astype(np.int64), wide)
+
+    @pytest.mark.parametrize("n,s", [(3, 2), (8, 3), (40, 21)])
+    def test_triples_are_sorted_nonzero_int32(self, n, s):
+        _, g, c = pipeline(n, s)
+        tensor = intersection_numbers(g, c)
+        t1 = c.num_classes
+        assert all(a.dtype == np.int32 for a in (tensor.i, tensor.j, tensor.k, tensor.p))
+        assert len({len(tensor.i), len(tensor.j), len(tensor.k), len(tensor.p)}) == 1
+        keys = (tensor.i.astype(np.int64) * t1 + tensor.j) * t1 + tensor.k
+        assert np.all(np.diff(keys) > 0)
+        assert np.all(tensor.p >= 1)
+        assert all(0 <= a.min() and a.max() < t1 for a in (tensor.i, tensor.j, tensor.k))
 
     def test_nonzero_triples_export(self):
         _, g, c = pipeline(3, 2)
@@ -198,11 +231,11 @@ class TestIntersectionNumbers:
     def test_class_product_mass(self, n, s):
         # sum_k p[i,j,k] |Cl_k| counts all products of Cl_i with Cl_j
         _, g, c = pipeline(n, s)
-        tensor = intersection_numbers(g, c)
+        p = dense(intersection_numbers(g, c))
         sizes = np.asarray(c.sizes())
         for i in range(c.num_classes):
             for j in range(c.num_classes):
-                assert int(tensor.p[i, j] @ sizes) == sizes[i] * sizes[j]
+                assert int(p[i, j] @ sizes) == sizes[i] * sizes[j]
 
 
 class TestDimT0:
@@ -223,14 +256,14 @@ class TestDimT0:
     def test_base_point_independence_exhaustive(self, n, s):
         # recompute every p[:, :, k] from every member of Cl_k
         _, g, c = pipeline(n, s)
-        tensor = intersection_numbers(g, c)
+        p = dense(intersection_numbers(g, c))
         cls = np.asarray(c.class_of)
         for k, members in enumerate(c.classes):
             for y in members:
                 quot_class = cls[g.mult[y, g.inv]]
                 for i, cl_i in enumerate(c.classes):
                     slab = np.bincount(quot_class[list(cl_i)], minlength=c.num_classes)
-                    assert np.array_equal(slab, tensor.p[i, :, k]), (i, k, y)
+                    assert np.array_equal(slab, p[i, :, k]), (i, k, y)
 
 
 class TestCaseCounts:
@@ -241,22 +274,20 @@ class TestCaseCounts:
             counts = case_counts(intersection_numbers(g, c), c)
             assert counts == expected_case_counts(params)
 
-    def test_counts_the_tensor_by_chunks_of_slices(self, monkeypatch):
-        # a count over the whole tensor at once makes a (t+1)^3 bool
-        # temporary: 1.95 MB here, 125 MB at (400,201); 4 slices per chunk
-        # leave a partial last chunk of 1
-        monkeypatch.setattr(scheme, "COUNT_CHUNK_ENTRIES", 1 << 16)
+    def test_counts_in_a_quarter_of_the_dense_tensor(self):
+        # the dense int32 (t+1)^3 tensor would be 7.8 MB here and 477 MB at
+        # (400,201); the count and the case counts keep to a quarter of it
         params, g, c = pipeline(100, 51)
-        tensor = intersection_numbers(g, c)
-        assert len(tensor.p) == 125
+        dense_bytes = 4 * c.num_classes ** 3
+        assert c.num_classes == 125
         tracemalloc.start()
         try:
-            counts = case_counts(tensor, c)
+            counts = case_counts(intersection_numbers(g, c), c)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert counts == expected_case_counts(params)
-        assert peak < tensor.p.size // 4, (peak, tensor.p.size)
+        assert peak < dense_bytes // 4, (peak, dense_bytes)
 
     def test_case_total_is_dimension(self):
         params, g, c = pipeline(8, 5)
