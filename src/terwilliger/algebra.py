@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ConsistencyError, GroupTable, orbital_count, pair_orbits
+from .groups import ConsistencyError, GroupTable, orbital_count
 from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
 from .scheme import SchemeData
 
@@ -428,6 +428,7 @@ def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
 
 def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
                     dim_t0_value: int,
+                    orbits: tuple[np.ndarray, np.ndarray],
                     primes: tuple[int, int] = DEFAULT_PRIMES,
                     seed_order: list[int] | None = None,
                     exact_rational: bool = False) -> DimensionCertificate:
@@ -442,6 +443,10 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     independent saturation runs per prime (`_modular_closure`), and the two
     ranks must agree.  Early exit happens at the centralizer bound, which
     also upgrades the modular rank to an exact certificate.
+
+    `orbits` is the `(ids, reps)` of `pair_orbits(scheme.group)`, which the
+    caller enumerates once for its own orbital check as well.  Their number
+    is checked against the Burnside count before it serves as the bound.
     """
     if primes[0] == primes[1]:
         raise ValueError("the two moduli must be distinct primes")
@@ -450,8 +455,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     if sorted(seed_order) != canonical:
         raise ValueError("seed_order must be a permutation of the generators")
     group = scheme.group
-    # one enumeration of the orbits serves the bound's check and the closure
-    ids, reps = pair_orbits(group)
+    ids, reps = orbits
     bound = dim_t_tilde(group, reps)
     products = _GeneratorProducts(scheme, ids, reps)
 

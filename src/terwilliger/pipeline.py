@@ -9,6 +9,14 @@ group is small enough.  Every verdict lands in an ordered checks dict;
 consistency exceptions from the underlying operations are caught per step
 and reported as failed verdicts rather than tracebacks, and so is a closure
 that runs out of memory.
+
+The orbits of G on G x G are enumerated once per analysis.  The orbital
+verdict checks their number against the Burnside average, and the closure
+takes its orbital coordinates from the same enumeration.  That shares an
+input, not a result: the closure reads no verdict and no dimension from the
+orbital route, it checks the count against Burnside itself before using it
+as its bound, and its rank is counted or eliminated from the generators,
+so the closure route stays independent of the orbital one.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import algebra, characters, scheme, wedderburn
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
-                     conjugacy_classes, validate_params, valid_twists)
+                     conjugacy_classes, pair_orbits, validate_params, valid_twists)
 from .modular import DEFAULT_PRIMES
 
 CLOSURE_DEFAULT_LIMIT = 40
@@ -134,7 +142,8 @@ def analyze_pair(n: int, s: int, *,
         pairs = _sampled_pairs(params, SAMPLED_PRODUCT_PAIRS, classes.num_classes)
     checks["product_identity"] = scheme.verify_product_identity(scheme_data, tensor, pairs)
 
-    t_tilde = step("orbital_routes_agree", lambda: algebra.dim_t_tilde(group))
+    ids, reps = pair_orbits(group)
+    t_tilde = step("orbital_routes_agree", lambda: algebra.dim_t_tilde(group, reps))
     if t_tilde is None:
         raise ConsistencyError("orbital count failed; cannot continue: " + "; ".join(notes))
     checks["t_tilde_matches_formula"] = t_tilde == formula
@@ -147,7 +156,8 @@ def analyze_pair(n: int, s: int, *,
         def closure_certificate():
             try:
                 return algebra.algebra_closure(
-                    scheme_data, idem, dim_t0_value=t0, primes=primes,
+                    scheme_data, idem, dim_t0_value=t0, orbits=(ids, reps),
+                    primes=primes,
                     seed_order=_generator_order(generator_order_seed,
                                                 2 * classes.num_classes),
                     exact_rational=exact_rational)

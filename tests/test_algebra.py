@@ -68,14 +68,14 @@ class TestAlgebraClosure:
     @pytest.mark.parametrize("n,s,expected", [(3, 2, 11), (4, 3, 28), (8, 5, 112)])
     def test_frozen_dimensions(self, n, s, expected):
         sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
         assert cert.dim_t == expected
         assert cert.provenance == "exact"
         assert t0 == cert.dim_t_tilde == expected
 
     def test_history_is_monotone_and_bounded(self):
         sd, idem, t0 = closure_inputs(8, 3)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
         for history in cert.basis_size_history:
             assert list(history) == sorted(history)
             assert history[-1] <= cert.dim_t_tilde
@@ -84,32 +84,37 @@ class TestAlgebraClosure:
     def test_seed_permutation_invariance(self):
         import random
         sd, idem, t0 = closure_inputs(8, 5)
-        base = algebra_closure(sd, idem, dim_t0_value=t0)
+        base = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
         for seed in (1, 2, 3):
             order = list(range(2 * sd.num_relations))
             random.Random(seed).shuffle(order)
-            cert = algebra_closure(sd, idem, dim_t0_value=t0, seed_order=order)
+            cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
+                                   seed_order=order)
             assert cert.dim_t == base.dim_t
             assert cert.dim_t_tilde == base.dim_t_tilde
 
     def test_custom_primes(self):
         sd, idem, t0 = closure_inputs(6, 5)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, primes=(9973, 7919))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
+                               primes=(9973, 7919))
         assert cert.dim_t == 44
         assert cert.primes == (9973, 7919)
 
     def test_equal_primes_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
         with pytest.raises(ValueError):
-            algebra_closure(sd, idem, dim_t0_value=t0, primes=(97, 97))
+            algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
+                            primes=(97, 97))
 
     def test_rational_mode_matches_on_every_small_pair(self):
         for n in range(3, 11):
             for s in valid_twists(n):
                 sd, idem, t0 = closure_inputs(n, s)
                 # with exact_rational, dim_t is the rational closure's rank
-                rational = algebra_closure(sd, idem, dim_t0_value=t0, exact_rational=True)
-                modular = algebra_closure(sd, idem, dim_t0_value=t0)
+                orbits = pair_orbits(sd.group)
+                rational = algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits,
+                                           exact_rational=True)
+                modular = algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits)
                 assert rational.dim_t == modular.dim_t, (n, s)
                 assert rational.provenance == modular.provenance == "exact", (n, s)
 
@@ -122,7 +127,7 @@ class TestAlgebraClosure:
         rows, _, _ = basis.reduce_block(*entries(stored[:, transposed].astype(np.int64)))
         assert not len(rows)
 
-    def test_generators_must_be_constant_on_orbit_cells(self, monkeypatch):
+    def test_generators_must_be_constant_on_orbit_cells(self):
         # each case merges two orbits that only one label tells apart: two
         # off-diagonal orbits of different relations (the A side), and the
         # diagonal orbits of two classes, both in the identity relation (E*)
@@ -133,29 +138,18 @@ class TestAlgebraClosure:
         off, diagonal = np.flatnonzero(u != v), np.flatnonzero(u == v)
         for a, b in [(off[0], off[relation[off] != relation[off[0]]][0]), diagonal[:2]]:
             corrupted = np.where(ids == b, a, ids)
-            monkeypatch.setattr(algebra, "pair_orbits", lambda group: (corrupted, reps))
             with pytest.raises(ConsistencyError, match="not constant"):
-                algebra_closure(sd, idem, dim_t0_value=t0)
+                algebra_closure(sd, idem, dim_t0_value=t0, orbits=(corrupted, reps))
 
-    def test_one_orbit_enumeration_checked_against_burnside(self, monkeypatch):
-        # the closure enumerates the orbits once and checks their number
-        # against the Burnside count; an enumeration one orbit short fails
-        from terwilliger import groups
+    def test_short_enumeration_checked_against_burnside(self):
+        # the number of orbits handed in is checked against the Burnside
+        # count; an enumeration one orbit short fails
         sd, idem, t0 = closure_inputs(8, 3)
-        calls = []
-        enumerate_orbits = groups.pair_orbits
-
-        def counted(group):
-            calls.append(group)
-            return enumerate_orbits(group)
-        monkeypatch.setattr(algebra, "pair_orbits", counted)
-        monkeypatch.setattr(groups, "pair_orbits", counted)
-        assert algebra_closure(sd, idem, dim_t0_value=t0).dim_t_tilde == 64
-        assert len(calls) == 1
-        ids, reps = enumerate_orbits(sd.group)
-        monkeypatch.setattr(algebra, "pair_orbits", lambda group: (ids, reps[:-1]))
+        ids, reps = pair_orbits(sd.group)
+        assert algebra_closure(sd, idem, dim_t0_value=t0,
+                               orbits=(ids, reps)).dim_t_tilde == 64
         with pytest.raises(ConsistencyError, match="Burnside 64 vs enumeration 63"):
-            algebra_closure(sd, idem, dim_t0_value=t0)
+            algebra_closure(sd, idem, dim_t0_value=t0, orbits=(ids, reps[:-1]))
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 3, (13, 63, 64, 64)),
@@ -192,7 +186,7 @@ class TestAlgebraClosure:
     def test_rounds_and_histories_pinned(self, n, s, rounds, history):
         # the JSON output carries the rounds and histories, so they are pinned
         sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
         assert cert.closure_rounds == rounds
         assert cert.basis_size_history == (history, history)
 
@@ -263,7 +257,8 @@ class TestAlgebraClosure:
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
         with pytest.raises(ValueError):
-            algebra_closure(sd, idem, dim_t0_value=t0, seed_order=[0, 1, 2])
+            algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
+                            seed_order=[0, 1, 2])
 
     def test_generic_group_s4(self):
         # S4 is not triply transitive: the triple count undershoots by one
@@ -271,7 +266,8 @@ class TestAlgebraClosure:
         classes = generic_conjugacy_classes(group)
         sd = build_scheme(group, classes)
         t0 = dim_t0(intersection_numbers(group, classes))
-        cert = algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0)
+        cert = algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0,
+                               orbits=pair_orbits(group))
         assert t0 == 42
         assert cert.dim_t == cert.dim_t_tilde == 43
         assert cert.provenance == "exact"
@@ -364,7 +360,7 @@ class TestCountedHistory:
     def test_round_one_alone_pinned(self, n, s, history):
         # tau = n/2: round 1 alone reaches the bound
         sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
         assert cert.closure_rounds == 1
         assert cert.basis_size_history == (history, history)
         assert cert.dim_t == cert.dim_t_tilde == history[-1]
@@ -383,7 +379,7 @@ class TestCountedHistory:
             moduli.append(p)
             return PrimeBasis(p, length)
         monkeypatch.setattr(algebra, "PrimeBasis", counted)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0)
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
         assert cert.provenance == "exact"
         assert moduli == list(DEFAULT_PRIMES)[:built]
 

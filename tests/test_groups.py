@@ -11,11 +11,12 @@ from terwilliger.groups import pair_orbits
 
 
 def named_group(name: str) -> GroupTable:
-    """S4, C6, or a twisted dihedral group written as "D(n,s)"."""
+    """S4, a cyclic group written as "Cm", or a twisted dihedral group
+    written as "D(n,s)"."""
     if name == "S4":
         return GroupTable(s4_table(), name="S4")
-    if name == "C6":
-        return GroupTable(cyclic_table(6), name="C6")
+    if name.startswith("C"):
+        return GroupTable(cyclic_table(int(name[1:])), name=name)
     n, s = map(int, name[2:-1].split(","))
     return build_group(validate_params(n, s))
 
@@ -225,7 +226,8 @@ class TestConjugation:
 
 
 class TestPairOrbitCount:
-    @pytest.mark.parametrize("name", ["S4", "C6", "D(3,2)", "D(8,3)", "D(12,5)", "D(15,4)"])
+    @pytest.mark.parametrize("name", ["S4", "C6", "D(3,2)", "D(8,3)", "D(12,5)", "D(15,4)",
+                                      "D(36,17)"])
     def test_matches_oracle(self, name):
         g = named_group(name)
         ids, reps = pair_orbits(g)
@@ -245,7 +247,12 @@ class TestPairOrbitNumbering:
     """The closure coordinates index the orbits by ids, so the numbering
     itself, not only the partition, must match the least-key oracle."""
 
-    @pytest.mark.parametrize("name", ["S4", "C6"] + SMALL_PAIRS)
+    # pair_orbits forms one row of least conjugates per distinct centralizer:
+    # S4's class minima have five different ones (its center is trivial),
+    # every minimum of a cyclic group has the centralizer G, and the 45 and
+    # 50 minima of D(36,19) and D(40,21) (tau = 18 and 20) have four each
+    @pytest.mark.parametrize("name", ["S4", "C6", "C7", "C12", "D(36,19)", "D(40,21)"]
+                             + SMALL_PAIRS)
     def test_matches_least_key_oracle(self, name):
         g = named_group(name)
         ids, reps = pair_orbits(g)

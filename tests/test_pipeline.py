@@ -1,10 +1,14 @@
 import dataclasses
+import sys
 import time
 
 import numpy as np
+import pytest
 
 from terwilliger import (CharTable, GroupTable, IntersectionTensor, SchemeData,
-                         enumerate_pairs)
+                         build_group, enumerate_pairs, validate_params)
+from terwilliger import pipeline as pl
+from terwilliger.groups import ConsistencyError, pair_orbits
 from terwilliger.pipeline import analyze_pair, audit_corollaries, sweep
 
 
@@ -68,6 +72,30 @@ class TestAnalyzePair:
         assert a.notes == ["closure_two_primes_agree: out of memory at (n, s) = (8, 3), "
                            "dim T~ = 64 (Unable to allocate 267. MiB)"]
         assert a.checks["char_orthogonality"] and a.checks["blocks_match_dimension"]
+
+    @pytest.mark.parametrize("closure", [True, False])
+    def test_one_pair_orbit_enumeration(self, monkeypatch, closure):
+        # the orbital verdict and the closure share one enumeration; every
+        # module that imported pair_orbits by name is counted
+        calls = []
+
+        def counted(group):
+            calls.append(group.name)
+            return pair_orbits(group)
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("terwilliger") and hasattr(m, "pair_orbits")]:
+            monkeypatch.setattr(module, "pair_orbits", counted)
+        assert analyze_pair(8, 3, closure=closure).passed
+        assert calls == ["D(8,3)"]
+
+    def test_short_enumeration_fails_the_orbital_route(self, monkeypatch):
+        # the enumeration handed to the orbital check is still checked
+        # against the Burnside count
+        ids, reps = pair_orbits(build_group(validate_params(8, 3)))
+        monkeypatch.setattr(pl, "pair_orbits", lambda group: (ids, reps[:-1]))
+        with pytest.raises(ConsistencyError, match="orbital_routes_agree: .*"
+                                                   "Burnside 64 vs enumeration 63"):
+            analyze_pair(8, 3)
 
     def test_report_holds_no_arrays(self):
         # the tables and arrays are rebuilt by the layers that make them;
