@@ -507,19 +507,33 @@ def commutant_oracle(group: GroupTable) -> int:
 
     Sets up the linear system X(g) A = A X(g) over all g, where X(g) is the
     permutation matrix of x -> g x g^-1, and solves it exactly over the
-    rationals.  The solution space is spanned by the orbital matrices, so the
-    result must equal the orbital count; callers compare the two.
+    rationals.  Entrywise the system says A[g.p] = A[p] for every g and
+    every pair p = (u, v), with g.p = (g u g^-1, g v g^-1): one equation
+    e_(g.p) - e_p = 0 per (g, p) that g moves.  Every image comes from one
+    gather over the keys u * order + v; an equation and its negative have
+    the same solutions, so each unordered {a, b} is kept once, by one sort
+    of min(a, b) * order^2 + max(a, b) (np.unique would import numpy.ma):
+    606 rows in place of 4096 for D(8,3).  They are offered in descending
+    order of the smaller key, which subtracts a third fewer stored rows
+    than ascending order; the rank does not depend on the order.  It is a
+    linear solve over every g, not a count of components, so it does not
+    read the pair orbits.  The solution space is spanned by the orbital
+    matrices, so the result must equal the orbital count; callers compare
+    the two.
     """
     order = group.order
     if order > COMMUTANT_ORDER_LIMIT:
         raise ValueError(
             f"commutant oracle is desk-scale only (order {order} > {COMMUTANT_ORDER_LIMIT})")
-    basis = RationalBasis(order * order)
-    for perm in group.conjugation():
-        for u in range(order):
-            for v in range(order):
-                uu, vv = int(perm[u]), int(perm[v])
-                if (uu, vv) == (u, v):
-                    continue
-                basis.insert({uu * order + vv: 1, u * order + v: -1})
-    return order * order - basis.rank
+    size = order * order
+    conj = group.conjugation()
+    u, v = np.divmod(np.arange(size), order)
+    images = conj[:, u] * order + conj[:, v]  # images[g, p]: the key of g.p
+    keys = np.broadcast_to(np.arange(size), images.shape)
+    moved = images != keys
+    edges = np.sort(np.minimum(images, keys)[moved] * size + np.maximum(images, keys)[moved])
+    edges = edges[np.diff(edges, prepend=-1) != 0][::-1]
+    basis = RationalBasis(size)
+    for a, b in zip(*(part.tolist() for part in np.divmod(edges, size))):
+        basis.insert({a: 1, b: -1})
+    return size - basis.rank

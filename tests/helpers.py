@@ -200,6 +200,30 @@ def cyclic_table(m: int) -> np.ndarray:
     return np.array([[(i + j) % m for j in range(m)] for i in range(m)])
 
 
+def c2_c4_table() -> np.ndarray:
+    """Cayley table of C2 x C4: element 4 a + b is (a, b), added coordinatewise."""
+    pairs = [(a, b) for a in range(2) for b in range(4)]
+    return np.array([[4 * ((a + c) % 2) + (b + d) % 4 for c, d in pairs] for a, b in pairs])
+
+
+def q8_table() -> np.ndarray:
+    """Cayley table of the quaternion group: element 4 e + u is (-1)^e times
+    the unit u of (1, i, j, k), multiplied by i j = k, j k = i, k i = j and
+    i^2 = j^2 = k^2 = -1."""
+    def unit_product(u: int, w: int) -> tuple[int, int]:
+        if u == 0 or w == 0:
+            return 0, u + w
+        if u == w:
+            return 1, 0
+        return (0 if (u, w) in ((1, 2), (2, 3), (3, 1)) else 1), 6 - u - w
+    table = np.zeros((8, 8), dtype=np.int64)
+    for x in range(8):
+        for y in range(8):
+            sign, unit = unit_product(x % 4, y % 4)
+            table[x, y] = 4 * ((x // 4 + y // 4 + sign) % 2) + unit
+    return table
+
+
 def one_dim_character(n: int, s: int, tau: int, k: int, sign: int, element: int) -> complex:
     """Character of the degree-1 representation a -> w^(nk/tau), b -> sign."""
     eps, i = divmod(element, n)

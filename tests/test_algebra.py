@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (cyclic_table, densify, entries, oracle_burnside_pairs, oracle_echelon,
-                     s4_table)
+from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnside_pairs,
+                     oracle_echelon, q8_table, s4_table)
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -553,6 +553,17 @@ class TestCommutantOracle:
         for n, s in [(5, 4), (6, 5), (7, 6), (8, 5), (8, 7)]:
             g = build_group(validate_params(n, s))
             assert commutant_oracle(g) == oracle_burnside_pairs(g.mult)
+
+    @pytest.mark.parametrize("name,table,expected", [
+        ("Q8", q8_table, 28), ("C2xC4", c2_c4_table, 64),
+        ("D(8,3) table", lambda: build_group(validate_params(8, 3)).mult, 64)])
+    def test_matches_burnside_for_generic_tables(self, name, table, expected):
+        # tables with no params; Q8 and D(8,3) have a center of order 2 and
+        # C2xC4 is abelian, so every pair has a nontrivial stabilizer and
+        # many (g, p) give the same equation, or its negative, or none
+        mult = table()
+        assert oracle_burnside_pairs(mult) == expected
+        assert commutant_oracle(GroupTable(mult, name=name)) == expected
 
     def test_size_guard(self):
         g = build_group(validate_params(12, 5))

@@ -30,6 +30,11 @@ def dense(tensor):
     return p
 
 
+def every_pair(classes):
+    """Every (i, j), listed: verify_product_identity then walks each pair."""
+    return [(i, j) for i in range(classes.num_classes) for j in range(classes.num_classes)]
+
+
 def raised(tensor, i, j, k):
     """The tensor with p[i, j, k] one higher: its triple's p is raised, or a
     triple with p = 1 is inserted in (i, j, k) order at a zero entry."""
@@ -122,22 +127,26 @@ class TestIntersectionNumbers:
         _, g, c = pipeline(3, 2)
         assert dense(intersection_numbers(g, c))[1, 1, 1] == 1
 
+    @pytest.mark.parametrize("listed", [False, True])
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (6, 5), (8, 3), (8, 5), (12, 7)])
-    def test_product_identity_full(self, n, s):
+    def test_product_identity_full(self, n, s, listed):
+        # pairs=None counts each relation's products at once; the listed
+        # pairs walk each (i, j) on its own
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert verify_product_identity(sd, tensor)
+        assert verify_product_identity(sd, tensor, every_pair(c) if listed else None)
 
-    @pytest.mark.parametrize("n,s,sampled", [(8, 3, False), (12, 5, False), (16, 7, True)])
-    def test_product_identity_detects_one_perturbed_entry(self, n, s, sampled):
+    @pytest.mark.parametrize("n,s,listed", [(8, 3, None), (12, 5, None), (8, 3, "every"),
+                                             (12, 5, "every"), (16, 7, "some")])
+    def test_product_identity_detects_one_perturbed_entry(self, n, s, listed):
         # an existing triple's p raised by 1, and a new triple at a zero entry
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         t1 = c.num_classes
         i, j = 1, t1 - 1
-        pairs = [(0, 0), (i, j), (t1 - 1, 1)] if sampled else None
+        pairs = {None: None, "every": every_pair(c), "some": [(0, 0), (i, j), (t1 - 1, 1)]}[listed]
         assert verify_product_identity(sd, tensor, pairs)
         p_ij = dense(tensor)[i, j]
         assert p_ij.max() > 0 and p_ij.min() == 0
@@ -146,8 +155,9 @@ class TestIntersectionNumbers:
             assert dim_t0(perturbed) == dim_t0(tensor) + (p_ij[k] == 0)
             assert not verify_product_identity(sd, perturbed, pairs), k
 
-    @pytest.mark.parametrize("n,s,sampled", [(8, 3, False), (12, 5, False), (16, 7, True)])
-    def test_product_identity_detects_one_corrupted_relation(self, n, s, sampled):
+    @pytest.mark.parametrize("n,s,listed", [(8, 3, None), (12, 5, None), (8, 3, "every"),
+                                             (12, 5, "every"), (16, 7, "some")])
+    def test_product_identity_detects_one_corrupted_relation(self, n, s, listed):
         # two entries of different classes swapped in one row of Q: every row
         # still meets each class |Cl_i| times, but two columns no longer do
         _, g, c = pipeline(n, s)
@@ -162,7 +172,7 @@ class TestIntersectionNumbers:
         assert np.array_equal(np.bincount(rows.ravel()).reshape(g.order, -1),
                               np.tile(c.sizes(), (g.order, 1)))
         corrupted = SchemeData(g, q, c)
-        pairs = [(0, 0), (a, b), (b, a)] if sampled else None
+        pairs = {None: None, "every": every_pair(c), "some": [(0, 0), (a, b), (b, a)]}[listed]
         assert verify_product_identity(sd, tensor, pairs)
         assert not verify_product_identity(corrupted, tensor, pairs)
 
