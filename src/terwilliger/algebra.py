@@ -53,6 +53,7 @@ its history is taken, so only one basis is alive at a time.
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,14 +85,15 @@ class DualIdempotents:
 def dual_idempotents(scheme: SchemeData) -> DualIdempotents:
     """E*_i = diag(indicator of Cl_i); verifies the orthogonal idempotent laws."""
     classes = scheme.classes
+    sizes = np.array(classes.sizes())
+    members = np.fromiter(itertools.chain.from_iterable(classes.classes),
+                          dtype=np.int64, count=int(sizes.sum()))
     diag = np.zeros((classes.num_classes, scheme.order), dtype=np.int64)
-    for i, members in enumerate(classes.classes):
-        diag[i, list(members)] = 1
-    if not np.array_equal(diag.sum(axis=0), np.ones(scheme.order, dtype=np.int64)):
+    diag[np.repeat(np.arange(classes.num_classes), sizes), members] = 1
+    if not np.all(diag.sum(axis=0) == 1):
         raise ConsistencyError("dual idempotents do not sum to the identity")
-    for i in range(classes.num_classes):
-        if int(diag[i].sum()) != len(classes.classes[i]):
-            raise ConsistencyError("dual idempotent trace differs from class size")
+    if not np.array_equal(diag.sum(axis=1), sizes):
+        raise ConsistencyError("dual idempotent trace differs from class size")
     return DualIdempotents(diagonals=diag)
 
 

@@ -94,33 +94,35 @@ class GroupTable:
         self.params = params
         self.name = name
         self.identity = 0
-        if np.any(mult[0] != np.arange(order)) or np.any(mult[:, 0] != np.arange(order)):
-            raise ValueError("element 0 must be the identity")
-        # every row and column must be a permutation
         ar = np.arange(order)
-        if not (np.all(np.sort(mult, axis=1) == ar)
-                and np.all(np.sort(mult, axis=0) == ar[:, None])):
+        if np.any(mult[0] != ar) or np.any(mult[:, 0] != ar):
+            raise ValueError("element 0 must be the identity")
+        # every row and column must be a permutation: with every entry in
+        # range, each (row, entry) and each (column, entry) occurs exactly once
+        offsets = ar * order
+        if not (0 <= mult.min() and mult.max() < order
+                and np.all(np.bincount((mult + offsets[:, None]).ravel(),
+                                       minlength=order * order) == 1)
+                and np.all(np.bincount((mult + offsets).ravel(),
+                                       minlength=order * order) == 1)):
             raise ValueError("Cayley table rows/columns are not permutations")
-        zeros = mult == 0
-        counts = np.count_nonzero(zeros, axis=1)
-        if np.any(counts != 1):
-            g = int(np.argmax(counts != 1))
-            raise ValueError(f"element {g} has {counts[g]} right inverses")
-        self.inv = np.argmax(zeros, axis=1)
+        # a row that is a permutation holds exactly one 0, in the inverse's column
+        self.inv = np.argmax(mult == 0, axis=1)
 
     @classmethod
     def from_params(cls, params: GroupParams) -> "GroupTable":
         n, s = params.n, params.s
-        ids = np.arange(2 * n)
-        eps, i = ids // n, ids % n
-        # i_eff[x, y] twists the left exponent when the right factor carries b
-        i_left = i[:, None]
-        i_twisted = (i_left * s) % n
-        delta = eps[None, :]
-        i_eff = np.where(delta == 1, i_twisted, i_left)
-        prod_i = (i_eff + i[None, :]) % n
-        prod_eps = eps[:, None] ^ delta
-        mult = prod_eps * n + prod_i
+        # window[k, j] = (k + j) % n.  The a-exponent of (b^eps a^i)(b^delta a^j)
+        # is i + j for delta = 0, row i of the window, and i*s + j for
+        # delta = 1, row i*s % n; eps xor delta only picks the quadrant, and
+        # adds n where it is 1
+        window = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) % n, n)
+        plain, twisted = window[:n], window[np.arange(n) * s % n]
+        mult = np.empty((2 * n, 2 * n), dtype=np.int64)
+        mult[:n, :n] = plain
+        mult[n:, n:] = twisted
+        np.add(twisted, n, out=mult[:n, n:])
+        np.add(plain, n, out=mult[n:, :n])
         return cls(mult, params=params, name=f"D({n},{s})")
 
     def conjugation(self) -> np.ndarray:
@@ -273,7 +275,7 @@ def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
 
     Computed two ways, which must agree: the Burnside average of |C_G(g)|^2,
     and an explicit enumeration of the orbits by their least pairs
-    (pair_orbits).  A caller that has already enumerated them passes the
+    (orbit_reps).  A caller that has already enumerated them passes the
     representatives `reps`, which then stand in for a second enumeration.
     """
     counts = centralizer_counts(group)
@@ -282,7 +284,7 @@ def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
         raise ConsistencyError("Burnside sum is not divisible by the group order")
     burnside = total // group.order
 
-    explicit = len(pair_orbits(group)[1] if reps is None else reps)
+    explicit = len(orbit_reps(group) if reps is None else reps)
     if explicit != burnside:
         raise ConsistencyError(
             f"orbital count mismatch for {group.name}: "
@@ -290,23 +292,20 @@ def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
     return burnside
 
 
-def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of G on G x G under simultaneous conjugation, enumerated explicitly.
+def _least_conjugates(group: GroupTable):
+    """The conjugation array, the least conjugate of every element, and the
+    rows of least conjugates under the centralizers of the class minima.
 
-    Pair (x, y) has key x*order + y.  The least first entry of the orbit of
-    (x, y) is r, the least element of x's class, and some g_x takes x to r.
-    The orbit's pairs with first entry r are those that the centralizer C(r)
-    moves (r, g_x y g_x^-1) to, so its least key is r*order + row[z] with
-    z = g_x y g_x^-1 and row[z] the least of c z c^-1 over c in C(r).  That
-    row depends on C(r) alone, and class minima share centralizers: every
-    central r has C(r) = G, whose row is the class minima themselves.  The
-    2 tau + (n - tau)/2 class minima of D(n,s) had at most min(tau, n/tau)
-    + 2 distinct centralizers in every case checked (all n <= 100); that
-    bound is observed, not proved.  So one row is formed per distinct
-    centralizer, keyed by its packed membership mask, and every least key is
-    gathered from those rows at once.  Each orbit has exactly one pair that
-    equals its own least key.  Returns (ids, reps): reps are those keys in
-    increasing order, and ids[x, y] indexes the orbit of (x, y) in reps.
+    Returns (conj, least_x, mins, slot, rows): conj is group.conjugation(),
+    least_x[x] the least element of x's class, mins the class minima in
+    increasing order, and row rows[slot[r]] maps z to the least of c z c^-1
+    over c in C(r), for every class minimum r.  Such a row depends on C(r)
+    alone, and class minima share centralizers: every central r has C(r) =
+    G, whose row is the class minima themselves.  The 2 tau + (n - tau)/2
+    class minima of D(n,s) had at most min(tau, n/tau) + 2 distinct
+    centralizers in every case checked (all n <= 100); that bound is
+    observed, not proved.  So one row is formed per distinct centralizer,
+    keyed by its packed membership mask.
     """
     conj = group.conjugation()
     order = group.order
@@ -318,6 +317,43 @@ def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
                   for mask in np.packbits(conj[:, mins] == mins, axis=0).T]
     rows = np.stack([conj[np.unpackbits(np.frombuffer(mask, np.uint8), count=order)
                           .view(bool)].min(axis=0) for mask in slots])
+    return conj, least_x, mins, slot, rows
+
+
+def orbit_reps(group: GroupTable) -> np.ndarray:
+    """Least keys of the orbits of G on G x G under simultaneous conjugation.
+
+    Pair (x, y) has key x*order + y.  The least first entry of an orbit is a
+    class minimum r, and the orbit's pairs with first entry r are (r, z) for
+    z in one orbit of the centralizer C(r) acting on G by conjugation: g
+    keeps the first entry r only if g lies in C(r).  So the orbits with
+    first entry r correspond one to one to the C(r)-orbits on G, and the
+    least key of each is r*order + z for the least z of its C(r)-orbit,
+    the z with row_r[z] == z.  Reading those off one row per class minimum
+    costs O(#minima |G|); no label of the |G|^2 pairs is formed.  Returns
+    the least keys in increasing order, the reps of pair_orbits.
+    """
+    _, _, mins, slot, rows = _least_conjugates(group)
+    first, z = np.nonzero(rows[slot[mins]] == np.arange(group.order))
+    return mins[first] * group.order + z
+
+
+def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of G on G x G under simultaneous conjugation, enumerated explicitly.
+
+    Pair (x, y) has key x*order + y.  The least first entry of the orbit of
+    (x, y) is r, the least element of x's class, and some g_x takes x to r.
+    The orbit's pairs with first entry r are those that the centralizer C(r)
+    moves (r, g_x y g_x^-1) to (see orbit_reps: they are one C(r)-orbit on
+    G), so its least key is r*order + row_r[z] with z = g_x y g_x^-1, and
+    every least key is gathered at once from the rows of _least_conjugates.
+    Each orbit has exactly one pair that equals its own least key.  Returns
+    (ids, reps): reps are those keys in increasing order, and ids[x, y]
+    indexes the orbit of (x, y) in reps.  Only the closure reads ids; a
+    count of the orbits needs orbit_reps alone.
+    """
+    conj, least_x, _, slot, rows = _least_conjugates(group)
+    order = group.order
     back = np.argmax(conj == least_x, axis=0)  # conjugation by back[x] takes x to least_x[x]
     least = rows[slot[least_x][:, None], conj[back]]
     least += least_x[:, None] * order

@@ -11,12 +11,15 @@ and reported as failed verdicts rather than tracebacks, and so is a closure
 that runs out of memory.
 
 The orbits of G on G x G are enumerated once per analysis.  The orbital
-verdict checks their number against the Burnside average, and the closure
-takes its orbital coordinates from the same enumeration.  That shares an
-input, not a result: the closure reads no verdict and no dimension from the
-orbital route, it checks the count against Burnside itself before using it
-as its bound, and its rank is counted or eliminated from the generators,
-so the closure route stays independent of the orbital one.
+verdict reads only their representatives, which it checks in number
+against the Burnside average; without the closure that is all that is
+formed (orbit_reps), and no orbit id of the |G|^2 pairs is computed.  The
+closure takes its orbital coordinates, the ids, from the same enumeration
+(pair_orbits).  That shares an input, not a result: the closure reads no
+verdict and no dimension from the orbital route, it checks the count
+against Burnside itself before using it as its bound, and its rank is
+counted or eliminated from the generators, so the closure route stays
+independent of the orbital one.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ from dataclasses import dataclass, field
 
 from . import algebra, characters, scheme, wedderburn
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
-                     conjugacy_classes, pair_orbits, validate_params, valid_twists)
+                     conjugacy_classes, orbit_reps, pair_orbits, validate_params,
+                     valid_twists)
 from .modular import DEFAULT_PRIMES
 
 CLOSURE_DEFAULT_LIMIT = 40
@@ -142,7 +146,10 @@ def analyze_pair(n: int, s: int, *,
         pairs = _sampled_pairs(params, SAMPLED_PRODUCT_PAIRS, classes.num_classes)
     checks["product_identity"] = scheme.verify_product_identity(scheme_data, tensor, pairs)
 
-    ids, reps = pair_orbits(group)
+    if closure:
+        ids, reps = pair_orbits(group)
+    else:
+        reps = orbit_reps(group)
     t_tilde = step("orbital_routes_agree", lambda: algebra.dim_t_tilde(group, reps))
     if t_tilde is None:
         raise ConsistencyError("orbital count failed; cannot continue: " + "; ".join(notes))

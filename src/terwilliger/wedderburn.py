@@ -78,23 +78,19 @@ def central_idempotents(group: GroupTable, table: CharTable,
             f"central idempotents are desk-scale only (order {order} > {IDEMPOTENT_ORDER_LIMIT})")
     classes = conjugacy_classes(group)
     class_of = np.asarray(classes.class_of)
-    perms = group.conjugation()
-
-    idems = []
-    rows = np.arange(order)
-    for i in range(table.num_rows):
-        coeffs = np.conj(table.values[i, class_of])
-        e = np.zeros((order, order), dtype=np.complex128)
-        for g in range(order):
-            e[rows, perms[g]] += coeffs[g]
-        idems.append(e * (table.degrees[i] / (2.0 * table.params.n)))
+    # conjugates[g, x, y] says that conjugation by g takes x to y, so every
+    # e_i is one contraction over g (einsum, which stays on one thread)
+    conjugates = group.conjugation()[:, :, None] == np.arange(order)
+    coeffs = np.conj(table.values[:, class_of])
+    idems = np.einsum("ig,gxy->ixy", coeffs, conjugates)
+    idems *= (np.asarray(table.degrees) / (2.0 * table.params.n))[:, None, None]
 
     idem_err = max(float(np.max(np.abs(e @ e - e))) for e in idems)
     orth_err = 0.0
     for i in range(len(idems)):
         for j in range(i + 1, len(idems)):
             orth_err = max(orth_err, float(np.max(np.abs(idems[i] @ idems[j]))))
-    sum_err = float(np.max(np.abs(sum(idems) - np.eye(order))))
+    sum_err = float(np.max(np.abs(idems.sum(axis=0) - np.eye(order))))
 
     traces = []
     expected = mults.row_values()

@@ -22,6 +22,21 @@ def oracle_inverse(mult: np.ndarray, g: int) -> int:
     raise AssertionError("no inverse")
 
 
+def oracle_mult(n: int, s: int) -> list[list[int]]:
+    """Cayley table of D(n,s) straight from the normal-form law
+    (b^eps a^i)(b^delta a^j) = b^(eps xor delta) a^(i s^delta + j mod n),
+    element eps*n + i standing for b^eps a^i."""
+    table = []
+    for x in range(2 * n):
+        eps, i = divmod(x, n)
+        row = []
+        for y in range(2 * n):
+            delta, j = divmod(y, n)
+            row.append((eps ^ delta) * n + (i * s ** delta + j) % n)
+        table.append(row)
+    return table
+
+
 def oracle_conjugacy_partition(mult: np.ndarray) -> set[frozenset[int]]:
     order = mult.shape[0]
     classes = set()

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import tracemalloc
 
@@ -49,6 +50,18 @@ class TestDualIdempotents:
             for j in range(diag.shape[0]):
                 prod = diag[i] * diag[j]
                 assert np.array_equal(prod, diag[i] if i == j else np.zeros(16, dtype=int))
+
+    @pytest.mark.parametrize("classes,message", [
+        # element 2 sits in two classes, so its diagonal entries sum to 2
+        (((0,), (1, 2), (2, 3, 4, 5)), "do not sum to the identity"),
+        # a class that lists 1 twice covers one element but has size 2
+        (((0,), (1, 1, 2), (3, 4, 5)), "trace differs from class size"),
+    ])
+    def test_broken_partition_raises(self, classes, message):
+        sd, _, _ = closure_inputs(3, 2)
+        sd.classes = dataclasses.replace(sd.classes, classes=classes)
+        with pytest.raises(ConsistencyError, match=message):
+            dual_idempotents(sd)
 
     def test_sandwich_support(self):
         # E_i A_j E_k is supported inside Cl_i x Cl_k

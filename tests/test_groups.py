@@ -3,11 +3,11 @@ import pytest
 
 from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
                      oracle_conjugacy_partition, oracle_inverse, oracle_least_keys,
-                     oracle_pair_orbits, s4_table)
+                     oracle_mult, oracle_pair_orbits, s4_table)
 from terwilliger import (GroupTable, build_group, centralizer_counts,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
-from terwilliger.groups import pair_orbits
+from terwilliger.groups import orbit_reps, pair_orbits
 
 
 def named_group(name: str) -> GroupTable:
@@ -57,6 +57,13 @@ class TestBuildGroup:
         g = build_group(validate_params(8, 3))
         assert g.mult[8 + 2, 8 + 3] == 1
 
+    def test_matches_normal_form_oracle(self):
+        for n in range(3, 41):
+            for s in valid_twists(n):
+                g = build_group(validate_params(n, s))
+                assert g.mult.tolist() == oracle_mult(n, s), (n, s)
+                assert g.inv.tolist() == [oracle_inverse(g.mult, x) for x in range(g.order)]
+
     def test_involution(self):
         g = build_group(validate_params(3, 2))
         assert g.mult[3, 3] == 0  # b * b = e
@@ -95,6 +102,23 @@ class TestBuildGroup:
         bad = np.array([[0, 1, 2], [1, 0, 2], [2, 1, 0]])
         with pytest.raises(ValueError, match="not permutations"):
             GroupTable(bad.T if transpose else bad)
+
+    @pytest.mark.parametrize("value", [4, -1, -16])
+    def test_rejects_out_of_range_entry(self, value):
+        # one entry of C4 outside 0..3, away from the identity row and
+        # column; -16 would make a negative (row, entry) count index
+        bad = cyclic_table(4)
+        bad[2, 3] = value
+        with pytest.raises(ValueError, match="not permutations"):
+            GroupTable(bad)
+
+    def test_rejects_in_range_repeat(self):
+        # column 3 of C4 becomes (3, 0, 0, 2): 0 twice and no 1, the other
+        # columns untouched
+        bad = cyclic_table(4)
+        bad[2, 3] = 0
+        with pytest.raises(ValueError, match="not permutations"):
+            GroupTable(bad)
 
     def test_element_names(self):
         params = validate_params(4, 3)
@@ -247,10 +271,11 @@ class TestPairOrbitNumbering:
     """The closure coordinates index the orbits by ids, so the numbering
     itself, not only the partition, must match the least-key oracle."""
 
-    # pair_orbits forms one row of least conjugates per distinct centralizer:
-    # S4's class minima have five different ones (its center is trivial),
-    # every minimum of a cyclic group has the centralizer G, and the 45 and
-    # 50 minima of D(36,19) and D(40,21) (tau = 18 and 20) have four each
+    # pair_orbits and orbit_reps form one row of least conjugates per
+    # distinct centralizer: S4's class minima have five different ones (its
+    # center is trivial), every minimum of a cyclic group has the
+    # centralizer G, and the 45 and 50 minima of D(36,19) and D(40,21)
+    # (tau = 18 and 20) have four each
     @pytest.mark.parametrize("name", ["S4", "C6", "C7", "C12", "D(36,19)", "D(40,21)"]
                              + SMALL_PAIRS)
     def test_matches_least_key_oracle(self, name):
@@ -259,3 +284,5 @@ class TestPairOrbitNumbering:
         oracle_ids, oracle_reps = oracle_least_keys(g.mult)
         assert reps.tolist() == oracle_reps
         assert ids.tolist() == oracle_ids
+        # the representatives alone, read off the same rows with no ids
+        assert orbit_reps(g).tolist() == oracle_reps
