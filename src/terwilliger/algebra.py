@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ConsistencyError, GroupTable, orbital_count
+from .groups import ConsistencyError, GroupTable, _components, orbital_count
 from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
 from .scheme import SchemeData
 
@@ -243,29 +243,6 @@ def _round_one_rank(relation: np.ndarray, class_u: np.ndarray, class_v: np.ndarr
     right = (t1 + relation) * t1 + class_v
     vertex = np.cumsum(np.bincount(np.concatenate([left, right])) > 0) - 1
     return int(vertex[-1]) + 1 - _components(vertex[left], vertex[right])
-
-
-def _components(a: np.ndarray, b: np.ndarray) -> int:
-    """The number of components of the graph with edges (a[e], b[e]) on the
-    vertices 0 .. max, each of which is on some edge, by min-label hooking
-    and pointer jumping (Shiloach-Vishkin).  Every vertex starts as its own
-    label, and the labels form stars: each points at a root, a vertex that
-    is its own label.  Each step hooks the root of either end of every edge
-    onto the other end's label when that is less, then jumps every label to
-    its label's label until they form stars again.  A label only falls and
-    stays inside its component, so once a step changes nothing, the labels
-    agree along every edge and each component carries its least vertex,
-    its one root."""
-    label = np.arange(int(max(a.max(), b.max())) + 1)
-    while True:
-        least = label.copy()
-        np.minimum.at(least, label[a], label[b])
-        np.minimum.at(least, label[b], label[a])
-        while not np.array_equal(least[least], least):
-            least = least[least]
-        if np.array_equal(least, label):
-            return int(np.count_nonzero(label == np.arange(len(label))))
-        label = least
 
 
 def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

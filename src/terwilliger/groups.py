@@ -133,6 +133,14 @@ class GroupTable:
         """
         return self.mult[self.mult, self.inv[:, None]]
 
+    @property
+    def generating_set(self) -> tuple[int, ...]:
+        """Elements that generate the group: a and b, encoded 1 and n, for
+        D(n,s), and every element but the identity for a generic table."""
+        if self.params is not None:
+            return (1, self.params.n)
+        return tuple(range(1, self.order))
+
     def element_name(self, x: int) -> str:
         return f"g{x}" if self.params is None else self.params.element_name(x)
 
@@ -359,6 +367,29 @@ def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
     least += least_x[:, None] * order
     isrep = least.ravel() == np.arange(order * order)
     return (np.cumsum(isrep) - 1)[least], np.flatnonzero(isrep)
+
+
+def _components(a: np.ndarray, b: np.ndarray) -> int:
+    """The number of components of the graph with edges (a[e], b[e]) on the
+    vertices 0 .. max, each of which is on some edge, by min-label hooking
+    and pointer jumping (Shiloach-Vishkin).  Every vertex starts as its own
+    label, and the labels form stars: each points at a root, a vertex that
+    is its own label.  Each step hooks the root of either end of every edge
+    onto the other end's label when that is less, then jumps every label to
+    its label's label until they form stars again.  A label only falls and
+    stays inside its component, so once a step changes nothing, the labels
+    agree along every edge and each component carries its least vertex,
+    its one root."""
+    label = np.arange(int(max(a.max(), b.max())) + 1)
+    while True:
+        least = label.copy()
+        np.minimum.at(least, label[a], label[b])
+        np.minimum.at(least, label[b], label[a])
+        while not np.array_equal(least[least], least):
+            least = least[least]
+        if np.array_equal(least, label):
+            return int(np.count_nonzero(label == np.arange(len(label))))
+        label = least
 
 
 def build_group(params: GroupParams) -> GroupTable:

@@ -210,8 +210,8 @@ def analyze_pair(n: int, s: int, *,
             commutant_dim = algebra.commutant_oracle(group)
             checks["commutant_matches_orbitals"] = commutant_dim == t_tilde
         if group.order <= wedderburn.IDEMPOTENT_ORDER_LIMIT:
-            idem_report = step("central_idempotents",
-                               lambda: wedderburn.central_idempotents(group, table, mults_rowsum))
+            idem_report = step("central_idempotents", lambda: wedderburn.central_idempotents(
+                group, classes, table, mults_rowsum))
 
     return Analysis(
         params=params, classes=classes, dim_t0=t0, case_counts=cases,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import CharTable, Multiplicities, multiplicities_closedform
-from .groups import ConsistencyError, GroupTable, conjugacy_classes, validate_params
+from .groups import ConjugacyData, ConsistencyError, GroupTable, validate_params
 from .scheme import closed_form_dimension
 
 IDEMPOTENT_ORDER_LIMIT = 24
@@ -64,11 +64,13 @@ class IdempotentReport:
     ok: bool
 
 
-def central_idempotents(group: GroupTable, table: CharTable,
+def central_idempotents(group: GroupTable, classes: ConjugacyData, table: CharTable,
                         mults: Multiplicities) -> IdempotentReport:
     """Build e_i = (deg_i/|G|) sum_g conj(chi_i(g)) X(g) and verify the laws.
 
-    X(g) is the permutation matrix of conjugation by g.  Verified within
+    X(g) is the permutation matrix of conjugation by g, and chi_i(g) is
+    read at the class of g in `classes`, the group's conjugacy data, in the
+    column order of `table`.  Verified within
     1e-8: e_i^2 = e_i, e_i e_j = 0 for i != j, sum_i e_i = I; and each
     trace(e_i) must round to d_i * deg_i within 1e-6.  Desk-scale only.
     """
@@ -76,7 +78,6 @@ def central_idempotents(group: GroupTable, table: CharTable,
     if order > IDEMPOTENT_ORDER_LIMIT:
         raise ValueError(
             f"central idempotents are desk-scale only (order {order} > {IDEMPOTENT_ORDER_LIMIT})")
-    classes = conjugacy_classes(group)
     class_of = np.asarray(classes.class_of)
     # conjugates[g, x, y] says that conjugation by g takes x to y, so every
     # e_i is one contraction over g (einsum, which stays on one thread)

@@ -144,6 +144,13 @@ def oracle_tensor_per_class(mult: np.ndarray,
     return p
 
 
+def oracle_product_identity(q: np.ndarray, p, i: int, j: int) -> bool:
+    """A_i A_j == sum_k p[i][j][k] A_k for the dense 0/1 matrices A_k = (q == k),
+    multiplied out in full."""
+    a = [(q == k).astype(np.int64) for k in range(len(p))]
+    return np.array_equal(a[i] @ a[j], sum(int(p[i][j][k]) * a[k] for k in range(len(p))))
+
+
 def oracle_echelon(vectors, p: int) -> tuple[list[list[int]], list[int]]:
     """Fully reduced echelon basis over F_p built one vector at a time, in
     Python integers: each residual's first nonzero column becomes its pivot,

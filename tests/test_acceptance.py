@@ -142,7 +142,7 @@ def test_criterion_8_central_idempotents():
             table = char_table(params, classes)
             mults = multiplicities_rowsum(table)
             try:
-                report = central_idempotents(group, table, mults)
+                report = central_idempotents(group, classes, table, mults)
             except Exception as exc:   # any broken identity is a failure here
                 failures.append((n, s, str(exc)))
                 continue

@@ -92,6 +92,17 @@ class TestAnalyzePair:
         assert analyze_pair(8, 3, closure=closure).passed
         assert calls == (["pair_orbits"] if closure else ["orbit_reps"])
 
+    def test_one_brute_force_partition(self, monkeypatch):
+        # the central idempotents read the classes the analysis already holds
+        from terwilliger import groups
+        calls = []
+        partition = groups._brute_partition
+        monkeypatch.setattr(groups, "_brute_partition",
+                            lambda group: calls.append(group) or partition(group))
+        a = analyze_pair(12, 5)
+        assert a.passed and a.idempotents is not None
+        assert len(calls) == 1
+
     def test_short_enumeration_fails_the_orbital_route(self, monkeypatch):
         # the enumeration handed to the orbital check is still checked
         # against the Burnside count

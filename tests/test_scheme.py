@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (oracle_intersection_tensor, oracle_t0_count,
-                     oracle_tensor_per_class, s4_table)
-from terwilliger import (ConsistencyError, GroupTable, IntersectionTensor,
+from helpers import (c2_c4_table, cyclic_table, oracle_intersection_tensor,
+                     oracle_product_identity, oracle_t0_count, oracle_tensor_per_class,
+                     q8_table, s4_table)
+from terwilliger import (ConjugacyData, ConsistencyError, GroupTable, IntersectionTensor,
                          SchemeData, build_group, build_scheme, case_counts,
                          closed_form_dimension, conjugacy_classes, dim_t0,
                          expected_case_counts, generic_conjugacy_classes,
@@ -31,7 +32,7 @@ def dense(tensor):
 
 
 def every_pair(classes):
-    """Every (i, j), listed: verify_product_identity then walks each pair."""
+    """Every (i, j), listed: verify_product_identity then counts them all at once."""
     return [(i, j) for i in range(classes.num_classes) for j in range(classes.num_classes)]
 
 
@@ -104,6 +105,16 @@ class TestBuildScheme:
         with pytest.raises(ConsistencyError, match="does not meet every class"):
             build_scheme(g, corrupted)
 
+    def test_inverse_of_a_class_that_is_no_class_raises(self):
+        # C4 split as {0}, {1, 2}, {3}: the rows still meet each part as often
+        # as its size, but the inverses of {1, 2} are {3, 2}, which is no part
+        g = GroupTable(cyclic_table(4), name="C4")
+        parts = ConjugacyData(classes=((0,), (1, 2), (3,)), labels=("C0", "C1", "C2"),
+                              kinds=("C",) * 3, reps=(0, 1, 3), centralizer_orders=(4, 4, 4),
+                              identity_class=0, class_of=(0, 1, 1, 2))
+        with pytest.raises(ConsistencyError, match="^inverse of class C1 is not a class$"):
+            build_scheme(g, parts)
+
 
 class TestIntersectionNumbers:
     def test_identity_column(self):
@@ -130,8 +141,8 @@ class TestIntersectionNumbers:
     @pytest.mark.parametrize("listed", [False, True])
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (6, 5), (8, 3), (8, 5), (12, 7)])
     def test_product_identity_full(self, n, s, listed):
-        # pairs=None counts each relation's products at once; the listed
-        # pairs walk each (i, j) on its own
+        # pairs=None counts one relation's products at a time; the listed
+        # pairs are counted in one call
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
@@ -175,6 +186,73 @@ class TestIntersectionNumbers:
         pairs = {None: None, "every": every_pair(c), "some": [(0, 0), (a, b), (b, a)]}[listed]
         assert verify_product_identity(sd, tensor, pairs)
         assert not verify_product_identity(corrupted, tensor, pairs)
+
+    @pytest.mark.parametrize("name,table", [
+        ("C1", cyclic_table(1)), ("C2", cyclic_table(2)), ("S4", s4_table()),
+        ("Q8", q8_table()), ("C2xC4", c2_c4_table())])
+    def test_product_identity_on_generic_tables(self, name, table):
+        # every non-identity element is a generator; C1 has none
+        g = GroupTable(table, name=name)
+        c = generic_conjugacy_classes(g)
+        assert verify_product_identity(build_scheme(g, c), intersection_numbers(g, c))
+
+    def test_product_identity_needs_transitive_generators(self, monkeypatch):
+        # the translations by a alone keep <a> and b<a> apart, so row 0 says
+        # nothing of the rows of b<a>, and no identity is certified
+        _, g, c = pipeline(8, 3)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        assert g.generating_set == (1, 8)
+        assert verify_product_identity(sd, tensor)
+        monkeypatch.setattr(GroupTable, "generating_set", property(lambda self: (1,)))
+        assert not verify_product_identity(sd, tensor)
+
+    @pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 13) for s in valid_twists(n)])
+    def test_product_identity_matches_dense_oracle(self, n, s):
+        _, g, c = pipeline(n, s)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        p = dense(tensor)
+        verdicts = [oracle_product_identity(sd.class_matrix, p, i, j) for i, j in every_pair(c)]
+        assert all(verdicts)
+        assert [verify_product_identity(sd, tensor, [ij]) for ij in every_pair(c)] == verdicts
+        # a list in any order, with repeats, as a random sample may draw
+        assert verify_product_identity(sd, tensor, every_pair(c)[::-1] * 2)
+
+    @pytest.mark.parametrize("n,s", [(8, 3), (12, 5)])
+    def test_perturbed_verdicts_match_dense_oracle(self, n, s):
+        # p[i, j, (i + j) % (t + 1)] raised by 1, for every (i, j); the pair
+        # (j, i) is checked too, and holds unless it is the same pair
+        _, g, c = pipeline(n, s)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        t1 = c.num_classes
+        for i, j in every_pair(c):
+            perturbed = raised(tensor, i, j, (i + j) % t1)
+            p = dense(perturbed)
+            for pair in ((i, j), (j, i)):
+                expected = oracle_product_identity(sd.class_matrix, p, *pair)
+                assert expected == (pair != (i, j))
+                assert verify_product_identity(sd, perturbed, [pair]) == expected, pair
+            assert not verify_product_identity(sd, perturbed)
+
+    def test_product_identity_detects_a_corruption_off_row_zero(self):
+        # Q[z1, y] and Q[z2, y] swapped for z1, z2 of one class in row 0:
+        # every count in row 0 of every product stays, but the translations
+        # by the generators now change Q
+        _, g, c = pipeline(8, 3)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        q = sd.class_matrix.copy()
+        z1, z2 = c.classes[next(i for i, m in enumerate(c.classes) if len(m) > 1)][:2]
+        y = int(np.flatnonzero(q[z1] != q[z2])[0])
+        q[z1, y], q[z2, y] = q[z2, y], q[z1, y]
+        assert np.array_equal(q[0], sd.class_matrix[0])
+        p = dense(tensor)
+        assert not all(oracle_product_identity(q, p, i, j) for i, j in every_pair(c))
+        corrupted = SchemeData(g, q, c)
+        assert not verify_product_identity(corrupted, tensor)
+        assert not verify_product_identity(corrupted, tensor, every_pair(c))
 
     def test_base_point_dependence_raises(self):
         g, corrupted = swapped_d43_classes()

@@ -51,33 +51,33 @@ class TestDecomposition:
 
 class TestCentralIdempotents:
     def test_s3_traces(self):
-        params, _, table, mults = blocks_for(3, 2)
-        report = central_idempotents(build_group(params), table, mults)
+        params, classes, table, mults = blocks_for(3, 2)
+        report = central_idempotents(build_group(params), classes, table, mults)
         assert report.traces == (3, 1, 2)
         assert sum(report.traces) == 6
         assert report.ok
 
     def test_d43_absent_isotypic_component(self):
         # the two-dimensional character has multiplicity 0 at n=4, so trace 0
-        params, _, table, mults = blocks_for(4, 3)
-        report = central_idempotents(build_group(params), table, mults)
+        params, classes, table, mults = blocks_for(4, 3)
+        report = central_idempotents(build_group(params), classes, table, mults)
         two_index = table.row_families.index(("two", 1))
         assert report.traces[two_index] == 0
 
     @pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 13)
                                      for s in valid_twists(n)])
     def test_all_desk_scale_pairs(self, n, s):
-        params, _, table, mults = blocks_for(n, s)
-        report = central_idempotents(build_group(params), table, mults)
+        params, classes, table, mults = blocks_for(n, s)
+        report = central_idempotents(build_group(params), classes, table, mults)
         assert report.ok
         assert max(report.idempotency_error, report.orthogonality_error,
                    report.sum_error) <= 1e-8
         assert sum(report.traces) == 2 * n  # the idempotents resolve the identity
 
     def test_size_guard(self):
-        params, _, table, mults = blocks_for(13, 12)
+        params, classes, table, mults = blocks_for(13, 12)
         with pytest.raises(ValueError):
-            central_idempotents(build_group(params), table, mults)
+            central_idempotents(build_group(params), classes, table, mults)
 
 
 class TestPrintedFormulas:
