@@ -218,6 +218,15 @@ def s4_table() -> np.ndarray:
                      for p in perms])
 
 
+def symmetric_table(k: int) -> np.ndarray:
+    """Cayley table of the symmetric group on k points: element i is the
+    i-th permutation in lexicographic order, so the identity is 0, and
+    entry [i][j] is the index of the composition x -> perms[i][perms[j][x]]."""
+    perms = list(itertools.permutations(range(k)))
+    index = {p: i for i, p in enumerate(perms)}
+    return np.array([[index[tuple(p[q[x]] for x in range(k))] for q in perms] for p in perms])
+
+
 def cyclic_table(m: int) -> np.ndarray:
     return np.array([[(i + j) % m for j in range(m)] for i in range(m)])
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnside_pairs,
-                     oracle_echelon, q8_table, s4_table)
+                     oracle_echelon, q8_table, s4_table, symmetric_table)
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -218,6 +218,23 @@ class TestAlgebraClosure:
         stored = basis.dense_rows(0, basis.rank)
         digest = hashlib.sha256(stored.tobytes() + pivots.tobytes()).hexdigest()
         assert digest == self.FINAL_BASIS_SHA256[n, s]
+
+    @pytest.mark.parametrize("prime", DEFAULT_PRIMES)
+    def test_s5_closure_pinned(self, prime):
+        # S5 ends below dim T~ = 161 after a third round that adds nothing,
+        # so its later rounds eliminate dense left products; a source read
+        # as rows change during its round, not as the round found it, would
+        # offer longer words and change the digest
+        sd, _ = generic_inputs(symmetric_table(5), "S5")
+        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        basis = PrimeBasis(prime, len(products.u))
+        rounds, history = _modular_closure(basis, products, list(range(2 * sd.num_relations)),
+                                           dim_t_tilde(sd.group))
+        assert (rounds, tuple(history)) == (3, (13, 79, 155, 155))
+        pivots = basis._pivot_cols[:basis.rank]
+        stored = basis.dense_rows(0, basis.rank)
+        digest = hashlib.sha256(stored.tobytes() + pivots.tobytes()).hexdigest()
+        assert digest == "4965c7b37cc0ad72d960479faafec2beb7513568e1452181077bb6fe2e0b95e0"
 
     def test_round_one_basis_pinned(self, monkeypatch):
         # ROUND_BUDGET = 1 stops the closure of (40,19) as round 2 begins.
