@@ -52,7 +52,6 @@ its history is taken, so only one basis is alive at a time.
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass
 
@@ -63,7 +62,7 @@ from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
 from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
-BATCH_ENTRIES = 2 ** 16  # nonzeros, or dense values, offered per insert_block call
+BATCH_ENTRIES = 2 ** 16  # dense values of later-round products per insert_block call
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 PROVENANCE_EXACT = "exact"
@@ -186,17 +185,16 @@ class _GeneratorProducts:
     def cells(self):
         """The cells E*_k A_i E*_j: one 0/1 row per nonempty (class_u,
         relation, class_v), the pairs with class(u) = k, relation i and
-        class(v) = j.  Returns their number and an iterator over blocks of
-        whole cells, about BATCH_ENTRIES entries each (`_calls`), each as
-        entries (row, column, value 1) sorted by row and column, in the
-        order of that key.  Every column lies in exactly one cell, so the
-        cells are independent, span T0, and one stable argsort of the key
-        groups them, each with its columns in order."""
+        class(v) = j.  Returns their number and one block of their entries
+        (row, column, value 1), sorted by row and column, in the order of
+        that key.  Every column lies in exactly one cell, so the cells are
+        independent, span T0, and one stable argsort of the key groups
+        them, each with its columns in order."""
         t1 = len(self.offsets)
         key = (self.class_u * t1 + self.relation) * t1 + self.class_v
         order = np.argsort(key, kind="stable")
         cell = np.cumsum(np.diff(key[order], prepend=key[order[0]]) != 0)
-        return int(cell[-1]) + 1, _row_calls(cell, order, np.ones(len(order), dtype=np.int64))
+        return int(cell[-1]) + 1, (cell, order, np.ones(len(order), dtype=np.int64))
 
     def rank_history(self, bound: int) -> list[int] | None:
         """The rank after the seeds and after each round of the closure,
@@ -251,28 +249,6 @@ def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return rows[order], cols[order], np.ones(len(rows), dtype=np.int64)
 
 
-def _calls(sizes: np.ndarray) -> list[tuple[int, int]]:
-    """Units of `sizes` entries each, in order, grouped into insert_block
-    calls of whole units, as (first, stop) ranges: a call starts at the
-    unit that holds entry k * BATCH_ENTRIES of the concatenation, for each
-    k, so every call holds at least one unit and about BATCH_ENTRIES
-    entries, or one unit that alone holds more."""
-    ends = np.cumsum(sizes)
-    firsts = np.searchsorted(ends, np.arange(0, ends[-1], BATCH_ENTRIES), side="right")
-    bounds = np.append(np.union1d(0, firsts), len(sizes)).tolist()
-    return list(zip(bounds, bounds[1:]))
-
-
-def _row_calls(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
-    """A block's entries, sorted by row, as the calls of whole rows that
-    `_calls` gives, each numbered from 0."""
-    sizes = np.bincount(rows)
-    at = np.append(0, np.cumsum(sizes)).tolist()
-    for lo, hi in _calls(sizes):
-        a, b = at[lo], at[hi]
-        yield rows[a:b] - lo, cols[a:b], vals[a:b]
-
-
 def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
                      seed_order: list[int], bound: int) -> tuple[int, list[int]]:
     """Saturate the algebra of the generators in `seed_order` in a fresh basis
@@ -289,26 +265,19 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     later round, offers the left products of the rows the round before
     added.  The cells are then left out: inserting them first would change
     those rows, and their products could hold longer words.  The sources
-    are read as they stood at the start of the round, not as the rows that
-    enter during it change them, so a round offers no longer word.
+    are read once, as dense rows, at the start of the round, not as the
+    rows that enter during it change them, so a round offers no longer
+    word.
 
-    Every block goes to the basis as its nonzero entries.  The seeds, the
-    round-1 rows and the cells are 0/1: their (row, column) pairs are read
-    off the labels and each value is 1, a residue as it stands, so no
-    dense block is formed for them.  A later round's products are dense,
-    so they are formed only on the quotient columns C of the basis (see the
-    modular docstring), taken once at the start of the round: C only
-    shrinks while rows enter, so the round's first C stays enough for all
-    of it.  The gather index for C is taken once per round too, each call
-    densifies only its own source rows, and one np.nonzero turns its
-    products into entries.
-
-    insert_block gives the same basis however the rows are split into
-    calls, so the split is chosen for speed alone (`_calls`): whole units,
-    a seed, a relation's 2(t+1) masked rows, a cell or a source's 2(t+1)
-    dense products on C, go into one call until it holds about
-    BATCH_ENTRIES nonzeros or values.  Fewer calls pay less of the fixed
-    cost of each, which includes a scan of the whole store.
+    The seeds, the round-1 rows and the cells are 0/1 rows read off the
+    labels, and each goes to the basis as one block of nonzero entries.
+    A later round's products are dense, so they are formed only on the
+    quotient columns C of the basis (see the modular docstring), taken
+    once at the start of the round: C only shrinks while rows enter, so
+    the round's first C stays enough for all of it.  They go in calls of
+    whole sources, about BATCH_ENTRIES dense values each; insert_block
+    gives the same basis however the rows are split, and on S6 one call
+    per round took about twice the time and five times the memory.
 
     Up to the end of round 1, and of round 2 when the cells end it, the
     ranks do not depend on the field (the seeds and the cells are disjoint
@@ -317,8 +286,7 @@ def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
     `_GeneratorProducts.rank_history` counts.  `algebra_closure` therefore
     runs this elimination only where that count returns None.
     """
-    for block in _row_calls(*products.seeds(seed_order)):
-        basis.insert_block(*block)
+    basis.insert_block(*products.seeds(seed_order))
     history = [basis.rank]
     rounds, sources = 0, range(len(products.offsets))
     while sources and basis.rank < bound:
@@ -344,21 +312,20 @@ def _offers(basis: PrimeBasis, products: _GeneratorProducts, rounds: int,
     """The blocks one round offers, in order, each as its (rows, cols, vals)
     entries and formed as it is taken (see `_modular_closure`)."""
     if rounds == 1:
-        for lo, hi in _calls(2 * np.diff(products.bounds)):
-            yield products.masked_generators(sources[lo:hi])
+        yield products.masked_generators(sources)
         return
     if rounds == 2:
         count, cells = products.cells()
         if count >= bound:
-            yield from cells
+            yield cells
             return
     cols = basis.quotient_cols()
     multiply = products.all_products(cols)
-    frozen = copy.copy(basis)  # reads the sources as they stand now (see PrimeBasis)
-    for lo, hi in _calls(np.full(len(sources), 2 * len(products.offsets) * len(cols))):
-        part = sources[lo:hi]
-        yield _nonzeros(np.concatenate([multiply(m) for m in
-                                        frozen.dense_rows(part.start, part.stop)]), cols)
+    rows = basis.dense_rows(sources.start, sources.stop)  # the sources as the round found them
+    width = 2 * len(products.offsets) * len(cols)  # dense values per source; 0 at full rank
+    step = max(1, BATCH_ENTRIES // max(width, 1))
+    for lo in range(0, len(rows), step):
+        yield _nonzeros(np.concatenate([multiply(m) for m in rows[lo:lo + step]]), cols)
 
 
 def _nonzeros(block: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

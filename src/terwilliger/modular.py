@@ -47,19 +47,11 @@ insert_block reduces the block against the store that way, then eliminates
 its rows among themselves on their nonzeros, in one pass in block order: a
 row is reduced only against the rows that entered earlier in the same
 call.  Each row is a {column: residue} dict of Python ints, each value
-taken mod p as it is formed, built only when the pass reaches it.  Two
-kinds of row skip the reduction.  A row that shares no column with another
-row of the block enters as it stands, scaled to 1 at its first nonzero.  A
-row of one entry (j, x) enters as {j: 1} if j is no pivot of the call, and
-the rows entered before it only drop j; if j is a pivot, its residual is
--x times that row off its pivot, which is zero at every other pivot, and
-empty when that row is a unit row.  Most reduced rows of the closure are
-of one entry, the others have a few, and Python arithmetic on a handful
-of entries beats about 20 numpy calls per row.  The new rows then go into
-the store, and the older rows they hit are brought to zero at the new
-pivots by the same gather: an older row is nonzero at a pivot only at the
-new pivots, so one pass of its stored entries through the reduction of
-reduce_block gives the updated row.
+taken mod p as it is formed, built only when the pass reaches it.  The new
+rows then go into the store, and the older rows they hit are brought to
+zero at the new pivots by the same gather: an older row is nonzero at a
+pivot only at the new pivots, so one pass of its stored entries through
+the reduction of reduce_block gives the updated row.
 
 So no float enters the arithmetic: a product of two int64 residues is
 below (p-1)^2 and is taken mod p before any sum, and the loop's Python
@@ -100,10 +92,7 @@ class PrimeBasis:
     its nonzero entries off that pivot, kept as three aligned arrays of row,
     column and value, sorted by row.  No zero value is stored, and nothing
     of size length² is ever allocated: a basis that reaches full rank is
-    the identity and stores no entry at all.  An insert replaces those
-    arrays and never writes into them, and it writes pivot columns only
-    past the rank, so a shallow copy (copy.copy) keeps reading the rows as
-    they stood when it was taken, at no cost in memory.
+    the identity and stores no entry at all.
     """
 
     def __init__(self, modulus: int, length: int):
@@ -193,11 +182,7 @@ class PrimeBasis:
         aligned integer arrays, sorted by row and, within a row, by strictly
         increasing column in [0, length); the values must fit in int64.  The
         block may leave out only entries that cannot change the residual
-        (see the module docstring).  The terms are gathered and summed in
-        slices of whole rows of about as many terms as the store holds
-        entries (or `length`, if more), so the transient stays within a
-        small multiple of the store's own memory, however many terms the
-        block gathers in all.
+        (see the module docstring).
         """
         return self._reduce(*self._entries(rows, cols, vals))
 
@@ -211,27 +196,13 @@ class PrimeBasis:
             return rows, cols, vals
         hit = np.flatnonzero(at_pivot)
         first, n = self._runs(stored[hit])
-        hit_rows, coeffs = rows[hit], self.p - vals[hit]  # -v[c] mod p
-        # slices of whole rows: a row goes in slice k when k * cap to
-        # (k + 1) * cap - 1 terms are gathered before its first hit entry
-        start = np.cumsum(n) - n  # the terms before each hit entry
-        cap = max(self.length, len(self._off_rows))
-        slice_of = start[np.searchsorted(hit_rows, hit_rows)] // cap
-        cut = np.flatnonzero(np.diff(slice_of, prepend=-1))  # first hit entry of each slice
-        bounds = np.searchsorted(rows, hit_rows[cut[1:]])
-        parts = []
-        for a, b, lo, hi in zip(cut, np.append(cut[1:], len(hit)),
-                                np.append(0, bounds), np.append(bounds, len(rows))):
-            rest = ~at_pivot[lo:hi]
-            terms = self._expand(first[a:b], n[a:b])
-            parts.append(self._sum_entries(
-                np.concatenate([rows[lo:hi][rest], np.repeat(hit_rows[a:b], n[a:b])]),
-                np.concatenate([cols[lo:hi][rest], self._off_cols[terms]]),
-                np.concatenate([vals[lo:hi][rest],
-                                np.repeat(coeffs[a:b], n[a:b]) * self._off_vals[terms] % self.p])))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        terms = self._expand(first, n)
+        rest = ~at_pivot
+        return self._sum_entries(
+            np.concatenate([rows[rest], np.repeat(rows[hit], n)]),
+            np.concatenate([cols[rest], self._off_cols[terms]]),
+            np.concatenate([vals[rest], np.repeat(self.p - vals[hit], n)  # -v[c] mod p
+                            * self._off_vals[terms] % self.p]))
 
     def _insert_reduced(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> int:
         """Insert the rows of a block already reduced against the basis,
@@ -296,29 +267,16 @@ class PrimeBasis:
         have entered: a row past the cut never changes a row before it.
         Each row is a {column: residue} dict of Python ints, built when the
         pass reaches it, with each value reduced mod p as it is formed, so
-        the pass is exact at any p with no float window.  A lone row, one
-        that shares no column with another row of the block, enters as it
-        stands, scaled by the inverse of its first value.  No other row has
-        an entry at its columns, and the elimination's fill-in only spreads
-        the columns of rows that are not lone, so nothing reduces the lone
-        row and it reduces nothing: it is kept out of `pivot_of` and
-        `holders`.  Any other row's coefficients at the entered pivots are
-        read as it is reduced: an entered row is zero at every other entered
-        pivot, so subtracting it changes none of them.  A row of one entry
-        (j, x) is not reduced that way: at a column j that is no entered
-        pivot it is its own residual, and at the pivot of entered row k its
-        residual is -x times row k off j, already zero at every entered
-        pivot (and empty when row k is a unit row); scaled to 1 at its
-        pivot, that residual does not depend on x.  `holders` maps a column
-        to the entered rows that may be nonzero there off their pivot, a
-        superset of the rows a new pivot there must clear; a unit row only
-        takes its pivot out of them.  So the rows that enter are the ones
+        the pass is exact at any p with no float window.  A row's
+        coefficients at the entered pivots are read as it is reduced: an
+        entered row is zero at every other entered pivot, so subtracting it
+        changes none of them.  `holders` maps a column to the entered rows
+        that may be nonzero there off their pivot, a superset of the rows a
+        new pivot there must clear.  So the rows that enter are the ones
         that one call per row would enter."""
         p = self.p
         starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each row's first entry
         bounds = [*starts.tolist(), len(rows)]
-        shared = np.bincount(cols)[cols] > 1  # the entries at a column of two rows or more
-        lone = np.bincount(rows[shared], minlength=rows.max(initial=0) + 1)[rows[starts]] == 0
         cols, vals = cols.tolist(), vals.tolist()
 
         def subtract(target: dict[int, int], coeff: int, source: dict[int, int]) -> None:
@@ -333,45 +291,27 @@ class PrimeBasis:
         pivots: list[int] = []
         pivot_of: dict[int, int] = {}
         holders: dict[int, set[int]] = {}
-        for lo, hi, alone in zip(bounds, bounds[1:], lone.tolist()):
+        for lo, hi in zip(bounds, bounds[1:]):
             if len(new) >= room:
                 break
-            if alone:
-                inv = pow(vals[lo], -1, p)
-                pivots.append(cols[lo])
-                new.append({j: v * inv % p for j, v in zip(cols[lo:hi], vals[lo:hi])})
-                continue
-            if hi - lo == 1:  # one entry (j, x): no reduction loop
-                j = cols[lo]
-                k = pivot_of.get(j)
-                if k is None:
-                    row = {j: 1}
-                else:  # the residual, over -x: zero at every entered pivot
-                    row = {col: v for col, v in new[k].items() if col != j}
-            else:
-                row = dict(zip(cols[lo:hi], vals[lo:hi]))  # {column: residue}
-                for col in [col for col in row if col in pivot_of]:
-                    subtract(row, row[col], new[pivot_of[col]])
+            row = dict(zip(cols[lo:hi], vals[lo:hi]))  # {column: residue}
+            for col in [col for col in row if col in pivot_of]:
+                subtract(row, row[col], new[pivot_of[col]])
             if not row:
                 continue
             pivot = min(row)
-            if len(row) == 1:  # a unit row: the rows that hold its pivot drop it
-                row = {pivot: 1}
-                for k in holders.pop(pivot, ()):
-                    new[k].pop(pivot, None)
-            else:
-                if row[pivot] != 1:
-                    inv = pow(row[pivot], -1, p)
-                    row = {j: v * inv % p for j, v in row.items()}
-                off = [j for j in row if j != pivot]
-                for k in holders.pop(pivot, ()):
-                    coeff = new[k].get(pivot)
-                    if coeff:  # none if that entry of row k has cancelled since
-                        subtract(new[k], coeff, row)
-                        for j in off:
-                            holders.setdefault(j, set()).add(k)
-                for j in off:
-                    holders.setdefault(j, set()).add(len(new))
+            if row[pivot] != 1:
+                inv = pow(row[pivot], -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            off = [j for j in row if j != pivot]
+            for k in holders.pop(pivot, ()):
+                coeff = new[k].get(pivot)
+                if coeff:  # none if that entry of row k has cancelled since
+                    subtract(new[k], coeff, row)
+                    for j in off:
+                        holders.setdefault(j, set()).add(k)
+            for j in off:
+                holders.setdefault(j, set()).add(len(new))
             pivot_of[pivot] = len(new)
             pivots.append(pivot)
             new.append(row)

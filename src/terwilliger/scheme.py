@@ -47,13 +47,22 @@ class SchemeData:
         return (self.class_matrix == i).astype(np.int64)
 
 
+def _first_members(classes: ConjugacyData) -> np.ndarray:
+    """The first member of every class; an empty class raises
+    ConsistencyError, as no partition holds one."""
+    empty = [label for label, c in zip(classes.labels, classes.classes) if not c]
+    if empty:
+        raise ConsistencyError(f"class {empty[0]} is empty")
+    return np.array([c[0] for c in classes.classes])
+
+
 def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     """Build the scheme and verify the defining axioms exactly.
 
     Checks: the identity class gives the identity matrix, relations partition
     the pairs with constant row sums equal to the class sizes, and the
     transpose of every relation is again a relation (the one of the inverse
-    class).  Any failure raises ConsistencyError.
+    class), and no class is empty.  Any failure raises ConsistencyError.
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
     quotient = group.mult[:, group.inv]          # quotient[y, x] = y * x^-1
@@ -79,7 +88,7 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     # images of the classes sent to it, and both sides sum to |G|; so each
     # class is exactly that union, and as no class is empty, the image of
     # exactly one class
-    inverse_class = cls[group.inv[[c[0] for c in classes.classes]]]
+    inverse_class = cls[group.inv[_first_members(classes)]]
     bad = cls[cls[group.inv] != inverse_class[cls]]
     if len(bad):
         raise ConsistencyError(f"inverse of class {classes.labels[bad.min()]} is not a class")
@@ -117,11 +126,11 @@ def intersection_numbers(group: GroupTable, classes: ConjugacyData) -> Intersect
     the nonzero triples in (i, j, k) order with their counts.  The count is
     redone with the second member of each class that has one (independence
     of the choice of y); any difference raises ConsistencyError naming the
-    least class k at which the two counts differ.
+    least class k at which the two counts differ, as does an empty class.
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
     t1 = classes.num_classes
-    first = np.array([c[0] for c in classes.classes])
+    first = _first_members(classes)
     second = np.array([c[1] if len(c) > 1 else c[0] for c in classes.classes])
     counted = []
     for points in (first, second):

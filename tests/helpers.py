@@ -209,15 +209,6 @@ def oracle_rational_residual(vec, rows, pivots) -> list[Fraction]:
     return v
 
 
-def s4_table() -> np.ndarray:
-    """Cayley table of the symmetric group on 4 points, identity first."""
-    perms = sorted(itertools.permutations(range(4)))
-    perms.insert(0, perms.pop(perms.index(tuple(range(4)))))
-    index = {p: i for i, p in enumerate(perms)}
-    return np.array([[index[tuple(p[q[i]] for i in range(4))] for q in perms]
-                     for p in perms])
-
-
 def symmetric_table(k: int) -> np.ndarray:
     """Cayley table of the symmetric group on k points: element i is the
     i-th permutation in lexicographic order, so the identity is 0, and

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnside_pairs,
-                     oracle_echelon, q8_table, s4_table, symmetric_table)
+                     oracle_echelon, q8_table, symmetric_table)
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -35,6 +35,13 @@ def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
     canonical = list(range(2 * sd.num_relations))
     rounds, history = _modular_closure(basis, products, canonical, bound)
     return basis, products, rounds, tuple(history)
+
+
+def basis_digest(basis):
+    """sha256 of the stored rows, dense, and then the pivots in row order."""
+    pivots = basis._pivot_cols[:basis.rank]
+    stored = basis.dense_rows(0, basis.rank)
+    return hashlib.sha256(stored.tobytes() + pivots.tobytes()).hexdigest()
 
 
 class TestDualIdempotents:
@@ -214,9 +221,7 @@ class TestAlgebraClosure:
         # the stored rows and the pivot order: a wrong set of quotient columns
         # can keep every rank and history and still change which rows enter
         basis, _, _, _ = run_modular_closure(n, s, prime=prime)
-        pivots = basis._pivot_cols[:basis.rank]
-        stored = basis.dense_rows(0, basis.rank)
-        digest = hashlib.sha256(stored.tobytes() + pivots.tobytes()).hexdigest()
+        digest = basis_digest(basis)
         assert digest == self.FINAL_BASIS_SHA256[n, s]
 
     @pytest.mark.parametrize("prime", DEFAULT_PRIMES)
@@ -231,9 +236,7 @@ class TestAlgebraClosure:
         rounds, history = _modular_closure(basis, products, list(range(2 * sd.num_relations)),
                                            dim_t_tilde(sd.group))
         assert (rounds, tuple(history)) == (3, (13, 79, 155, 155))
-        pivots = basis._pivot_cols[:basis.rank]
-        stored = basis.dense_rows(0, basis.rank)
-        digest = hashlib.sha256(stored.tobytes() + pivots.tobytes()).hexdigest()
+        digest = basis_digest(basis)
         assert digest == "4965c7b37cc0ad72d960479faafec2beb7513568e1452181077bb6fe2e0b95e0"
 
     def test_round_one_basis_pinned(self, monkeypatch):
@@ -257,15 +260,13 @@ class TestAlgebraClosure:
             "e50a2c135f1b5d07dc5de2d3e2be05c30e778e8e6f7a7bfb78a52fe26186b1da")
 
     @pytest.mark.parametrize("batch", [1, 2 ** 40], ids=["one_unit_per_call", "one_call"])
-    @pytest.mark.parametrize("case", ["D(40,19)", "S4"])
+    @pytest.mark.parametrize("case", ["S4", "S5"])
     def test_call_size_changes_nothing(self, case, batch, monkeypatch):
         # insert_block gives the same basis however a block is split, so the
         # final basis, the rounds and the history do not depend on how many
-        # entries each call takes; S4 runs the dense later-round products
-        if case == "S4":
-            sd, _ = generic_inputs(s4_table(), "S4")
-        else:
-            sd, _, _ = closure_inputs(40, 19)
+        # dense products each later-round call takes: one source per call,
+        # or the whole round in one
+        sd, _ = generic_inputs(symmetric_table(int(case[1])), case)
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         canonical = list(range(2 * sd.num_relations))
 
@@ -273,14 +274,10 @@ class TestAlgebraClosure:
             basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
             rounds, history = _modular_closure(basis, products, canonical,
                                                dim_t_tilde(sd.group))
-            pivots = basis._pivot_cols[:basis.rank]
-            stored = basis.dense_rows(0, basis.rank)
-            digest = hashlib.sha256(stored.tobytes() + pivots.tobytes()).hexdigest()
+            digest = basis_digest(basis)
             return digest, rounds, history
 
         default = closure()
-        if case == "D(40,19)":
-            assert default[0] == self.FINAL_BASIS_SHA256[40, 19]
         monkeypatch.setattr(algebra, "BATCH_ENTRIES", batch)
         assert closure() == default
 
@@ -292,7 +289,7 @@ class TestAlgebraClosure:
 
     def test_generic_group_s4(self):
         # S4 is not triply transitive: the triple count undershoots by one
-        group = GroupTable(s4_table(), name="S4")
+        group = GroupTable(symmetric_table(4), name="S4")
         classes = generic_conjugacy_classes(group)
         sd = build_scheme(group, classes)
         t0 = dim_t0(intersection_numbers(group, classes))
@@ -344,7 +341,7 @@ class TestCountedHistory:
     def test_s4_round_one_counted_then_left_to_elimination(self):
         # round 1 of S4 is counted like any other; its cells fall short of
         # the bound, so round 2 is not decided by the labels
-        sd, _ = generic_inputs(s4_table(), "S4")
+        sd, _ = generic_inputs(symmetric_table(4), "S4")
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         t1 = sd.num_relations
         assert algebra._round_one_rank(products.relation, products.class_u,
@@ -399,7 +396,7 @@ class TestCountedHistory:
     def test_prime_bases_built_only_where_the_count_does_not_decide(self, case, built,
                                                                    monkeypatch):
         if case == "S4":
-            sd, idem = generic_inputs(s4_table(), "S4")
+            sd, idem = generic_inputs(symmetric_table(4), "S4")
             t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
         else:
             sd, idem, t0 = closure_inputs(16, 7)
@@ -423,7 +420,7 @@ def generic_inputs(table, name):
 class TestGeneratorProducts:
     CASES = {"D(8,3)": lambda: closure_inputs(8, 3)[:2],
              "D(12,5)": lambda: closure_inputs(12, 5)[:2],
-             "S4": lambda: generic_inputs(s4_table(), "S4")}
+             "S4": lambda: generic_inputs(symmetric_table(4), "S4")}
 
     @pytest.mark.parametrize("modulus", [None, 97])
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -484,10 +481,9 @@ class TestGeneratorProducts:
                                   np.array(want))
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_cells_match_dense_triple_products(self, case, monkeypatch):
+    def test_cells_match_dense_triple_products(self, case):
         # every nonempty E*_k A_i E*_j read at the representatives, exactly
-        # once and in (k, i, j) order; a small BATCH_ENTRIES makes several
-        # blocks, each of whole cells
+        # once and in (k, i, j) order, as one block
         sd, idem = self.CASES[case]()
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
@@ -495,19 +491,14 @@ class TestGeneratorProducts:
         want = [(np.diag(idem.diagonals[k]) @ sd.adjacency(i) @ np.diag(idem.diagonals[j]))[u, v]
                 for k in range(t1) for i in range(t1) for j in range(t1)]
         want = [row for row in want if row.any()]
-        monkeypatch.setattr(algebra, "BATCH_ENTRIES", 5)
-        count, blocks = products.cells()
-        got = []
-        seen = []
-        for rows, cols, vals in blocks:
-            assert rows[0] == 0 and 0 < rows[-1] + 1 <= 5 and np.all(vals == 1)
-            assert np.all(np.diff(rows * len(u) + cols) > 0)
-            seen.extend(cols)
-            got.extend(densify(rows, cols, vals, (rows[-1] + 1, len(u))))
+        count, (rows, cols, vals) = products.cells()
+        assert rows[0] == 0 and np.all(vals == 1)
+        assert np.all(np.diff(rows * len(u) + cols) > 0)
         # each column lies in exactly one cell
-        assert sorted(seen) == list(range(len(u)))
-        assert count == len(got) == len(want) > 5
-        assert np.array_equal(np.array(got), np.array(want))
+        assert sorted(cols) == list(range(len(u)))
+        got = densify(rows, cols, vals, (rows[-1] + 1, len(u)))
+        assert count == len(got) == len(want)
+        assert np.array_equal(got, np.array(want))
         if case == "S4":
             assert max(row.sum() for row in got) == 2  # a cell of two orbits
 

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
                      oracle_conjugacy_partition, oracle_inverse, oracle_least_keys,
-                     oracle_mult, oracle_pair_orbits, s4_table)
+                     oracle_mult, oracle_pair_orbits, symmetric_table)
 from terwilliger import (GroupTable, build_group, centralizer_counts,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
@@ -14,7 +14,7 @@ def named_group(name: str) -> GroupTable:
     """S4, a cyclic group written as "Cm", or a twisted dihedral group
     written as "D(n,s)"."""
     if name == "S4":
-        return GroupTable(s4_table(), name="S4")
+        return GroupTable(symmetric_table(4), name="S4")
     if name.startswith("C"):
         return GroupTable(cyclic_table(int(name[1:])), name=name)
     n, s = map(int, name[2:-1].split(","))
@@ -191,7 +191,7 @@ class TestConjugacyClasses:
             assert c.identity_class == params.tau - 1
 
     def test_generic_s4(self):
-        g = GroupTable(s4_table(), name="S4")
+        g = GroupTable(symmetric_table(4), name="S4")
         c = generic_conjugacy_classes(g)
         assert sorted(c.sizes()) == [1, 3, 6, 6, 8]
         assert c.identity_class == 0
@@ -233,7 +233,7 @@ class TestOrbitalCount:
             assert orbital_count(g) == sum(c.centralizer_orders)
 
     def test_generic_s4(self):
-        g = GroupTable(s4_table(), name="S4")
+        g = GroupTable(symmetric_table(4), name="S4")
         assert orbital_count(g) == oracle_burnside_pairs(g.mult)
 
 

@@ -449,10 +449,10 @@ class TestPrimeBasis:
                                   "one_entry_at_fresh_and_unit_pivot",
                                   "one_entry_at_longer_pivot"])
     def test_lone_rows_match_python_oracle(self, p, ones, kinds):
-        # lone rows enter as they stand, the others through the loop, and
-        # both come out in block order; rows of one entry skip the loop's
-        # reduction; on a nonempty basis the block is reduced first, and
-        # the stored rows must then be cleared
+        # lone rows, rows sharing columns and rows of one entry at a fresh
+        # column or at an entered pivot all come out in block order, as the
+        # oracle enters them; on a nonempty basis the block is reduced
+        # first, and the stored rows must then be cleared
         rng = np.random.default_rng(p % 1000 + len(kinds))
         block = _lone_and_loop_rows(rng, kinds, p, ones)
         length = block.shape[1]
@@ -477,16 +477,17 @@ class TestPrimeBasis:
                                   "lone_after_loop"])
     def test_room_cut_falls_between_lone_and_loop_rows(self, p, kinds):
         # the in-call elimination returns the first `room` rows that enter;
-        # the cuts fall after a lone row and before a loop row and the other
-        # way round, among lone rows only, and at one boundary either way
+        # the cuts fall after a lone row and before a row sharing columns
+        # and the other way round, among lone rows only, and at one boundary
+        # either way
         rng = np.random.default_rng(p % 1000 + 11)
         _check_room_cuts(_lone_and_loop_rows(rng, kinds, p, ones=False), p)
 
     @pytest.mark.parametrize("p", [*PRIMES, 94906249])
     @pytest.mark.parametrize("ones", [True, False], ids=["unit_leads", "non_unit_leads"])
     def test_room_cut_falls_on_a_one_entry_row(self, p, ones):
-        # the "h" row enters through the loop with one entry, and some cut
-        # falls right after it
+        # the "h" row enters with one entry, and some cut falls right after
+        # it
         rng = np.random.default_rng(p % 1000 + 13)
         kinds = "olhelo"
         block = _lone_and_loop_rows(rng, kinds, p, ones)
@@ -560,27 +561,6 @@ class TestPrimeBasis:
         got = basis.reduce_block(np.zeros(k, dtype=np.int64), np.arange(k),
                                  np.ones(k, dtype=np.int64))
         assert [x.tolist() for x in got] == [[0], [k], [k]]  # -k * (p-1) = k mod p
-
-    @pytest.mark.parametrize("p", [*PRIMES, 94906249])
-    def test_gather_in_slices_matches_dense_product(self, p, monkeypatch):
-        # each probe row gathers about as many terms as the store holds, so
-        # the terms are summed in several slices of whole rows
-        rng = np.random.default_rng(p % 1000 + 29)
-        basis = PrimeBasis(p, 40)
-        basis.insert_block(*entries(_vectors(rng, "dense", 20, 40, p)))
-        probe = _vectors(rng, "dense", 30, 40, p)
-        probe[::3, 35:] = 0  # some shorter rows
-        sums = []
-        sum_entries = PrimeBasis._sum_entries
-        monkeypatch.setattr(PrimeBasis, "_sum_entries",
-                            lambda self, *block: sums.append(len(block[0])) or
-                            sum_entries(self, *block))
-        got = _reduced(basis, probe)
-        assert len(sums) > 5
-        pivots = basis._pivot_cols[:basis.rank]
-        stored = basis.dense_rows(0, basis.rank).astype(np.int64).astype(object)
-        want = (probe.astype(object) - probe[:, pivots].astype(object) @ stored) % p
-        assert got.tolist() == want.tolist()
 
     def test_footprint_does_not_grow_with_length_squared(self):
         # a dense length x length float64 store would take 3.2 GB here

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import (c2_c4_table, cyclic_table, oracle_intersection_tensor,
                      oracle_product_identity, oracle_t0_count, oracle_tensor_per_class,
-                     q8_table, s4_table)
+                     q8_table, symmetric_table)
 from terwilliger import (ConjugacyData, ConsistencyError, GroupTable, IntersectionTensor,
                          SchemeData, build_group, build_scheme, case_counts,
                          closed_form_dimension, conjugacy_classes, dim_t0,
@@ -115,6 +115,18 @@ class TestBuildScheme:
         with pytest.raises(ConsistencyError, match="^inverse of class C1 is not a class$"):
             build_scheme(g, parts)
 
+    @pytest.mark.parametrize("stage", [build_scheme, intersection_numbers])
+    def test_empty_class_raises(self, stage):
+        # C3's three classes plus an empty fourth: each row meets it as often
+        # as its size, 0, so only the empty class itself is at fault
+        g = GroupTable(cyclic_table(3), name="C3")
+        parts = ConjugacyData(classes=((0,), (1,), (2,), ()), labels=("C0", "C1", "C2", "C3"),
+                              kinds=("C",) * 4, reps=(0, 1, 2, 0),
+                              centralizer_orders=(3, 3, 3, 3), identity_class=0,
+                              class_of=(0, 1, 2))
+        with pytest.raises(ConsistencyError, match="^class C3 is empty$"):
+            stage(g, parts)
+
 
 class TestIntersectionNumbers:
     def test_identity_column(self):
@@ -188,7 +200,7 @@ class TestIntersectionNumbers:
         assert not verify_product_identity(corrupted, tensor, pairs)
 
     @pytest.mark.parametrize("name,table", [
-        ("C1", cyclic_table(1)), ("C2", cyclic_table(2)), ("S4", s4_table()),
+        ("C1", cyclic_table(1)), ("C2", cyclic_table(2)), ("S4", symmetric_table(4)),
         ("Q8", q8_table()), ("C2xC4", c2_c4_table())])
     def test_product_identity_on_generic_tables(self, name, table):
         # every non-identity element is a generator; C1 has none
@@ -275,7 +287,7 @@ class TestIntersectionNumbers:
     @pytest.mark.parametrize("group", ["S4", (8, 3), (12, 5), (15, 4)])
     def test_matches_oracle_tensor(self, group):
         if group == "S4":
-            g = GroupTable(s4_table(), name="S4")
+            g = GroupTable(symmetric_table(4), name="S4")
             c = generic_conjugacy_classes(g)
         else:
             _, g, c = pipeline(*group)
