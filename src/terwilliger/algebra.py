@@ -31,23 +31,24 @@ an order in which they do not fill in.
 
 Through round 1, and through a round 2 that the cells end, the rank
 history does not depend on the field, and it is counted from the labels
-(`_GeneratorProducts.rank_history`) without forming a basis.  The seeds have rank 2t + 1 for any group: A_identity is
-the sum of the E*_j, and the other A_i and the E*_j have disjoint nonempty
-supports.  Round 1's rows of different relations share no column, and
-within relation i every column lies in exactly one row E*_j A_i and one
-row A_i E*_j, so those rows are the vertex-edge incidence matrix of a
-bipartite graph whose vertices are the nonempty rows and whose edges are
-the columns.  Such a matrix is totally unimodular (Heller-Tompkins), so its
-rank over Q and over every F_p is the number of vertices less the number
-of components; the seeds lie in its span (A_i = sum of the E*_j A_i, and
-E*_j = E*_j A_identity).  The cells are nonempty 0/1 rows with disjoint
-supports, each a union of orbits, so when they are at least as many as
-the bound they are the orbits themselves, and round 2 ends at the bound
-over every field.  For every D(n,s) this decides the whole closure, and
-the two prime histories agree by this argument rather than by two
-computations.  Where round 2 needs left products (S4, say), the closure
-eliminates over each prime: each gets a fresh basis that is dropped once
-its history is taken, so only one basis is alive at a time.
+(`_GeneratorProducts.rank_history`) without forming a basis.  The seeds
+have rank 2t + 1 for any group: A_identity is the sum of the E*_j, and the
+other A_i and the E*_j have disjoint nonempty supports.  Round 1's rows of
+different relations share no column, and within relation i every column
+lies in exactly one row E*_j A_i and one row A_i E*_j, so those rows are
+the vertex-edge incidence matrix of a bipartite graph whose vertices are
+the nonempty rows and whose edges are the columns.  Such a matrix is
+totally unimodular (Heller-Tompkins), so its rank over Q and over every
+F_p is the number of vertices less the number of components; the seeds lie
+in its span (A_i = sum of the E*_j A_i, and E*_j = E*_j A_identity).  The
+cells are nonempty 0/1 rows with disjoint supports, each a union of
+orbits, so when they are at least as many as the bound they are the orbits
+themselves, and round 2 ends at the bound over every field.  For every
+D(n,s) this decides the whole closure, and the two prime histories agree
+by this argument rather than by two computations.  Where round 2 needs
+left products (S4, say), the closure eliminates over each prime: each gets
+a fresh basis that is dropped once its history is taken, so only one basis
+is alive at a time.
 """
 
 from __future__ import annotations
@@ -75,10 +76,6 @@ class DualIdempotents:
     """Diagonal 0/1 idempotents; row i indicates membership in class i."""
 
     diagonals: np.ndarray  # (num classes, group order)
-
-    @property
-    def num_classes(self) -> int:
-        return self.diagonals.shape[0]
 
 
 def dual_idempotents(scheme: SchemeData) -> DualIdempotents:
@@ -139,28 +136,21 @@ class _GeneratorProducts:
                 and np.all(self.class_u[ids] == class_of[:, None])
                 and np.all(self.class_v[ids] == class_of)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
-        # the columns by relation, ascending within each: relation i holds
-        # by_relation[bounds[i]:bounds[i + 1]]
-        self.by_relation = np.argsort(self.relation, kind="stable")
-        self.bounds = np.searchsorted(self.relation[self.by_relation],
-                                      np.arange(len(self.offsets) + 1))
 
-    def seeds(self, gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The 0/1 row of each generator g in `gens`, A_g for g <= t, else
-        E*_(g-t-1), as entries (row, column, value 1) sorted by row and
-        column: a column lies in the A_g of its relation and, if that is
-        the identity relation, in the E*_j of its class_u."""
+    def seeds(self, order: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The 0/1 row of every generator g, A_g for g <= t, else E*_(g-t-1),
+        in the permutation `order` of them, as entries (row, column, value 1)
+        sorted by row and column: a column lies in the A_g of its relation
+        and, if that is the identity relation, in the E*_j of its class_u."""
         t1 = len(self.offsets)
-        row_of = np.full(2 * t1, -1)
-        row_of[gens] = np.arange(len(gens))
+        row_of = np.argsort(order)
         diagonal = np.flatnonzero(self.relation == self.identity_class)
         rows = np.concatenate([row_of[self.relation], row_of[t1 + self.class_u[diagonal]]])
         cols = np.concatenate([np.arange(len(self.relation)), diagonal])
-        asked = rows >= 0
-        return _by_row(rows[asked], cols[asked])
+        return _by_row(rows, cols)
 
-    def masked_generators(self, part: range) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows E*_j A_i, then A_i E*_j, for every i in `part` and every j
+    def masked_generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rows E*_j A_i, then A_i E*_j, for every relation i and every j
         from t down to 0, as entries (row, column, value 1) sorted by row
         and column.  A_i A_j lies in the span of the A's (the scheme
         product identity) and E*_i E*_j in the span of the E*'s, so these
@@ -177,9 +167,9 @@ class _GeneratorProducts:
         order (index tau - 1 for D(n,s)), so here that row comes late and
         reduces to zero, or nearly, against the disjoint rows already in."""
         t1 = len(self.offsets)
-        cols = self.by_relation[self.bounds[part.start]:self.bounds[part.stop]]
-        last = (self.relation[cols] - part.start) * 2 * t1 + t1 - 1  # the row E*_0 A_i
-        rows = np.concatenate([last - self.class_u[cols], last + t1 - self.class_v[cols]])
+        last = self.relation * 2 * t1 + t1 - 1  # the row E*_0 A_i
+        rows = np.concatenate([last - self.class_u, last + t1 - self.class_v])
+        cols = np.arange(len(self.relation))
         return _by_row(rows, np.concatenate([cols, cols]))
 
     def cells(self):
@@ -250,89 +240,58 @@ def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray,
 
 
 def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
-                     seed_order: list[int], bound: int) -> tuple[int, list[int]]:
-    """Saturate the algebra of the generators in `seed_order` in a fresh basis
-    over F_p; returns the rounds and the rank history (after the seeds, then
-    after each round).
+                     order: list[int], bound: int) -> tuple[int, list[int]]:
+    """Saturate the algebra of the generators, seeded in `order`, in a fresh
+    basis over F_p; returns the rounds and the rank history (after the
+    seeds, then after each round).
 
-    Round 1 offers the products of the generators themselves that can grow
-    the span, the masked products E*_j A_i and A_i E*_j
-    (`masked_generators`).  Round 2 offers the cells E*_k A_i E*_j
-    (`cells`) when they are at least as many as the bound.  They are
-    independent words of length 3, so they then span T0 = T~, all that the
-    words of length <= 3 span, and the round ends at the bound with the
-    rank the left products would reach.  Otherwise round 2, like every
-    later round, offers the left products of the rows the round before
-    added.  The cells are then left out: inserting them first would change
-    those rows, and their products could hold longer words.  The sources
-    are read once, as dense rows, at the start of the round, not as the
-    rows that enter during it change them, so a round offers no longer
-    word.
-
-    The seeds, the round-1 rows and the cells are 0/1 rows read off the
-    labels, and each goes to the basis as one block of nonzero entries.
-    A later round's products are dense, so they are formed only on the
-    quotient columns C of the basis (see the modular docstring), taken
-    once at the start of the round: C only shrinks while rows enter, so
-    the round's first C stays enough for all of it.  They go in calls of
-    whole sources, about BATCH_ENTRIES dense values each; insert_block
-    gives the same basis however the rows are split, and on S6 one call
-    per round took about twice the time and five times the memory.
-
-    Up to the end of round 1, and of round 2 when the cells end it, the
-    ranks do not depend on the field (the seeds and the cells are disjoint
-    0/1 rows, and round 1's rows form totally unimodular incidence
-    matrices; see the module docstring), so they equal what
-    `_GeneratorProducts.rank_history` counts.  `algebra_closure` therefore
-    runs this elimination only where that count returns None.
+    Round 1 inserts the masked products E*_j A_i and A_i E*_j as one 0/1
+    block.  Round 2 inserts the cells E*_k A_i E*_j as one 0/1 block when
+    they are at least as many as the bound: they are then independent
+    words of length 3 that span T0 = T~, so the round ends at the bound
+    with the rank the left products would reach.  Otherwise the cells are
+    left out, since they would change the rows whose products the round
+    takes, and round 2, like every later round, inserts the left products
+    of the rows the round before added.  Those sources are read once, as
+    dense rows, when the round starts, so a round offers no longer word.
+    Their products are formed on the quotient columns C of the basis taken
+    then (C only shrinks as rows enter; see the modular docstring), in
+    calls of whole sources of about BATCH_ENTRIES dense values each;
+    insert_block gives the same basis however the rows are split.  The
+    loop ends at the bound or after a round that adds nothing.
+    `algebra_closure` runs it only where `_GeneratorProducts.rank_history`
+    does not count the history.
     """
-    basis.insert_block(*products.seeds(seed_order))
-    history = [basis.rank]
-    rounds, sources = 0, range(len(products.offsets))
-    while sources and basis.rank < bound:
+    count, cells = products.cells()
+    basis.insert_block(*products.seeds(order))
+    history, rounds = [basis.rank], 0
+    while basis.rank < bound:
         rounds += 1
         _check_budget(rounds)
-        start = basis.rank
-        for block in _offers(basis, products, rounds, sources, bound):
-            basis.insert_block(*block)
-            if basis.rank >= bound:
-                break
+        if rounds == 1:
+            basis.insert_block(*products.masked_generators())
+        elif rounds == 2 and count >= bound:
+            basis.insert_block(*cells)
+        else:
+            cols = basis.quotient_cols()
+            multiply = products.all_products(cols)
+            sources = basis.dense_rows(history[-2], history[-1])
+            step = max(1, BATCH_ENTRIES // max(2 * len(products.offsets) * len(cols), 1))
+            for lo in range(0, len(sources), step):
+                block = np.concatenate([multiply(m) for m in sources[lo:lo + step]])
+                rows, at = np.nonzero(block)
+                basis.insert_block(rows, cols[at], block[rows, at])
+                if basis.rank >= bound:
+                    break
         history.append(basis.rank)
-        sources = range(start, basis.rank)
+        if history[-1] == history[-2]:
+            break
     return rounds, history
 
 
 def _check_budget(rounds: int) -> None:
     if rounds > ROUND_BUDGET:
         raise ConsistencyError(f"closure did not stabilize within {ROUND_BUDGET} rounds")
-
-
-def _offers(basis: PrimeBasis, products: _GeneratorProducts, rounds: int,
-            sources: range, bound: int):
-    """The blocks one round offers, in order, each as its (rows, cols, vals)
-    entries and formed as it is taken (see `_modular_closure`)."""
-    if rounds == 1:
-        yield products.masked_generators(sources)
-        return
-    if rounds == 2:
-        count, cells = products.cells()
-        if count >= bound:
-            yield cells
-            return
-    cols = basis.quotient_cols()
-    multiply = products.all_products(cols)
-    rows = basis.dense_rows(sources.start, sources.stop)  # the sources as the round found them
-    width = 2 * len(products.offsets) * len(cols)  # dense values per source; 0 at full rank
-    step = max(1, BATCH_ENTRIES // max(width, 1))
-    for lo in range(0, len(rows), step):
-        yield _nonzeros(np.concatenate([multiply(m) for m in rows[lo:lo + step]]), cols)
-
-
-def _nonzeros(block: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of a dense block given on `cols`; the block itself is
-    not kept."""
-    rows, at = np.nonzero(block)
-    return rows, cols[at], block[rows, at]
 
 
 def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
@@ -352,8 +311,7 @@ def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
     rounds = 0
     while frontier:
         rounds += 1
-        if rounds > ROUND_BUDGET:
-            raise ConsistencyError("rational closure did not stabilize in budget")
+        _check_budget(rounds)
         new: list[np.ndarray] = []
         for m in frontier:
             for g in gens:

@@ -301,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "sweep":
                 analyses = pipeline.sweep(
                     args.n_min, args.n_max, threads=args.threads,
-                    closure_limit=args.closure_limit, force_closure=args.force_closure,
+                    closure_limit=args.n_max if args.force_closure else args.closure_limit,
                     primes=primes, generator_order_seed=args.generator_order)
                 out.write(render_sweep(analyses, args.format))
                 return 0 if all(a.passed for a in analyses) else 1

@@ -76,9 +76,9 @@ def check_modulus(p: int) -> None:
 
     Below it, a product of two residues is exact in int64, as in the
     reduction, and the float64 later-round products of
-    `algebra.all_products`, sums of a class's worth of residues, stay
-    exact integers.  It needs no primality test, so a
-    caller can run it first on any integer.
+    `algebra._GeneratorProducts.all_products`, sums of a class's worth of
+    residues, stay exact integers.  It needs no primality test, so a caller
+    can run it first on any integer.
     """
     if (p - 1) ** 2 >= 2 ** 53:
         raise ValueError(f"modulus {p} is too large for exact products "

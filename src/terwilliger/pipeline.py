@@ -200,7 +200,7 @@ def analyze_pair(n: int, s: int, *,
     if mults_closed is not None:
         blocks_closed = wedderburn.decomposition(mults_closed, formula, strict=False)
         checks["block_routes_agree"] = (
-            blocks_rowsum.as_multiset() == blocks_closed.as_multiset()
+            blocks_rowsum.blocks == blocks_closed.blocks
             and bool(blocks_closed.matches_dimension))
 
     commutant_dim = None
@@ -238,20 +238,19 @@ def enumerate_pairs(n_min: int, n_max: int) -> list[tuple[int, int]]:
 
 def sweep(n_min: int, n_max: int, *,
           closure_limit: int = CLOSURE_DEFAULT_LIMIT,
-          force_closure: bool = False,
           threads: int = 1,
           primes: tuple[int, int] = DEFAULT_PRIMES,
           generator_order_seed: int | None = None) -> list[Analysis]:
     """Analyze every valid pair in range, without the desk certificates; the
-    closure runs only up to closure_limit unless forced.  Rows are computed
-    in parallel but returned in (n, s) order."""
+    closure runs only for n <= closure_limit.  Rows are computed in parallel
+    but returned in (n, s) order."""
     pairs = enumerate_pairs(n_min, n_max)
 
     def run(pair: tuple[int, int]) -> Analysis:
         n, s = pair
         return analyze_pair(
             n, s,
-            closure=force_closure or n <= closure_limit,
+            closure=n <= closure_limit,
             primes=primes,
             generator_order_seed=generator_order_seed,
             desk_certificates=False,

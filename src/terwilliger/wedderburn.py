@@ -2,12 +2,13 @@
 
 The algebra is semisimple and splits into full matrix blocks M_d, one for
 each irreducible character appearing in the conjugation character, with d its
-multiplicity.  Block lists are compared as multisets.  For the dihedral
-specialization (s = n-1) the literature states closed-form block lists; the
-audit here evaluates those formulas literally (negative copy counts clamped
-to zero and flagged) against the blocks derived from the general closed
-forms, and records agreement or the exact delta.  A disagreement is a
-finding about the stated formulas, not a failure of the computation.
+multiplicity.  Block lists are sorted, largest first, so they compare as
+multisets.  For the dihedral specialization (s = n-1) the literature states
+closed-form block lists; the audit here evaluates those formulas literally
+(negative copy counts clamped to zero and flagged) against the blocks derived
+from the general closed forms, and records agreement or the exact delta.  A
+disagreement is a finding about the stated formulas, not a failure of the
+computation.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ class WedderburnReport:
     blocks: tuple[int, ...]
     sum_of_squares: int
     matches_dimension: bool | None
-
-    def as_multiset(self) -> Counter:
-        return Counter(self.blocks)
 
 
 def decomposition(mults: Multiplicities,

@@ -261,6 +261,18 @@ class TestSweepOutput:
         assert rows["6"][4] == ""          # closure disabled above the limit
         assert rows["6"][-1] == "true"     # but the counting routes still pass
 
+    def test_force_closure_runs_above_the_limit(self):
+        # n = 41, 42 lie above the default limit of 40
+        args = ("sweep", "--n-min", "41", "--n-max", "42", "--format", "json")
+        _, forced = run_cli(*args, "--force-closure")
+        _, default = run_cli(*args)
+        forced, default = json.loads(forced)["rows"], json.loads(default)["rows"]
+        assert len(forced) == len(default) == 4
+        for row in forced:
+            assert row["dims"]["t"] == row["dims"]["t_tilde"]
+            assert row["closure"]["provenance"] == "exact"
+        assert all(row["dims"]["t"] is None for row in default)
+
     def test_text_summary(self):
         _, out = run_cli("sweep", "--n-min", "3", "--n-max", "5", "--format", "text")
         assert out.strip().endswith("3 pairs, 3 passed, 0 failed")
