@@ -238,9 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--n-min", type=int, required=True)
     p_sw.add_argument("--n-max", type=int, required=True)
     p_sw.add_argument("--threads", type=int, default=1)
-    p_sw.add_argument("--force-closure", action="store_true",
-                      help="run the closure even for n above the default limit")
-    p_sw.add_argument("--closure-limit", type=int, default=pipeline.CLOSURE_DEFAULT_LIMIT)
+    p_sw.add_argument("--closure-limit", type=int, default=pipeline.CLOSURE_DEFAULT_LIMIT,
+                      help="run the closure only for n up to this limit")
     p_sw.add_argument("--generator-order", type=int, default=None, metavar="SEED",
                       help="permute the generator seeding order (results must not change)")
     common(p_sw, formats=("csv", "json", "text"))
@@ -301,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "sweep":
                 analyses = pipeline.sweep(
                     args.n_min, args.n_max, threads=args.threads,
-                    closure_limit=args.n_max if args.force_closure else args.closure_limit,
+                    closure_limit=args.closure_limit,
                     primes=primes, generator_order_seed=args.generator_order)
                 out.write(render_sweep(analyses, args.format))
                 return 0 if all(a.passed for a in analyses) else 1

@@ -131,7 +131,7 @@ class GroupTable:
         Built afresh on each call rather than cached: it is one gather, and a
         cache would keep order^2 integers alive on every retained table.
         """
-        return self.mult[self.mult, self.inv[:, None]]
+        return np.take(self.mult, self.mult * self.order + self.inv[:, None])
 
     @property
     def generating_set(self) -> tuple[int, ...]:
@@ -180,48 +180,23 @@ def _brute_partition(group: GroupTable) -> list[frozenset[int]]:
     return list(dict.fromkeys(map(frozenset, group.conjugation().T.tolist())))
 
 
-def _closed_form_classes(params: GroupParams) -> tuple[list, list, list, list, list]:
-    """Classes of D(n,s) from the closed forms, in canonical X/Y/Z order."""
+def _closed_form_classes(params: GroupParams) -> tuple[tuple, ...]:
+    """Classes of D(n,s) from the closed forms, in canonical X/Y/Z order, as
+    (classes, labels, kinds, reps, centralizer orders).  Each class is listed
+    with its representative first."""
     n, s, tau = params.n, params.s, params.tau
     step = n // tau
-    classes: list[tuple[int, ...]] = []
-    labels: list[str] = []
-    kinds: list[str] = []
-    reps: list[int] = []
-    cents: list[int] = []
     # X_i = {a^(n i / tau)}: the rotations fixed by m -> m*s
-    for i in range(1, tau + 1):
-        e = (step * i) % n
-        classes.append((e,))
-        labels.append(f"X{i}")
-        kinds.append("X")
-        reps.append(e)
-        cents.append(2 * n)
-    # Y_i = {a^m, a^(m s)} for m not a multiple of n/tau, ordered by min exponent
-    pairs = []
-    done = set()
-    for m in range(1, n):
-        if m % step == 0 or m in done:
-            continue
-        ms = (m * s) % n
-        done.update((m, ms))
-        pairs.append((min(m, ms), max(m, ms)))
-    pairs.sort()
-    for i, (m, ms) in enumerate(pairs, start=1):
-        classes.append((m, ms))
-        labels.append(f"Y{i}")
-        kinds.append("Y")
-        reps.append(m)
-        cents.append(n)
+    xs = [(step * i % n,) for i in range(1, tau + 1)]
+    # Y_i = {a^m, a^(m s)} for m not a multiple of n/tau, taken once from its
+    # lesser member m, so the pairs come in increasing order of m
+    ys = [(m, m * s % n) for m in range(1, n) if m % step and m < m * s % n]
     # Z_i = b a^i <a^tau>, represented by b a^i
-    for i in range(1, tau + 1):
-        members = tuple(sorted(n + (i + t * tau) % n for t in range(n // tau)))
-        classes.append(members)
-        labels.append(f"Z{i}")
-        kinds.append("Z")
-        reps.append(n + i)
-        cents.append(2 * tau)
-    return classes, labels, kinds, reps, cents
+    zs = [tuple(n + (i + t * tau) % n for t in range(n // tau)) for i in range(1, tau + 1)]
+    families = (("X", xs, 2 * n), ("Y", ys, n), ("Z", zs, 2 * tau))
+    return tuple(zip(*[(c, f"{kind}{i}", kind, c[0], cent)
+                       for kind, family, cent in families
+                       for i, c in enumerate(family, start=1)]))
 
 
 def _conjugacy_data(order: int, classes, labels, kinds, reps, cents) -> ConjugacyData:

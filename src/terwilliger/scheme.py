@@ -63,24 +63,27 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     the pairs with constant row sums equal to the class sizes, and the
     transpose of every relation is again a relation (the one of the inverse
     class), and no class is empty.  Any failure raises ConsistencyError.
+
+    The first two are read off class_of in O(|G|).  Row x of Q is class_of
+    read along column inv[x] of the Cayley table, which GroupTable's Latin
+    check makes a permutation of G.  So every row meets each class as often
+    as class_of does, and Q[x, x] = class_of[x x^-1] = class_of[0]: Q's
+    identity relation is the identity matrix exactly when class_of puts 0,
+    and no other element, in the identity class.  The transpose closure is
+    checked on all of Q, since Q[y, x] = class_of[(y x^-1)^-1] rests on a
+    group law that the Latin check does not test.
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
+    sizes = np.asarray(classes.sizes())
+    counts = np.bincount(cls, minlength=len(sizes))
+    ident = classes.identity_class
+    if cls[0] != ident or counts[ident] != 1:
+        raise ConsistencyError("identity relation is not the identity matrix")
+    if not np.array_equal(counts, sizes):
+        raise ConsistencyError("row 0 does not meet every class the right number of times")
+
     quotient = group.mult[:, group.inv]          # quotient[y, x] = y * x^-1
     class_matrix = cls[quotient].T               # [x, y] -> class of y * x^-1
-
-    ident = classes.identity_class
-    diag = np.diagonal(class_matrix)
-    if np.any(diag != ident) or np.count_nonzero(class_matrix == ident) != group.order:
-        raise ConsistencyError("identity relation is not the identity matrix")
-
-    sizes = np.asarray(classes.sizes())
-    t1 = len(sizes)
-    rows = np.arange(group.order)[:, None] * t1 + class_matrix
-    row_counts = np.bincount(rows.ravel(), minlength=group.order * t1).reshape(-1, t1)
-    bad_rows = np.flatnonzero(np.any(row_counts != sizes, axis=1))
-    if len(bad_rows):
-        raise ConsistencyError(
-            f"row {bad_rows[0]} does not meet every class the right number of times")
 
     # inverse_class[i] is the class of the inverse of Cl_i's first member.
     # Once inv takes every member of each Cl_i into that class, it maps Cl_i
@@ -244,7 +247,7 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
     # column 0, the identity's, gives every element a loop, so the graph
     # has all |G| vertices even for a group with no generator
     moves = group.mult[:, [0, *group.generating_set]]
-    if not all(np.array_equal(q[r[:, None], r], q) for r in moves.T[1:]):
+    if not all(np.array_equal(np.take(q, r[:, None] * group.order + r), q) for r in moves.T[1:]):
         return False
     if _components(np.repeat(np.arange(group.order), moves.shape[1]), moves.ravel()) != 1:
         return False

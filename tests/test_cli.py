@@ -264,7 +264,7 @@ class TestSweepOutput:
     def test_force_closure_runs_above_the_limit(self):
         # n = 41, 42 lie above the default limit of 40
         args = ("sweep", "--n-min", "41", "--n-max", "42", "--format", "json")
-        _, forced = run_cli(*args, "--force-closure")
+        _, forced = run_cli(*args, "--closure-limit", "42")
         _, default = run_cli(*args)
         forced, default = json.loads(forced)["rows"], json.loads(default)["rows"]
         assert len(forced) == len(default) == 4

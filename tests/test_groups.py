@@ -7,7 +7,7 @@ from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
 from terwilliger import (GroupTable, build_group, centralizer_counts,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
-from terwilliger.groups import orbit_reps, pair_orbits
+from terwilliger.groups import BRUTE_FORCE_LIMIT, _brute_partition, orbit_reps, pair_orbits
 
 
 def named_group(name: str) -> GroupTable:
@@ -160,12 +160,25 @@ class TestConjugacyClasses:
         g = build_group(validate_params(4, 3))
         assert sorted(conjugacy_classes(g).sizes()) == [1, 1, 2, 2, 2]
 
+    # above BRUTE_FORCE_LIMIT: tau = 1, tau = 2, odd tau = 7 and tau = n/2
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (5, 4), (8, 3), (8, 5),
-                                     (9, 8), (12, 5), (12, 7), (12, 11)])
+                                     (9, 8), (12, 5), (12, 7), (12, 11),
+                                     (99, 98), (100, 99), (63, 8), (100, 51)])
     def test_matches_oracle_partition(self, n, s):
         g = build_group(validate_params(n, s))
         c = conjugacy_classes(g)
         assert {frozenset(cl) for cl in c.classes} == oracle_conjugacy_partition(g.mult)
+
+    def test_closed_forms_match_brute_force_above_the_limit(self):
+        # conjugacy_classes cross-checks the closed forms only up to the limit
+        for n in range(BRUTE_FORCE_LIMIT + 1, 101):
+            for s in valid_twists(n):
+                g = build_group(validate_params(n, s))
+                c = conjugacy_classes(g)
+                assert set(map(frozenset, c.classes)) == set(_brute_partition(g)), (n, s)
+                assert all(rep in members for rep, members in zip(c.reps, c.classes))
+                counts = centralizer_counts(g)
+                assert [counts[rep] for rep in c.reps] == list(c.centralizer_orders), (n, s)
 
     @pytest.mark.parametrize("n", range(3, 26))
     def test_structure_constants(self, n):

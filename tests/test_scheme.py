@@ -105,6 +105,22 @@ class TestBuildScheme:
         with pytest.raises(ConsistencyError, match="does not meet every class"):
             build_scheme(g, corrupted)
 
+    @pytest.mark.parametrize("classes,identity_class,class_of", [
+        (((0, 1), (2,)), 0, (0, 0, 1)),       # the identity class holds 0 and 1
+        (((0,), (1,), (2,)), 1, (0, 1, 2)),   # the identity class is {1}
+    ])
+    def test_identity_relation_not_the_identity_raises(self, classes, identity_class, class_of):
+        # class_of agrees with the class sizes, so every row meets each class
+        # as often as its size, but the identity relation is not the diagonal
+        g = GroupTable(cyclic_table(3), name="C3")
+        parts = ConjugacyData(classes=classes, labels=tuple(f"C{i}" for i in range(len(classes))),
+                              kinds=("C",) * len(classes), reps=tuple(c[0] for c in classes),
+                              centralizer_orders=(3,) * len(classes),
+                              identity_class=identity_class, class_of=class_of)
+        with pytest.raises(ConsistencyError,
+                           match="^identity relation is not the identity matrix$"):
+            build_scheme(g, parts)
+
     def test_inverse_of_a_class_that_is_no_class_raises(self):
         # C4 split as {0}, {1, 2}, {3}: the rows still meet each part as often
         # as its size, but the inverses of {1, 2} are {3, 2}, which is no part
