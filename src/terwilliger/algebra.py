@@ -409,35 +409,27 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
 def commutant_oracle(group: GroupTable) -> int:
     """Dimension of the commutant of the conjugation action on pairs.
 
-    Sets up the linear system X(g) A = A X(g) over all g, where X(g) is the
-    permutation matrix of x -> g x g^-1, and solves it exactly over the
-    rationals.  Entrywise the system says A[g.p] = A[p] for every g and
-    every pair p = (u, v), with g.p = (g u g^-1, g v g^-1): one equation
-    e_(g.p) - e_p = 0 per (g, p) that g moves.  Every image comes from one
-    gather over the keys u * order + v; an equation and its negative have
-    the same solutions, so each unordered {a, b} is kept once, by one sort
-    of min(a, b) * order^2 + max(a, b) (np.unique would import numpy.ma):
-    606 rows in place of 4096 for D(8,3).  They are offered in descending
-    order of the smaller key, which subtracts a third fewer stored rows
-    than ascending order; the rank does not depend on the order.  It is a
-    linear solve over every g, not a count of components, so it does not
-    read the pair orbits.  The solution space is spanned by the orbital
-    matrices, so the result must equal the orbital count; callers compare
-    the two.
+    The commutant is the solution space of X(g) A = A X(g) over all g,
+    where X(g) is the permutation matrix of x -> g x g^-1.  Entrywise the
+    system says A[g.p] = A[p] for every g and every pair p = (u, v), with
+    g.p = (g u g^-1, g v g^-1): one equation e_(g.p) - e_p = 0 per (g, p),
+    every image read off one gather over the keys u * order + v.  Those
+    equations are the rows of the incidence matrix of the directed graph
+    with an edge p -> g.p for each (g, p), which is totally unimodular
+    (Heller-Tompkins), so over the rationals its rank is the number of keys
+    less the number of components, as `_round_one_rank` counts round 1's
+    rank; the identity's row gives every key a loop, so every key is a
+    vertex.  The dimension, keys less that rank, is the component count.
+    It is the rank of the equations over every g, not a count of pair
+    orbits, so it does not read them.  The solution space is spanned by
+    the orbital matrices, so the result must equal the orbital count;
+    callers compare the two.
     """
     order = group.order
     if order > COMMUTANT_ORDER_LIMIT:
         raise ValueError(
             f"commutant oracle is desk-scale only (order {order} > {COMMUTANT_ORDER_LIMIT})")
-    size = order * order
     conj = group.conjugation()
-    u, v = np.divmod(np.arange(size), order)
+    u, v = np.divmod(np.arange(order * order), order)
     images = conj[:, u] * order + conj[:, v]  # images[g, p]: the key of g.p
-    keys = np.broadcast_to(np.arange(size), images.shape)
-    moved = images != keys
-    edges = np.sort(np.minimum(images, keys)[moved] * size + np.maximum(images, keys)[moved])
-    edges = edges[np.diff(edges, prepend=-1) != 0][::-1]
-    basis = RationalBasis(size)
-    for a, b in zip(*(part.tolist() for part in np.divmod(edges, size))):
-        basis.insert({a: 1, b: -1})
-    return size - basis.rank
+    return _components(np.tile(np.arange(order * order), order), images.ravel())

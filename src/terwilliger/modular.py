@@ -352,11 +352,9 @@ class RationalBasis:
     Rows are {column: value} dicts with no zero value.  An integral value is
     a Python int and any other an exact Fraction; a Fraction arises only
     when a pivot's inverse is not integral, so a basis whose pivots are all
-    +-1 runs on integers alone.  The commutant solve offers only rows
-    e_a - e_b, each unordered {a, b} once; every row it stores stays of that
-    form, with pivot 1 and one entry -1.  Slow but
-    exact; used by the optional rational confirmation mode and the
-    desk-scale commutant solve.
+    +-1 runs on integers alone.  Slow but exact; its one caller is the
+    optional rational confirmation mode (`algebra._rational_closure`,
+    `--exact-rational`).
     """
 
     def __init__(self, length: int):

@@ -4,7 +4,7 @@ An analysis runs the entire chain: group construction with dual-route
 conjugacy data, scheme axioms, intersection tensor with the nine case
 counts, the two dimension bounds, the two-prime generator closure, the
 character table with both multiplicity routes, Wedderburn blocks, and the
-desk-scale certificates (commutant solve, central idempotents) when the
+desk-scale certificates (commutant rank, central idempotents) when the
 group is small enough.  Every verdict lands in an ordered checks dict;
 consistency exceptions from the underlying operations are caught per step
 and reported as failed verdicts rather than tracebacks, and so is a closure

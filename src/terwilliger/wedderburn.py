@@ -77,18 +77,25 @@ def central_idempotents(group: GroupTable, classes: ConjugacyData, table: CharTa
         raise ValueError(
             f"central idempotents are desk-scale only (order {order} > {IDEMPOTENT_ORDER_LIMIT})")
     class_of = np.asarray(classes.class_of)
-    # conjugates[g, x, y] says that conjugation by g takes x to y, so every
-    # e_i is one contraction over g (einsum, which stays on one thread)
-    conjugates = group.conjugation()[:, :, None] == np.arange(order)
+    # every e_i is a sum over g of conj(chi_i(g)) at the cells (x, g x g^-1):
+    # one bincount for the real parts and one for the imaginary parts, at
+    # cell (i * |G| + x) * |G| + g x g^-1 (a bincount stays on one thread)
     coeffs = np.conj(table.values[:, class_of])
-    idems = np.einsum("ig,gxy->ixy", coeffs, conjugates)
+    count = len(coeffs)
+    cells = ((np.arange(count)[:, None, None] * order + np.arange(order)) * order
+             + group.conjugation()).ravel()
+    weights = np.broadcast_to(coeffs[:, :, None], (count, order, order)).ravel()
+    idems = (np.bincount(cells, weights.real, count * order * order)
+             + 1j * np.bincount(cells, weights.imag, count * order * order))
+    idems = idems.reshape(count, order, order)
     idems *= (np.asarray(table.degrees) / (2.0 * table.params.n))[:, None, None]
 
-    idem_err = max(float(np.max(np.abs(e @ e - e))) for e in idems)
-    orth_err = 0.0
-    for i in range(len(idems)):
-        for j in range(i + 1, len(idems)):
-            orth_err = max(orth_err, float(np.max(np.abs(idems[i] @ idems[j]))))
+    # one stack of |G| x |G| products per i: e_i e_i, then e_i e_j for j > i
+    idem_err = orth_err = 0.0
+    for i in range(count):
+        prods = np.matmul(idems[i], idems[i:])
+        idem_err = max(idem_err, float(np.max(np.abs(prods[0] - idems[i]))))
+        orth_err = max(orth_err, float(np.max(np.abs(prods[1:]), initial=0.0)))
     sum_err = float(np.max(np.abs(idems.sum(axis=0) - np.eye(order))))
 
     traces = []

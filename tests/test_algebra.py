@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnside_pairs,
-                     oracle_echelon, q8_table, symmetric_table)
+                     oracle_echelon, oracle_inverse, oracle_rational_echelon, q8_table,
+                     symmetric_table)
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -119,6 +120,14 @@ class TestAlgebraClosure:
                                primes=(9973, 7919))
         assert cert.dim_t == 44
         assert cert.primes == (9973, 7919)
+
+    def test_sandwich_lower_bound_above_closure_raises(self):
+        sd, idem, _ = closure_inputs(8, 3)
+        orbits = pair_orbits(sd.group)
+        bound = dim_t_tilde(sd.group)
+        with pytest.raises(ConsistencyError,
+                           match="dimension sandwich violated: 65 <= 64 <= 64 fails"):
+            algebra_closure(sd, idem, dim_t0_value=bound + 1, orbits=orbits)
 
     def test_equal_primes_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
@@ -588,3 +597,28 @@ class TestCommutantOracle:
         g = build_group(validate_params(12, 5))
         with pytest.raises(ValueError):
             commutant_oracle(g)
+
+
+class TestCommutantDenseOracle:
+    @pytest.mark.parametrize("name,table", [
+        ("D(3,2)", lambda: build_group(validate_params(3, 2)).mult),
+        ("D(4,3)", lambda: build_group(validate_params(4, 3)).mult),
+        ("C4", lambda: cyclic_table(4)), ("Q8", q8_table)])
+    def test_matches_rank_of_every_equation(self, name, table):
+        # the solution space of A[g.p] = A[p] over every g and every pair p,
+        # as size less the rank of the dense rows e_(g.p) - e_p in Fractions
+        mult = table()
+        order = len(mult)
+        inverse = [oracle_inverse(mult, g) for g in range(order)]
+        conj = [[int(mult[mult[g, x], inverse[g]]) for x in range(order)]
+                for g in range(order)]
+        rows = []
+        for g in range(order):
+            for u in range(order):
+                for v in range(order):
+                    row = [0] * order * order
+                    row[conj[g][u] * order + conj[g][v]] += 1
+                    row[u * order + v] -= 1
+                    rows.append(row)
+        _, pivots = oracle_rational_echelon(rows)
+        assert commutant_oracle(GroupTable(mult, name=name)) == order * order - len(pivots)

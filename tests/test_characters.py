@@ -184,6 +184,14 @@ class TestMultiplicities:
             residual = conjugation_character_check(table, m, classes)
             assert residual < 1e-6
 
+    def test_pointwise_centralizer_mismatch_raises(self):
+        # one more copy of the trivial character adds 1 on every class
+        params, classes, table = table_for(8, 3)
+        m = multiplicities_rowsum(table)
+        wrong = dataclasses.replace(m, d1=(m.d1[0] + 1,) + m.d1[1:])
+        with pytest.raises(ConsistencyError, match="residual 1.000e"):
+            conjugation_character_check(table, wrong, classes)
+
 
 class TestFormatting:
     def test_format_symbolic(self):

@@ -638,7 +638,8 @@ class TestRationalBasis:
         assert basis.reduce([2, 2, 0]) == {}
 
     def test_unit_pivots_keep_integer_entries(self):
-        # the commutant solve's rows: +-1 entries whose pivots stay +-1
+        # rows e_a - e_b, as a directed graph's incidence rows: +-1 entries
+        # whose pivots stay +-1
         basis = RationalBasis(6)
         for a, b in [(1, 0), (3, 1), (4, 3), (0, 4), (5, 2), (2, 5), (1, 4)]:
             basis.insert({a: 1, b: -1})

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from terwilliger import (ConsistencyError, build_group, central_idempotents,
@@ -73,6 +75,18 @@ class TestCentralIdempotents:
         assert max(report.idempotency_error, report.orthogonality_error,
                    report.sum_error) <= 1e-8
         assert sum(report.traces) == 2 * n  # the idempotents resolve the identity
+
+    def test_corrupted_character_row_breaks_the_laws(self):
+        # +0.5 at one non-identity class and -0.5 at another leaves every
+        # trace as it was: trace(e_i) = deg_i * sum over classes of
+        # conj(chi_i), since |Cl| * |C_G| = |G|; the laws must catch it
+        params, classes, table, mults = blocks_for(8, 3)
+        values = table.values.copy()
+        values[1, 1] += 0.5
+        values[1, 2] -= 0.5
+        corrupted = dataclasses.replace(table, values=values)
+        with pytest.raises(ConsistencyError, match="idempotent identities exceed tolerance"):
+            central_idempotents(build_group(params), classes, corrupted, mults)
 
     def test_size_guard(self):
         params, classes, table, mults = blocks_for(13, 12)
