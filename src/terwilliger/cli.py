@@ -277,6 +277,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(str(exc))  # exits 2
     if args.command in ("sweep", "audit-corollaries") and not 3 <= args.n_min <= args.n_max:
         parser.error("need 3 <= n-min <= n-max")
+    if args.command == "sweep" and args.threads < 1:
+        parser.error("need --threads >= 1")
 
     try:
         if args.command in ("analyze", "char-table", "tensor"):
@@ -321,6 +323,8 @@ def main(argv: list[str] | None = None) -> int:
                 group = build_group(params)
                 classes = conjugacy_classes(group)
                 tensor = scheme.intersection_numbers(group, classes)
+                if not scheme.verify_product_identity(scheme.build_scheme(group, classes), tensor):
+                    raise ConsistencyError("product identity A_i A_j = sum_k p[i,j,k] A_k fails")
                 out.write(render_tensor(params, classes, tensor, args.format))
                 return 0
 

@@ -6,6 +6,9 @@ with Q[x, y] = class index of y*x^-1; the 0/1 adjacency matrix of a relation
 and its sparse rows are views derived from Q on demand.  The intersection
 numbers are held as their nonzero triples (i, j, k, p_ijk) in (i, j, k)
 order, counted by one sort of the (i, j, k) key of every (z, Cl_k) pair.
+The product identity A_i A_j = sum_k p[i,j,k] A_k, which makes them
+intersection numbers, is checked for every (i, j) at once by one sort of the
+rows of Q.
 """
 
 from __future__ import annotations
@@ -126,27 +129,18 @@ def intersection_numbers(group: GroupTable, classes: ConjugacyData) -> Intersect
 
     With y the first member of each class k, every z gives the key
     (class(z) t1 + class(y z^-1)) t1 + k, and one np.unique of the keys gives
-    the nonzero triples in (i, j, k) order with their counts.  The count is
-    redone with the second member of each class that has one (independence
-    of the choice of y); any difference raises ConsistencyError naming the
-    least class k at which the two counts differ, as does an empty class.
+    the nonzero triples in (i, j, k) order with their counts.  An empty class
+    raises ConsistencyError.  That the counts do not depend on the choice of
+    y is not checked here: verify_product_identity compares these triples
+    with the same count taken at every y of every class, so a base point
+    that counts otherwise fails it.
     """
     cls = np.asarray(classes.class_of, dtype=np.int64)
     t1 = classes.num_classes
     first = _first_members(classes)
-    second = np.array([c[1] if len(c) > 1 else c[0] for c in classes.classes])
-    counted = []
-    for points in (first, second):
-        # keys[k, z] = (class of z, class of y_k z^-1, k) in base t1, with y_k = points[k]
-        keys = (cls * t1 + cls[group.mult[points[:, None], group.inv]]) * t1 + np.arange(t1)[:, None]
-        counted.append(np.unique(keys, return_counts=True))
-    (keys, counts), (keys2, counts2) = counted
-    if not (np.array_equal(keys, keys2) and np.array_equal(counts, counts2)):
-        # the (key, count) pairs found at one base point only, as one integer each
-        span = group.order + 1
-        moved = np.setxor1d(keys * span + counts, keys2 * span + counts2)
-        raise ConsistencyError("intersection numbers depend on the base point "
-                               f"in class {classes.labels[np.min(moved // span % t1)]}")
+    # keys[k, z] = (class of z, class of y_k z^-1, k) in base t1, with y_k = first[k]
+    keys = (cls * t1 + cls[group.mult[first[:, None], group.inv]]) * t1 + np.arange(t1)[:, None]
+    keys, counts = np.unique(keys, return_counts=True)
     i, j, k = np.unravel_index(keys, (t1, t1, t1))
     return IntersectionTensor(*(a.astype(np.int32) for a in (i, j, k, counts)), num_classes=t1)
 
@@ -188,38 +182,13 @@ def closed_form_dimension(params: GroupParams) -> int:
     return value // 2
 
 
-def _row_zero_matches(q: np.ndarray, tensor: IntersectionTensor, keys: np.ndarray,
-                      listed: np.ndarray) -> bool:
-    """Whether row 0 of A_i A_j equals row 0 of sum_k p[i,j,k] A_k for each
-    (i, j) listed as i t1 + j; keys are the triples' (i t1 + j) t1 + k,
-    sorted.  Each Q[z, y] with Q[0, z] = i of a listed relation i is counted
-    at (i, Q[z, y], y) if (i, Q[z, y]) is listed."""
-    t1, order = tensor.num_classes, len(q)
-    i, j = np.divmod(listed, t1)
-    rel = np.flatnonzero(np.bincount(i, minlength=t1))
-    place = np.full(t1, -1)                   # the row of each listed relation in slot
-    place[rel] = np.arange(len(rel))
-    slot = np.full((len(rel), t1), -1)        # the count of each listed (i, j), or -1
-    slot[place[i], j] = np.arange(len(listed))
-    row = place[q[0]]
-    z = np.flatnonzero(row >= 0)
-    hit = slot[row[z, None], q[z]]
-    counts = np.bincount((hit * order + np.arange(order))[hit >= 0],
-                         minlength=len(listed) * order).reshape(-1, order)
-    want = listed[:, None] * t1 + q[0]
-    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    return np.array_equal(counts[slot[place[i], j]], np.where(keys[at] == want, tensor.p[at], 0))
+def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> bool:
+    """Check A_i A_j == sum_k p[i,j,k] A_k for every (i, j) as exact matrix
+    identities.
 
-
-def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
-                            pairs: list[tuple[int, int]] | None = None) -> bool:
-    """Check A_i A_j == sum_k p[i,j,k] A_k as exact matrix identities.
-
-    With pairs=None every (i, j) is checked; callers pass a deterministic
-    sample for larger groups.  Both sides are counted in integers from the
-    class matrix Q and the triples, with no floating point: (A_i A_j)[x, y]
-    is the number of z with Q[x, z] = i and Q[z, y] = j, and the right side
-    is p[i, j, Q[x, y]].
+    Both sides are counted in integers from the class matrix Q and the
+    triples: (A_i A_j)[x, y] is the number of z with Q[x, z] = i and
+    Q[z, y] = j, and the right side is p[i, j, Q[x, y]].
 
     Only row x = 0 is compared, and two checks on Q stand in for the other
     rows.  First, Q is unchanged by the right translation x -> x g of each
@@ -231,15 +200,23 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
     transitive: the graph with an edge (x, x g) for every x and generator g
     is connected (_components).  Then some h in H moves 0 to any x, and row
     x of each side is row 0 moved by h.  Neither check assumes a group
-    axiom; the scheme of a group passes both.  So True certifies the
-    listed identities on all of G x G, and False means that one of them
-    fails, or that Q is changed by some generator's translation or that
-    these translations are not transitive.
+    axiom; the scheme of a group passes both.  So True certifies every
+    identity on all of G x G, and False means that one of them fails, or
+    that Q is changed by some generator's translation or that these
+    translations are not transitive.
 
-    Row 0 of every listed (i, j) is counted by one bincount, over the z of
-    row 0 in relation i.  pairs=None lists every (i, j), |G| // (t + 1)
-    relations i at a time, so that no count holds more than |G|^2 entries,
-    the size of Q itself, where all pairs at once would hold (t + 1)^2 |G|.
+    Row 0 of every product is read off one sort.  At column y, the codes
+    Q[0, z] (t+1) + Q[z, y] over all z, sorted, hold each i (t+1) + j as
+    often as (A_i A_j)[0, y]; the right side holds it p[i, j, k] times, with
+    k = Q[0, y].  So every identity holds at (0, y) exactly when that sorted
+    row equals the codes of the triples of k, each repeated p times, in
+    order; both have |G| entries once sum_ij p[i, j, k] = |G| for every k.
+    The stable sort by k keeps each k's triples in the ascending (i, j)
+    order that IntersectionTensor's (i, j, k) order gives them; triples held
+    in another order can turn True into False, never False into True.
+    For a group, Q[0, y] is the class of y and Q[z, y] that of y z^-1, so
+    column y recounts intersection_numbers' triples of its class with y as
+    the base point: every member of every class is tried.
     """
     t1 = tensor.num_classes
     q = scheme.class_matrix
@@ -251,10 +228,18 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor,
         return False
     if _components(np.repeat(np.arange(group.order), moves.shape[1]), moves.ravel()) != 1:
         return False
-    keys = (tensor.i.astype(np.int64) * t1 + tensor.j) * t1 + tensor.k
-    if pairs is None:
-        step = group.order // t1           # relations per count; t + 1 <= |G|
-        return all(_row_zero_matches(q, tensor, keys, np.arange(i * t1, min(i + step, t1) * t1))
-                   for i in range(0, t1, step))
-    ij = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return _row_zero_matches(q, tensor, keys, ij[:, 0] * t1 + ij[:, 1])
+    # float sums of counts p >= 0 are rounded only above 2^53, far above |G|
+    if not np.array_equal(np.bincount(tensor.k, weights=tensor.p, minlength=t1),
+                          np.full(t1, group.order)):
+        return False
+    # the least integer type that holds every k, or every code below
+    # (t+1)^2, sorts fastest; the stable sort puts the triples in (k, i, j)
+    # order, as they are in (i, j, k) order
+    code = np.min_scalar_type(-t1 * t1)
+    by_k = np.argsort(tensor.k.astype(np.min_scalar_type(-t1)), kind="stable")
+    ij = (tensor.i.astype(code) * t1 + tensor.j).astype(code, copy=False)
+    codes = np.repeat(ij[by_k], tensor.p[by_k]).reshape(t1, group.order)
+    rows = q.T.astype(code, order="C")
+    rows += (q[0] * t1).astype(code)
+    rows.sort(axis=1)
+    return np.array_equal(rows, codes[q[0]])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -5,6 +6,7 @@ import sys
 
 import pytest
 
+from terwilliger import scheme
 from terwilliger.cli import main, resolve_primes
 
 # the commands that run no closure, with valid arguments
@@ -104,6 +106,13 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("sweep", "--n-min", "10", "--n-max", "3")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_bad_thread_count_exit_2(self, threads, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("sweep", "--n-min", "3", "--n-max", "4", "--threads", threads)
+        assert exc.value.code == 2
+        assert "need --threads >= 1" in capsys.readouterr().err
 
     def test_bad_audit_range_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -357,6 +366,23 @@ class TestTensorOutput:
         obj = json.loads(out)
         assert len(obj["nonzero"]) == 28
         assert obj["class_labels"] == ["X1", "X2", "Y1", "Z1", "Z2"]
+
+    def test_product_identity_failure_exit_1(self, monkeypatch, capsys):
+        # p[0, 0, identity] one too high: the triples are not written
+        count = scheme.intersection_numbers
+
+        def wrong(group, classes):
+            tensor = count(group, classes)
+            return dataclasses.replace(tensor, p=tensor.p + (tensor.k == classes.identity_class)
+                                       * (tensor.i == 0) * (tensor.j == 0))
+
+        monkeypatch.setattr(scheme, "intersection_numbers", wrong)
+        code, out = run_cli("tensor", "--n", "8", "--s", "3")
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err == ("consistency failure: product identity "
+                       "A_i A_j = sum_k p[i,j,k] A_k fails\n")
 
 
 class TestPinnedOutput:

@@ -13,6 +13,7 @@ from terwilliger import (ConjugacyData, ConsistencyError, GroupTable, Intersecti
                          expected_case_counts, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params,
                          verify_product_identity)
+from terwilliger.pipeline import analyze_pair
 from terwilliger.scheme import CASE_ORDER
 
 
@@ -32,24 +33,42 @@ def dense(tensor):
 
 
 def every_pair(classes):
-    """Every (i, j), listed: verify_product_identity then counts them all at once."""
+    """Every (i, j)."""
     return [(i, j) for i in range(classes.num_classes) for j in range(classes.num_classes)]
 
 
-def raised(tensor, i, j, k):
-    """The tensor with p[i, j, k] one higher: its triple's p is raised, or a
-    triple with p = 1 is inserted in (i, j, k) order at a zero entry."""
+def oracle_holds(q, tensor, classes):
+    """The dense oracle's verdict on every identity A_i A_j = sum_k p[i,j,k] A_k."""
+    p = dense(tensor)
+    return all(oracle_product_identity(q, p, i, j) for i, j in every_pair(classes))
+
+
+def raised(tensor, i, j, k, by=1):
+    """The tensor with p[i, j, k] higher by `by`: its triple's p is raised, or
+    a triple with p = by is inserted in (i, j, k) order at a zero entry."""
     t1 = tensor.num_classes
     keys = (tensor.i.astype(np.int64) * t1 + tensor.j) * t1 + tensor.k
     key = (i * t1 + j) * t1 + k
     r = int(np.searchsorted(keys, key))
     if r < len(keys) and keys[r] == key:
         p = tensor.p.copy()
-        p[r] += 1
+        p[r] += by
         return dataclasses.replace(tensor, p=p)
     i, j, k, p = (np.insert(a, r, v).astype(np.int32)
-                  for a, v in ((tensor.i, i), (tensor.j, j), (tensor.k, k), (tensor.p, 1)))
+                  for a, v in ((tensor.i, i), (tensor.j, j), (tensor.k, k), (tensor.p, by)))
     return IntersectionTensor(i=i, j=j, k=k, p=p, num_classes=t1)
+
+
+def moved(tensor, k, source, target):
+    """The tensor with one count of p[., ., k] moved from (i, j) = source to
+    target: every sum_ij p[i, j, k] stays |G|."""
+    return raised(raised(tensor, *source, k, by=-1), *target, k)
+
+
+def hand_built_scheme(group, classes):
+    """Q[x, y] = class of y x^-1, as build_scheme forms it, with no axiom checked."""
+    cls = np.asarray(classes.class_of, dtype=np.int64)
+    return SchemeData(group, cls[group.mult[:, group.inv]].T, classes)
 
 
 def swapped_d43_classes():
@@ -166,37 +185,55 @@ class TestIntersectionNumbers:
         _, g, c = pipeline(3, 2)
         assert dense(intersection_numbers(g, c))[1, 1, 1] == 1
 
-    @pytest.mark.parametrize("listed", [False, True])
-    @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (6, 5), (8, 3), (8, 5), (12, 7)])
-    def test_product_identity_full(self, n, s, listed):
-        # pairs=None counts one relation's products at a time; the listed
-        # pairs are counted in one call
+    @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (6, 5), (8, 3), (8, 5), (12, 7), (16, 7),
+                                     (45, 26), (100, 51), (200, 101), (400, 201)])
+    def test_product_identity_full(self, n, s):
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert verify_product_identity(sd, tensor, every_pair(c) if listed else None)
+        assert verify_product_identity(sd, tensor)
 
-    @pytest.mark.parametrize("n,s,listed", [(8, 3, None), (12, 5, None), (8, 3, "every"),
-                                             (12, 5, "every"), (16, 7, "some")])
-    def test_product_identity_detects_one_perturbed_entry(self, n, s, listed):
+    @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (16, 7)])
+    def test_product_identity_detects_one_perturbed_entry(self, n, s):
         # an existing triple's p raised by 1, and a new triple at a zero entry
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         t1 = c.num_classes
         i, j = 1, t1 - 1
-        pairs = {None: None, "every": every_pair(c), "some": [(0, 0), (i, j), (t1 - 1, 1)]}[listed]
-        assert verify_product_identity(sd, tensor, pairs)
+        assert verify_product_identity(sd, tensor)
         p_ij = dense(tensor)[i, j]
         assert p_ij.max() > 0 and p_ij.min() == 0
         for k in (int(np.argmax(p_ij)), int(np.argmin(p_ij))):
             perturbed = raised(tensor, i, j, k)
             assert dim_t0(perturbed) == dim_t0(tensor) + (p_ij[k] == 0)
-            assert not verify_product_identity(sd, perturbed, pairs), k
+            assert not verify_product_identity(sd, perturbed), k
 
-    @pytest.mark.parametrize("n,s,listed", [(8, 3, None), (12, 5, None), (8, 3, "every"),
-                                             (12, 5, "every"), (16, 7, "some")])
-    def test_product_identity_detects_one_corrupted_relation(self, n, s, listed):
+    @pytest.mark.parametrize("n,s", [(16, 7), (40, 19)])
+    def test_product_identity_detects_a_count_moved_between_two_pairs(self, n, s, monkeypatch):
+        # one count of the identity column moved from (3, 3) to (5, 5), two
+        # self-inverse Y relations: every sum_ij p[i,j,k] stays |G| and every
+        # other (i, j) still holds, so only a check that reaches (3, 3) or
+        # (5, 5) sees it; a sample of a few (i, j) per n can miss both
+        params, g, c = pipeline(n, s)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        k = c.identity_class
+        p = dense(tensor)
+        assert p[3, 3, k] == p[5, 5, k] == 2
+        wrong = moved(tensor, k, (3, 3), (5, 5))
+        assert dim_t0(wrong) == dim_t0(tensor)
+        assert verify_product_identity(sd, tensor)
+        assert not verify_product_identity(sd, wrong)
+
+        monkeypatch.setattr("terwilliger.scheme.intersection_numbers",
+                            lambda group, classes: wrong)
+        analysis = analyze_pair(n, s, closure=False, desk_certificates=False)
+        assert analysis.checks["product_identity"] is False
+        assert [name for name, ok in analysis.checks.items() if not ok] == ["product_identity"]
+
+    @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (16, 7)])
+    def test_product_identity_detects_one_corrupted_relation(self, n, s):
         # two entries of different classes swapped in one row of Q: every row
         # still meets each class |Cl_i| times, but two columns no longer do
         _, g, c = pipeline(n, s)
@@ -211,9 +248,8 @@ class TestIntersectionNumbers:
         assert np.array_equal(np.bincount(rows.ravel()).reshape(g.order, -1),
                               np.tile(c.sizes(), (g.order, 1)))
         corrupted = SchemeData(g, q, c)
-        pairs = {None: None, "every": every_pair(c), "some": [(0, 0), (a, b), (b, a)]}[listed]
-        assert verify_product_identity(sd, tensor, pairs)
-        assert not verify_product_identity(corrupted, tensor, pairs)
+        assert verify_product_identity(sd, tensor)
+        assert not verify_product_identity(corrupted, tensor)
 
     @pytest.mark.parametrize("name,table", [
         ("C1", cyclic_table(1)), ("C2", cyclic_table(2)), ("S4", symmetric_table(4)),
@@ -240,29 +276,26 @@ class TestIntersectionNumbers:
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        p = dense(tensor)
-        verdicts = [oracle_product_identity(sd.class_matrix, p, i, j) for i, j in every_pair(c)]
-        assert all(verdicts)
-        assert [verify_product_identity(sd, tensor, [ij]) for ij in every_pair(c)] == verdicts
-        # a list in any order, with repeats, as a random sample may draw
-        assert verify_product_identity(sd, tensor, every_pair(c)[::-1] * 2)
+        assert oracle_holds(sd.class_matrix, tensor, c)
+        assert verify_product_identity(sd, tensor)
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5)])
     def test_perturbed_verdicts_match_dense_oracle(self, n, s):
-        # p[i, j, (i + j) % (t + 1)] raised by 1, for every (i, j); the pair
-        # (j, i) is checked too, and holds unless it is the same pair
+        # p[i, j, k] raised by 1 with k = (i + j) % (t + 1), for every (i, j),
+        # and the same count moved there from the least other nonzero (i', j')
+        # of column k, which keeps every sum_ij p[i,j,k]
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         t1 = c.num_classes
         for i, j in every_pair(c):
-            perturbed = raised(tensor, i, j, (i + j) % t1)
-            p = dense(perturbed)
-            for pair in ((i, j), (j, i)):
-                expected = oracle_product_identity(sd.class_matrix, p, *pair)
-                assert expected == (pair != (i, j))
-                assert verify_product_identity(sd, perturbed, [pair]) == expected, pair
-            assert not verify_product_identity(sd, perturbed)
+            k = (i + j) % t1
+            source = next((int(a), int(b)) for a, b, kk in zip(tensor.i, tensor.j, tensor.k)
+                          if kk == k and (a, b) != (i, j))
+            for perturbed in (raised(tensor, i, j, k), moved(tensor, k, source, (i, j))):
+                expected = oracle_holds(sd.class_matrix, perturbed, c)
+                assert not expected
+                assert verify_product_identity(sd, perturbed) == expected, (i, j)
 
     def test_product_identity_detects_a_corruption_off_row_zero(self):
         # Q[z1, y] and Q[z2, y] swapped for z1, z2 of one class in row 0:
@@ -276,23 +309,36 @@ class TestIntersectionNumbers:
         y = int(np.flatnonzero(q[z1] != q[z2])[0])
         q[z1, y], q[z2, y] = q[z2, y], q[z1, y]
         assert np.array_equal(q[0], sd.class_matrix[0])
-        p = dense(tensor)
-        assert not all(oracle_product_identity(q, p, i, j) for i, j in every_pair(c))
+        assert not oracle_holds(q, tensor, c)
         corrupted = SchemeData(g, q, c)
         assert not verify_product_identity(corrupted, tensor)
-        assert not verify_product_identity(corrupted, tensor, every_pair(c))
 
-    def test_base_point_dependence_raises(self):
+    def test_base_point_dependence_fails_the_product_identity(self):
+        # build_scheme rejects these classes, so their scheme is built by hand;
+        # its Q passes the translation and transitivity checks, as every Q
+        # read off a class map does, and the counts at a^3 differ from the
+        # tensor's at a^2
+        _, g, c = pipeline(4, 3)
+        assert verify_product_identity(hand_built_scheme(g, c), intersection_numbers(g, c))
         g, corrupted = swapped_d43_classes()
-        with pytest.raises(ConsistencyError, match="depend on the base point"):
-            intersection_numbers(g, corrupted)
+        with pytest.raises(ConsistencyError, match="^inverse of class Y1 is not a class$"):
+            build_scheme(g, corrupted)
+        assert not verify_product_identity(hand_built_scheme(g, corrupted),
+                                           intersection_numbers(g, corrupted))
 
-    def test_base_point_check_names_the_first_class(self):
-        # the base points of Y1 (k = 2) disagree, and so may those of later
-        # classes; the least k at which the counts differ is named
+    def test_base_point_dependence_fails_at_either_base_point(self):
+        # Y1's members in either order: the two tensors differ at k = Y1 only,
+        # and each fails, since every member of every class is a base point
         g, corrupted = swapped_d43_classes()
-        with pytest.raises(ConsistencyError, match="depend on the base point in class Y1$"):
-            intersection_numbers(g, corrupted)
+        classes = list(corrupted.classes)
+        classes[2] = classes[2][::-1]
+        reordered = dataclasses.replace(corrupted, classes=tuple(classes))
+        tensors = [intersection_numbers(g, c) for c in (corrupted, reordered)]
+        differ = dense(tensors[0]) != dense(tensors[1])
+        assert np.flatnonzero(differ.any(axis=(0, 1))).tolist() == [2]
+        assert corrupted.labels[2] == "Y1"
+        sd = hand_built_scheme(g, corrupted)
+        assert not any(verify_product_identity(sd, t) for t in tensors)
 
     def test_matches_per_class_oracle(self):
         # (100, 99) has 53 classes
