@@ -5,29 +5,28 @@ idempotents E*_i (diagonal class indicators, since the base point is the
 identity).  Its dimension is pinned by a sandwich: the span of the products
 E*_i A_j E*_k gives a lower bound (counted in the scheme module), and the
 centralizer algebra of the conjugation action on pairs gives an upper bound
-equal to the orbital count.  The closure computed here is a rank over two
-prime fields; a modular rank can only undershoot the rational one, so when
-it reaches the orbital bound the dimension is certified exactly, and
-otherwise it is reported with modular provenance (with an optional rational
-rerun for small groups).  The centralizer algebra is spanned by the 0/1
+equal to the orbital count.  The closure's rank is counted here from
+labels, and the count holds over Q and over every prime field, so when it
+reaches the orbital bound the dimension is certified exactly, and otherwise
+it is reported with modular provenance (with an optional rational rerun for
+small groups).  The centralizer algebra is spanned by the 0/1
 orbital matrices, which have disjoint supports, so the closure keeps every
 element in orbital coordinates: its values at one representative pair per
 orbit, a faithful coordinate system for the whole algebra over any field.
 
 The saturation is a spin-up (Parker's MeatAxe) in rounds.  The generators
-are inserted first; round 1 offers their masked products E*_j A_i and
+are the seeds; round 1 offers their masked products E*_j A_i and
 A_i E*_j; every later round multiplies the rows the round before added by
 the generators on the left only.  The seeds span I = sum of the E*_i, and a
 span that holds I and is closed under left multiplication by each generator
-holds every word in them, so it is the algebra.  The loop ends at the
+holds every word in them, so it is the algebra.  The rounds end at the
 orbital bound or after a round that adds nothing, within ROUND_BUDGET
 rounds.  The rounds and the rank histories equal those of a two-sided
 saturation: after round r both span exactly the words of length <= r+1.
 Wherever T0 = T~, as for every D(n,s), which is triply transitive, round 2
 offers only the cells E*_k A_i E*_j, words of length 3 read from the same
 labels with disjoint supports; they alone end the round at the bound, and
-no left product is formed.  Round 1 offers its rows by descending class,
-an order in which they do not fill in.
+no left product is formed.
 
 Through round 1, and through a round 2 that the cells end, the rank
 history does not depend on the field, and it is counted from the labels
@@ -46,9 +45,10 @@ orbits, so when they are at least as many as the bound they are the orbits
 themselves, and round 2 ends at the bound over every field.  For every
 D(n,s) this decides the whole closure, and the two prime histories agree
 by this argument rather than by two computations.  Where round 2 needs
-left products (S4, say), the closure eliminates over each prime: each gets
-a fresh basis that is dropped once its history is taken, so only one basis
-is alive at a time.
+left products (S4, say), the labels do not decide it, and the closure
+raises ConsistencyError naming the cells and the bound.  The test suite
+keeps the eliminating closure over a prime field (tests/elimination.py) as
+the reference this count is checked against.
 """
 
 from __future__ import annotations
@@ -59,11 +59,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import ConsistencyError, GroupTable, _components, orbital_count
-from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
+from .modular import DEFAULT_PRIMES, RationalBasis
 from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
-BATCH_ENTRIES = 2 ** 16  # dense values of later-round products per insert_block call
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 PROVENANCE_EXACT = "exact"
@@ -106,7 +105,7 @@ class DimensionCertificate:
 
 
 class _GeneratorProducts:
-    """Left multiplication by every A_i and E*_i, in orbital coordinates.
+    """The labels of the closure's generators, in orbital coordinates.
 
     Every element of T lies in T~, so it is constant on the orbits of G on
     pairs and is stored as its values at the representative pairs: M[x, y]
@@ -116,107 +115,48 @@ class _GeneratorProducts:
     E*_j is E*_j A_identity, the pairs with relation == identity_class and
     class_u == j; E*_j M keeps the pairs with class_u == j, and M E*_j those
     with class_v == j.  All three labels are checked to be orbit invariants,
-    and every 0/1 row is read off them as its nonzero entries.  Then
-    (A_i M)[u, v] = sum over c in Cl_i of M[c u, v], for all classes in one
-    gather plus one segment sum.
+    and the closure's rank history is counted from them.
     """
 
     def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
-        group, classes = scheme.group, scheme.classes
-        self.elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
-        self.offsets = np.cumsum([0] + [len(c) for c in classes.classes])[:-1]
-        self.mult, self.ids = group.mult, ids
-        self.identity_class = scheme.identity_class
-        self.u, self.v = np.divmod(reps, group.order)
-        class_of = np.asarray(classes.class_of, dtype=np.int64)
-        self.relation = scheme.class_matrix[self.u, self.v]
-        self.class_u, self.class_v = class_of[self.u], class_of[self.v]
+        u, v = np.divmod(reps, scheme.order)
+        class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
+        self.t1 = scheme.num_relations
+        self.relation = scheme.class_matrix[u, v]
+        self.class_u, self.class_v = class_of[u], class_of[v]
         # the labels determine the generators only if they are orbit invariants
         if not (np.array_equal(self.relation[ids], scheme.class_matrix)
                 and np.all(self.class_u[ids] == class_of[:, None])
                 and np.all(self.class_v[ids] == class_of)):
             raise ConsistencyError("a generator is not constant on the pair orbits")
 
-    def seeds(self, order: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The 0/1 row of every generator g, A_g for g <= t, else E*_(g-t-1),
-        in the permutation `order` of them, as entries (row, column, value 1)
-        sorted by row and column: a column lies in the A_g of its relation
-        and, if that is the identity relation, in the E*_j of its class_u."""
-        t1 = len(self.offsets)
-        row_of = np.argsort(order)
-        diagonal = np.flatnonzero(self.relation == self.identity_class)
-        rows = np.concatenate([row_of[self.relation], row_of[t1 + self.class_u[diagonal]]])
-        cols = np.concatenate([np.arange(len(self.relation)), diagonal])
-        return _by_row(rows, cols)
+    def cell_count(self) -> int:
+        """The number of cells E*_k A_i E*_j: the nonempty (class_u,
+        relation, class_v).  Every column lies in exactly one cell, so the
+        cells are independent and span T0."""
+        t1 = self.t1
+        key = np.sort((self.class_u * t1 + self.relation) * t1 + self.class_v)
+        return int(np.count_nonzero(np.diff(key))) + 1
 
-    def masked_generators(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The rows E*_j A_i, then A_i E*_j, for every relation i and every j
-        from t down to 0, as entries (row, column, value 1) sorted by row
-        and column.  A_i A_j lies in the span of the A's (the scheme
-        product identity) and E*_i E*_j in the span of the E*'s, so these
-        are the generator products that can grow the span of the generators.
-        A column of relation i lies in exactly two of these rows, E*_j A_i
-        with j its class_u and A_i E*_j with j its class_v, so both row
-        indices are computed from its labels.
-
-        The order is descending so that rows do not fill in.  The seed A_i
-        has its pivot at a pair (e, v), so the row E*_k A_i of the
-        identity's class k has the dense residual -sum over k' != k of
-        E*_k' A_i; offered early, it enters dense and every later row must
-        clear it again.  The identity's class comes early in the canonical
-        order (index tau - 1 for D(n,s)), so here that row comes late and
-        reduces to zero, or nearly, against the disjoint rows already in."""
-        t1 = len(self.offsets)
-        last = self.relation * 2 * t1 + t1 - 1  # the row E*_0 A_i
-        rows = np.concatenate([last - self.class_u, last + t1 - self.class_v])
-        cols = np.arange(len(self.relation))
-        return _by_row(rows, np.concatenate([cols, cols]))
-
-    def cells(self):
-        """The cells E*_k A_i E*_j: one 0/1 row per nonempty (class_u,
-        relation, class_v), the pairs with class(u) = k, relation i and
-        class(v) = j.  Returns their number and one block of their entries
-        (row, column, value 1), sorted by row and column, in the order of
-        that key.  Every column lies in exactly one cell, so the cells are
-        independent, span T0, and one stable argsort of the key groups
-        them, each with its columns in order."""
-        t1 = len(self.offsets)
-        key = (self.class_u * t1 + self.relation) * t1 + self.class_v
-        order = np.argsort(key, kind="stable")
-        cell = np.cumsum(np.diff(key[order], prepend=key[order[0]]) != 0)
-        return int(cell[-1]) + 1, (cell, order, np.ones(len(order), dtype=np.int64))
-
-    def rank_history(self, bound: int) -> list[int] | None:
+    def rank_history(self, bound: int) -> list[int]:
         """The rank after the seeds and after each round of the closure,
-        over Q and over every F_p, counted from the labels; None when round
-        2 is reached and the cells fall short of the bound, since its left
-        products are then not decided by the labels (see the module
-        docstring).  The rounds end as `_modular_closure`'s do: at the
-        bound, or after a round that adds nothing."""
-        t1 = len(self.offsets)
+        over Q and over every F_p, counted from the labels (see the module
+        docstring).  The rounds end at the bound, or after a round that adds
+        nothing.  Raises ConsistencyError when round 2 is reached and the
+        cells fall short of the bound, since its left products are then not
+        decided by the labels."""
+        t1 = self.t1
         history = [2 * t1 - 1]
         if history[0] < bound:
             history.append(_round_one_rank(self.relation, self.class_u, self.class_v, t1))
         if history[0] < history[-1] < bound:
-            if self.cells()[0] < bound:
-                return None
+            cells = self.cell_count()
+            if cells < bound:
+                raise ConsistencyError(
+                    f"{cells} cells fall short of the bound {bound}, so the labels "
+                    "do not decide round 2 of the closure")
             history.append(bound)
         return history
-
-    def all_products(self, cols: np.ndarray):
-        """The map m -> stack of the 2*(t+1) left products [A_i M | E_i M],
-        read at `cols` only: each product entry needs only its own column's
-        gather.  The gather index for `cols` is taken here, once, so one map
-        serves a whole closure round.  It is built per column and transposed,
-        so that the segment sums over each class run on contiguous memory."""
-        index = self.ids[self.mult[self.elems, self.u[cols, None]], self.v[cols, None]].T
-        masks = self.class_u[cols] == np.arange(len(self.offsets))[:, None]
-        masks = masks.astype(np.float64)  # once, not per m
-
-        def products(m: np.ndarray) -> np.ndarray:
-            left = np.add.reduceat(m[index], self.offsets, axis=0)
-            return np.concatenate([left, masks * m[cols]])
-        return products
 
 
 def _round_one_rank(relation: np.ndarray, class_u: np.ndarray, class_v: np.ndarray,
@@ -231,62 +171,6 @@ def _round_one_rank(relation: np.ndarray, class_u: np.ndarray, class_v: np.ndarr
     right = (t1 + relation) * t1 + class_v
     vertex = np.cumsum(np.bincount(np.concatenate([left, right])) > 0) - 1
     return int(vertex[-1]) + 1 - _components(vertex[left], vertex[right])
-
-
-def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """0/1 entries sorted by row, the columns of each row kept in order."""
-    order = np.argsort(rows, kind="stable")
-    return rows[order], cols[order], np.ones(len(rows), dtype=np.int64)
-
-
-def _modular_closure(basis: PrimeBasis, products: _GeneratorProducts,
-                     order: list[int], bound: int) -> tuple[int, list[int]]:
-    """Saturate the algebra of the generators, seeded in `order`, in a fresh
-    basis over F_p; returns the rounds and the rank history (after the
-    seeds, then after each round).
-
-    Round 1 inserts the masked products E*_j A_i and A_i E*_j as one 0/1
-    block.  Round 2 inserts the cells E*_k A_i E*_j as one 0/1 block when
-    they are at least as many as the bound: they are then independent
-    words of length 3 that span T0 = T~, so the round ends at the bound
-    with the rank the left products would reach.  Otherwise the cells are
-    left out, since they would change the rows whose products the round
-    takes, and round 2, like every later round, inserts the left products
-    of the rows the round before added.  Those sources are read once, as
-    dense rows, when the round starts, so a round offers no longer word.
-    Their products are formed on the quotient columns C of the basis taken
-    then (C only shrinks as rows enter; see the modular docstring), in
-    calls of whole sources of about BATCH_ENTRIES dense values each;
-    insert_block gives the same basis however the rows are split.  The
-    loop ends at the bound or after a round that adds nothing.
-    `algebra_closure` runs it only where `_GeneratorProducts.rank_history`
-    does not count the history.
-    """
-    count, cells = products.cells()
-    basis.insert_block(*products.seeds(order))
-    history, rounds = [basis.rank], 0
-    while basis.rank < bound:
-        rounds += 1
-        _check_budget(rounds)
-        if rounds == 1:
-            basis.insert_block(*products.masked_generators())
-        elif rounds == 2 and count >= bound:
-            basis.insert_block(*cells)
-        else:
-            cols = basis.quotient_cols()
-            multiply = products.all_products(cols)
-            sources = basis.dense_rows(history[-2], history[-1])
-            step = max(1, BATCH_ENTRIES // max(2 * len(products.offsets) * len(cols), 1))
-            for lo in range(0, len(sources), step):
-                block = np.concatenate([multiply(m) for m in sources[lo:lo + step]])
-                rows, at = np.nonzero(block)
-                basis.insert_block(rows, cols[at], block[rows, at])
-                if basis.rank >= bound:
-                    break
-        history.append(basis.rank)
-        if history[-1] == history[-2]:
-            break
-    return rounds, history
 
 
 def _check_budget(rounds: int) -> None:
@@ -338,19 +222,21 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
                     exact_rational: bool = False) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
 
-    The rank history is counted from the closure's labels wherever they
-    decide it (`_GeneratorProducts.rank_history`), as they do for every
-    D(n,s).  That count does not depend on the field: the seeds and the
-    cells are disjoint 0/1 rows, and round 1's rows are the incidence
-    matrices of bipartite graphs, which are totally unimodular.  So it is
-    the history over each prime, and no basis is formed.  Otherwise one
-    independent saturation runs per prime (`_modular_closure`), and the two
-    ranks must agree.  Early exit happens at the centralizer bound, which
-    also upgrades the modular rank to an exact certificate.
+    The rank history is counted from the closure's labels
+    (`_GeneratorProducts.rank_history`), which decide it for every D(n,s).
+    That count does not depend on the field: the seeds and the cells are
+    disjoint 0/1 rows, and round 1's rows are the incidence matrices of
+    bipartite graphs, which are totally unimodular.  So it is the history
+    over each of the two primes, which are recorded, and no basis is
+    formed.  Where the labels do not decide round 2 (S4, say), it raises
+    ConsistencyError.  Reaching the centralizer bound makes the rank an
+    exact certificate.
 
     `orbits` is the `(ids, reps)` of `pair_orbits(scheme.group)`, which the
     caller enumerates once for its own orbital check as well.  Their number
     is checked against the Burnside count before it serves as the bound.
+    `seed_order` permutes the generators of the rational rerun only; the
+    count reads no order.
     """
     if primes[0] == primes[1]:
         raise ValueError("the two moduli must be distinct primes")
@@ -358,24 +244,11 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     seed_order = canonical if seed_order is None else list(seed_order)
     if sorted(seed_order) != canonical:
         raise ValueError("seed_order must be a permutation of the generators")
-    group = scheme.group
     ids, reps = orbits
-    bound = dim_t_tilde(group, reps)
-    products = _GeneratorProducts(scheme, ids, reps)
-
-    history = products.rank_history(bound)
-    if history is None:
-        histories = [_modular_closure(PrimeBasis(p, len(products.u)), products,
-                                      seed_order, bound)[1] for p in primes]
-    else:
-        _check_budget(len(history) - 1)
-        histories = [history, history]
-    ranks = [history[-1] for history in histories]
-    if ranks[0] != ranks[1]:
-        raise ConsistencyError(
-            f"prime-field ranks disagree: {ranks[0]} mod {primes[0]} vs "
-            f"{ranks[1]} mod {primes[1]}")
-    dim_t = ranks[0]
+    bound = dim_t_tilde(scheme.group, reps)
+    history = _GeneratorProducts(scheme, ids, reps).rank_history(bound)
+    _check_budget(len(history) - 1)
+    dim_t = history[-1]
 
     rational_rank = None
     if exact_rational:
@@ -400,8 +273,8 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
         dim_t=dim_t,
         dim_t_tilde=bound,
         provenance=provenance,
-        closure_rounds=max(len(history) for history in histories) - 1,
-        basis_size_history=(tuple(histories[0]), tuple(histories[1])),
+        closure_rounds=len(history) - 1,
+        basis_size_history=(tuple(history), tuple(history)),
         primes=tuple(primes),
     )
 

@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--closure-limit", type=int, default=pipeline.CLOSURE_DEFAULT_LIMIT,
                       help="run the closure only for n up to this limit")
     p_sw.add_argument("--generator-order", type=int, default=None, metavar="SEED",
-                      help="permute the generator seeding order (results must not change)")
+                      help="permute the generator seeding order (the closure's count "
+                           "reads no order, so no result changes)")
     common(p_sw, formats=("csv", "json", "text"))
     for p in (p_an, p_sw):
         p.add_argument("--primes", help="two comma-separated primes for the closure ranks")
@@ -268,6 +269,47 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report(args, params: GroupParams | None, primes) -> tuple[str, int]:
+    """The report of one command and its exit code; a run that ends with no
+    report raises instead."""
+    if args.command == "analyze":
+        analysis = pipeline.analyze_pair(
+            args.n, args.s, closure=not args.no_closure, primes=primes,
+            exact_rational=args.exact_rational)
+        if args.format == "json":
+            text = canonical_json(analysis.to_json_dict())
+        elif args.format == "csv":
+            text = _csv_text([_analysis_csv_row(analysis)], SWEEP_CSV_HEADER.split(","))
+        else:
+            text = render_analysis_text(analysis)
+        return text, 0 if analysis.passed else 1
+
+    if args.command == "sweep":
+        analyses = pipeline.sweep(
+            args.n_min, args.n_max, threads=args.threads,
+            closure_limit=args.closure_limit,
+            primes=primes, generator_order_seed=args.generator_order)
+        return render_sweep(analyses, args.format), 0 if all(a.passed for a in analyses) else 1
+
+    if args.command == "audit-corollaries":
+        audits = pipeline.audit_corollaries(args.n_min, args.n_max)
+        return render_audit(audits, args.format), 0  # findings, not failures
+
+    if args.command == "char-table":
+        classes = conjugacy_classes(build_group(params))
+        table = characters.char_table(params, classes)
+        return render_char_table(params, classes, table, args.format, numeric=args.numeric), 0
+
+    if args.command == "tensor":
+        group = build_group(params)
+        classes = conjugacy_classes(group)
+        tensor = scheme.intersection_numbers(group, classes)
+        if not scheme.verify_product_identity(scheme.build_scheme(group, classes), tensor):
+            raise ConsistencyError("product identity A_i A_j = sum_k p[i,j,k] A_k fails")
+        return render_tensor(params, classes, tensor, args.format), 0
+    raise AssertionError("unreachable command")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -281,53 +323,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("need --threads >= 1")
 
     try:
+        params = None
         if args.command in ("analyze", "char-table", "tensor"):
-            params = validate_params(args.n, args.s)  # before --output is truncated
-        # --output is opened before any work, so an unwritable path fails fast
-        with (open(args.output, "w", encoding="utf-8") if args.output
+            params = validate_params(args.n, args.s)  # before --output is opened
+        # --output is opened before any work, so an unwritable path fails
+        # fast, but for appending, so that a run that ends with no report
+        # leaves an existing file as it was; a report replaces its bytes
+        with (open(args.output, "a", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
-            if args.command == "analyze":
-                analysis = pipeline.analyze_pair(
-                    args.n, args.s, closure=not args.no_closure, primes=primes,
-                    exact_rational=args.exact_rational)
-                if args.format == "json":
-                    out.write(canonical_json(analysis.to_json_dict()))
-                elif args.format == "csv":
-                    out.write(_csv_text([_analysis_csv_row(analysis)],
-                                        SWEEP_CSV_HEADER.split(",")))
-                else:
-                    out.write(render_analysis_text(analysis))
-                return 0 if analysis.passed else 1
-
-            if args.command == "sweep":
-                analyses = pipeline.sweep(
-                    args.n_min, args.n_max, threads=args.threads,
-                    closure_limit=args.closure_limit,
-                    primes=primes, generator_order_seed=args.generator_order)
-                out.write(render_sweep(analyses, args.format))
-                return 0 if all(a.passed for a in analyses) else 1
-
-            if args.command == "audit-corollaries":
-                audits = pipeline.audit_corollaries(args.n_min, args.n_max)
-                out.write(render_audit(audits, args.format))
-                return 0  # findings, not failures
-
-            if args.command == "char-table":
-                classes = conjugacy_classes(build_group(params))
-                table = characters.char_table(params, classes)
-                out.write(render_char_table(params, classes, table, args.format,
-                                            numeric=args.numeric))
-                return 0
-
-            if args.command == "tensor":
-                group = build_group(params)
-                classes = conjugacy_classes(group)
-                tensor = scheme.intersection_numbers(group, classes)
-                if not scheme.verify_product_identity(scheme.build_scheme(group, classes), tensor):
-                    raise ConsistencyError("product identity A_i A_j = sum_k p[i,j,k] A_k fails")
-                out.write(render_tensor(params, classes, tensor, args.format))
-                return 0
-
+            text, code = _report(args, params, primes)
+            if args.output:
+                out.truncate(0)
+            out.write(text)
+            return code
     except OSError as exc:
         if not args.output:
             raise
@@ -343,7 +351,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:  # the input is valid, so not a usage error
         print(f"out of memory: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable command")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Exact rank machinery over prime fields, plus a rational fallback.
 
-Vectors have a fixed length (the closure passes matrices in orbital
-coordinates).  The workhorse is PrimeBasis, a fully reduced echelon basis
-over F_p: every stored row has a 1 at its pivot column and every other
-stored row has a 0 there, so the residual of a vector v is
+Vectors have a fixed length.  No product path forms a PrimeBasis: the
+algebra closure counts its ranks from labels, and the eliminating closure
+that hands PrimeBasis matrices in orbital coordinates is the test suite's
+reference (tests/elimination.py).  PrimeBasis is a fully reduced echelon
+basis over F_p: every stored row has a 1 at its pivot column and every
+other stored row has a 0 there, so the residual of a vector v is
 
     v - sum over the pivots c of v[c] * row_c.
 
@@ -16,11 +18,11 @@ length², and a basis of full rank, the identity, stores no entry;
 
 A block of vectors is handed over as its nonzero entries: three aligned
 arrays of block row, column and value, sorted by row and, within a row,
-by strictly increasing column.  The closure's 0/1 offers are built in that
-form; a dense block is converted at the boundary with one np.nonzero.  The
-residual of v is zero at every pivot, and at a non-pivot column j it is
-v[j] minus the sum of v[c] * row_c[j] over the pivots c whose row is
-nonzero at j.  So it depends on v only at the columns
+by strictly increasing column.  The reference closure's 0/1 offers are
+built in that form; a dense block is converted at the boundary with one
+np.nonzero.  The residual of v is zero at every pivot, and at a non-pivot
+column j it is v[j] minus the sum of v[c] * row_c[j] over the pivots c
+whose row is nonzero at j.  So it depends on v only at the columns
 
     C = (non-pivot columns) + (pivots of rows with an off-pivot entry),
 
@@ -57,8 +59,8 @@ So no float enters the arithmetic: a product of two int64 residues is
 below (p-1)^2 and is taken mod p before any sum, and the loop's Python
 ints are exact at any size.  Nothing is formed dense but the copies
 that `dense_rows` returns.  Modular rank only lower-bounds the rational
-rank, so callers must close the gap themselves (see the algebra closure,
-which pins the rank exactly whenever it reaches the centralizer bound).
+rank, so callers must close the gap themselves, for example by reaching a
+known upper bound, as the closure's centralizer bound does.
 """
 
 from __future__ import annotations
@@ -75,10 +77,10 @@ def check_modulus(p: int) -> None:
     """Reject a modulus p with (p-1)^2 >= 2^53, that is p >= 94906267.
 
     Below it, a product of two residues is exact in int64, as in the
-    reduction, and the float64 later-round products of
-    `algebra._GeneratorProducts.all_products`, sums of a class's worth of
-    residues, stay exact integers.  It needs no primality test, so a caller
-    can run it first on any integer.
+    reduction, and also in float64, as in the test suite's reference
+    closure, whose later-round products are float64 sums of a class's worth
+    of residues.  `--primes` keeps this one bound for both.  It needs no
+    primality test, so a caller can run it first on any integer.
     """
     if (p - 1) ** 2 >= 2 ** 53:
         raise ValueError(f"modulus {p} is too large for exact products "

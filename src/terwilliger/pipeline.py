@@ -19,7 +19,7 @@ closure takes its orbital coordinates, the ids, from the same enumeration
 (pair_orbits).  That shares an input, not a result: the closure reads no
 verdict and no dimension from the orbital route, it checks the count
 against Burnside itself before using it as its bound, and its rank is
-counted or eliminated from the generators, so the closure route stays
+counted from the generators' labels, so the closure route stays
 independent of the orbital one.
 """
 

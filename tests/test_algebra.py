@@ -8,12 +8,14 @@ import pytest
 from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnside_pairs,
                      oracle_echelon, oracle_inverse, oracle_rational_echelon, q8_table,
                      symmetric_table)
+import elimination
+from elimination import GeneratorProducts, modular_closure
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params)
 from terwilliger import algebra
-from terwilliger.algebra import _GeneratorProducts, _modular_closure, algebra_closure
+from terwilliger.algebra import _GeneratorProducts, algebra_closure
 from terwilliger.groups import ConsistencyError, pair_orbits
 from terwilliger.modular import DEFAULT_PRIMES, PrimeBasis
 
@@ -27,14 +29,15 @@ def closure_inputs(n, s):
 
 
 def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
-    """One prime's closure in canonical seed order; returns the basis, the
-    generator products, the rounds and the history."""
+    """One prime's eliminating closure (the reference) in canonical seed
+    order; returns the basis, the generator products, the rounds and the
+    history."""
     sd, _, _ = closure_inputs(n, s)
-    products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+    products = GeneratorProducts(sd, *pair_orbits(sd.group))
     bound = dim_t_tilde(sd.group) + bound_above_t_tilde
     basis = PrimeBasis(prime, len(products.u))
     canonical = list(range(2 * sd.num_relations))
-    rounds, history = _modular_closure(basis, products, canonical, bound)
+    rounds, history = modular_closure(basis, products, canonical, bound)
     return basis, products, rounds, tuple(history)
 
 
@@ -193,8 +196,8 @@ class TestAlgebraClosure:
         # T0 = T~ for every D(n,s), so the cells reach the bound and no left
         # product is formed; above the bound they fall short and are left out
         calls = []
-        all_products = _GeneratorProducts.all_products
-        monkeypatch.setattr(_GeneratorProducts, "all_products",
+        all_products = GeneratorProducts.all_products
+        monkeypatch.setattr(GeneratorProducts, "all_products",
                             lambda self, cols: calls.append(len(cols)) or all_products(self, cols))
         assert run_modular_closure(16, 7)[2:] == (2, (21, 179, 184)) and not calls
         assert run_modular_closure(16, 7, bound_above_t_tilde=1)[2:] == (3, (21, 179, 184, 184))
@@ -240,10 +243,10 @@ class TestAlgebraClosure:
         # as rows change during its round, not as the round found it, would
         # offer longer words and change the digest
         sd, _ = generic_inputs(symmetric_table(5), "S5")
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         basis = PrimeBasis(prime, len(products.u))
-        rounds, history = _modular_closure(basis, products, list(range(2 * sd.num_relations)),
-                                           dim_t_tilde(sd.group))
+        rounds, history = modular_closure(basis, products, list(range(2 * sd.num_relations)),
+                                          dim_t_tilde(sd.group))
         assert (rounds, tuple(history)) == (3, (13, 79, 155, 155))
         digest = basis_digest(basis)
         assert digest == "4965c7b37cc0ad72d960479faafec2beb7513568e1452181077bb6fe2e0b95e0"
@@ -254,12 +257,12 @@ class TestAlgebraClosure:
         # whatever order its rows were offered in, so their digest in pivot
         # order is pinned
         sd, _, _ = closure_inputs(40, 19)
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
         basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
         with pytest.raises(ConsistencyError, match="did not stabilize"):
-            _modular_closure(basis, products, list(range(2 * sd.num_relations)),
-                             dim_t_tilde(sd.group))
+            modular_closure(basis, products, list(range(2 * sd.num_relations)),
+                            dim_t_tilde(sd.group))
         assert basis.rank == 895 and len(basis._off_vals) == 267
         pivots = basis._pivot_cols[:basis.rank]
         order = np.argsort(pivots)
@@ -276,18 +279,18 @@ class TestAlgebraClosure:
         # dense products each later-round call takes: one source per call,
         # or the whole round in one
         sd, _ = generic_inputs(symmetric_table(int(case[1])), case)
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         canonical = list(range(2 * sd.num_relations))
 
         def closure():
             basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
-            rounds, history = _modular_closure(basis, products, canonical,
-                                               dim_t_tilde(sd.group))
+            rounds, history = modular_closure(basis, products, canonical,
+                                              dim_t_tilde(sd.group))
             digest = basis_digest(basis)
             return digest, rounds, history
 
         default = closure()
-        monkeypatch.setattr(algebra, "BATCH_ENTRIES", batch)
+        monkeypatch.setattr(elimination, "BATCH_ENTRIES", batch)
         assert closure() == default
 
     def test_bad_seed_order_rejected(self):
@@ -297,30 +300,37 @@ class TestAlgebraClosure:
                             seed_order=[0, 1, 2])
 
     def test_generic_group_s4(self):
-        # S4 is not triply transitive: the triple count undershoots by one
+        # S4 is not triply transitive: the triple count undershoots by one,
+        # so its 42 cells fall short of dim T~ = 43 and the labels do not
+        # decide round 2; the closure raises, and the eliminating reference,
+        # whose round 2 runs the left products, reaches the bound
         group = GroupTable(symmetric_table(4), name="S4")
         classes = generic_conjugacy_classes(group)
         sd = build_scheme(group, classes)
         t0 = dim_t0(intersection_numbers(group, classes))
-        cert = algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0,
-                               orbits=pair_orbits(group))
         assert t0 == 42
-        assert cert.dim_t == cert.dim_t_tilde == 43
-        assert cert.provenance == "exact"
-        # the cells fall short of the bound, so round 2 runs the left products
-        assert cert.closure_rounds == 2
-        assert cert.basis_size_history == ((9, 36, 43), (9, 36, 43))
+        with pytest.raises(ConsistencyError, match="^42 cells fall short of the bound 43, "
+                                                   "so the labels do not decide round 2"):
+            algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0,
+                            orbits=pair_orbits(group))
+        products = GeneratorProducts(sd, *pair_orbits(group))
+        for p in DEFAULT_PRIMES:
+            rounds, history = modular_closure(PrimeBasis(p, len(products.u)), products,
+                                              list(range(2 * sd.num_relations)),
+                                              dim_t_tilde(group))
+            assert (rounds, tuple(history)) == (2, (9, 36, 43))
 
 
 class TestCountedHistory:
     """The closure's rank history counted from the labels, against the
-    elimination it replaces and against an independent echelon oracle."""
+    eliminating reference (`elimination.modular_closure`) and against an
+    independent echelon oracle."""
 
     @staticmethod
     def eliminated(sd, seed_order):
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         bound = len(products.u)
-        histories = [_modular_closure(PrimeBasis(p, bound), products, seed_order, bound)[1]
+        histories = [modular_closure(PrimeBasis(p, bound), products, seed_order, bound)[1]
                      for p in DEFAULT_PRIMES]
         return products.rank_history(bound), histories
 
@@ -355,14 +365,16 @@ class TestCountedHistory:
         t1 = sd.num_relations
         assert algebra._round_one_rank(products.relation, products.class_u,
                                        products.class_v, t1) == 36
-        assert products.rank_history(dim_t_tilde(sd.group)) is None
+        with pytest.raises(ConsistencyError, match="^42 cells fall short of the bound 43,"):
+            products.rank_history(dim_t_tilde(sd.group))
 
     def test_above_the_bound_the_count_does_not_decide(self):
         # cells as many as dim T~ fall short of dim T~ + 1
         sd, _, _ = closure_inputs(16, 7)
         products = _GeneratorProducts(sd, *pair_orbits(sd.group))
         assert products.rank_history(184) == [21, 179, 184]
-        assert products.rank_history(185) is None
+        with pytest.raises(ConsistencyError, match="^184 cells fall short of the bound 185,"):
+            products.rank_history(185)
 
     # relation 0: a matching of two edges; relation 1: u0-v1-u1-v2-u0 plus
     # the lone edge u2-v0; relation 2: two parallel edges u2-v2; relation 3
@@ -401,24 +413,6 @@ class TestCountedHistory:
         assert cert.basis_size_history == (history, history)
         assert cert.dim_t == cert.dim_t_tilde == history[-1]
 
-    @pytest.mark.parametrize("case,built", [("D(16,7)", 0), ("S4", 2)])
-    def test_prime_bases_built_only_where_the_count_does_not_decide(self, case, built,
-                                                                   monkeypatch):
-        if case == "S4":
-            sd, idem = generic_inputs(symmetric_table(4), "S4")
-            t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
-        else:
-            sd, idem, t0 = closure_inputs(16, 7)
-        moduli = []
-
-        def counted(p, length):
-            moduli.append(p)
-            return PrimeBasis(p, length)
-        monkeypatch.setattr(algebra, "PrimeBasis", counted)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
-        assert cert.provenance == "exact"
-        assert moduli == list(DEFAULT_PRIMES)[:built]
-
 
 def generic_inputs(table, name):
     group = GroupTable(table, name=name)
@@ -437,7 +431,7 @@ class TestGeneratorProducts:
         # rows i and t+1+i of all_products(m) are A_i M and E*_i M read at the
         # representatives; elements with E* factors tell the sides apart
         sd, idem = self.CASES[case]()
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         t1 = sd.num_relations
         adj = [sd.adjacency(i).astype(np.int64) for i in range(t1)]
         dual = [np.diag(idem.diagonals[i]).astype(np.int64) for i in range(t1)]
@@ -459,7 +453,7 @@ class TestGeneratorProducts:
         # generators i and t+1+i are A_i and E*_i read at the representatives;
         # seeds(order) gives the rows of every generator, in that order
         sd, idem = self.CASES[case]()
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
         want = [sd.adjacency(i)[u, v] for i in range(t1)]
@@ -477,7 +471,7 @@ class TestGeneratorProducts:
         # down to 0, read at the representatives, empty rows included in the
         # numbering
         sd, idem = self.CASES[case]()
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
         dual = [np.diag(idem.diagonals[j]) for j in range(t1)][::-1]
@@ -492,7 +486,7 @@ class TestGeneratorProducts:
         # every nonempty E*_k A_i E*_j read at the representatives, exactly
         # once and in (k, i, j) order, as one block
         sd, idem = self.CASES[case]()
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
         want = [(np.diag(idem.diagonals[k]) @ sd.adjacency(i) @ np.diag(idem.diagonals[j]))[u, v]
@@ -504,7 +498,7 @@ class TestGeneratorProducts:
         # each column lies in exactly one cell
         assert sorted(cols) == list(range(len(u)))
         got = densify(rows, cols, vals, (rows[-1] + 1, len(u)))
-        assert count == len(got) == len(want)
+        assert count == products.cell_count() == len(got) == len(want)
         assert np.array_equal(got, np.array(want))
         if case == "S4":
             assert max(row.sum() for row in got) == 2  # a cell of two orbits
@@ -512,7 +506,7 @@ class TestGeneratorProducts:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_products_on_cols_match_full_width(self, case):
         sd, _ = self.CASES[case]()
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = GeneratorProducts(sd, *pair_orbits(sd.group))
         length = len(products.u)
         rng = np.random.default_rng(length)
         m = rng.integers(0, 97, size=length).astype(np.float64)
@@ -550,8 +544,8 @@ class TestGeneratorProducts:
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(products.u) == dim_t_tilde(group)
-        assert retained < 64 * len(products.u)
+        assert len(products.relation) == dim_t_tilde(group)
+        assert retained < 64 * len(products.relation)
 
 
 class TestDimTTilde:

@@ -78,6 +78,19 @@ PINNED_OUTPUTS = [
 ]
 
 
+def break_product_identity(monkeypatch):
+    """Make p[0, 0, identity] one too high, so that the triples fail the
+    product identity."""
+    count = scheme.intersection_numbers
+
+    def wrong(group, classes):
+        tensor = count(group, classes)
+        return dataclasses.replace(tensor, p=tensor.p + (tensor.k == classes.identity_class)
+                                   * (tensor.i == 0) * (tensor.j == 0))
+
+    monkeypatch.setattr(scheme, "intersection_numbers", wrong)
+
+
 def run_cli(*args):
     """Invoke the console entry point in-process, capturing stdout."""
     import io
@@ -205,6 +218,33 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert target.read_bytes() == b"earlier report\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "tensor"])
+    def test_run_without_report_leaves_existing_output(self, command, tmp_path,
+                                                       monkeypatch, capsys):
+        # exit 1 with no report: an analysis whose group does not fit in
+        # memory, or triples that fail the product identity.  The file keeps
+        # its bytes; a report then replaces them, however long they were
+        if command == "analyze":
+            def no_memory(params):
+                raise MemoryError("Unable to allocate 298. GiB for an array")
+            monkeypatch.setattr("terwilliger.pipeline.build_group", no_memory)
+        else:
+            break_product_identity(monkeypatch)
+        target = tmp_path / "kept.txt"
+        earlier = b"earlier report\n" * 1000
+        target.write_bytes(earlier)
+        code, out = run_cli(command, "--n", "8", "--s", "3", "--output", str(target))
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(("out of memory: ", "consistency failure: "))
+        assert target.read_bytes() == earlier
+        monkeypatch.undo()
+        code, out = run_cli(command, "--n", "8", "--s", "3")
+        assert code == 0
+        assert run_cli(command, "--n", "8", "--s", "3", "--output", str(target)) == (0, "")
+        assert target.read_text() == out
+
 
 class TestAnalyzeOutput:
     def test_json_schema(self):
@@ -236,6 +276,14 @@ class TestAnalyzeOutput:
                             "--no-closure", "--format", "json")
         assert code == 0
         assert json.loads(out)["dims"]["t"] is None
+
+    def test_exact_rational_prints_the_same_bytes(self):
+        # the rational rerun reaches the rank the count certified, so the
+        # report does not change
+        plain = run_cli("analyze", "--n", "8", "--s", "3", "--format", "json")
+        rational = run_cli("analyze", "--n", "8", "--s", "3", "--exact-rational",
+                           "--format", "json")
+        assert plain[0] == 0 and rational == plain
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"
@@ -369,14 +417,7 @@ class TestTensorOutput:
 
     def test_product_identity_failure_exit_1(self, monkeypatch, capsys):
         # p[0, 0, identity] one too high: the triples are not written
-        count = scheme.intersection_numbers
-
-        def wrong(group, classes):
-            tensor = count(group, classes)
-            return dataclasses.replace(tensor, p=tensor.p + (tensor.k == classes.identity_class)
-                                       * (tensor.i == 0) * (tensor.j == 0))
-
-        monkeypatch.setattr(scheme, "intersection_numbers", wrong)
+        break_product_identity(monkeypatch)
         code, out = run_cli("tensor", "--n", "8", "--s", "3")
         assert code == 1
         assert out == ""
