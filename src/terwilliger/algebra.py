@@ -217,7 +217,6 @@ def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
 def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
                     dim_t0_value: int,
                     orbits: tuple[np.ndarray, np.ndarray],
-                    primes: tuple[int, int] = DEFAULT_PRIMES,
                     seed_order: list[int] | None = None,
                     exact_rational: bool = False) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
@@ -227,10 +226,10 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     That count does not depend on the field: the seeds and the cells are
     disjoint 0/1 rows, and round 1's rows are the incidence matrices of
     bipartite graphs, which are totally unimodular.  So it is the history
-    over each of the two primes, which are recorded, and no basis is
-    formed.  Where the labels do not decide round 2 (S4, say), it raises
-    ConsistencyError.  Reaching the centralizer bound makes the rank an
-    exact certificate.
+    over each of the two fixed primes of DEFAULT_PRIMES, which the
+    certificate records, and no basis is formed.  Where the labels do not
+    decide round 2 (S4, say), it raises ConsistencyError.  Reaching the
+    centralizer bound makes the rank an exact certificate.
 
     `orbits` is the `(ids, reps)` of `pair_orbits(scheme.group)`, which the
     caller enumerates once for its own orbital check as well.  Their number
@@ -238,8 +237,6 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     `seed_order` permutes the generators of the rational rerun only; the
     count reads no order.
     """
-    if primes[0] == primes[1]:
-        raise ValueError("the two moduli must be distinct primes")
     canonical = list(range(2 * scheme.num_relations))
     seed_order = canonical if seed_order is None else list(seed_order)
     if sorted(seed_order) != canonical:
@@ -275,7 +272,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
         provenance=provenance,
         closure_rounds=len(history) - 1,
         basis_size_history=(tuple(history), tuple(history)),
-        primes=tuple(primes),
+        primes=DEFAULT_PRIMES,
     )
 
 

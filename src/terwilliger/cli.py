@@ -11,47 +11,13 @@ import contextlib
 import csv
 import io
 import json
-import os
 import sys
 
 from . import characters, pipeline, scheme
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
                      conjugacy_classes, validate_params)
-from .modular import DEFAULT_PRIMES, check_modulus
 
-PRIME_ENV_VARS = ("TERWILLIGER_PRIME_1", "TERWILLIGER_PRIME_2")
 SWEEP_CSV_HEADER = "n,s,tau,dim_t0,dim_t,dim_t_tilde,formula,pass"
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def resolve_primes(option: str | None) -> tuple[int, int]:
-    """--primes beats the environment, which beats the built-in defaults."""
-    if option:
-        parts = option.split(",")
-        if len(parts) != 2:
-            raise ValueError("--primes expects two comma-separated primes")
-        primes = (int(parts[0]), int(parts[1]))
-    else:
-        primes = tuple(
-            int(os.environ.get(var, default))
-            for var, default in zip(PRIME_ENV_VARS, DEFAULT_PRIMES))
-    if primes[0] == primes[1]:
-        raise ValueError("the two moduli must be distinct")
-    for p in primes:
-        check_modulus(p)  # before the trial division, which would not finish on 64-bit moduli
-        if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
-    return primes
 
 
 def canonical_json(obj) -> str:
@@ -244,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="permute the generator seeding order (the closure's count "
                            "reads no order, so no result changes)")
     common(p_sw, formats=("csv", "json", "text"))
-    for p in (p_an, p_sw):
-        p.add_argument("--primes", help="two comma-separated primes for the closure ranks")
 
     p_au = sub.add_parser("audit-corollaries",
                           help="compare stated dihedral block formulas with derived ones")
@@ -269,13 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report(args, params: GroupParams | None, primes) -> tuple[str, int]:
+def _report(args, params: GroupParams | None) -> tuple[str, int]:
     """The report of one command and its exit code; a run that ends with no
     report raises instead."""
     if args.command == "analyze":
         analysis = pipeline.analyze_pair(
-            args.n, args.s, closure=not args.no_closure, primes=primes,
-            exact_rational=args.exact_rational)
+            args.n, args.s, closure=not args.no_closure, exact_rational=args.exact_rational)
         if args.format == "json":
             text = canonical_json(analysis.to_json_dict())
         elif args.format == "csv":
@@ -287,8 +250,7 @@ def _report(args, params: GroupParams | None, primes) -> tuple[str, int]:
     if args.command == "sweep":
         analyses = pipeline.sweep(
             args.n_min, args.n_max, threads=args.threads,
-            closure_limit=args.closure_limit,
-            primes=primes, generator_order_seed=args.generator_order)
+            closure_limit=args.closure_limit, generator_order_seed=args.generator_order)
         return render_sweep(analyses, args.format), 0 if all(a.passed for a in analyses) else 1
 
     if args.command == "audit-corollaries":
@@ -313,10 +275,6 @@ def _report(args, params: GroupParams | None, primes) -> tuple[str, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:  # only analyze and sweep run a closure, so only they take primes
-        primes = resolve_primes(args.primes) if "primes" in args else None
-    except ValueError as exc:
-        parser.error(str(exc))  # exits 2
     if args.command in ("sweep", "audit-corollaries") and not 3 <= args.n_min <= args.n_max:
         parser.error("need 3 <= n-min <= n-max")
     if args.command == "sweep" and args.threads < 1:
@@ -331,7 +289,7 @@ def main(argv: list[str] | None = None) -> int:
         # leaves an existing file as it was; a report replaces its bytes
         with (open(args.output, "a", encoding="utf-8") if args.output
               else contextlib.nullcontext(sys.stdout)) as out:
-            text, code = _report(args, params, primes)
+            text, code = _report(args, params)
             if args.output:
                 out.truncate(0)
             out.write(text)

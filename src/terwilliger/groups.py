@@ -98,13 +98,17 @@ class GroupTable:
         if np.any(mult[0] != ar) or np.any(mult[:, 0] != ar):
             raise ValueError("element 0 must be the identity")
         # every row and column must be a permutation: with every entry in
-        # range, each (row, entry) and each (column, entry) occurs exactly once
+        # range, each (row, entry) and each (column, entry) key occurs
+        # exactly once.  There are order² keys of each kind, so by
+        # pigeonhole they fill all order² cells only if each is hit once
+        def fills(keys: np.ndarray) -> bool:
+            seen = np.zeros(order * order, dtype=bool)
+            seen[keys.ravel()] = True
+            return bool(seen.all())
+
         offsets = ar * order
         if not (0 <= mult.min() and mult.max() < order
-                and np.all(np.bincount((mult + offsets[:, None]).ravel(),
-                                       minlength=order * order) == 1)
-                and np.all(np.bincount((mult + offsets).ravel(),
-                                       minlength=order * order) == 1)):
+                and fills(mult + offsets[:, None]) and fills(mult + offsets)):
             raise ValueError("Cayley table rows/columns are not permutations")
         # a row that is a permutation holds exactly one 0, in the inverse's column
         self.inv = np.argmax(mult == 0, axis=1)

@@ -79,8 +79,8 @@ def check_modulus(p: int) -> None:
     Below it, a product of two residues is exact in int64, as in the
     reduction, and also in float64, as in the test suite's reference
     closure, whose later-round products are float64 sums of a class's worth
-    of residues.  `--primes` keeps this one bound for both.  It needs no
-    primality test, so a caller can run it first on any integer.
+    of residues.  It guards the modulus of every PrimeBasis; the closure's
+    own moduli, DEFAULT_PRIMES, are fixed and lie far below it.
     """
     if (p - 1) ** 2 >= 2 ** 53:
         raise ValueError(f"modulus {p} is too large for exact products "

@@ -33,7 +33,6 @@ from . import algebra, characters, scheme, wedderburn
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
                      conjugacy_classes, orbit_reps, pair_orbits, validate_params,
                      valid_twists)
-from .modular import DEFAULT_PRIMES
 
 CLOSURE_DEFAULT_LIMIT = 40
 
@@ -97,7 +96,6 @@ class Analysis:
 
 def analyze_pair(n: int, s: int, *,
                  closure: bool = True,
-                 primes: tuple[int, int] = DEFAULT_PRIMES,
                  exact_rational: bool = False,
                  generator_order_seed: int | None = None,
                  desk_certificates: bool = True) -> Analysis:
@@ -153,7 +151,6 @@ def analyze_pair(n: int, s: int, *,
             try:
                 return algebra.algebra_closure(
                     scheme_data, idem, dim_t0_value=t0, orbits=(ids, reps),
-                    primes=primes,
                     seed_order=_generator_order(generator_order_seed,
                                                 2 * classes.num_classes),
                     exact_rational=exact_rational)
@@ -228,7 +225,6 @@ def enumerate_pairs(n_min: int, n_max: int) -> list[tuple[int, int]]:
 def sweep(n_min: int, n_max: int, *,
           closure_limit: int = CLOSURE_DEFAULT_LIMIT,
           threads: int = 1,
-          primes: tuple[int, int] = DEFAULT_PRIMES,
           generator_order_seed: int | None = None) -> list[Analysis]:
     """Analyze every valid pair in range, without the desk certificates; the
     closure runs only for n <= closure_limit.  Rows are computed in parallel
@@ -240,7 +236,6 @@ def sweep(n_min: int, n_max: int, *,
         return analyze_pair(
             n, s,
             closure=n <= closure_limit,
-            primes=primes,
             generator_order_seed=generator_order_seed,
             desk_certificates=False,
         )

@@ -117,13 +117,6 @@ class TestAlgebraClosure:
             assert cert.dim_t == base.dim_t
             assert cert.dim_t_tilde == base.dim_t_tilde
 
-    def test_custom_primes(self):
-        sd, idem, t0 = closure_inputs(6, 5)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
-                               primes=(9973, 7919))
-        assert cert.dim_t == 44
-        assert cert.primes == (9973, 7919)
-
     def test_sandwich_lower_bound_above_closure_raises(self):
         sd, idem, _ = closure_inputs(8, 3)
         orbits = pair_orbits(sd.group)
@@ -131,12 +124,6 @@ class TestAlgebraClosure:
         with pytest.raises(ConsistencyError,
                            match="dimension sandwich violated: 65 <= 64 <= 64 fails"):
             algebra_closure(sd, idem, dim_t0_value=bound + 1, orbits=orbits)
-
-    def test_equal_primes_rejected(self):
-        sd, idem, t0 = closure_inputs(3, 2)
-        with pytest.raises(ValueError):
-            algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
-                            primes=(97, 97))
 
     def test_rational_mode_matches_on_every_small_pair(self):
         for n in range(3, 11):

@@ -7,10 +7,12 @@ import sys
 import pytest
 
 from terwilliger import scheme
-from terwilliger.cli import main, resolve_primes
+from terwilliger.cli import main
 
-# the commands that run no closure, with valid arguments
-NO_CLOSURE_COMMANDS = [
+# every command, with valid arguments
+ALL_COMMANDS = [
+    ("analyze", "--n", "3", "--s", "2"),
+    ("sweep", "--n-min", "3", "--n-max", "4"),
     ("audit-corollaries", "--n-min", "3", "--n-max", "4"),
     ("char-table", "--n", "3", "--s", "2"),
     ("tensor", "--n", "3", "--s", "2"),
@@ -131,16 +133,6 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             run_cli("audit-corollaries", "--n-min", "10", "--n-max", "3")
         assert exc.value.code == 2
-
-    def test_largest_moduli_exit_0(self):
-        # the largest moduli accepted: (p-1)^2 is just below 2^53
-        code, out = run_cli("analyze", "--n", "8", "--s", "3",
-                            "--primes", "94906249,94906247", "--format", "json")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["closure"]["provenance"] == "exact"
-        assert obj["closure"]["primes"] == [94906249, 94906247]
-        assert obj["dims"]["t"] == 64
 
     def test_audit_always_exit_0(self):
         code, _ = run_cli("audit-corollaries", "--n-min", "3", "--n-max", "8")
@@ -435,57 +427,23 @@ class TestPinnedOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-class TestPrimeHandling:
-    def test_cli_primes_flag(self):
-        code, out = run_cli("analyze", "--n", "4", "--s", "3",
-                            "--primes", "9973,7919", "--format", "json")
-        assert code == 0
-        assert json.loads(out)["dims"]["t"] == 28
+class TestNoModulusInput:
+    """The closure's two moduli are fixed: no flag or environment variable
+    sets them."""
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TERWILLIGER_PRIME_1", "9973")
-        monkeypatch.setenv("TERWILLIGER_PRIME_2", "7919")
-        assert resolve_primes(None) == (9973, 7919)
-
-    def test_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv("TERWILLIGER_PRIME_1", "11")
-        assert resolve_primes("9973,7919") == (9973, 7919)
-
-    def test_composite_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("analyze", "--n", "3", "--s", "2", "--primes", "9973,1000")
-        assert exc.value.code == 2
-
-    def test_equal_rejected(self):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("analyze", "--n", "3", "--s", "2", "--primes", "97,97")
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("primes", ["9223372036854775783,9223372036854775643",
-                                        "1000000007,998244353"])
-    def test_outside_float64_window_rejected(self, primes):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("analyze", "--n", "3", "--s", "2", "--primes", primes)
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("prime", ["9223372036854775783", "1000000007"])
-    def test_env_outside_float64_window_rejected(self, monkeypatch, prime):
-        monkeypatch.setenv("TERWILLIGER_PRIME_1", prime)
-        with pytest.raises(SystemExit) as exc:
-            run_cli("analyze", "--n", "3", "--s", "2")
-        assert exc.value.code == 2
-
-    @pytest.mark.parametrize("args", NO_CLOSURE_COMMANDS)
-    def test_commands_without_closure_ignore_prime_env(self, monkeypatch, args):
-        monkeypatch.setenv("TERWILLIGER_PRIME_1", "4")
-        code, _ = run_cli(*args)
-        assert code == 0
-
-    @pytest.mark.parametrize("args", NO_CLOSURE_COMMANDS)
-    def test_commands_without_closure_take_no_primes_flag(self, args):
+    @pytest.mark.parametrize("args", ALL_COMMANDS, ids=[a[0] for a in ALL_COMMANDS])
+    def test_primes_flag_exits_2(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli(*args, "--primes", "9973,7919")
         assert exc.value.code == 2
+        assert "unrecognized arguments: --primes 9973,7919" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", ALL_COMMANDS, ids=[a[0] for a in ALL_COMMANDS])
+    def test_prime_environment_changes_no_byte(self, monkeypatch, args):
+        plain = run_cli(*args)
+        monkeypatch.setenv("TERWILLIGER_PRIME_1", "4")  # not a prime
+        assert run_cli(*args) == plain
+        assert plain[0] == 0
 
 
 class TestConsoleScript:
