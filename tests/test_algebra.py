@@ -117,6 +117,25 @@ class TestAlgebraClosure:
             assert cert.dim_t == base.dim_t
             assert cert.dim_t_tilde == base.dim_t_tilde
 
+    def test_primes_keyword_rejected(self):
+        # the two moduli are fixed; the certificate records DEFAULT_PRIMES
+        sd, idem, t0 = closure_inputs(6, 5)
+        orbits = pair_orbits(sd.group)
+        with pytest.raises(TypeError, match="primes"):
+            algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits, primes=(9973, 7919))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits)
+        assert cert.dim_t == 44
+        assert cert.primes == DEFAULT_PRIMES
+
+    @pytest.mark.parametrize("prime", [94906249, 94906247])
+    def test_reference_at_the_largest_moduli(self, prime):
+        # the two largest primes with (p-1)^2 below 2^53: the eliminating
+        # reference reaches dim T~ = 64 at D(8,3) in the history the count gives
+        basis, products, rounds, history = run_modular_closure(8, 3, prime=prime)
+        assert basis.rank == 64
+        assert (rounds, history) == (2, (13, 63, 64))
+        assert products.rank_history(64) == list(history)
+
     def test_sandwich_lower_bound_above_closure_raises(self):
         sd, idem, _ = closure_inputs(8, 3)
         orbits = pair_orbits(sd.group)

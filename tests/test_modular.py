@@ -7,6 +7,7 @@ import pytest
 
 from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
                          build_scheme, conjugacy_classes, validate_params)
+from terwilliger.modular import check_modulus
 
 from helpers import (densify, entries, oracle_echelon, oracle_rational_echelon,
                      oracle_rational_residual)
@@ -616,6 +617,22 @@ def _nonzeros_off_pivot(basis: PrimeBasis) -> list:
     rows, cols = np.nonzero(basis.dense_rows(0, basis.rank))
     off = cols != basis._pivot_cols[rows]
     return sorted(zip(rows[off].tolist(), cols[off].tolist()))
+
+
+class TestCheckModulus:
+    """A modulus is accepted only while (p-1)^2 < 2^53, so that every product
+    of two residues is exact in int64 and in float64."""
+
+    @pytest.mark.parametrize("p", [94906249, 94906247])
+    def test_largest_primes_accepted(self, p):
+        check_modulus(p)
+        assert PrimeBasis(p, 3).p == p
+
+    @pytest.mark.parametrize("p", [94906267, 998244353, 1000000007, 9223372036854775783])
+    def test_outside_float64_window_rejected(self, p):
+        assert (p - 1) ** 2 >= 2 ** 53
+        with pytest.raises(ValueError, match=f"^modulus {p} is too large"):
+            check_modulus(p)
 
 
 class TestRationalBasis:

@@ -34,6 +34,10 @@ class TestAnalyzePair:
         assert a.idempotents is None
         assert "commutant_matches_orbitals" not in a.checks
 
+    def test_primes_keyword_rejected(self):
+        with pytest.raises(TypeError, match="primes"):
+            analyze_pair(3, 2, primes=(9973, 7919))
+
     def test_no_closure(self):
         a = analyze_pair(5, 4, closure=False)
         assert a.certificate is None
@@ -161,6 +165,10 @@ class TestSweep:
         serial = sweep(3, 8)
         threaded = sweep(3, 8, threads=4)
         assert [a.dims_row() for a in serial] == [a.dims_row() for a in threaded]
+
+    def test_primes_keyword_rejected(self):
+        with pytest.raises(TypeError, match="primes"):
+            sweep(3, 4, primes=(9973, 7919))
 
     def test_closure_limit(self):
         rows = sweep(3, 6, closure_limit=4)
