@@ -13,6 +13,8 @@ small groups).  The centralizer algebra is spanned by the 0/1
 orbital matrices, which have disjoint supports, so the closure keeps every
 element in orbital coordinates: its values at one representative pair per
 orbit, a faithful coordinate system for the whole algebra over any field.
+The representatives are those of orbit_reps; no orbit id of the |G|^2
+pairs is formed.
 
 The saturation is a spin-up (Parker's MeatAxe) in rounds.  The generators
 are the seeds; round 1 offers their masked products E*_j A_i and
@@ -108,27 +110,40 @@ class _GeneratorProducts:
     """The labels of the closure's generators, in orbital coordinates.
 
     Every element of T lies in T~, so it is constant on the orbits of G on
-    pairs and is stored as its values at the representative pairs: M[x, y]
-    is m[ids[x, y]].  Every generator and every mask is a predicate on three
-    labels of a representative (u, v): its relation, the class of v u^-1,
-    and class_u and class_v, the classes of u and v.  A_i is relation == i;
-    E*_j is E*_j A_identity, the pairs with relation == identity_class and
-    class_u == j; E*_j M keeps the pairs with class_u == j, and M E*_j those
-    with class_v == j.  All three labels are checked to be orbit invariants,
-    and the closure's rank history is counted from them.
+    pairs and is stored as its values at the representative pairs `reps`,
+    one per orbit (orbit_reps).  Every generator and every mask is a
+    predicate on three labels of a representative (u, v): its relation, the
+    class of v u^-1, and class_u and class_v, the classes of u and v.  A_i
+    is relation == i; E*_j is E*_j A_identity, the pairs with relation ==
+    identity_class and class_u == j; E*_j M keeps the pairs with class_u ==
+    j, and M E*_j those with class_v == j.  All three labels are checked to
+    be orbit invariants (`_check_invariants`), and the closure's rank
+    history is counted from them.
     """
 
-    def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
+    def __init__(self, scheme: SchemeData, reps: np.ndarray):
         u, v = np.divmod(reps, scheme.order)
         class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
         self.t1 = scheme.num_relations
         self.relation = scheme.class_matrix[u, v]
         self.class_u, self.class_v = class_of[u], class_of[v]
-        # the labels determine the generators only if they are orbit invariants
-        if not (np.array_equal(self.relation[ids], scheme.class_matrix)
-                and np.all(self.class_u[ids] == class_of[:, None])
-                and np.all(self.class_v[ids] == class_of)):
-            raise ConsistencyError("a generator is not constant on the pair orbits")
+        self._check_invariants(scheme, class_of)
+
+    def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
+        """Raise ConsistencyError unless class_of and the class matrix are
+        unchanged by conjugation by every g in the group's generating_set:
+        class_of[c] == class_of and Q[c, c] == Q, with c the row x -> g x
+        g^-1.  In a group, conjugation by a product is the composite of the
+        conjugations, so invariance under the generators is invariance under
+        every element, that is, on every orbit of pairs.  A generic table
+        lists every element as a generator, so there the check is direct;
+        for a D(n,s) it costs two |G|^2 gathers."""
+        group, q = scheme.group, scheme.class_matrix
+        for g in group.generating_set:
+            c = group.mult[group.mult[g], group.inv[g]]
+            if not (np.array_equal(class_of[c], class_of)
+                    and np.array_equal(q[np.ix_(c, c)], q)):
+                raise ConsistencyError("a generator is not constant on the pair orbits")
 
     def cell_count(self) -> int:
         """The number of cells E*_k A_i E*_j: the nonempty (class_u,
@@ -216,7 +231,7 @@ def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
 
 def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
                     dim_t0_value: int,
-                    orbits: tuple[np.ndarray, np.ndarray],
+                    reps: np.ndarray,
                     seed_order: list[int] | None = None,
                     exact_rational: bool = False) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
@@ -231,9 +246,10 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     decide round 2 (S4, say), it raises ConsistencyError.  Reaching the
     centralizer bound makes the rank an exact certificate.
 
-    `orbits` is the `(ids, reps)` of `pair_orbits(scheme.group)`, which the
-    caller enumerates once for its own orbital check as well.  Their number
-    is checked against the Burnside count before it serves as the bound.
+    `reps` are the orbit representatives of `orbit_reps(scheme.group)`,
+    which the caller enumerates once for its own orbital check as well.
+    Their number is checked against the Burnside count before it serves as
+    the bound.
     `seed_order` permutes the generators of the rational rerun only; the
     count reads no order.
     """
@@ -241,9 +257,8 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     seed_order = canonical if seed_order is None else list(seed_order)
     if sorted(seed_order) != canonical:
         raise ValueError("seed_order must be a permutation of the generators")
-    ids, reps = orbits
     bound = dim_t_tilde(scheme.group, reps)
-    history = _GeneratorProducts(scheme, ids, reps).rank_history(bound)
+    history = _GeneratorProducts(scheme, reps).rank_history(bound)
     _check_budget(len(history) - 1)
     dim_t = history[-1]
 

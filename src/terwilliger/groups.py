@@ -280,31 +280,29 @@ def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
 
 
 def _least_conjugates(group: GroupTable):
-    """The conjugation array, the least conjugate of every element, and the
-    rows of least conjugates under the centralizers of the class minima.
+    """The class minima and the rows of least conjugates under their
+    centralizers.
 
-    Returns (conj, least_x, mins, slot, rows): conj is group.conjugation(),
-    least_x[x] the least element of x's class, mins the class minima in
-    increasing order, and row rows[slot[r]] maps z to the least of c z c^-1
-    over c in C(r), for every class minimum r.  Such a row depends on C(r)
-    alone, and class minima share centralizers: every central r has C(r) =
-    G, whose row is the class minima themselves.  The 2 tau + (n - tau)/2
-    class minima of D(n,s) had at most min(tau, n/tau) + 2 distinct
-    centralizers in every case checked (all n <= 100); that bound is
-    observed, not proved.  So one row is formed per distinct centralizer,
-    keyed by its packed membership mask.
+    Returns (mins, slot, rows): mins are the class minima in increasing
+    order, and row rows[slot[r]] maps z to the least of c z c^-1 over c in
+    C(r), for every class minimum r.  Such a row depends on C(r) alone, and
+    class minima share centralizers: every central r has C(r) = G, whose
+    row is the class minima themselves.  The 2 tau + (n - tau)/2 class
+    minima of D(n,s) had at most min(tau, n/tau) + 2 distinct centralizers
+    in every case checked (all n <= 100); that bound is observed, not
+    proved.  So one row is formed per distinct centralizer, keyed by its
+    packed membership mask.
     """
     conj = group.conjugation()
     order = group.order
-    least_x = conj.min(axis=0)
-    mins = np.flatnonzero(least_x == np.arange(order))
+    mins = np.flatnonzero(conj.min(axis=0) == np.arange(order))
     slots: dict[bytes, int] = {}      # packed centralizer mask -> its row
     slot = np.zeros(order, dtype=np.intp)
     slot[mins] = [slots.setdefault(mask.tobytes(), len(slots))
                   for mask in np.packbits(conj[:, mins] == mins, axis=0).T]
     rows = np.stack([conj[np.unpackbits(np.frombuffer(mask, np.uint8), count=order)
                           .view(bool)].min(axis=0) for mask in slots])
-    return conj, least_x, mins, slot, rows
+    return mins, slot, rows
 
 
 def orbit_reps(group: GroupTable) -> np.ndarray:
@@ -318,34 +316,12 @@ def orbit_reps(group: GroupTable) -> np.ndarray:
     least key of each is r*order + z for the least z of its C(r)-orbit,
     the z with row_r[z] == z.  Reading those off one row per class minimum
     costs O(#minima |G|); no label of the |G|^2 pairs is formed.  Returns
-    the least keys in increasing order, the reps of pair_orbits.
+    the least keys in increasing order: one representative per orbit, the
+    only enumeration of the orbits that the package makes.
     """
-    _, _, mins, slot, rows = _least_conjugates(group)
+    mins, slot, rows = _least_conjugates(group)
     first, z = np.nonzero(rows[slot[mins]] == np.arange(group.order))
     return mins[first] * group.order + z
-
-
-def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
-    """Orbits of G on G x G under simultaneous conjugation, enumerated explicitly.
-
-    Pair (x, y) has key x*order + y.  The least first entry of the orbit of
-    (x, y) is r, the least element of x's class, and some g_x takes x to r.
-    The orbit's pairs with first entry r are those that the centralizer C(r)
-    moves (r, g_x y g_x^-1) to (see orbit_reps: they are one C(r)-orbit on
-    G), so its least key is r*order + row_r[z] with z = g_x y g_x^-1, and
-    every least key is gathered at once from the rows of _least_conjugates.
-    Each orbit has exactly one pair that equals its own least key.  Returns
-    (ids, reps): reps are those keys in increasing order, and ids[x, y]
-    indexes the orbit of (x, y) in reps.  Only the closure reads ids; a
-    count of the orbits needs orbit_reps alone.
-    """
-    conj, least_x, _, slot, rows = _least_conjugates(group)
-    order = group.order
-    back = np.argmax(conj == least_x, axis=0)  # conjugation by back[x] takes x to least_x[x]
-    least = rows[slot[least_x][:, None], conj[back]]
-    least += least_x[:, None] * order
-    isrep = least.ravel() == np.arange(order * order)
-    return (np.cumsum(isrep) - 1)[least], np.flatnonzero(isrep)
 
 
 def _components(a: np.ndarray, b: np.ndarray) -> int:

@@ -11,16 +11,15 @@ the underlying operations are caught per step and reported as failed
 verdicts rather than tracebacks, and so is a closure that runs out of
 memory.
 
-The orbits of G on G x G are enumerated once per analysis.  The orbital
-verdict reads only their representatives, which it checks in number
-against the Burnside average; without the closure that is all that is
-formed (orbit_reps), and no orbit id of the |G|^2 pairs is computed.  The
-closure takes its orbital coordinates, the ids, from the same enumeration
-(pair_orbits).  That shares an input, not a result: the closure reads no
-verdict and no dimension from the orbital route, it checks the count
-against Burnside itself before using it as its bound, and its rank is
-counted from the generators' labels, so the closure route stays
-independent of the orbital one.
+The orbits of G on G x G are enumerated once per analysis, by their
+representatives alone (orbit_reps), and no orbit id of the |G|^2 pairs is
+computed.  The orbital verdict checks their number against the Burnside
+average, and the closure reads its orbital coordinates, the values at the
+representatives, from the same enumeration.  That shares an input, not a
+result: the closure reads no verdict and no dimension from the orbital
+route, it checks the count against Burnside itself before using it as its
+bound, and its rank is counted from the generators' labels, so the closure
+route stays independent of the orbital one.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from dataclasses import dataclass, field
 
 from . import algebra, characters, scheme, wedderburn
 from .groups import (ConjugacyData, ConsistencyError, GroupParams, build_group,
-                     conjugacy_classes, orbit_reps, pair_orbits, validate_params,
-                     valid_twists)
+                     conjugacy_classes, orbit_reps, validate_params, valid_twists)
 
 CLOSURE_DEFAULT_LIMIT = 40
 
@@ -133,10 +131,7 @@ def analyze_pair(n: int, s: int, *,
 
     checks["product_identity"] = scheme.verify_product_identity(scheme_data, tensor)
 
-    if closure:
-        ids, reps = pair_orbits(group)
-    else:
-        reps = orbit_reps(group)
+    reps = orbit_reps(group)
     t_tilde = step("orbital_routes_agree", lambda: algebra.dim_t_tilde(group, reps))
     if t_tilde is None:
         raise ConsistencyError("orbital count failed; cannot continue: " + "; ".join(notes))
@@ -150,7 +145,7 @@ def analyze_pair(n: int, s: int, *,
         def closure_certificate():
             try:
                 return algebra.algebra_closure(
-                    scheme_data, idem, dim_t0_value=t0, orbits=(ids, reps),
+                    scheme_data, idem, dim_t0_value=t0, reps=reps,
                     seed_order=_generator_order(generator_order_seed,
                                                 2 * classes.num_classes),
                     exact_rational=exact_rational)

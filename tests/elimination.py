@@ -12,6 +12,11 @@ lives here rather than in `helpers`, whose oracles share no package code.
 It also runs where the count does not decide round 2 (S4, S5, S6), which
 pins those closures' histories and final bases.
 
+Its elements are formed in the coordinates of `pair_orbits`: the orbit id
+of every one of the |G|^2 pairs, which left products read.  The package
+reads only the representatives (`terwilliger.groups.orbit_reps`), so that
+enumeration lives here with the one closure that needs it.
+
 Run the tests with `tests` on the path (pytest's conftest puts it there);
 a script can do the same with `PYTHONPATH=src:tests`.
 """
@@ -21,25 +26,62 @@ from __future__ import annotations
 import numpy as np
 
 from terwilliger.algebra import _check_budget, _GeneratorProducts
+from terwilliger.groups import ConsistencyError, GroupTable, _least_conjugates
 from terwilliger.modular import PrimeBasis
 from terwilliger.scheme import SchemeData
 
 BATCH_ENTRIES = 2 ** 16  # dense values of later-round products per insert_block call
 
 
+def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of G on G x G under simultaneous conjugation, enumerated explicitly.
+
+    Pair (x, y) has key x*order + y.  The least first entry of the orbit of
+    (x, y) is r, the least element of x's class, and some g_x takes x to r.
+    The orbit's pairs with first entry r are those that the centralizer C(r)
+    moves (r, g_x y g_x^-1) to (see orbit_reps: they are one C(r)-orbit on
+    G), so its least key is r*order + row_r[z] with z = g_x y g_x^-1, and
+    every least key is gathered at once from the rows of _least_conjugates.
+    Each orbit has exactly one pair that equals its own least key.  Returns
+    (ids, reps): reps are those keys in increasing order, the same as
+    orbit_reps, and ids[x, y] indexes the orbit of (x, y) in reps.
+    """
+    _, slot, rows = _least_conjugates(group)
+    conj = group.conjugation()
+    least_x = conj.min(axis=0)
+    order = group.order
+    back = np.argmax(conj == least_x, axis=0)  # conjugation by back[x] takes x to least_x[x]
+    least = rows[slot[least_x][:, None], conj[back]]
+    least += least_x[:, None] * order
+    isrep = least.ravel() == np.arange(order * order)
+    return (np.cumsum(isrep) - 1)[least], np.flatnonzero(isrep)
+
+
 class GeneratorProducts(_GeneratorProducts):
     """The package's labels plus left multiplication by every A_i and E*_i,
     in orbital coordinates: (A_i M)[u, v] = sum over c in Cl_i of
-    M[c u, v], for all classes in one gather plus one segment sum."""
+    M[c u, v], for all classes in one gather plus one segment sum.  `ids`
+    and `reps` are those of pair_orbits."""
 
     def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
-        super().__init__(scheme, ids, reps)
+        self.ids = ids
+        super().__init__(scheme, reps)
         classes = scheme.classes
         self.elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
         self.offsets = np.cumsum([0] + [len(c) for c in classes.classes])[:-1]
-        self.mult, self.ids = scheme.group.mult, ids
+        self.mult = scheme.group.mult
         self.identity_class = scheme.identity_class
         self.u, self.v = np.divmod(reps, scheme.order)
+
+    def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
+        """The reference's own guard, on the ids it forms elements in: M[x, y]
+        is m[ids[x, y]], so the labels at the representatives must be those
+        of every pair of their orbit.  It replaces the package's guard, which
+        conjugates by every element of a generic table (719 for S6)."""
+        if not (np.array_equal(self.relation[self.ids], scheme.class_matrix)
+                and np.all(self.class_u[self.ids] == class_of[:, None])
+                and np.all(self.class_v[self.ids] == class_of)):
+            raise ConsistencyError("a generator is not constant on the pair orbits")
 
     def seeds(self, order: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The 0/1 row of every generator g, A_g for g <= t, else E*_(g-t-1),

@@ -9,14 +9,14 @@ from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnsid
                      oracle_echelon, oracle_inverse, oracle_rational_echelon, q8_table,
                      symmetric_table)
 import elimination
-from elimination import GeneratorProducts, modular_closure
+from elimination import GeneratorProducts, modular_closure, pair_orbits
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params)
 from terwilliger import algebra
 from terwilliger.algebra import _GeneratorProducts, algebra_closure
-from terwilliger.groups import ConsistencyError, pair_orbits
+from terwilliger.groups import ConsistencyError, orbit_reps
 from terwilliger.modular import DEFAULT_PRIMES, PrimeBasis
 
 
@@ -92,14 +92,14 @@ class TestAlgebraClosure:
     @pytest.mark.parametrize("n,s,expected", [(3, 2, 11), (4, 3, 28), (8, 5, 112)])
     def test_frozen_dimensions(self, n, s, expected):
         sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
         assert cert.dim_t == expected
         assert cert.provenance == "exact"
         assert t0 == cert.dim_t_tilde == expected
 
     def test_history_is_monotone_and_bounded(self):
         sd, idem, t0 = closure_inputs(8, 3)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
         for history in cert.basis_size_history:
             assert list(history) == sorted(history)
             assert history[-1] <= cert.dim_t_tilde
@@ -108,11 +108,11 @@ class TestAlgebraClosure:
     def test_seed_permutation_invariance(self):
         import random
         sd, idem, t0 = closure_inputs(8, 5)
-        base = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
+        base = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
         for seed in (1, 2, 3):
             order = list(range(2 * sd.num_relations))
             random.Random(seed).shuffle(order)
-            cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
+            cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group),
                                    seed_order=order)
             assert cert.dim_t == base.dim_t
             assert cert.dim_t_tilde == base.dim_t_tilde
@@ -120,10 +120,10 @@ class TestAlgebraClosure:
     def test_primes_keyword_rejected(self):
         # the two moduli are fixed; the certificate records DEFAULT_PRIMES
         sd, idem, t0 = closure_inputs(6, 5)
-        orbits = pair_orbits(sd.group)
+        reps = orbit_reps(sd.group)
         with pytest.raises(TypeError, match="primes"):
-            algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits, primes=(9973, 7919))
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits)
+            algebra_closure(sd, idem, dim_t0_value=t0, reps=reps, primes=(9973, 7919))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=reps)
         assert cert.dim_t == 44
         assert cert.primes == DEFAULT_PRIMES
 
@@ -138,21 +138,21 @@ class TestAlgebraClosure:
 
     def test_sandwich_lower_bound_above_closure_raises(self):
         sd, idem, _ = closure_inputs(8, 3)
-        orbits = pair_orbits(sd.group)
+        reps = orbit_reps(sd.group)
         bound = dim_t_tilde(sd.group)
         with pytest.raises(ConsistencyError,
                            match="dimension sandwich violated: 65 <= 64 <= 64 fails"):
-            algebra_closure(sd, idem, dim_t0_value=bound + 1, orbits=orbits)
+            algebra_closure(sd, idem, dim_t0_value=bound + 1, reps=reps)
 
     def test_rational_mode_matches_on_every_small_pair(self):
         for n in range(3, 11):
             for s in valid_twists(n):
                 sd, idem, t0 = closure_inputs(n, s)
                 # with exact_rational, dim_t is the rational closure's rank
-                orbits = pair_orbits(sd.group)
-                rational = algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits,
+                reps = orbit_reps(sd.group)
+                rational = algebra_closure(sd, idem, dim_t0_value=t0, reps=reps,
                                            exact_rational=True)
-                modular = algebra_closure(sd, idem, dim_t0_value=t0, orbits=orbits)
+                modular = algebra_closure(sd, idem, dim_t0_value=t0, reps=reps)
                 assert rational.dim_t == modular.dim_t, (n, s)
                 assert rational.provenance == modular.provenance == "exact", (n, s)
 
@@ -165,29 +165,40 @@ class TestAlgebraClosure:
         rows, _, _ = basis.reduce_block(*entries(stored[:, transposed].astype(np.int64)))
         assert not len(rows)
 
-    def test_generators_must_be_constant_on_orbit_cells(self):
-        # each case merges two orbits that only one label tells apart: two
-        # off-diagonal orbits of different relations (the A side), and the
-        # diagonal orbits of two classes, both in the identity relation (E*)
-        sd, idem, t0 = closure_inputs(8, 3)
-        ids, reps = pair_orbits(sd.group)
-        u, v = np.divmod(reps, sd.order)
-        relation = sd.class_matrix[u, v]
-        off, diagonal = np.flatnonzero(u != v), np.flatnonzero(u == v)
-        for a, b in [(off[0], off[relation[off] != relation[off[0]]][0]), diagonal[:2]]:
-            corrupted = np.where(ids == b, a, ids)
-            with pytest.raises(ConsistencyError, match="not constant"):
-                algebra_closure(sd, idem, dim_t0_value=t0, orbits=(corrupted, reps))
+    @pytest.mark.parametrize("case,corrupt", [("D(8,3)", "class_of"), ("D(8,3)", "class_matrix"),
+                                              ("S4", "class_of"), ("S4", "class_matrix")])
+    def test_labels_must_be_conjugation_invariant(self, case, corrupt):
+        # the labels are read at the representatives only, so the guard
+        # conjugates by each generator: element 1 (a, for D(8,3)) moved into
+        # another element's class, or the columns of elements 1 and 2
+        # swapped in Q, make a label differ within an orbit.  Unchecked, the
+        # swapped columns of D(8,3) still certify dim T = 64, with no error
+        if case == "S4":
+            sd, idem = generic_inputs(symmetric_table(4), "S4")
+            t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
+            moved_to = 3
+        else:
+            sd, idem, t0 = closure_inputs(8, 3)
+            moved_to = 8
+        class_of = list(sd.classes.class_of)
+        assert class_of[1] != class_of[moved_to]
+        if corrupt == "class_of":
+            class_of[1] = class_of[moved_to]
+            sd.classes = dataclasses.replace(sd.classes, class_of=tuple(class_of))
+        else:
+            sd.class_matrix = sd.class_matrix[:, [0, 2, 1, *range(3, sd.order)]]
+        with pytest.raises(ConsistencyError,
+                           match="^a generator is not constant on the pair orbits$"):
+            algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
 
     def test_short_enumeration_checked_against_burnside(self):
         # the number of orbits handed in is checked against the Burnside
         # count; an enumeration one orbit short fails
         sd, idem, t0 = closure_inputs(8, 3)
-        ids, reps = pair_orbits(sd.group)
-        assert algebra_closure(sd, idem, dim_t0_value=t0,
-                               orbits=(ids, reps)).dim_t_tilde == 64
+        reps = orbit_reps(sd.group)
+        assert algebra_closure(sd, idem, dim_t0_value=t0, reps=reps).dim_t_tilde == 64
         with pytest.raises(ConsistencyError, match="Burnside 64 vs enumeration 63"):
-            algebra_closure(sd, idem, dim_t0_value=t0, orbits=(ids, reps[:-1]))
+            algebra_closure(sd, idem, dim_t0_value=t0, reps=reps[:-1])
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 3, (13, 63, 64, 64)),
@@ -224,7 +235,7 @@ class TestAlgebraClosure:
     def test_rounds_and_histories_pinned(self, n, s, rounds, history):
         # the JSON output carries the rounds and histories, so they are pinned
         sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
         assert cert.closure_rounds == rounds
         assert cert.basis_size_history == (history, history)
 
@@ -302,7 +313,7 @@ class TestAlgebraClosure:
     def test_bad_seed_order_rejected(self):
         sd, idem, t0 = closure_inputs(3, 2)
         with pytest.raises(ValueError):
-            algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group),
+            algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group),
                             seed_order=[0, 1, 2])
 
     def test_generic_group_s4(self):
@@ -318,7 +329,7 @@ class TestAlgebraClosure:
         with pytest.raises(ConsistencyError, match="^42 cells fall short of the bound 43, "
                                                    "so the labels do not decide round 2"):
             algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0,
-                            orbits=pair_orbits(group))
+                            reps=orbit_reps(group))
         products = GeneratorProducts(sd, *pair_orbits(group))
         for p in DEFAULT_PRIMES:
             rounds, history = modular_closure(PrimeBasis(p, len(products.u)), products,
@@ -367,7 +378,7 @@ class TestCountedHistory:
         # round 1 of S4 is counted like any other; its cells fall short of
         # the bound, so round 2 is not decided by the labels
         sd, _ = generic_inputs(symmetric_table(4), "S4")
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = _GeneratorProducts(sd, orbit_reps(sd.group))
         t1 = sd.num_relations
         assert algebra._round_one_rank(products.relation, products.class_u,
                                        products.class_v, t1) == 36
@@ -377,7 +388,7 @@ class TestCountedHistory:
     def test_above_the_bound_the_count_does_not_decide(self):
         # cells as many as dim T~ fall short of dim T~ + 1
         sd, _, _ = closure_inputs(16, 7)
-        products = _GeneratorProducts(sd, *pair_orbits(sd.group))
+        products = _GeneratorProducts(sd, orbit_reps(sd.group))
         assert products.rank_history(184) == [21, 179, 184]
         with pytest.raises(ConsistencyError, match="^184 cells fall short of the bound 185,"):
             products.rank_history(185)
@@ -414,7 +425,7 @@ class TestCountedHistory:
     def test_round_one_alone_pinned(self, n, s, history):
         # tau = n/2: round 1 alone reaches the bound
         sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, orbits=pair_orbits(sd.group))
+        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
         assert cert.closure_rounds == 1
         assert cert.basis_size_history == (history, history)
         assert cert.dim_t == cert.dim_t_tilde == history[-1]
@@ -521,12 +532,27 @@ class TestGeneratorProducts:
             cols = np.sort(rng.choice(length, size=size, replace=False))
             assert np.array_equal(products.all_products(cols)(m), full[:, cols])
 
+    def test_reference_ids_must_be_orbit_cells(self):
+        # the reference's own guard, on the ids it forms elements in: each
+        # case merges two orbits that only one label tells apart, two
+        # off-diagonal orbits of different relations (the A side), and the
+        # diagonal orbits of two classes, both in the identity relation (E*)
+        sd, _, _ = closure_inputs(8, 3)
+        ids, reps = pair_orbits(sd.group)
+        u, v = np.divmod(reps, sd.order)
+        relation = sd.class_matrix[u, v]
+        off, diagonal = np.flatnonzero(u != v), np.flatnonzero(u == v)
+        for a, b in [(off[0], off[relation[off] != relation[off[0]]][0]), diagonal[:2]]:
+            corrupted = np.where(ids == b, a, ids)
+            with pytest.raises(ConsistencyError, match="not constant"):
+                GeneratorProducts(sd, corrupted, reps)
+
     @pytest.mark.parametrize("rep,old,new", [(7, (1, 0), (1, 6)), (1, (0, 1), (6, 1))])
     def test_class_labels_must_be_orbit_invariants(self, rep, old, new):
         # a D(8,3) representative moved to a pair of another orbit with the
         # same relation, off the diagonal: (1, 6) changes only the class of
-        # v, and (6, 1) only the class of u.  Unchecked, the first one makes
-        # the closure end short of the bound, with no error
+        # v, and (6, 1) only the class of u.  The reference's ids still
+        # place it in its old orbit, so its guard trips
         sd, _, _ = closure_inputs(8, 3)
         ids, reps = pair_orbits(sd.group)
         cls = np.asarray(sd.classes.class_of)
@@ -536,17 +562,17 @@ class TestGeneratorProducts:
         moved = reps.copy()
         moved[rep] = new[0] * sd.order + new[1]
         with pytest.raises(ConsistencyError, match="not constant"):
-            _GeneratorProducts(sd, ids, moved)
+            GeneratorProducts(sd, ids, moved)
 
     @pytest.mark.parametrize("n,s", [(64, 33), (100, 51)])
     def test_retains_labels_not_generator_stacks(self, n, s):
         # a few arrays of length dim T~ fit; one 2(t+1) x dim T~ stack does not
         group = build_group(validate_params(n, s))
         sd = build_scheme(group, conjugacy_classes(group))
-        orbits = pair_orbits(group)
+        reps = orbit_reps(group)
         tracemalloc.start()
         try:
-            products = _GeneratorProducts(sd, *orbits)
+            products = _GeneratorProducts(sd, reps)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -4,10 +4,11 @@ import pytest
 from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
                      oracle_conjugacy_partition, oracle_inverse, oracle_least_keys,
                      oracle_mult, oracle_pair_orbits, symmetric_table)
+from elimination import pair_orbits
 from terwilliger import (GroupTable, build_group, centralizer_counts,
                          conjugacy_classes, generic_conjugacy_classes,
                          orbital_count, valid_twists, validate_params)
-from terwilliger.groups import BRUTE_FORCE_LIMIT, _brute_partition, orbit_reps, pair_orbits
+from terwilliger.groups import BRUTE_FORCE_LIMIT, _brute_partition, orbit_reps
 
 
 def named_group(name: str) -> GroupTable:
@@ -281,7 +282,8 @@ SMALL_PAIRS = [f"D({n},{s})" for n in range(3, 25) for s in valid_twists(n)]
 
 
 class TestPairOrbitNumbering:
-    """The closure coordinates index the orbits by ids, so the numbering
+    """The reference elimination's coordinates index the orbits by ids, and
+    the package's closure reads the representatives, so the numbering
     itself, not only the partition, must match the least-key oracle."""
 
     # pair_orbits and orbit_reps form one row of least conjugates per

@@ -8,7 +8,7 @@ import pytest
 from terwilliger import (CharTable, GroupTable, IntersectionTensor, SchemeData,
                          build_group, enumerate_pairs, validate_params)
 from terwilliger import pipeline as pl
-from terwilliger.groups import ConsistencyError, orbit_reps, pair_orbits
+from terwilliger.groups import ConsistencyError, orbit_reps
 from terwilliger.pipeline import analyze_pair, audit_corollaries, sweep
 
 
@@ -79,22 +79,19 @@ class TestAnalyzePair:
 
     @pytest.mark.parametrize("closure", [True, False])
     def test_one_pair_orbit_enumeration(self, monkeypatch, closure):
-        # the orbital verdict and the closure share one enumeration, and
-        # without the closure only the representatives are formed; every
-        # module that imported pair_orbits or orbit_reps by name is counted
+        # the orbital verdict and the closure share one enumeration of the
+        # representatives, with or without the closure; every module that
+        # imported orbit_reps by name is counted
         calls = []
 
-        def counted(fn):
-            def wrapper(group):
-                calls.append(fn.__name__)
-                return fn(group)
-            return wrapper
-        for fn in (pair_orbits, orbit_reps):
-            for module in [m for name, m in sys.modules.items()
-                           if name.startswith("terwilliger") and hasattr(m, fn.__name__)]:
-                monkeypatch.setattr(module, fn.__name__, counted(fn))
+        def counted(group):
+            calls.append("orbit_reps")
+            return orbit_reps(group)
+        for module in [m for name, m in sys.modules.items()
+                       if name.startswith("terwilliger") and hasattr(m, "orbit_reps")]:
+            monkeypatch.setattr(module, "orbit_reps", counted)
         assert analyze_pair(8, 3, closure=closure).passed
-        assert calls == (["pair_orbits"] if closure else ["orbit_reps"])
+        assert calls == ["orbit_reps"]
 
     def test_one_brute_force_partition(self, monkeypatch):
         # the central idempotents read the classes the analysis already holds
@@ -107,22 +104,15 @@ class TestAnalyzePair:
         assert a.passed and a.idempotents is not None
         assert len(calls) == 1
 
-    def test_short_enumeration_fails_the_orbital_route(self, monkeypatch):
-        # the enumeration handed to the orbital check is still checked
-        # against the Burnside count
-        ids, reps = pair_orbits(build_group(validate_params(8, 3)))
-        monkeypatch.setattr(pl, "pair_orbits", lambda group: (ids, reps[:-1]))
-        with pytest.raises(ConsistencyError, match="orbital_routes_agree: .*"
-                                                   "Burnside 64 vs enumeration 63"):
-            analyze_pair(8, 3)
-
-    def test_short_orbit_reps_fail_the_orbital_route(self, monkeypatch):
-        # without the closure the representatives alone are checked
+    @pytest.mark.parametrize("closure", [True, False])
+    def test_short_enumeration_fails_the_orbital_route(self, monkeypatch, closure):
+        # the representatives handed to the orbital check are still checked
+        # against the Burnside count, with or without the closure
         reps = orbit_reps(build_group(validate_params(8, 3)))
         monkeypatch.setattr(pl, "orbit_reps", lambda group: reps[:-1])
         with pytest.raises(ConsistencyError, match="orbital_routes_agree: .*"
                                                    "Burnside 64 vs enumeration 63"):
-            analyze_pair(8, 3, closure=False)
+            analyze_pair(8, 3, closure=closure)
 
     def test_report_holds_no_arrays(self):
         # the tables and arrays are rebuilt by the layers that make them;
