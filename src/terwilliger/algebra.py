@@ -130,20 +130,23 @@ class _GeneratorProducts:
         self._check_invariants(scheme, class_of)
 
     def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
-        """Raise ConsistencyError unless class_of and the class matrix are
-        unchanged by conjugation by every g in the group's generating_set:
-        class_of[c] == class_of and Q[c, c] == Q, with c the row x -> g x
-        g^-1.  In a group, conjugation by a product is the composite of the
-        conjugations, so invariance under the generators is invariance under
-        every element, that is, on every orbit of pairs.  A generic table
-        lists every element as a generator, so there the check is direct;
-        for a D(n,s) it costs two |G|^2 gathers."""
+        """Raise ConsistencyError unless the three labels are constant on
+        every orbit of pairs.  class_of must be unchanged by conjugation by
+        every g in the group's generating_set, x -> g x g^-1; in a group,
+        conjugation by a product is the composite of the conjugations, so
+        class_of is then unchanged by every element.  The class matrix must
+        be its definition in build_scheme, Q[x, y] = class_of[y x^-1], which
+        every conjugation then leaves unchanged too.  That is |G| entries
+        per generator and one pass over Q, 256 rows at a time, for every
+        table."""
         group, q = scheme.group, scheme.class_matrix
-        for g in group.generating_set:
-            c = group.mult[group.mult[g], group.inv[g]]
-            if not (np.array_equal(class_of[c], class_of)
-                    and np.array_equal(q[np.ix_(c, c)], q)):
-                raise ConsistencyError("a generator is not constant on the pair orbits")
+        g = np.asarray(group.generating_set, dtype=np.int64)
+        conjugated = group.mult[group.mult[g], group.inv[g][:, None]]
+        if not (np.all(class_of[conjugated] == class_of)
+                and all(np.array_equal(class_of[group.mult[:, group.inv[lo:lo + 256]]].T,
+                                       q[lo:lo + 256])
+                        for lo in range(0, group.order, 256))):
+            raise ConsistencyError("a generator is not constant on the pair orbits")
 
     def cell_count(self) -> int:
         """The number of cells E*_k A_i E*_j: the nonempty (class_u,

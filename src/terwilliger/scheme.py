@@ -224,7 +224,10 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> b
     # column 0, the identity's, gives every element a loop, so the graph
     # has all |G| vertices even for a group with no generator
     moves = group.mult[:, [0, *group.generating_set]]
-    if not all(np.array_equal(q[np.ix_(r, r)], q) for r in moves.T[1:]):
+    # Q[r][:, r] == Q, compared 256 rows at a time: a row gather and a
+    # column take per block, with no |G|^2 index or copy
+    if not all(np.array_equal(np.take(q[r[lo:lo + 256]], r, axis=1), q[lo:lo + 256])
+               for r in moves.T[1:] for lo in range(0, group.order, 256)):
         return False
     if _components(np.repeat(np.arange(group.order), moves.shape[1]), moves.ravel()) != 1:
         return False

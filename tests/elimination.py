@@ -74,10 +74,10 @@ class GeneratorProducts(_GeneratorProducts):
         self.u, self.v = np.divmod(reps, scheme.order)
 
     def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
-        """The reference's own guard, on the ids it forms elements in: M[x, y]
-        is m[ids[x, y]], so the labels at the representatives must be those
-        of every pair of their orbit.  It replaces the package's guard, which
-        conjugates by every element of a generic table (719 for S6)."""
+        """The package's guard, then the reference's own, on the ids it forms
+        elements in: M[x, y] is m[ids[x, y]], so the labels at the
+        representatives must be those of every pair of their orbit."""
+        super()._check_invariants(scheme, class_of)
         if not (np.array_equal(self.relation[self.ids], scheme.class_matrix)
                 and np.all(self.class_u[self.ids] == class_of[:, None])
                 and np.all(self.class_v[self.ids] == class_of)):

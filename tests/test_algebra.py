@@ -165,14 +165,17 @@ class TestAlgebraClosure:
         rows, _, _ = basis.reduce_block(*entries(stored[:, transposed].astype(np.int64)))
         assert not len(rows)
 
-    @pytest.mark.parametrize("case,corrupt", [("D(8,3)", "class_of"), ("D(8,3)", "class_matrix"),
-                                              ("S4", "class_of"), ("S4", "class_matrix")])
+    @pytest.mark.parametrize("case,corrupt", [
+        ("D(8,3)", "class_of"), ("D(8,3)", "class_matrix"), ("D(8,3)", "both"),
+        ("S4", "class_of"), ("S4", "class_matrix"), ("S4", "both")])
     def test_labels_must_be_conjugation_invariant(self, case, corrupt):
         # the labels are read at the representatives only, so the guard
-        # conjugates by each generator: element 1 (a, for D(8,3)) moved into
-        # another element's class, or the columns of elements 1 and 2
-        # swapped in Q, make a label differ within an orbit.  Unchecked, the
-        # swapped columns of D(8,3) still certify dim T = 64, with no error
+        # checks class_of under conjugation by each generator and Q against
+        # its definition: element 1 (a, for D(8,3)) moved into another
+        # element's class, the columns of elements 1 and 2 swapped in Q, or
+        # that move with Q rebuilt from the moved class_of, make a label
+        # differ within an orbit.  Unchecked, the swapped columns of D(8,3)
+        # still certify dim T = 64, with no error
         if case == "S4":
             sd, idem = generic_inputs(symmetric_table(4), "S4")
             t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
@@ -182,14 +185,32 @@ class TestAlgebraClosure:
             moved_to = 8
         class_of = list(sd.classes.class_of)
         assert class_of[1] != class_of[moved_to]
-        if corrupt == "class_of":
+        if corrupt == "class_matrix":
+            sd.class_matrix = sd.class_matrix[:, [0, 2, 1, *range(3, sd.order)]]
+        else:
             class_of[1] = class_of[moved_to]
             sd.classes = dataclasses.replace(sd.classes, class_of=tuple(class_of))
-        else:
-            sd.class_matrix = sd.class_matrix[:, [0, 2, 1, *range(3, sd.order)]]
+        if corrupt == "both":
+            group = sd.group
+            sd.class_matrix = np.asarray(class_of)[group.mult[:, group.inv]].T
         with pytest.raises(ConsistencyError,
                            match="^a generator is not constant on the pair orbits$"):
             algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+
+    def test_label_guard_reads_every_row_block(self):
+        # (130, 51) has 260 elements, so Q is checked against its definition
+        # in two blocks of rows; two entries swapped in its last row are seen
+        # in the second only
+        sd, idem, t0 = closure_inputs(130, 51)
+        reps = orbit_reps(sd.group)
+        assert algebra_closure(sd, idem, dim_t0_value=t0, reps=reps).provenance == "exact"
+        q = sd.class_matrix.copy()
+        y = int(np.flatnonzero(q[-1] != q[-1, 0])[0])
+        q[-1, [0, y]] = q[-1, [y, 0]]
+        sd.class_matrix = q
+        with pytest.raises(ConsistencyError,
+                           match="^a generator is not constant on the pair orbits$"):
+            algebra_closure(sd, idem, dim_t0_value=t0, reps=reps)
 
     def test_short_enumeration_checked_against_burnside(self):
         # the number of orbits handed in is checked against the Burnside
@@ -552,8 +573,11 @@ class TestGeneratorProducts:
         # a D(8,3) representative moved to a pair of another orbit with the
         # same relation, off the diagonal: (1, 6) changes only the class of
         # v, and (6, 1) only the class of u.  The reference's ids still
-        # place it in its old orbit, so its guard trips
-        sd, _, _ = closure_inputs(8, 3)
+        # place it in its old orbit, so its guard trips.  The package reads
+        # no ids: the labels stay orbit invariants, but two representatives
+        # now share a cell, so the count falls short of the bound and
+        # refuses to decide round 2
+        sd, idem, t0 = closure_inputs(8, 3)
         ids, reps = pair_orbits(sd.group)
         cls = np.asarray(sd.classes.class_of)
         assert divmod(int(reps[rep]), sd.order) == old
@@ -563,6 +587,8 @@ class TestGeneratorProducts:
         moved[rep] = new[0] * sd.order + new[1]
         with pytest.raises(ConsistencyError, match="not constant"):
             GeneratorProducts(sd, ids, moved)
+        with pytest.raises(ConsistencyError, match="^63 cells fall short of the bound 64"):
+            algebra_closure(sd, idem, dim_t0_value=t0, reps=moved)
 
     @pytest.mark.parametrize("n,s", [(64, 33), (100, 51)])
     def test_retains_labels_not_generator_stacks(self, n, s):

@@ -313,6 +313,26 @@ class TestIntersectionNumbers:
         corrupted = SchemeData(g, q, c)
         assert not verify_product_identity(corrupted, tensor)
 
+    def test_product_identity_checks_every_row_block(self):
+        # (300, 49) has 600 elements, so each translation is compared in
+        # three blocks of 256 rows: the clean Q passes them all.  As in the
+        # off-row-zero case, Q[z1, y] and Q[z2, y] are swapped for z1, z2 of
+        # one class, a^269 and a^281, so row 0's counts stay; the
+        # translations by a and b move rows 268, 581, 280 and 569 onto them,
+        # so only the second block sees the change
+        _, g, c = pipeline(300, 49)
+        sd = build_scheme(g, c)
+        tensor = intersection_numbers(g, c)
+        assert g.order == 600 and verify_product_identity(sd, tensor)
+        z1, z2 = 269, 281
+        assert c.class_of[z1] == c.class_of[z2]
+        assert [int(g.mult[x, a]) for x, a in zip((268, 581, 280, 569), 2 * g.generating_set)
+                ] == [z1, z1, z2, z2]
+        q = sd.class_matrix.copy()
+        y = int(np.flatnonzero(q[z1] != q[z2])[0])
+        q[z1, y], q[z2, y] = q[z2, y], q[z1, y]
+        assert not verify_product_identity(SchemeData(g, q, c), tensor)
+
     def test_base_point_dependence_fails_the_product_identity(self):
         # build_scheme rejects these classes, so their scheme is built by hand;
         # its Q passes the translation and transitivity checks, as every Q
