@@ -17,7 +17,8 @@ from .groups import (ConjugacyData, ConsistencyError, GroupParams, GroupTable,
                      generic_conjugacy_classes, orbital_count, valid_twists,
                      validate_params)
 from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
-from .pipeline import Analysis, analyze_pair, audit_corollaries, enumerate_pairs, sweep
+from .pipeline import (Analysis, PairFailure, analyze_pair, audit_corollaries,
+                       enumerate_pairs, sweep)
 from .scheme import (IntersectionTensor, SchemeData, build_scheme, case_counts,
                      closed_form_dimension, dim_t0, expected_case_counts,
                      intersection_numbers, verify_product_identity)
@@ -30,7 +31,8 @@ __all__ = [
     "Analysis", "CharTable", "ConjugacyData", "ConsistencyError", "CorollaryAudit",
     "DEFAULT_PRIMES", "DimensionCertificate", "DualIdempotents", "GroupParams",
     "GroupTable", "IdempotentReport", "IntegralityError", "IntersectionTensor",
-    "Multiplicities", "PrimeBasis", "RationalBasis", "SchemeData", "WedderburnReport",
+    "Multiplicities", "PairFailure", "PrimeBasis", "RationalBasis", "SchemeData",
+    "WedderburnReport",
     "algebra_closure", "analyze_pair", "audit_corollaries", "build_group",
     "build_scheme", "case_counts", "central_idempotents", "centralizer_counts",
     "char_table", "closed_form_dimension", "commutant_oracle", "conjugacy_classes",

@@ -24,12 +24,14 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(rows: list[list], header: list[str]) -> str:
+def _csv_line(cells: list) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()
+
+
+def _csv_text(rows: list[list], header: list[str]) -> str:
+    return "".join(map(_csv_line, [header, *rows]))
 
 
 def _blocks_str(blocks) -> str:
@@ -71,32 +73,50 @@ def render_analysis_text(a: pipeline.Analysis) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _analysis_csv_row(a: pipeline.Analysis) -> list:
-    n, s, tau, t0, t, t_tilde, formula = a.dims_row()
-    return [n, s, tau, t0, "" if t is None else t, t_tilde, formula,
-            "true" if a.passed else "false"]
+def _analysis_csv_row(a: pipeline.Analysis | pipeline.PairFailure) -> list:
+    return ["" if v is None else v for v in a.dims_row()] + ["true" if a.passed else "false"]
 
 
-def render_sweep(analyses: list[pipeline.Analysis], fmt: str) -> str:
-    if fmt == "json":
-        # census of the fractional-looking multiplicity case (tau/2), which may
-        # only fire when tau is even; the rows record every occurrence
-        census = [{"n": a.params.n, "s": a.params.s,
-                   "ks": list(a.mults_closedform.half_case_ks)}
-                  for a in analyses
-                  if a.mults_closedform and a.mults_closedform.half_case_ks]
-        return canonical_json({
-            "rows": [a.to_json_dict() for a in analyses],
-            "summary": {"pairs": len(analyses),
-                        "passed": sum(a.passed for a in analyses),
-                        "failed": sum(not a.passed for a in analyses),
-                        "half_tau_case": census},
-        })
-    body = _csv_text([_analysis_csv_row(a) for a in analyses], SWEEP_CSV_HEADER.split(","))
-    if fmt == "csv":
+class SweepRows:
+    """The sink of a CLI sweep: each row is rendered as it arrives, and only
+    its text, the pass count and its half-tau census entry are kept, so no
+    analysis outlives its row."""
+
+    def __init__(self, fmt: str):
+        self.fmt = fmt
+        self.texts: list[str] = []
+        self.passed = 0
+        # census of the fractional-looking multiplicity case (tau/2), which
+        # may only fire when tau is even; the rows record every occurrence
+        self.half_tau_case: list[dict] = []
+
+    def __call__(self, a: pipeline.Analysis | pipeline.PairFailure) -> None:
+        self.passed += a.passed
+        if self.fmt != "json":
+            self.texts.append(_csv_line(_analysis_csv_row(a)))
+            return
+        # json.dumps escapes every newline inside a string, so indenting each
+        # line by four spaces nests the row's canonical text in the report
+        text = json.dumps(a.to_json_dict(), sort_keys=True, indent=2)
+        self.texts.append("    " + text.replace("\n", "\n    "))
+        if a.mults_closedform and a.mults_closedform.half_case_ks:
+            self.half_tau_case.append({"n": a.params.n, "s": a.params.s,
+                                       "ks": list(a.mults_closedform.half_case_ks)})
+
+
+def render_sweep(rows: SweepRows) -> str:
+    """The whole sweep report, the bytes of the rows' canonical document: the
+    rows as they were rendered, then the summary ("rows" sorts first)."""
+    pairs = len(rows.texts)
+    if rows.fmt == "json":
+        summary = canonical_json({"summary": {
+            "pairs": pairs, "passed": rows.passed, "failed": pairs - rows.passed,
+            "half_tau_case": rows.half_tau_case}})
+        return '{\n  "rows": [\n' + ",\n".join(rows.texts) + "\n  ],\n" + summary[2:]
+    body = SWEEP_CSV_HEADER + "\n" + "".join(rows.texts)
+    if rows.fmt == "csv":
         return body
-    passed = sum(a.passed for a in analyses)
-    return body + f"# {len(analyses)} pairs, {passed} passed, {len(analyses) - passed} failed\n"
+    return body + f"# {pairs} pairs, {rows.passed} passed, {pairs - rows.passed} failed\n"
 
 
 def render_audit(audits, fmt: str) -> str:
@@ -248,10 +268,11 @@ def _report(args, params: GroupParams | None) -> tuple[str, int]:
         return text, 0 if analysis.passed else 1
 
     if args.command == "sweep":
-        analyses = pipeline.sweep(
-            args.n_min, args.n_max, threads=args.threads,
-            closure_limit=args.closure_limit, generator_order_seed=args.generator_order)
-        return render_sweep(analyses, args.format), 0 if all(a.passed for a in analyses) else 1
+        rows = SweepRows(args.format)
+        pipeline.sweep(args.n_min, args.n_max, threads=args.threads,
+                       closure_limit=args.closure_limit,
+                       generator_order_seed=args.generator_order, sink=rows)
+        return render_sweep(rows), 0 if rows.passed == len(rows.texts) else 1
 
     if args.command == "audit-corollaries":
         audits = pipeline.audit_corollaries(args.n_min, args.n_max)

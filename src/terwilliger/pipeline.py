@@ -11,6 +11,13 @@ the underlying operations are caught per step and reported as failed
 verdicts rather than tracebacks, and so is a closure that runs out of
 memory.
 
+A sweep hands each pair's row to a sink in (n, s) order as soon as it and
+every earlier pair have finished, and keeps none; the default sink is a
+list's append, which sweep returns.  A pair whose analysis raises a
+ConsistencyError or a MemoryError outside a step (a Cayley table that does
+not fit, a scheme that cannot be built) is only that pair's row: a
+PairFailure, whose one verdict is false and whose note is the exception.
+
 The orbits of G on G x G are enumerated once per analysis, by their
 representatives alone (orbit_reps), and no orbit id of the |G|^2 pairs is
 computed.  The orbital verdict checks their number against the Burnside
@@ -25,6 +32,7 @@ route stays independent of the orbital one.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -90,6 +98,36 @@ class Analysis:
                 "basis_size_history": [list(h) for h in cert.basis_size_history]},
             "notes": list(self.notes),
         }
+
+
+@dataclass
+class PairFailure:
+    """The row of a pair whose analysis raised before it could report: the
+    closed-form dimension, one false verdict and the exception as its note."""
+
+    params: GroupParams
+    note: str
+    passed = False
+    mults_closedform = None  # no multiplicity route finished
+
+    @property
+    def checks(self) -> dict[str, bool]:
+        return {"analysis_completed": False}
+
+    @property
+    def notes(self) -> list[str]:
+        return [self.note]
+
+    def dims_row(self) -> tuple:
+        p = self.params
+        return (p.n, p.s, p.tau, None, None, None, scheme.closed_form_dimension(p))
+
+    def to_json_dict(self) -> dict:
+        n, s, tau, *_, formula = self.dims_row()
+        return {"n": n, "s": s, "tau": tau,
+                "dims": {"t0": None, "t": None, "t_tilde": None, "formula": formula},
+                "triply_transitive": None, "blocks": None, "checks": self.checks,
+                "closure": None, "notes": self.notes}
 
 
 def analyze_pair(n: int, s: int, *,
@@ -220,26 +258,36 @@ def enumerate_pairs(n_min: int, n_max: int) -> list[tuple[int, int]]:
 def sweep(n_min: int, n_max: int, *,
           closure_limit: int = CLOSURE_DEFAULT_LIMIT,
           threads: int = 1,
-          generator_order_seed: int | None = None) -> list[Analysis]:
+          generator_order_seed: int | None = None,
+          sink: Callable[[Analysis | PairFailure], object] | None = None,
+          ) -> list[Analysis | PairFailure] | None:
     """Analyze every valid pair in range, without the desk certificates; the
     closure runs only for n <= closure_limit.  Rows are computed in parallel
-    but returned in (n, s) order."""
+    but reach the sink in (n, s) order, each as soon as it and every earlier
+    row are done, and sweep keeps none of them.  Without a sink the rows are
+    returned as a list; with one, sweep returns None."""
     pairs = enumerate_pairs(n_min, n_max)
+    rows: list[Analysis | PairFailure] = []
+    emit = rows.append if sink is None else sink
 
-    def run(pair: tuple[int, int]) -> Analysis:
+    def run(pair: tuple[int, int]) -> Analysis | PairFailure:
         n, s = pair
-        return analyze_pair(
-            n, s,
-            closure=n <= closure_limit,
-            generator_order_seed=generator_order_seed,
-            desk_certificates=False,
-        )
+        try:
+            return analyze_pair(
+                n, s,
+                closure=n <= closure_limit,
+                generator_order_seed=generator_order_seed,
+                desk_certificates=False,
+            )
+        except (ConsistencyError, MemoryError) as exc:
+            return PairFailure(validate_params(n, s), f"{type(exc).__name__}: {exc}")
 
-    if threads <= 1:
-        return [run(pair) for pair in pairs]
+    # a pool starts no thread until a pair is submitted to it, and the loop
+    # drops each row as the next one arrives
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = dict(zip(pairs, pool.map(run, pairs)))
-    return [results[pair] for pair in pairs]
+        for row in (map if threads <= 1 else pool.map)(run, pairs):
+            emit(row)
+    return rows if sink is None else None
 
 
 def audit_corollaries(n_min: int, n_max: int) -> list[wedderburn.CorollaryAudit]:

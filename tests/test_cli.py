@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from terwilliger import scheme
+from terwilliger import pipeline, scheme
 from terwilliger.cli import main
 
 # every command, with valid arguments
@@ -337,6 +339,47 @@ class TestSweepOutput:
         _, out = run_cli("sweep", "--n-min", "8", "--n-max", "8", "--format", "json")
         census = json.loads(out)["summary"]["half_tau_case"]
         assert {"n": 8, "s": 7, "ks": [1]} in census
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_pairs_print_every_row(self, failing_groups, threads, tmp_path, capsys):
+        target = tmp_path / "sweep.json"
+        args = ("sweep", "--n-min", "3", "--n-max", "12", "--threads", threads)
+        assert run_cli(*args, "--format", "json", "--output", str(target)) == (1, "")
+        assert capsys.readouterr().err == ""
+        obj = json.loads(target.read_text())
+        failed = {(r["n"], r["s"]): r for r in obj["rows"] if not all(r["checks"].values())}
+        assert {pair: r["notes"] for pair, r in failed.items()} == {
+            pair: [note] for pair, note in failing_groups.items()}
+        assert set(obj["rows"][0]) == set(failed[9, 8])
+        assert obj["summary"]["failed"] == 2
+        assert obj["summary"]["pairs"] == len(obj["rows"]) == 14
+        code, out = run_cli(*args, "--format", "csv")
+        assert code == 1
+        assert "\n8,3,2,,,,64,false\n" in out and "\n9,8,1,,,,56,false\n" in out
+        assert out.count(",false\n") == 2
+        code, out = run_cli(*args, "--format", "text")
+        assert code == 1 and out.endswith("# 14 pairs, 12 passed, 2 failed\n")
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_sweep_keeps_no_analysis(self, fmt, monkeypatch):
+        # when a row reaches the CLI's sink, every earlier analysis can be
+        # collected: the report holds only the rows' text
+        sweep = pipeline.sweep
+        earlier, alive = [], []
+
+        def watched(*args, sink, **kwargs):
+            def spy(row):
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in earlier))
+                earlier.append(weakref.ref(row))
+                sink(row)
+            return sweep(*args, sink=spy, **kwargs)
+
+        monkeypatch.setattr(pipeline, "sweep", watched)
+        code, _ = run_cli("sweep", "--n-min", "3", "--n-max", "12", "--format", fmt)
+        assert code == 0
+        assert alive == [0] * 14
 
     def test_determinism_across_threads_and_seed_order(self):
         _, base = run_cli("sweep", "--n-min", "3", "--n-max", "12", "--format", "csv")

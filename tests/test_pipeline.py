@@ -156,6 +156,41 @@ class TestSweep:
         threaded = sweep(3, 8, threads=4)
         assert [a.dims_row() for a in serial] == [a.dims_row() for a in threaded]
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sink_gets_the_returned_rows(self, threads):
+        rows = []
+        assert sweep(3, 12, threads=threads, sink=rows.append) is None
+        listed = sweep(3, 12, threads=threads)
+        assert [a.to_json_dict() for a in rows] == [a.to_json_dict() for a in listed]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_pair_is_only_its_row(self, failing_groups, monkeypatch, threads):
+        with monkeypatch.context() as m:
+            m.setattr(pl, "build_group", build_group)
+            expected = [a.to_json_dict() for a in sweep(3, 12)]
+        rows = sweep(3, 12, threads=threads)
+        assert [(a.params.n, a.params.s) for a in rows] == enumerate_pairs(3, 12)
+        failed = {(a.params.n, a.params.s): a for a in rows if not a.passed}
+        assert set(failed) == set(failing_groups)
+        assert failed[8, 3].to_json_dict() == {
+            "n": 8, "s": 3, "tau": 2,
+            "dims": {"t0": None, "t": None, "t_tilde": None, "formula": 64},
+            "triply_transitive": None, "blocks": None,
+            "checks": {"analysis_completed": False}, "closure": None,
+            "notes": [failing_groups[8, 3]]}
+        assert failed[9, 8].notes == ["ConsistencyError: no Cayley table"]
+        assert failed[9, 8].dims_row() == (9, 8, 1, None, None, None, 56)
+        assert ([a.to_json_dict() for a in rows if a.passed]
+                == [r for r in expected if (r["n"], r["s"]) not in failing_groups])
+
+    def test_other_exceptions_still_propagate(self, monkeypatch):
+        def broken(params):
+            raise KeyError("not a failed row")
+
+        monkeypatch.setattr(pl, "build_group", broken)
+        with pytest.raises(KeyError, match="not a failed row"):
+            sweep(3, 5)
+
     def test_primes_keyword_rejected(self):
         with pytest.raises(TypeError, match="primes"):
             sweep(3, 4, primes=(9973, 7919))
