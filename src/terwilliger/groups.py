@@ -9,9 +9,9 @@ eps*n + i, so products cost O(1) through the explicit multiplication law
 
 Conjugacy classes come in three families: tau singletons inside <a> (tau =
 gcd(s-1, n)), (n-tau)/2 pairs {a^m, a^(m*s)}, and tau cosets of reflections,
-labelled X, Y and Z respectively.  Everything here is computed twice at desk
-scale: once by brute force from the Cayley table and once from the closed
-forms, and the two routes must agree element for element.
+labelled X, Y and Z respectively.  The classes are computed twice at every n:
+once from the closed forms and once from the Cayley table as the fibres of the
+least-conjugate map, and the two routes must agree element for element.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from math import gcd
 
 import numpy as np
-
-BRUTE_FORCE_LIMIT = 40  # largest n for which brute-force cross-checks run
 
 
 class ConsistencyError(RuntimeError):
@@ -178,10 +176,11 @@ class ConjugacyData:
         return tuple(len(c) for c in self.classes)
 
 
-def _brute_partition(group: GroupTable) -> list[frozenset[int]]:
-    """Conjugation orbits of every element, in first-seen order: the orbit of x
-    is column x of the conjugation array."""
-    return list(dict.fromkeys(map(frozenset, group.conjugation().T.tolist())))
+def _least_conjugate(group: GroupTable) -> np.ndarray:
+    """The least conjugate g x g^-1 over every g, for every element x.  Two
+    elements are conjugate exactly when their least conjugates agree, so the
+    fibres of this map are the conjugacy classes."""
+    return group.conjugation().min(axis=0)
 
 
 def _closed_form_classes(params: GroupParams) -> tuple[tuple, ...]:
@@ -219,37 +218,38 @@ def _conjugacy_data(order: int, classes, labels, kinds, reps, cents) -> Conjugac
 def conjugacy_classes(group: GroupTable) -> ConjugacyData:
     """Conjugacy classes of a twisted dihedral group in canonical order.
 
-    For n <= BRUTE_FORCE_LIMIT both the brute-force route and the closed-form
-    route run and must agree exactly; above it only the closed form runs.
-    A route mismatch raises ConsistencyError since it signals a defect.
+    At every n, the closed-form classes must partition G, or class_of is no
+    class map: a repeated element keeps only its last class, and a missing
+    one keeps -1, which indexes the last class.  The least conjugate of each
+    x must then be the least member of x's class: equal maps have equal
+    fibres, here the conjugacy classes and the closed-form classes.  The
+    centralizer orders must match too.  A mismatch raises ConsistencyError.
     """
-    params = group.params
-    if params is None:
+    if group.params is None:
         return generic_conjugacy_classes(group)
-    data = _conjugacy_data(group.order, *_closed_form_classes(params))
-
-    if params.n <= BRUTE_FORCE_LIMIT:
-        if set(_brute_partition(group)) != set(map(frozenset, data.classes)):
-            raise ConsistencyError(
-                f"conjugacy classes of {group.name}: brute force and closed form disagree")
-        counts = centralizer_counts(group)
-        for rep, cent in zip(data.reps, data.centralizer_orders):
-            if counts[rep] != cent:
-                raise ConsistencyError(
-                    f"centralizer order of {group.element_name(rep)} in {group.name} "
-                    f"does not match the closed form {cent}")
+    data = _conjugacy_data(group.order, *_closed_form_classes(group.params))
+    if sum(data.sizes()) != group.order or not all(data.classes) or min(data.class_of) < 0:
+        raise ConsistencyError(f"the closed-form classes do not partition {group.name}")
+    least = np.array([members[0] for members in data.classes])
+    if not np.array_equal(least[np.array(data.class_of)], _least_conjugate(group)):
+        raise ConsistencyError(f"least conjugates and closed-form classes of {group.name} differ")
+    if not np.array_equal(centralizer_counts(group)[list(data.reps)], data.centralizer_orders):
+        raise ConsistencyError(f"centralizer orders in {group.name} do not match the closed form")
     return data
 
 
 def generic_conjugacy_classes(group: GroupTable) -> ConjugacyData:
-    """Brute-force classes for an arbitrary Cayley table, identity class first."""
-    partition = _brute_partition(group)
-    partition.sort(key=lambda c: (0 if 0 in c else 1, len(c), min(c)))
-    reps = [min(c) for c in partition]
-    counts = centralizer_counts(group)
-    return _conjugacy_data(group.order, partition,
+    """Classes of any Cayley table, the fibres of the least-conjugate map, by
+    size and then least member; so the identity's class, {0}, comes first."""
+    least = _least_conjugate(group)
+    by_least = np.argsort(least, kind="stable")
+    # each run of equal least conjugates is one class, its members increasing
+    partition = np.split(by_least, np.flatnonzero(np.diff(least[by_least])) + 1)
+    partition.sort(key=len)             # stable: ties stay in order of least member
+    reps = [int(c[0]) for c in partition]
+    return _conjugacy_data(group.order, [c.tolist() for c in partition],
                            [f"C{i}" for i in range(len(partition))], ["C"] * len(partition),
-                           reps, [int(counts[r]) for r in reps])
+                           reps, centralizer_counts(group)[reps].tolist())
 
 
 def centralizer_counts(group: GroupTable) -> np.ndarray:

@@ -1,14 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
-from helpers import (cyclic_table, oracle_burnside_pairs, oracle_centralizer,
-                     oracle_conjugacy_partition, oracle_inverse, oracle_least_keys,
-                     oracle_mult, oracle_pair_orbits, symmetric_table)
+from helpers import (c2_c4_table, cyclic_table, oracle_burnside_pairs, oracle_centralizer,
+                     oracle_column_partition, oracle_conjugacy_partition, oracle_inverse,
+                     oracle_least_keys, oracle_mult, oracle_pair_orbits, q8_table,
+                     symmetric_table)
 from elimination import pair_orbits
-from terwilliger import (GroupTable, build_group, centralizer_counts,
-                         conjugacy_classes, generic_conjugacy_classes,
+from terwilliger import (ConsistencyError, GroupTable, build_group, centralizer_counts,
+                         conjugacy_classes, generic_conjugacy_classes, groups,
                          orbital_count, valid_twists, validate_params)
-from terwilliger.groups import BRUTE_FORCE_LIMIT, _brute_partition, orbit_reps
+from terwilliger.cli import main
+from terwilliger.groups import orbit_reps
 
 
 def named_group(name: str) -> GroupTable:
@@ -161,7 +165,7 @@ class TestConjugacyClasses:
         g = build_group(validate_params(4, 3))
         assert sorted(conjugacy_classes(g).sizes()) == [1, 1, 2, 2, 2]
 
-    # above BRUTE_FORCE_LIMIT: tau = 1, tau = 2, odd tau = 7 and tau = n/2
+    # the last four: tau = 1, tau = 2, odd tau = 7 and tau = n/2
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (5, 4), (8, 3), (8, 5),
                                      (9, 8), (12, 5), (12, 7), (12, 11),
                                      (99, 98), (100, 99), (63, 8), (100, 51)])
@@ -170,16 +174,17 @@ class TestConjugacyClasses:
         c = conjugacy_classes(g)
         assert {frozenset(cl) for cl in c.classes} == oracle_conjugacy_partition(g.mult)
 
-    def test_closed_forms_match_brute_force_above_the_limit(self):
-        # conjugacy_classes cross-checks the closed forms only up to the limit
-        for n in range(BRUTE_FORCE_LIMIT + 1, 101):
+    def test_closed_forms_match_column_partition(self):
+        # every valid pair up to n = 100, against the columns of the
+        # conjugation table; a centralizer order times its class size is |G|
+        for n in range(3, 101):
             for s in valid_twists(n):
                 g = build_group(validate_params(n, s))
                 c = conjugacy_classes(g)
-                assert set(map(frozenset, c.classes)) == set(_brute_partition(g)), (n, s)
+                assert set(map(frozenset, c.classes)) == oracle_column_partition(g.mult), (n, s)
                 assert all(rep in members for rep, members in zip(c.reps, c.classes))
-                counts = centralizer_counts(g)
-                assert [counts[rep] for rep in c.reps] == list(c.centralizer_orders), (n, s)
+                assert [cent * len(members) for cent, members in
+                        zip(c.centralizer_orders, c.classes)] == [g.order] * c.num_classes
 
     @pytest.mark.parametrize("n", range(3, 26))
     def test_structure_constants(self, n):
@@ -204,11 +209,76 @@ class TestConjugacyClasses:
             c = conjugacy_classes(build_group(params))
             assert c.identity_class == params.tau - 1
 
-    def test_generic_s4(self):
-        g = GroupTable(symmetric_table(4), name="S4")
+    @pytest.mark.parametrize("name,table", [
+        ("C1", cyclic_table(1)), ("C2", cyclic_table(2)), ("S3", symmetric_table(3)),
+        ("S4", symmetric_table(4)), ("Q8", q8_table()), ("C2xC4", c2_c4_table())])
+    def test_generic_matches_oracle(self, name, table):
+        g = GroupTable(table, name=name)
         c = generic_conjugacy_classes(g)
-        assert sorted(c.sizes()) == [1, 3, 6, 6, 8]
-        assert c.identity_class == 0
+        assert set(map(frozenset, c.classes)) == oracle_conjugacy_partition(g.mult)
+        # the identity's class first, then by size and least member, each
+        # class increasing and represented by its least member
+        assert c.classes[0] == (0,) and c.identity_class == 0
+        keys = [(len(members), members[0]) for members in c.classes]
+        assert keys == sorted(keys)
+        assert all(list(members) == sorted(members) for members in c.classes)
+        assert list(c.reps) == [members[0] for members in c.classes]
+        assert list(c.centralizer_orders) == [oracle_centralizer(g.mult, r) for r in c.reps]
+
+
+def corrupt(how: str):
+    """A stand-in for groups._closed_form_classes that damages its classes
+    (or centralizer orders) one way; Y1 and Y2 are pairs {m, m s}.  A
+    repeated member of the last class, with or without a member left out,
+    agrees with the least conjugates wherever class_of is defined, so only
+    the partition guard catches it."""
+    closed_forms = groups._closed_form_classes
+
+    def corrupted(params):
+        classes, labels, kinds, reps, cents = map(list, closed_forms(params))
+        y1, y2 = kinds.index("Y"), kinds.index("Y") + 1
+        if how == "move":        # Y1's second member joins Y2
+            classes[y2] += classes[y1][1:]
+            classes[y1] = classes[y1][:1]
+        elif how == "empty":     # X1's only member joins Y1, leaving X1 empty
+            classes[y1] += classes[0]
+            classes[0] = ()
+        elif how == "repeat":    # the last class lists its least member in place of its greatest
+            members = sorted(classes[-1])
+            classes[-1] = tuple(members[:-1] + members[:1])
+        elif how == "extra":     # the last class lists its first member twice
+            classes[-1] += classes[-1][:1]
+        elif how == "centralizer":
+            cents[y1] += 1
+        elif how == "swap":      # Y1 and Y2 trade their second members
+            (a, b), (c, d) = classes[y1], classes[y2]
+            classes[y1], classes[y2] = (a, d), (c, b)
+        return tuple(map(tuple, (classes, labels, kinds, reps, cents)))
+    return corrupted
+
+
+class TestCorruptedClosedForms:
+    """Closed forms damaged above n = 40 are caught by the check against
+    the Cayley table, which runs at every n."""
+
+    @pytest.mark.parametrize("how", ["move", "empty", "repeat", "extra", "centralizer",
+                                     "swap"])
+    @pytest.mark.parametrize("n,s", [(41, 40), (100, 51)])
+    def test_raises(self, monkeypatch, how, n, s):
+        monkeypatch.setattr(groups, "_closed_form_classes", corrupt(how))
+        with pytest.raises(ConsistencyError):
+            conjugacy_classes(build_group(validate_params(n, s)))
+
+    def test_sweep_reports_failed_rows(self, monkeypatch, capsys):
+        monkeypatch.setattr(groups, "_closed_form_classes", corrupt("swap"))
+        assert main(["sweep", "--n-min", "100", "--n-max", "100", "--format", "json"]) == 1
+        out, err = capsys.readouterr()
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(valid_twists(100)) > 0
+        assert all(r["checks"] == {"analysis_completed": False}
+                   and r["notes"][0].startswith("ConsistencyError: least conjugates")
+                   for r in rows)
+        assert "Traceback" not in err
 
 
 class TestCentralizers:

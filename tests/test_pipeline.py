@@ -93,13 +93,13 @@ class TestAnalyzePair:
         assert analyze_pair(8, 3, closure=closure).passed
         assert calls == ["orbit_reps"]
 
-    def test_one_brute_force_partition(self, monkeypatch):
+    def test_one_class_computation(self, monkeypatch):
         # the central idempotents read the classes the analysis already holds
         from terwilliger import groups
         calls = []
-        partition = groups._brute_partition
-        monkeypatch.setattr(groups, "_brute_partition",
-                            lambda group: calls.append(group) or partition(group))
+        least = groups._least_conjugate
+        monkeypatch.setattr(groups, "_least_conjugate",
+                            lambda group: calls.append(group) or least(group))
         a = analyze_pair(12, 5)
         assert a.passed and a.idempotents is not None
         assert len(calls) == 1
