@@ -112,20 +112,21 @@ class _GeneratorProducts:
     Every element of T lies in T~, so it is constant on the orbits of G on
     pairs and is stored as its values at the representative pairs `reps`,
     one per orbit (orbit_reps).  Every generator and every mask is a
-    predicate on three labels of a representative (u, v): its relation, the
-    class of v u^-1, and class_u and class_v, the classes of u and v.  A_i
-    is relation == i; E*_j is E*_j A_identity, the pairs with relation ==
-    identity_class and class_u == j; E*_j M keeps the pairs with class_u ==
-    j, and M E*_j those with class_v == j.  All three labels are checked to
-    be orbit invariants (`_check_invariants`), and the closure's rank
-    history is counted from them.
+    predicate on three labels of a representative (u, v): its relation,
+    the class of v u^-1 read off the Cayley table, and class_u and class_v,
+    the classes of u and v.  A_i is relation == i; E*_j is E*_j A_identity,
+    the pairs with relation == identity_class and class_u == j; E*_j M
+    keeps the pairs with class_u == j, and M E*_j those with class_v == j.
+    All three labels are orbit invariants once class_of is
+    (`_check_invariants`), and the closure's rank history is counted from
+    them.
     """
 
     def __init__(self, scheme: SchemeData, reps: np.ndarray):
         u, v = np.divmod(reps, scheme.order)
         class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
         self.t1 = scheme.num_relations
-        self.relation = scheme.class_matrix[u, v]
+        self.relation = class_of[scheme.group.mult[v, scheme.group.inv[u]]]
         self.class_u, self.class_v = class_of[u], class_of[v]
         self._check_invariants(scheme, class_of)
 
@@ -134,18 +135,15 @@ class _GeneratorProducts:
         every orbit of pairs.  class_of must be unchanged by conjugation by
         every g in the group's generating_set, x -> g x g^-1; in a group,
         conjugation by a product is the composite of the conjugations, so
-        class_of is then unchanged by every element.  The class matrix must
-        be its definition in build_scheme, Q[x, y] = class_of[y x^-1], which
-        every conjugation then leaves unchanged too.  That is |G| entries
-        per generator and one pass over Q, 256 rows at a time, for every
-        table."""
-        group, q = scheme.group, scheme.class_matrix
+        class_of is then unchanged by every element, and so are class_u and
+        class_v.  The relation needs no check of its own: it is
+        class_of[v u^-1], read off the Cayley table by its definition, and
+        conjugation by g takes v u^-1 to g (v u^-1) g^-1, of the same class.
+        That is |G| entries per generator."""
+        group = scheme.group
         g = np.asarray(group.generating_set, dtype=np.int64)
         conjugated = group.mult[group.mult[g], group.inv[g][:, None]]
-        if not (np.all(class_of[conjugated] == class_of)
-                and all(np.array_equal(class_of[group.mult[:, group.inv[lo:lo + 256]]].T,
-                                       q[lo:lo + 256])
-                        for lo in range(0, group.order, 256))):
+        if not np.all(class_of[conjugated] == class_of):
             raise ConsistencyError("a generator is not constant on the pair orbits")
 
     def cell_count(self) -> int:
@@ -203,7 +201,8 @@ def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
     order = scheme.order
     basis = RationalBasis(order * order)
     t1 = scheme.num_relations
-    gens = [scheme.adjacency(i) for i in range(t1)]
+    q = scheme.class_matrix()
+    gens = [(q == i).astype(np.int64) for i in range(t1)]
     gens += [np.diag(idem.diagonals[i]) for i in range(t1)]
     gens = [gens[i] for i in seed_order]
     frontier: list[np.ndarray] = []

@@ -133,7 +133,7 @@ class GroupTable:
         Built afresh on each call rather than cached: it is one gather, and a
         cache would keep order^2 integers alive on every retained table.
         """
-        return np.take(self.mult, self.mult * self.order + self.inv[:, None])
+        return self.mult[self.mult, self.inv[:, None]]
 
     @property
     def generating_set(self) -> tuple[int, ...]:

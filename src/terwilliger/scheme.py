@@ -1,14 +1,13 @@
-"""Group association scheme: relation matrices, intersection numbers, triple counts.
+"""Group association scheme: relations, intersection numbers, triple counts.
 
 The scheme of a group puts (x, y) in relation i exactly when y*x^-1 lies in
-the i-th conjugacy class.  The whole scheme is held as one integer matrix Q
-with Q[x, y] = class index of y*x^-1; the 0/1 adjacency matrix of a relation
-and its sparse rows are views derived from Q on demand.  The intersection
-numbers are held as their nonzero triples (i, j, k, p_ijk) in (i, j, k)
-order, counted by one sort of the (i, j, k) key of every (z, Cl_k) pair.
-The product identity A_i A_j = sum_k p[i,j,k] A_k, which makes them
-intersection numbers, is checked for every (i, j) at once by one sort of the
-rows of Q.
+the i-th conjugacy class.  It is held as the group and its classes; the
+class matrix Q[x, y] = class index of y*x^-1 is formed by each check that
+reads it whole and dies with it.  The intersection numbers are held as
+their nonzero triples (i, j, k, p_ijk) in (i, j, k) order, counted by one
+sort of the (i, j, k) key of every (z, Cl_k) pair.  The product identity
+A_i A_j = sum_k p[i,j,k] A_k, which makes them intersection numbers, is
+checked for every (i, j) at once by one sort of the rows of Q.
 """
 
 from __future__ import annotations
@@ -28,16 +27,15 @@ CASE_ORDER: tuple[tuple[str, str], ...] = (
 
 
 class SchemeData:
-    """Adjacency structure of a group association scheme.
+    """A group association scheme, held as the group and its conjugacy classes.
 
     Relations are indexed by conjugacy classes in their canonical order; the
     identity relation sits at classes.identity_class, not necessarily at 0.
     """
 
-    def __init__(self, group: GroupTable, class_matrix: np.ndarray, classes: ConjugacyData):
+    def __init__(self, group: GroupTable, classes: ConjugacyData):
         self.group = group
         self.order = group.order
-        self.class_matrix = class_matrix
         self.classes = classes
         self.identity_class = classes.identity_class
 
@@ -45,9 +43,11 @@ class SchemeData:
     def num_relations(self) -> int:
         return self.classes.num_classes
 
-    def adjacency(self, i: int) -> np.ndarray:
-        """Dense 0/1 matrix of relation i."""
-        return (self.class_matrix == i).astype(np.int64)
+    def class_matrix(self) -> np.ndarray:
+        """Q[x, y] = class of y*x^-1, the relation of (x, y): built afresh on
+        each call, as GroupTable.conjugation is, so that no scheme keeps it."""
+        cls = np.asarray(self.classes.class_of, dtype=np.int64)
+        return cls[self.group.mult[:, self.group.inv]].T  # [x, y] -> class of y * x^-1
 
 
 def _first_members(classes: ConjugacyData) -> np.ndarray:
@@ -85,9 +85,6 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     if not np.array_equal(counts, sizes):
         raise ConsistencyError("row 0 does not meet every class the right number of times")
 
-    quotient = group.mult[:, group.inv]          # quotient[y, x] = y * x^-1
-    class_matrix = cls[quotient].T               # [x, y] -> class of y * x^-1
-
     # inverse_class[i] is the class of the inverse of Cl_i's first member.
     # Once inv takes every member of each Cl_i into that class, it maps Cl_i
     # onto it: inv is a bijection of G, so each class holds the disjoint
@@ -98,10 +95,12 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     bad = cls[cls[group.inv] != inverse_class[cls]]
     if len(bad):
         raise ConsistencyError(f"inverse of class {classes.labels[bad.min()]} is not a class")
-    if not np.array_equal(class_matrix.T, inverse_class[class_matrix]):
+    scheme = SchemeData(group, classes)
+    q = scheme.class_matrix()
+    if not np.array_equal(q.T, inverse_class[q]):
         raise ConsistencyError("transpose closure fails")
 
-    return SchemeData(group, class_matrix, classes)
+    return scheme
 
 
 @dataclass(frozen=True)
@@ -186,9 +185,9 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> b
     """Check A_i A_j == sum_k p[i,j,k] A_k for every (i, j) as exact matrix
     identities.
 
-    Both sides are counted in integers from the class matrix Q and the
-    triples: (A_i A_j)[x, y] is the number of z with Q[x, z] = i and
-    Q[z, y] = j, and the right side is p[i, j, Q[x, y]].
+    Both sides are counted in integers from the class matrix Q, formed here
+    once, and the triples: (A_i A_j)[x, y] is the number of z with
+    Q[x, z] = i and Q[z, y] = j, and the right side is p[i, j, Q[x, y]].
 
     Only row x = 0 is compared, and two checks on Q stand in for the other
     rows.  First, Q is unchanged by the right translation x -> x g of each
@@ -200,10 +199,10 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> b
     transitive: the graph with an edge (x, x g) for every x and generator g
     is connected (_components).  Then some h in H moves 0 to any x, and row
     x of each side is row 0 moved by h.  Neither check assumes a group
-    axiom; the scheme of a group passes both.  So True certifies every
-    identity on all of G x G, and False means that one of them fails, or
-    that Q is changed by some generator's translation or that these
-    translations are not transitive.
+    axiom of the Cayley table that Q is read off; a group's passes both.
+    So True certifies every identity on all of G x G, and False means that
+    one of them fails, or that Q is changed by some generator's translation
+    or that these translations are not transitive.
 
     Row 0 of every product is read off one sort.  At column y, the codes
     Q[0, z] (t+1) + Q[z, y] over all z, sorted, hold each i (t+1) + j as
@@ -219,7 +218,7 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> b
     the base point: every member of every class is tried.
     """
     t1 = tensor.num_classes
-    q = scheme.class_matrix
+    q = scheme.class_matrix()
     group = scheme.group
     # column 0, the identity's, gives every element a loop, so the graph
     # has all |G| vertices even for a group with no generator

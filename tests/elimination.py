@@ -76,9 +76,12 @@ class GeneratorProducts(_GeneratorProducts):
     def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
         """The package's guard, then the reference's own, on the ids it forms
         elements in: M[x, y] is m[ids[x, y]], so the labels at the
-        representatives must be those of every pair of their orbit."""
+        representatives must be those of every pair of their orbit.  The
+        relations of all pairs are its own dense Q[x, y] = class of y x^-1."""
         super()._check_invariants(scheme, class_of)
-        if not (np.array_equal(self.relation[self.ids], scheme.class_matrix)
+        group = scheme.group
+        q = class_of[group.mult[:, group.inv]].T
+        if not (np.array_equal(self.relation[self.ids], q)
                 and np.all(self.class_u[self.ids] == class_of[:, None])
                 and np.all(self.class_v[self.ids] == class_of)):
             raise ConsistencyError("a generator is not constant on the pair orbits")

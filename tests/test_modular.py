@@ -152,8 +152,9 @@ class TestPrimeBasis:
         g = build_group(validate_params(3, 2))
         sd = build_scheme(g, conjugacy_classes(g))
         basis = PrimeBasis(DEFAULT_PRIMES[0], 36)
+        q = sd.class_matrix()
         for i in range(3):
-            assert basis.insert(sd.adjacency(i).reshape(-1))
+            assert basis.insert((q == i).astype(np.int64).reshape(-1))
         assert basis.rank == 3
 
     def test_rank_invariant_under_insertion_order(self):

@@ -65,10 +65,28 @@ def moved(tensor, k, source, target):
     return raised(raised(tensor, *source, k, by=-1), *target, k)
 
 
-def hand_built_scheme(group, classes):
-    """Q[x, y] = class of y x^-1, as build_scheme forms it, with no axiom checked."""
-    cls = np.asarray(classes.class_of, dtype=np.int64)
-    return SchemeData(group, cls[group.mult[:, group.inv]].T, classes)
+def relations(sd):
+    """The dense 0/1 matrix A_i = (Q == i) of every relation i."""
+    q = sd.class_matrix()
+    return [(q == i).astype(np.int64) for i in range(sd.num_relations)]
+
+
+def swapped_intercalate(group, rows, cols):
+    """The group with its Cayley table's 2 x 2 Latin subsquare at rows x
+    cols swapped: the table stays Latin with identity 0, but is no longer
+    a group's."""
+    mult = group.mult.copy()
+    block = np.ix_(rows, cols)
+    sub = mult[block]
+    assert sub[0, 0] == sub[1, 1] != sub[0, 1] == sub[1, 0] and 0 not in (*rows, *cols)
+    mult[block] = sub[::-1]
+    return GroupTable(mult, params=group.params, name=group.name)
+
+
+def row_zero_codes(q, t1):
+    """Row 0 of every product A_i A_j, as verify_product_identity reads it:
+    at each column y, the codes Q[0, z] t1 + Q[z, y] over all z, sorted."""
+    return np.sort(q[0][:, None] * t1 + q, axis=0)
 
 
 def swapped_d43_classes():
@@ -90,29 +108,48 @@ class TestBuildScheme:
     def test_identity_relation(self):
         _, g, c = pipeline(3, 2)
         sd = build_scheme(g, c)
-        assert np.array_equal(sd.adjacency(sd.identity_class), np.eye(6, dtype=int))
+        assert np.array_equal(relations(sd)[sd.identity_class], np.eye(6, dtype=int))
 
     def test_row_sums_are_class_sizes(self):
         _, g, c = pipeline(3, 2)
         sd = build_scheme(g, c)
-        for i, size in enumerate(c.sizes()):
-            assert np.all(sd.adjacency(i).sum(axis=1) == size)
+        for a, size in zip(relations(sd), c.sizes()):
+            assert np.all(a.sum(axis=1) == size)
 
     @pytest.mark.parametrize("n,s", [(3, 2), (8, 3), (12, 5)])
     def test_partition_of_ones(self, n, s):
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
-        total = sum(sd.adjacency(i) for i in range(c.num_classes))
+        total = sum(relations(sd))
         assert np.array_equal(total, np.ones((g.order, g.order), dtype=int))
 
     def test_transpose_closure_d43(self):
         # every class of D(4,3) is inverse-closed, so each A_i is symmetric
         _, g, c = pipeline(4, 3)
         sd = build_scheme(g, c)
-        for i in range(c.num_classes):
+        for i, a in enumerate(relations(sd)):
             inv_members = {int(g.inv[x]) for x in c.classes[i]}
             assert inv_members == set(c.classes[i])
-            assert np.array_equal(sd.adjacency(i), sd.adjacency(i).T)
+            assert np.array_equal(a, a.T)
+
+    def test_holds_no_pair_array_beside_the_cayley_table(self):
+        # every array reached from the scheme's attributes, through objects,
+        # tuples and lists: only the Cayley table has |G|^2 entries
+        _, g, c = pipeline(130, 51)
+        sd = build_scheme(g, c)
+
+        def arrays(value, path):
+            if isinstance(value, np.ndarray):
+                yield path, value
+            elif isinstance(value, (tuple, list)):
+                for i, item in enumerate(value):
+                    yield from arrays(item, f"{path}[{i}]")
+            elif hasattr(value, "__dict__"):
+                for name, item in vars(value).items():
+                    yield from arrays(item, f"{path}.{name}")
+
+        big = [path for path, a in arrays(sd, "sd") if a.size >= g.order ** 2]
+        assert big == ["sd.group.mult"]
 
     def test_broken_row_counts_raise(self):
         # a^1 moved into the reflection class in class_of only: every row then
@@ -234,20 +271,24 @@ class TestIntersectionNumbers:
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (16, 7)])
     def test_product_identity_detects_one_corrupted_relation(self, n, s):
-        # two entries of different classes swapped in one row of Q: every row
-        # still meets each class |Cl_i| times, but two columns no longer do
+        # the Cayley table's intercalate at rows a, a^(n/2+1) and columns
+        # a^2, a^(n/2+2) swapped: the table stays Latin, so every row and
+        # every column of Q still meets each class |Cl_i| times, but four
+        # pairs change relation and the table is no group's.  build_scheme's
+        # transpose closure refuses it; built by hand, the product identity
+        # fails
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        q = sd.class_matrix.copy()
-        x = 1
-        z1, z2 = 2, next(z for z in range(3, g.order) if q[x, z] not in (q[x, 2], q[x, x]))
-        a, b = int(q[x, z1]), int(q[x, z2])
-        q[x, z1], q[x, z2] = b, a
-        rows = np.arange(g.order)[:, None] * c.num_classes + q
-        assert np.array_equal(np.bincount(rows.ravel()).reshape(g.order, -1),
-                              np.tile(c.sizes(), (g.order, 1)))
-        corrupted = SchemeData(g, q, c)
+        corrupted = SchemeData(swapped_intercalate(g, [1, n // 2 + 1], [2, n // 2 + 2]), c)
+        q = corrupted.class_matrix()
+        assert np.count_nonzero(q != sd.class_matrix()) == 4
+        for lines in (q, q.T):
+            counts = np.arange(g.order)[:, None] * c.num_classes + lines
+            assert np.array_equal(np.bincount(counts.ravel()).reshape(g.order, -1),
+                                  np.tile(c.sizes(), (g.order, 1)))
+        with pytest.raises(ConsistencyError, match="^transpose closure fails$"):
+            build_scheme(corrupted.group, c)
         assert verify_product_identity(sd, tensor)
         assert not verify_product_identity(corrupted, tensor)
 
@@ -276,7 +317,7 @@ class TestIntersectionNumbers:
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert oracle_holds(sd.class_matrix, tensor, c)
+        assert oracle_holds(sd.class_matrix(), tensor, c)
         assert verify_product_identity(sd, tensor)
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5)])
@@ -287,51 +328,55 @@ class TestIntersectionNumbers:
         _, g, c = pipeline(n, s)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
+        q = sd.class_matrix()
         t1 = c.num_classes
         for i, j in every_pair(c):
             k = (i + j) % t1
             source = next((int(a), int(b)) for a, b, kk in zip(tensor.i, tensor.j, tensor.k)
                           if kk == k and (a, b) != (i, j))
             for perturbed in (raised(tensor, i, j, k), moved(tensor, k, source, (i, j))):
-                expected = oracle_holds(sd.class_matrix, perturbed, c)
+                expected = oracle_holds(q, perturbed, c)
                 assert not expected
                 assert verify_product_identity(sd, perturbed) == expected, (i, j)
 
     def test_product_identity_detects_a_corruption_off_row_zero(self):
-        # Q[z1, y] and Q[z2, y] swapped for z1, z2 of one class in row 0:
-        # every count in row 0 of every product stays, but the translations
-        # by the generators now change Q
+        # the Cayley table's intercalate at rows a, a^5 and columns a^2, a^6
+        # swapped: Q changes in rows a^6 and a^2 only, whose inverses are
+        # those columns, and they share a class, so every count in row 0 of
+        # every product stays; but the translations by the generators now
+        # change Q
         _, g, c = pipeline(8, 3)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        q = sd.class_matrix.copy()
-        z1, z2 = c.classes[next(i for i, m in enumerate(c.classes) if len(m) > 1)][:2]
-        y = int(np.flatnonzero(q[z1] != q[z2])[0])
-        q[z1, y], q[z2, y] = q[z2, y], q[z1, y]
-        assert np.array_equal(q[0], sd.class_matrix[0])
+        corrupted = SchemeData(swapped_intercalate(g, [1, 5], [2, 6]), c)
+        q = corrupted.class_matrix()
+        assert np.flatnonzero((q != sd.class_matrix()).any(axis=1)).tolist() == [2, 6]
+        assert np.array_equal(row_zero_codes(q, c.num_classes),
+                              row_zero_codes(sd.class_matrix(), c.num_classes))
         assert not oracle_holds(q, tensor, c)
-        corrupted = SchemeData(g, q, c)
         assert not verify_product_identity(corrupted, tensor)
 
     def test_product_identity_checks_every_row_block(self):
-        # (300, 49) has 600 elements, so each translation is compared in
-        # three blocks of 256 rows: the clean Q passes them all.  As in the
-        # off-row-zero case, Q[z1, y] and Q[z2, y] are swapped for z1, z2 of
-        # one class, a^269 and a^281, so row 0's counts stay; the
-        # translations by a and b move rows 268, 581, 280 and 569 onto them,
-        # so only the second block sees the change
-        _, g, c = pipeline(300, 49)
+        # (516, 259) has 1032 elements, so each translation is compared in
+        # five blocks of 256 rows: the clean Q passes them all.  As in the
+        # off-row-zero case, an intercalate of the Cayley table is swapped,
+        # at rows and columns b a and b a^259 (517 and 775); Q changes in
+        # rows 773 and 1031, whose inverses are those columns, and row 0's
+        # counts stay.  The translations by a and b move rows 772, 1030,
+        # 257 and 515 onto them, so the first block never sees the change
+        _, g, c = pipeline(516, 259)
         sd = build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert g.order == 600 and verify_product_identity(sd, tensor)
-        z1, z2 = 269, 281
-        assert c.class_of[z1] == c.class_of[z2]
-        assert [int(g.mult[x, a]) for x, a in zip((268, 581, 280, 569), 2 * g.generating_set)
-                ] == [z1, z1, z2, z2]
-        q = sd.class_matrix.copy()
-        y = int(np.flatnonzero(q[z1] != q[z2])[0])
-        q[z1, y], q[z2, y] = q[z2, y], q[z1, y]
-        assert not verify_product_identity(SchemeData(g, q, c), tensor)
+        assert g.order == 1032 and verify_product_identity(sd, tensor)
+        corrupted = SchemeData(swapped_intercalate(g, [517, 775], [517, 775]), c)
+        q = corrupted.class_matrix()
+        changed = np.flatnonzero((q != sd.class_matrix()).any(axis=1))
+        assert changed.tolist() == [773, 1031]
+        assert np.flatnonzero(np.isin(g.mult[:, g.generating_set], changed).any(axis=1)
+                              ).tolist() == [257, 515, 772, 1030]
+        assert np.array_equal(row_zero_codes(q, c.num_classes),
+                              row_zero_codes(sd.class_matrix(), c.num_classes))
+        assert not verify_product_identity(corrupted, tensor)
 
     def test_base_point_dependence_fails_the_product_identity(self):
         # build_scheme rejects these classes, so their scheme is built by hand;
@@ -339,11 +384,11 @@ class TestIntersectionNumbers:
         # read off a class map does, and the counts at a^3 differ from the
         # tensor's at a^2
         _, g, c = pipeline(4, 3)
-        assert verify_product_identity(hand_built_scheme(g, c), intersection_numbers(g, c))
+        assert verify_product_identity(SchemeData(g, c), intersection_numbers(g, c))
         g, corrupted = swapped_d43_classes()
         with pytest.raises(ConsistencyError, match="^inverse of class Y1 is not a class$"):
             build_scheme(g, corrupted)
-        assert not verify_product_identity(hand_built_scheme(g, corrupted),
+        assert not verify_product_identity(SchemeData(g, corrupted),
                                            intersection_numbers(g, corrupted))
 
     def test_base_point_dependence_fails_at_either_base_point(self):
@@ -357,7 +402,7 @@ class TestIntersectionNumbers:
         differ = dense(tensors[0]) != dense(tensors[1])
         assert np.flatnonzero(differ.any(axis=(0, 1))).tolist() == [2]
         assert corrupted.labels[2] == "Y1"
-        sd = hand_built_scheme(g, corrupted)
+        sd = SchemeData(g, corrupted)
         assert not any(verify_product_identity(sd, t) for t in tensors)
 
     def test_matches_per_class_oracle(self):
