@@ -193,6 +193,17 @@ class TestAlgebraClosure:
                            match="^a generator is not constant on the pair orbits$"):
             algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
 
+    @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (130, 51)])
+    def test_relation_labels_are_q_on_every_orbit(self, n, s):
+        # the label guard checks class_of only, because the relation read at
+        # a representative is Q there, and Q is constant on every orbit of
+        # pairs: spread back over the orbits, the labels are Q at every pair,
+        # in both blocks of 256 rows at (130, 51)
+        sd, _, _ = closure_inputs(n, s)
+        ids, reps = pair_orbits(sd.group)
+        labels = _GeneratorProducts(sd, reps).relation
+        assert np.array_equal(labels[ids], sd.class_matrix())
+
     def test_short_enumeration_checked_against_burnside(self):
         # the number of orbits handed in is checked against the Burnside
         # count; an enumeration one orbit short fails

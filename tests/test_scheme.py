@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import (c2_c4_table, cyclic_table, oracle_intersection_tensor,
+from helpers import (c2_c4_table, cyclic_table, oracle_intersection_tensor, oracle_inverse,
                      oracle_product_identity, oracle_t0_count, oracle_tensor_per_class,
                      q8_table, symmetric_table)
 from terwilliger import (ConjugacyData, ConsistencyError, GroupTable, IntersectionTensor,
@@ -131,6 +131,23 @@ class TestBuildScheme:
             inv_members = {int(g.inv[x]) for x in c.classes[i]}
             assert inv_members == set(c.classes[i])
             assert np.array_equal(a, a.T)
+
+    @pytest.mark.parametrize("group", [(8, 3), (12, 5), "S4", "C5"])
+    def test_class_matrix_is_the_class_of_y_times_x_inverse(self, group):
+        # Q[x, y] names the class that holds y x^-1, with the inverse read by
+        # search of the table; D(8,3), D(12,5) and C5 have classes that are
+        # not inverse-closed, so the class of x y^-1 differs from it there
+        if isinstance(group, tuple):
+            _, g, c = pipeline(*group)
+        else:
+            g = GroupTable(symmetric_table(4) if group == "S4" else cyclic_table(5), name=group)
+            c = generic_conjugacy_classes(g)
+        q = build_scheme(g, c).class_matrix()
+        mult = g.mult
+        for x in range(g.order):
+            x_inv = oracle_inverse(mult, x)
+            for y in range(g.order):
+                assert int(mult[y, x_inv]) in c.classes[q[x, y]]
 
     def test_holds_no_pair_array_beside_the_cayley_table(self):
         # every array reached from the scheme's attributes, through objects,
