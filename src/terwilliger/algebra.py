@@ -8,8 +8,10 @@ centralizer algebra of the conjugation action on pairs gives an upper bound
 equal to the orbital count.  The closure's rank is counted here from
 labels, and the count holds over Q and over every prime field, so when it
 reaches the orbital bound the dimension is certified exactly, and otherwise
-it is reported with modular provenance (with an optional rational rerun for
-small groups).  The centralizer algebra is spanned by the 0/1
+it is reported with modular provenance.  The closure has this one path: it
+forms no basis and no dense generator, and the dual idempotents are read
+as labels, so `dual_idempotents` is a checked public function that the
+closure does not call.  The centralizer algebra is spanned by the 0/1
 orbital matrices, which have disjoint supports, so the closure keeps every
 element in orbital coordinates: its values at one representative pair per
 orbit, a faithful coordinate system for the whole algebra over any field.
@@ -61,14 +63,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import ConsistencyError, GroupTable, _components, orbital_count
-from .modular import DEFAULT_PRIMES, RationalBasis
+from .modular import DEFAULT_PRIMES
 from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 PROVENANCE_EXACT = "exact"
-PROVENANCE_RATIONAL = "exact-rational"
 PROVENANCE_MODULAR = "modular, two-prime agreement"
 
 
@@ -80,7 +81,10 @@ class DualIdempotents:
 
 
 def dual_idempotents(scheme: SchemeData) -> DualIdempotents:
-    """E*_i = diag(indicator of Cl_i); verifies the orthogonal idempotent laws."""
+    """E*_i = diag(indicator of Cl_i); verifies the orthogonal idempotent laws.
+
+    A public function for callers that want the diagonals themselves; the
+    closure reads E*_i as the class labels and does not call it."""
     classes = scheme.classes
     sizes = np.array(classes.sizes())
     members = np.fromiter(itertools.chain.from_iterable(classes.classes),
@@ -194,36 +198,6 @@ def _check_budget(rounds: int) -> None:
         raise ConsistencyError(f"closure did not stabilize within {ROUND_BUDGET} rounds")
 
 
-def _rational_closure(scheme: SchemeData, idem: DualIdempotents,
-                      seed_order: list[int]) -> int:
-    """The same saturation over the rationals, on dense generators; exact but
-    only for small groups."""
-    order = scheme.order
-    basis = RationalBasis(order * order)
-    t1 = scheme.num_relations
-    q = scheme.class_matrix()
-    gens = [(q == i).astype(np.int64) for i in range(t1)]
-    gens += [np.diag(idem.diagonals[i]) for i in range(t1)]
-    gens = [gens[i] for i in seed_order]
-    frontier: list[np.ndarray] = []
-    for seed in gens:
-        if basis.insert(seed.reshape(-1).tolist()):
-            frontier.append(seed.astype(object))
-    rounds = 0
-    while frontier:
-        rounds += 1
-        _check_budget(rounds)
-        new: list[np.ndarray] = []
-        for m in frontier:
-            for g in gens:
-                # two-sided on purpose: the independent reference for the spin-up
-                for prod in (g @ m, m @ g):
-                    if basis.insert(prod.reshape(-1).tolist()):
-                        new.append(prod)
-        frontier = new
-    return basis.rank
-
-
 def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
     """Dimension of the centralizer algebra: the orbital count (dual-route),
     checked against the representatives `reps` of an enumeration already
@@ -231,11 +205,8 @@ def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
     return orbital_count(group, reps)
 
 
-def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
-                    dim_t0_value: int,
-                    reps: np.ndarray,
-                    seed_order: list[int] | None = None,
-                    exact_rational: bool = False) -> DimensionCertificate:
+def algebra_closure(scheme: SchemeData, *, dim_t0_value: int,
+                    reps: np.ndarray) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
 
     The rank history is counted from the closure's labels
@@ -246,39 +217,18 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     over each of the two fixed primes of DEFAULT_PRIMES, which the
     certificate records, and no basis is formed.  Where the labels do not
     decide round 2 (S4, say), it raises ConsistencyError.  Reaching the
-    centralizer bound makes the rank an exact certificate.
+    centralizer bound makes the rank an exact certificate; a rank below it
+    would be reported with modular provenance.
 
     `reps` are the orbit representatives of `orbit_reps(scheme.group)`,
     which the caller enumerates once for its own orbital check as well.
     Their number is checked against the Burnside count before it serves as
     the bound.
-    `seed_order` permutes the generators of the rational rerun only; the
-    count reads no order.
     """
-    canonical = list(range(2 * scheme.num_relations))
-    seed_order = canonical if seed_order is None else list(seed_order)
-    if sorted(seed_order) != canonical:
-        raise ValueError("seed_order must be a permutation of the generators")
     bound = dim_t_tilde(scheme.group, reps)
     history = _GeneratorProducts(scheme, reps).rank_history(bound)
     _check_budget(len(history) - 1)
     dim_t = history[-1]
-
-    rational_rank = None
-    if exact_rational:
-        rational_rank = _rational_closure(scheme, idem, seed_order)
-        if rational_rank < dim_t:
-            raise ConsistencyError(
-                f"rational rank {rational_rank} below modular rank {dim_t}")
-        dim_t = rational_rank
-
-    if dim_t == bound:
-        provenance = PROVENANCE_EXACT
-    elif rational_rank is not None:
-        provenance = PROVENANCE_RATIONAL
-    else:
-        provenance = PROVENANCE_MODULAR
-
     if not (dim_t0_value <= dim_t <= bound):
         raise ConsistencyError(
             f"dimension sandwich violated: {dim_t0_value} <= {dim_t} <= {bound} fails")
@@ -286,7 +236,7 @@ def algebra_closure(scheme: SchemeData, idem: DualIdempotents, *,
     return DimensionCertificate(
         dim_t=dim_t,
         dim_t_tilde=bound,
-        provenance=provenance,
+        provenance=PROVENANCE_EXACT if dim_t == bound else PROVENANCE_MODULAR,
         closure_rounds=len(history) - 1,
         basis_size_history=(tuple(history), tuple(history)),
         primes=DEFAULT_PRIMES,

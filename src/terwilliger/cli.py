@@ -216,8 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--n", type=int, required=True)
     p_an.add_argument("--s", type=int, required=True)
     p_an.add_argument("--no-closure", action="store_true")
-    p_an.add_argument("--exact-rational", action="store_true",
-                      help="confirm the closure rank over the rationals (small n only)")
     common(p_an)
 
     p_sw = sub.add_parser("sweep", help="analyze every valid (n, s) in a range")
@@ -227,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--closure-limit", type=int, default=pipeline.CLOSURE_DEFAULT_LIMIT,
                       help="run the closure only for n up to this limit")
     p_sw.add_argument("--generator-order", type=int, default=None, metavar="SEED",
-                      help="permute the generator seeding order (the closure's count "
-                           "reads no order, so no result changes)")
+                      help="changes nothing: the closure's count reads no generator "
+                           "order; accepted only because perfbench/worker.py passes it")
     common(p_sw, formats=("csv", "json", "text"))
 
     p_au = sub.add_parser("audit-corollaries",
@@ -257,8 +255,7 @@ def _report(args, params: GroupParams | None) -> tuple[str, int]:
     """The report of one command and its exit code; a run that ends with no
     report raises instead."""
     if args.command == "analyze":
-        analysis = pipeline.analyze_pair(
-            args.n, args.s, closure=not args.no_closure, exact_rational=args.exact_rational)
+        analysis = pipeline.analyze_pair(args.n, args.s, closure=not args.no_closure)
         if args.format == "json":
             text = canonical_json(analysis.to_json_dict())
         elif args.format == "csv":
@@ -270,8 +267,7 @@ def _report(args, params: GroupParams | None) -> tuple[str, int]:
     if args.command == "sweep":
         rows = SweepRows(args.format)
         pipeline.sweep(args.n_min, args.n_max, threads=args.threads,
-                       closure_limit=args.closure_limit,
-                       generator_order_seed=args.generator_order, sink=rows)
+                       closure_limit=args.closure_limit, sink=rows)
         return render_sweep(rows), 0 if rows.passed == len(rows.texts) else 1
 
     if args.command == "audit-corollaries":

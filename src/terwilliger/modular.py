@@ -1,4 +1,4 @@
-"""Exact rank machinery over prime fields, plus a rational fallback.
+"""Exact rank machinery over prime fields and over the rationals.
 
 Vectors have a fixed length.  No product path forms a PrimeBasis: the
 algebra closure counts its ranks from labels, and the eliminating closure
@@ -354,9 +354,9 @@ class RationalBasis:
     Rows are {column: value} dicts with no zero value.  An integral value is
     a Python int and any other an exact Fraction; a Fraction arises only
     when a pivot's inverse is not integral, so a basis whose pivots are all
-    +-1 runs on integers alone.  Slow but exact; its one caller is the
-    optional rational confirmation mode (`algebra._rational_closure`,
-    `--exact-rational`).
+    +-1 runs on integers alone.  Slow but exact; no product path forms
+    one.  The test suite reruns the closure over the rationals in it
+    (`rational_closure` in tests/elimination.py).
     """
 
     def __init__(self, length: int):

@@ -3,7 +3,8 @@
 An analysis runs the entire chain: group construction with dual-route
 conjugacy data, scheme axioms, intersection tensor with the nine case
 counts and the product identity for every (i, j), the two dimension
-bounds, the two-prime generator closure, the character table with both
+bounds, the generator closure counted from labels (one path, which forms
+no dual idempotent and no basis), the character table with both
 multiplicity routes, Wedderburn blocks, and the desk-scale certificates
 (commutant rank, central idempotents) when the group is small enough.
 Every verdict lands in an ordered checks dict; consistency exceptions from
@@ -31,7 +32,6 @@ route stays independent of the orbital one.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -132,10 +132,13 @@ class PairFailure:
 
 def analyze_pair(n: int, s: int, *,
                  closure: bool = True,
-                 exact_rational: bool = False,
                  generator_order_seed: int | None = None,
                  desk_certificates: bool = True) -> Analysis:
-    """Run the full pipeline for D(n, s)."""
+    """Run the full pipeline for D(n, s).
+
+    `generator_order_seed` changes nothing: the closure's count reads no
+    generator order.  It is accepted only because perfbench/worker.py
+    passes it, and goes once that harness stops passing it."""
     params = validate_params(n, s)
     group = build_group(params)
     checks: dict[str, bool] = {}
@@ -178,15 +181,9 @@ def analyze_pair(n: int, s: int, *,
 
     certificate = None
     if closure:
-        idem = algebra.dual_idempotents(scheme_data)
-
         def closure_certificate():
             try:
-                return algebra.algebra_closure(
-                    scheme_data, idem, dim_t0_value=t0, reps=reps,
-                    seed_order=_generator_order(generator_order_seed,
-                                                2 * classes.num_classes),
-                    exact_rational=exact_rational)
+                return algebra.algebra_closure(scheme_data, dim_t0_value=t0, reps=reps)
             except MemoryError as exc:
                 # an allocation that fails is caught here; an OOM kill is not
                 detail = f" ({exc})" if str(exc) else ""
@@ -196,7 +193,7 @@ def analyze_pair(n: int, s: int, *,
         certificate = step("closure_two_primes_agree", closure_certificate)
         if certificate is not None:
             checks["closure_matches_formula"] = certificate.dim_t == formula
-            checks["closure_provenance_exact"] = certificate.provenance.startswith("exact")
+            checks["closure_provenance_exact"] = certificate.provenance == algebra.PROVENANCE_EXACT
 
     table = characters.char_table(params, classes)
     step("char_orthogonality", lambda: characters.orthogonality_check(table, classes))
@@ -242,14 +239,6 @@ def analyze_pair(n: int, s: int, *,
     )
 
 
-def _generator_order(seed: int | None, count: int) -> list[int] | None:
-    if seed is None:
-        return None
-    order = list(range(count))
-    random.Random(seed).shuffle(order)
-    return order
-
-
 def enumerate_pairs(n_min: int, n_max: int) -> list[tuple[int, int]]:
     """All valid (n, s) with n in [n_min, n_max], in lexicographic order."""
     return [(n, s) for n in range(n_min, n_max + 1) for s in valid_twists(n)]
@@ -265,7 +254,8 @@ def sweep(n_min: int, n_max: int, *,
     closure runs only for n <= closure_limit.  Rows are computed in parallel
     but reach the sink in (n, s) order, each as soon as it and every earlier
     row are done, and sweep keeps none of them.  Without a sink the rows are
-    returned as a list; with one, sweep returns None."""
+    returned as a list; with one, sweep returns None.
+    `generator_order_seed` changes nothing, as in analyze_pair."""
     pairs = enumerate_pairs(n_min, n_max)
     rows: list[Analysis | PairFailure] = []
     emit = rows.append if sink is None else sink
@@ -276,7 +266,6 @@ def sweep(n_min: int, n_max: int, *,
             return analyze_pair(
                 n, s,
                 closure=n <= closure_limit,
-                generator_order_seed=generator_order_seed,
                 desk_certificates=False,
             )
         except (ConsistencyError, MemoryError) as exc:

@@ -17,6 +17,11 @@ of every one of the |G|^2 pairs, which left products read.  The package
 reads only the representatives (`terwilliger.groups.orbit_reps`), so that
 enumeration lives here with the one closure that needs it.
 
+`rational_closure` is a second reference: the closure rerun over the
+rationals on dense |G| x |G| generators, two-sided, in a given seed order.
+It lives here because the count reaches the orbital bound for every
+D(n,s), so a rerun can only agree, and it is slow beyond small groups.
+
 Run the tests with `tests` on the path (pytest's conftest puts it there);
 a script can do the same with `PYTHONPATH=src:tests`.
 """
@@ -27,7 +32,7 @@ import numpy as np
 
 from terwilliger.algebra import _check_budget, _GeneratorProducts
 from terwilliger.groups import ConsistencyError, GroupTable, _least_conjugates
-from terwilliger.modular import PrimeBasis
+from terwilliger.modular import PrimeBasis, RationalBasis
 from terwilliger.scheme import SchemeData
 
 BATCH_ENTRIES = 2 ** 16  # dense values of later-round products per insert_block call
@@ -79,8 +84,7 @@ class GeneratorProducts(_GeneratorProducts):
         representatives must be those of every pair of their orbit.  The
         relations of all pairs are its own dense Q[x, y] = class of y x^-1."""
         super()._check_invariants(scheme, class_of)
-        group = scheme.group
-        q = class_of[group.mult[:, group.inv]].T
+        q = _dense_q(scheme.group, class_of)
         if not (np.array_equal(self.relation[self.ids], q)
                 and np.all(self.class_u[self.ids] == class_of[:, None])
                 and np.all(self.class_v[self.ids] == class_of)):
@@ -150,6 +154,11 @@ class GeneratorProducts(_GeneratorProducts):
         return products
 
 
+def _dense_q(group: GroupTable, class_of: np.ndarray) -> np.ndarray:
+    """The reference's own Q[x, y] = class of y x^-1, read off the table."""
+    return class_of[group.mult[:, group.inv]].T
+
+
 def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0/1 entries sorted by row, the columns of each row kept in order."""
     order = np.argsort(rows, kind="stable")
@@ -203,3 +212,28 @@ def modular_closure(basis: PrimeBasis, products: GeneratorProducts,
         if history[-1] == history[-2]:
             break
     return rounds, history
+
+
+def rational_closure(scheme: SchemeData, order: list[int]) -> int:
+    """The rank over Q of the algebra of the generators, seeded in `order`:
+    A_i = (Q == i) for i <= t, then E*_i = diag(class_of == i), as dense
+    |G| x |G| matrices.  Every round multiplies the rows the round before
+    added by every generator on both sides, the independent check of the
+    left-only spin-up; the loop ends after a round that adds nothing, within
+    the package's ROUND_BUDGET.  Exact, and slow beyond small groups."""
+    class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
+    q = _dense_q(scheme.group, class_of)
+    t1 = scheme.num_relations
+    gens = [(q == i).astype(np.int64) for i in range(t1)]
+    gens += [np.diag((class_of == i).astype(np.int64)) for i in range(t1)]
+    gens = [gens[g] for g in order]
+    basis = RationalBasis(scheme.order ** 2)
+    # object arrays keep the products in exact Python ints
+    frontier = [g.astype(object) for g in gens if basis.insert(g.reshape(-1).tolist())]
+    rounds = 0
+    while frontier:
+        rounds += 1
+        _check_budget(rounds)
+        frontier = [prod for m in frontier for g in gens for prod in (g @ m, m @ g)
+                    if basis.insert(prod.reshape(-1).tolist())]
+    return basis.rank

@@ -9,7 +9,7 @@ from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnsid
                      oracle_echelon, oracle_inverse, oracle_rational_echelon, q8_table,
                      symmetric_table)
 import elimination
-from elimination import GeneratorProducts, modular_closure, pair_orbits
+from elimination import GeneratorProducts, modular_closure, pair_orbits, rational_closure
 from terwilliger import (GroupTable, build_group, build_scheme,
                          commutant_oracle, conjugacy_classes, dim_t0,
                          dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
@@ -25,7 +25,7 @@ def closure_inputs(n, s):
     classes = conjugacy_classes(group)
     sd = build_scheme(group, classes)
     tensor = intersection_numbers(group, classes)
-    return sd, dual_idempotents(sd), dim_t0(tensor)
+    return sd, dim_t0(tensor)
 
 
 def relations(sd):
@@ -34,11 +34,17 @@ def relations(sd):
     return [(q == i).astype(np.int64) for i in range(sd.num_relations)]
 
 
+def duals(sd):
+    """The dense diagonal 0/1 matrix E*_i of every class i, from class_of."""
+    class_of = np.asarray(sd.classes.class_of)
+    return [np.diag((class_of == i).astype(np.int64)) for i in range(sd.num_relations)]
+
+
 def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
     """One prime's eliminating closure (the reference) in canonical seed
     order; returns the basis, the generator products, the rounds and the
     history."""
-    sd, _, _ = closure_inputs(n, s)
+    sd, _ = closure_inputs(n, s)
     products = GeneratorProducts(sd, *pair_orbits(sd.group))
     bound = dim_t_tilde(sd.group) + bound_above_t_tilde
     basis = PrimeBasis(prime, len(products.u))
@@ -56,12 +62,11 @@ def basis_digest(basis):
 
 class TestDualIdempotents:
     def test_class_indicator_diagonals(self):
-        sd, idem, _ = closure_inputs(3, 2)
+        idem = dual_idempotents(closure_inputs(3, 2)[0])
         assert np.array_equal(idem.diagonals[1], np.array([0, 1, 1, 0, 0, 0]))
 
     def test_sum_is_identity_and_orthogonal(self):
-        sd, idem, _ = closure_inputs(8, 3)
-        diag = idem.diagonals
+        diag = dual_idempotents(closure_inputs(8, 3)[0]).diagonals
         assert np.array_equal(diag.sum(axis=0), np.ones(16, dtype=int))
         for i in range(diag.shape[0]):
             for j in range(diag.shape[0]):
@@ -75,14 +80,15 @@ class TestDualIdempotents:
         (((0,), (1, 1, 2), (3, 4, 5)), "trace differs from class size"),
     ])
     def test_broken_partition_raises(self, classes, message):
-        sd, _, _ = closure_inputs(3, 2)
+        sd, _ = closure_inputs(3, 2)
         sd.classes = dataclasses.replace(sd.classes, classes=classes)
         with pytest.raises(ConsistencyError, match=message):
             dual_idempotents(sd)
 
     def test_sandwich_support(self):
         # E_i A_j E_k is supported inside Cl_i x Cl_k
-        sd, idem, _ = closure_inputs(4, 3)
+        sd, _ = closure_inputs(4, 3)
+        idem = dual_idempotents(sd)
         classes = sd.classes
         adj = relations(sd)
         for i in range(classes.num_classes):
@@ -97,39 +103,38 @@ class TestDualIdempotents:
 class TestAlgebraClosure:
     @pytest.mark.parametrize("n,s,expected", [(3, 2, 11), (4, 3, 28), (8, 5, 112)])
     def test_frozen_dimensions(self, n, s, expected):
-        sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        sd, t0 = closure_inputs(n, s)
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
         assert cert.dim_t == expected
         assert cert.provenance == "exact"
         assert t0 == cert.dim_t_tilde == expected
 
     def test_history_is_monotone_and_bounded(self):
-        sd, idem, t0 = closure_inputs(8, 3)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        sd, t0 = closure_inputs(8, 3)
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
         for history in cert.basis_size_history:
             assert list(history) == sorted(history)
             assert history[-1] <= cert.dim_t_tilde
         assert t0 <= cert.dim_t <= cert.dim_t_tilde
 
     def test_seed_permutation_invariance(self):
+        # the count reads no seed order; the rational reference, seeded in
+        # three shuffled orders, reaches the rank the count certifies
         import random
-        sd, idem, t0 = closure_inputs(8, 5)
-        base = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        sd, t0 = closure_inputs(8, 5)
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
         for seed in (1, 2, 3):
             order = list(range(2 * sd.num_relations))
             random.Random(seed).shuffle(order)
-            cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group),
-                                   seed_order=order)
-            assert cert.dim_t == base.dim_t
-            assert cert.dim_t_tilde == base.dim_t_tilde
+            assert rational_closure(sd, order) == cert.dim_t == cert.dim_t_tilde
 
     def test_primes_keyword_rejected(self):
         # the two moduli are fixed; the certificate records DEFAULT_PRIMES
-        sd, idem, t0 = closure_inputs(6, 5)
+        sd, t0 = closure_inputs(6, 5)
         reps = orbit_reps(sd.group)
         with pytest.raises(TypeError, match="primes"):
-            algebra_closure(sd, idem, dim_t0_value=t0, reps=reps, primes=(9973, 7919))
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=reps)
+            algebra_closure(sd, dim_t0_value=t0, reps=reps, primes=(9973, 7919))
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=reps)
         assert cert.dim_t == 44
         assert cert.primes == DEFAULT_PRIMES
 
@@ -143,24 +148,23 @@ class TestAlgebraClosure:
         assert products.rank_history(64) == list(history)
 
     def test_sandwich_lower_bound_above_closure_raises(self):
-        sd, idem, _ = closure_inputs(8, 3)
+        sd, _ = closure_inputs(8, 3)
         reps = orbit_reps(sd.group)
         bound = dim_t_tilde(sd.group)
         with pytest.raises(ConsistencyError,
                            match="dimension sandwich violated: 65 <= 64 <= 64 fails"):
-            algebra_closure(sd, idem, dim_t0_value=bound + 1, reps=reps)
+            algebra_closure(sd, dim_t0_value=bound + 1, reps=reps)
 
     def test_rational_mode_matches_on_every_small_pair(self):
+        # the rational reference's rank equals the counted dim_t, which is
+        # certified exact at the bound
         for n in range(3, 11):
             for s in valid_twists(n):
-                sd, idem, t0 = closure_inputs(n, s)
-                # with exact_rational, dim_t is the rational closure's rank
-                reps = orbit_reps(sd.group)
-                rational = algebra_closure(sd, idem, dim_t0_value=t0, reps=reps,
-                                           exact_rational=True)
-                modular = algebra_closure(sd, idem, dim_t0_value=t0, reps=reps)
-                assert rational.dim_t == modular.dim_t, (n, s)
-                assert rational.provenance == modular.provenance == "exact", (n, s)
+                sd, t0 = closure_inputs(n, s)
+                cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+                canonical = list(range(2 * sd.num_relations))
+                assert rational_closure(sd, canonical) == cert.dim_t, (n, s)
+                assert cert.provenance == "exact", (n, s)
 
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (8, 3)])
     def test_final_basis_closed_under_transpose(self, n, s):
@@ -179,11 +183,11 @@ class TestAlgebraClosure:
         # class labels, and the relations read through them, differ within
         # an orbit
         if case == "S4":
-            sd, idem = generic_inputs(symmetric_table(4), "S4")
+            sd = generic_inputs(symmetric_table(4), "S4")
             t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
             moved_to = 3
         else:
-            sd, idem, t0 = closure_inputs(8, 3)
+            sd, t0 = closure_inputs(8, 3)
             moved_to = 8
         class_of = list(sd.classes.class_of)
         assert class_of[1] != class_of[moved_to]
@@ -191,7 +195,7 @@ class TestAlgebraClosure:
         sd.classes = dataclasses.replace(sd.classes, class_of=tuple(class_of))
         with pytest.raises(ConsistencyError,
                            match="^a generator is not constant on the pair orbits$"):
-            algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+            algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (130, 51)])
     def test_relation_labels_are_q_on_every_orbit(self, n, s):
@@ -199,7 +203,7 @@ class TestAlgebraClosure:
         # a representative is Q there, and Q is constant on every orbit of
         # pairs: spread back over the orbits, the labels are Q at every pair,
         # in both blocks of 256 rows at (130, 51)
-        sd, _, _ = closure_inputs(n, s)
+        sd, _ = closure_inputs(n, s)
         ids, reps = pair_orbits(sd.group)
         labels = _GeneratorProducts(sd, reps).relation
         assert np.array_equal(labels[ids], sd.class_matrix())
@@ -207,11 +211,11 @@ class TestAlgebraClosure:
     def test_short_enumeration_checked_against_burnside(self):
         # the number of orbits handed in is checked against the Burnside
         # count; an enumeration one orbit short fails
-        sd, idem, t0 = closure_inputs(8, 3)
+        sd, t0 = closure_inputs(8, 3)
         reps = orbit_reps(sd.group)
-        assert algebra_closure(sd, idem, dim_t0_value=t0, reps=reps).dim_t_tilde == 64
+        assert algebra_closure(sd, dim_t0_value=t0, reps=reps).dim_t_tilde == 64
         with pytest.raises(ConsistencyError, match="Burnside 64 vs enumeration 63"):
-            algebra_closure(sd, idem, dim_t0_value=t0, reps=reps[:-1])
+            algebra_closure(sd, dim_t0_value=t0, reps=reps[:-1])
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 3, (13, 63, 64, 64)),
@@ -247,8 +251,8 @@ class TestAlgebraClosure:
     ])
     def test_rounds_and_histories_pinned(self, n, s, rounds, history):
         # the JSON output carries the rounds and histories, so they are pinned
-        sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        sd, t0 = closure_inputs(n, s)
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
         assert cert.closure_rounds == rounds
         assert cert.basis_size_history == (history, history)
 
@@ -272,7 +276,7 @@ class TestAlgebraClosure:
         # so its later rounds eliminate dense left products; a source read
         # as rows change during its round, not as the round found it, would
         # offer longer words and change the digest
-        sd, _ = generic_inputs(symmetric_table(5), "S5")
+        sd = generic_inputs(symmetric_table(5), "S5")
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         basis = PrimeBasis(prime, len(products.u))
         rounds, history = modular_closure(basis, products, list(range(2 * sd.num_relations)),
@@ -286,7 +290,7 @@ class TestAlgebraClosure:
         # The span after round 1 fixes the pivots and the fully reduced rows,
         # whatever order its rows were offered in, so their digest in pivot
         # order is pinned
-        sd, _, _ = closure_inputs(40, 19)
+        sd, _ = closure_inputs(40, 19)
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
         basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
@@ -308,7 +312,7 @@ class TestAlgebraClosure:
         # final basis, the rounds and the history do not depend on how many
         # dense products each later-round call takes: one source per call,
         # or the whole round in one
-        sd, _ = generic_inputs(symmetric_table(int(case[1])), case)
+        sd = generic_inputs(symmetric_table(int(case[1])), case)
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         canonical = list(range(2 * sd.num_relations))
 
@@ -323,11 +327,19 @@ class TestAlgebraClosure:
         monkeypatch.setattr(elimination, "BATCH_ENTRIES", batch)
         assert closure() == default
 
-    def test_bad_seed_order_rejected(self):
-        sd, idem, t0 = closure_inputs(3, 2)
-        with pytest.raises(ValueError):
-            algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group),
-                            seed_order=[0, 1, 2])
+    @pytest.mark.parametrize("removed", ["exact_rational", "seed_order", "idem"])
+    def test_removed_parameters_rejected(self, removed):
+        # the closure has one path, the count: no rational rerun, no seed
+        # order, and no dual idempotents handed in
+        sd, t0 = closure_inputs(3, 2)
+        reps = orbit_reps(sd.group)
+        if removed == "idem":
+            with pytest.raises(TypeError, match="positional argument"):
+                algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0, reps=reps)
+        else:
+            value = True if removed == "exact_rational" else [0, 1, 2, 3, 4, 5]
+            with pytest.raises(TypeError, match=removed):
+                algebra_closure(sd, dim_t0_value=t0, reps=reps, **{removed: value})
 
     def test_generic_group_s4(self):
         # S4 is not triply transitive: the triple count undershoots by one,
@@ -341,8 +353,7 @@ class TestAlgebraClosure:
         assert t0 == 42
         with pytest.raises(ConsistencyError, match="^42 cells fall short of the bound 43, "
                                                    "so the labels do not decide round 2"):
-            algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0,
-                            reps=orbit_reps(group))
+            algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(group))
         products = GeneratorProducts(sd, *pair_orbits(group))
         for p in DEFAULT_PRIMES:
             rounds, history = modular_closure(PrimeBasis(p, len(products.u)), products,
@@ -370,7 +381,7 @@ class TestCountedHistory:
         # order and in one shuffled order, at both default primes
         import random
         for s in valid_twists(n):
-            sd, _, _ = closure_inputs(n, s)
+            sd, _ = closure_inputs(n, s)
             canonical = list(range(2 * sd.num_relations))
             shuffled = random.Random(n * 1000 + s).sample(canonical, len(canonical))
             for order in (canonical, shuffled):
@@ -383,14 +394,14 @@ class TestCountedHistory:
         ("C12", cyclic_table(12), [23, 144]),
     ])
     def test_matches_elimination_on_cyclic_groups(self, name, table, history):
-        sd, _ = generic_inputs(table, name)
+        sd = generic_inputs(table, name)
         counted, histories = self.eliminated(sd, list(range(2 * sd.num_relations)))
         assert counted == history and histories == [history, history]
 
     def test_s4_round_one_counted_then_left_to_elimination(self):
         # round 1 of S4 is counted like any other; its cells fall short of
         # the bound, so round 2 is not decided by the labels
-        sd, _ = generic_inputs(symmetric_table(4), "S4")
+        sd = generic_inputs(symmetric_table(4), "S4")
         products = _GeneratorProducts(sd, orbit_reps(sd.group))
         t1 = sd.num_relations
         assert algebra._round_one_rank(products.relation, products.class_u,
@@ -400,7 +411,7 @@ class TestCountedHistory:
 
     def test_above_the_bound_the_count_does_not_decide(self):
         # cells as many as dim T~ fall short of dim T~ + 1
-        sd, _, _ = closure_inputs(16, 7)
+        sd, _ = closure_inputs(16, 7)
         products = _GeneratorProducts(sd, orbit_reps(sd.group))
         assert products.rank_history(184) == [21, 179, 184]
         with pytest.raises(ConsistencyError, match="^184 cells fall short of the bound 185,"):
@@ -437,8 +448,8 @@ class TestCountedHistory:
     @pytest.mark.parametrize("n,s,history", [(40, 21, (99, 2800)), (100, 51, (249, 17500))])
     def test_round_one_alone_pinned(self, n, s, history):
         # tau = n/2: round 1 alone reaches the bound
-        sd, idem, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, idem, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        sd, t0 = closure_inputs(n, s)
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
         assert cert.closure_rounds == 1
         assert cert.basis_size_history == (history, history)
         assert cert.dim_t == cert.dim_t_tilde == history[-1]
@@ -446,13 +457,12 @@ class TestCountedHistory:
 
 def generic_inputs(table, name):
     group = GroupTable(table, name=name)
-    sd = build_scheme(group, generic_conjugacy_classes(group))
-    return sd, dual_idempotents(sd)
+    return build_scheme(group, generic_conjugacy_classes(group))
 
 
 class TestGeneratorProducts:
-    CASES = {"D(8,3)": lambda: closure_inputs(8, 3)[:2],
-             "D(12,5)": lambda: closure_inputs(12, 5)[:2],
+    CASES = {"D(8,3)": lambda: closure_inputs(8, 3)[0],
+             "D(12,5)": lambda: closure_inputs(12, 5)[0],
              "S4": lambda: generic_inputs(symmetric_table(4), "S4")}
 
     @pytest.mark.parametrize("modulus", [None, 97])
@@ -460,11 +470,11 @@ class TestGeneratorProducts:
     def test_all_products_match_dense_left_products(self, case, modulus):
         # rows i and t+1+i of all_products(m) are A_i M and E*_i M read at the
         # representatives; elements with E* factors tell the sides apart
-        sd, idem = self.CASES[case]()
+        sd = self.CASES[case]()
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         t1 = sd.num_relations
         adj = relations(sd)
-        dual = [np.diag(idem.diagonals[i]).astype(np.int64) for i in range(t1)]
+        dual = duals(sd)
         elements = adj + dual + [e @ a for e in dual for a in adj]
         elements += [adj[1] @ dual[-1] @ adj[-1], 3 * dual[1] @ adj[1] - 2 * adj[0]]
         for element in elements:
@@ -482,12 +492,12 @@ class TestGeneratorProducts:
     def test_seeds_match_dense_generators(self, case):
         # generators i and t+1+i are A_i and E*_i read at the representatives;
         # seeds(order) gives the rows of every generator, in that order
-        sd, idem = self.CASES[case]()
+        sd = self.CASES[case]()
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
         want = [a[u, v] for a in relations(sd)]
-        want += [np.diag(idem.diagonals[i])[u, v] for i in range(t1)]
+        want += [e[u, v] for e in duals(sd)]
         want = np.array(want)
         shuffled = [int(g) for g in np.random.default_rng(t1).permutation(2 * t1)]
         for order in (list(range(2 * t1)), shuffled):
@@ -500,11 +510,11 @@ class TestGeneratorProducts:
         # for each relation i, the rows E*_j A_i and then A_i E*_j, j from t
         # down to 0, read at the representatives, empty rows included in the
         # numbering
-        sd, idem = self.CASES[case]()
+        sd = self.CASES[case]()
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
-        dual = [np.diag(idem.diagonals[j]) for j in range(t1)][::-1]
+        dual = duals(sd)[::-1]
         want = [(m @ a if left else a @ m)[u, v]
                 for a in relations(sd) for left in (True, False) for m in dual]
         rows, cols, vals = products.masked_generators()
@@ -515,12 +525,13 @@ class TestGeneratorProducts:
     def test_cells_match_dense_triple_products(self, case):
         # every nonempty E*_k A_i E*_j read at the representatives, exactly
         # once and in (k, i, j) order, as one block
-        sd, idem = self.CASES[case]()
+        sd = self.CASES[case]()
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         u, v = products.u, products.v
         t1 = sd.num_relations
         adj = relations(sd)
-        want = [(np.diag(idem.diagonals[k]) @ adj[i] @ np.diag(idem.diagonals[j]))[u, v]
+        dual = duals(sd)
+        want = [(dual[k] @ adj[i] @ dual[j])[u, v]
                 for k in range(t1) for i in range(t1) for j in range(t1)]
         want = [row for row in want if row.any()]
         count, (rows, cols, vals) = products.cells()
@@ -536,7 +547,7 @@ class TestGeneratorProducts:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_products_on_cols_match_full_width(self, case):
-        sd, _ = self.CASES[case]()
+        sd = self.CASES[case]()
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
         length = len(products.u)
         rng = np.random.default_rng(length)
@@ -551,7 +562,7 @@ class TestGeneratorProducts:
         # case merges two orbits that only one label tells apart, two
         # off-diagonal orbits of different relations (the A side), and the
         # diagonal orbits of two classes, both in the identity relation (E*)
-        sd, _, _ = closure_inputs(8, 3)
+        sd, _ = closure_inputs(8, 3)
         ids, reps = pair_orbits(sd.group)
         u, v = np.divmod(reps, sd.order)
         relation = sd.class_matrix()[u, v]
@@ -570,7 +581,7 @@ class TestGeneratorProducts:
         # no ids: the labels stay orbit invariants, but two representatives
         # now share a cell, so the count falls short of the bound and
         # refuses to decide round 2
-        sd, idem, t0 = closure_inputs(8, 3)
+        sd, t0 = closure_inputs(8, 3)
         ids, reps = pair_orbits(sd.group)
         cls = np.asarray(sd.classes.class_of)
         assert divmod(int(reps[rep]), sd.order) == old
@@ -582,7 +593,7 @@ class TestGeneratorProducts:
         with pytest.raises(ConsistencyError, match="not constant"):
             GeneratorProducts(sd, ids, moved)
         with pytest.raises(ConsistencyError, match="^63 cells fall short of the bound 64"):
-            algebra_closure(sd, idem, dim_t0_value=t0, reps=moved)
+            algebra_closure(sd, dim_t0_value=t0, reps=moved)
 
     @pytest.mark.parametrize("n,s", [(64, 33), (100, 51)])
     def test_retains_labels_not_generator_stacks(self, n, s):

@@ -271,13 +271,16 @@ class TestAnalyzeOutput:
         assert code == 0
         assert json.loads(out)["dims"]["t"] is None
 
-    def test_exact_rational_prints_the_same_bytes(self):
-        # the rational rerun reaches the rank the count certified, so the
-        # report does not change
-        plain = run_cli("analyze", "--n", "8", "--s", "3", "--format", "json")
-        rational = run_cli("analyze", "--n", "8", "--s", "3", "--exact-rational",
-                           "--format", "json")
-        assert plain[0] == 0 and rational == plain
+    def test_exact_rational_flag_exits_2(self):
+        # the closure has one path, the count, so the rational rerun's flag
+        # is gone: a usage error with no traceback
+        result = subprocess.run(
+            [sys.executable, "-m", "terwilliger.cli", "analyze",
+             "--n", "8", "--s", "3", "--exact-rational"],
+            capture_output=True, text=True)
+        assert result.returncode == 2 and result.stdout == ""
+        assert "unrecognized arguments: --exact-rational" in result.stderr
+        assert "Traceback" not in result.stderr
 
     def test_output_file(self, tmp_path):
         target = tmp_path / "report.json"

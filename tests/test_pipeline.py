@@ -38,6 +38,11 @@ class TestAnalyzePair:
         with pytest.raises(TypeError, match="primes"):
             analyze_pair(3, 2, primes=(9973, 7919))
 
+    def test_exact_rational_keyword_rejected(self):
+        # the closure has one path, the count; the rational rerun is gone
+        with pytest.raises(TypeError, match="exact_rational"):
+            analyze_pair(3, 2, exact_rational=True)
+
     def test_no_closure(self):
         a = analyze_pair(5, 4, closure=False)
         assert a.certificate is None
@@ -103,6 +108,28 @@ class TestAnalyzePair:
         a = analyze_pair(12, 5)
         assert a.passed and a.idempotents is not None
         assert len(calls) == 1
+
+    def test_class_matrix_formed_once(self, monkeypatch):
+        # build_scheme checks the transpose closure on row 0 and forms no Q;
+        # the product identity's check is the one reader of Q whole
+        calls = []
+        class_matrix = SchemeData.class_matrix
+        monkeypatch.setattr(SchemeData, "class_matrix",
+                            lambda self: calls.append(self) or class_matrix(self))
+        assert analyze_pair(12, 5).passed
+        assert len(calls) == 1
+
+    def test_no_dual_idempotents_formed(self, monkeypatch):
+        # the closure reads E*_i as class labels, so the pipeline forms no
+        # |classes| x |G| diagonals
+        from terwilliger import algebra
+
+        def refuse(scheme):
+            raise AssertionError("dual_idempotents called")
+
+        monkeypatch.setattr(algebra, "dual_idempotents", refuse)
+        a = analyze_pair(8, 3)
+        assert a.passed and a.certificate.provenance == "exact"
 
     @pytest.mark.parametrize("closure", [True, False])
     def test_short_enumeration_fails_the_orbital_route(self, monkeypatch, closure):
