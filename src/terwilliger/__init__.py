@@ -7,8 +7,8 @@ Wedderburn decomposition with a literal audit of the stated dihedral
 special cases.
 """
 
-from .algebra import (DimensionCertificate, DualIdempotents, algebra_closure,
-                      commutant_oracle, dim_t_tilde, dual_idempotents)
+from .algebra import (DEFAULT_PRIMES, DimensionCertificate, DualIdempotents,
+                      algebra_closure, commutant_oracle, dim_t_tilde, dual_idempotents)
 from .characters import (CharTable, IntegralityError, Multiplicities, char_table,
                          conjugation_character_check, multiplicities_closedform,
                          multiplicities_rowsum, orthogonality_check, two_dim_reps)
@@ -16,7 +16,6 @@ from .groups import (ConjugacyData, ConsistencyError, GroupParams, GroupTable,
                      build_group, centralizer_counts, conjugacy_classes,
                      generic_conjugacy_classes, orbital_count, valid_twists,
                      validate_params)
-from .modular import DEFAULT_PRIMES, PrimeBasis, RationalBasis
 from .pipeline import (Analysis, PairFailure, analyze_pair, audit_corollaries,
                        enumerate_pairs, sweep)
 from .scheme import (IntersectionTensor, SchemeData, build_scheme, case_counts,
@@ -31,8 +30,7 @@ __all__ = [
     "Analysis", "CharTable", "ConjugacyData", "ConsistencyError", "CorollaryAudit",
     "DEFAULT_PRIMES", "DimensionCertificate", "DualIdempotents", "GroupParams",
     "GroupTable", "IdempotentReport", "IntegralityError", "IntersectionTensor",
-    "Multiplicities", "PairFailure", "PrimeBasis", "RationalBasis", "SchemeData",
-    "WedderburnReport",
+    "Multiplicities", "PairFailure", "SchemeData", "WedderburnReport",
     "algebra_closure", "analyze_pair", "audit_corollaries", "build_group",
     "build_scheme", "case_counts", "central_idempotents", "centralizer_counts",
     "char_table", "closed_form_dimension", "commutant_oracle", "conjugacy_classes",

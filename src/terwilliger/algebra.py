@@ -7,11 +7,12 @@ E*_i A_j E*_k gives a lower bound (counted in the scheme module), and the
 centralizer algebra of the conjugation action on pairs gives an upper bound
 equal to the orbital count.  The closure's rank is counted here from
 labels, and the count holds over Q and over every prime field, so when it
-reaches the orbital bound the dimension is certified exactly, and otherwise
-it is reported with modular provenance.  The closure has this one path: it
-forms no basis and no dense generator, and the dual idempotents are read
-as labels, so `dual_idempotents` is a checked public function that the
-closure does not call.  The centralizer algebra is spanned by the 0/1
+reaches the orbital bound the dimension is certified exactly.  It reaches
+the bound on every input it decides, and raises on every other (see
+algebra_closure).  The closure has this one path: it forms no basis and
+no dense generator, and the dual idempotents are read as labels, so
+`dual_idempotents` is a checked public function that the closure does
+not call.  The centralizer algebra is spanned by the 0/1
 orbital matrices, which have disjoint supports, so the closure keeps every
 element in orbital coordinates: its values at one representative pair per
 orbit, a faithful coordinate system for the whole algebra over any field.
@@ -24,9 +25,10 @@ A_i E*_j; every later round multiplies the rows the round before added by
 the generators on the left only.  The seeds span I = sum of the E*_i, and a
 span that holds I and is closed under left multiplication by each generator
 holds every word in them, so it is the algebra.  The rounds end at the
-orbital bound or after a round that adds nothing, within ROUND_BUDGET
-rounds.  The rounds and the rank histories equal those of a two-sided
-saturation: after round r both span exactly the words of length <= r+1.
+orbital bound or after a round that adds nothing; the count here decides
+at most two of them.  The rounds and the rank histories equal those of a
+two-sided saturation: after round r both span exactly the words of
+length <= r+1.
 Wherever T0 = T~, as for every D(n,s), which is triply transitive, round 2
 offers only the cells E*_k A_i E*_j, words of length 3 read from the same
 labels with disjoint supports; they alone end the round at the bound, and
@@ -63,14 +65,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import ConsistencyError, GroupTable, _components, orbital_count
-from .modular import DEFAULT_PRIMES
 from .scheme import SchemeData
 
 COMMUTANT_ORDER_LIMIT = 16
-ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
+# the two largest primes below 2^20: the moduli every certificate records
+DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
 
 PROVENANCE_EXACT = "exact"
-PROVENANCE_MODULAR = "modular, two-prime agreement"
 
 
 @dataclass(frozen=True)
@@ -193,11 +194,6 @@ def _round_one_rank(relation: np.ndarray, class_u: np.ndarray, class_v: np.ndarr
     return int(vertex[-1]) + 1 - _components(vertex[left], vertex[right])
 
 
-def _check_budget(rounds: int) -> None:
-    if rounds > ROUND_BUDGET:
-        raise ConsistencyError(f"closure did not stabilize within {ROUND_BUDGET} rounds")
-
-
 def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
     """Dimension of the centralizer algebra: the orbital count (dual-route),
     checked against the representatives `reps` of an enumeration already
@@ -216,9 +212,18 @@ def algebra_closure(scheme: SchemeData, *, dim_t0_value: int,
     bipartite graphs, which are totally unimodular.  So it is the history
     over each of the two fixed primes of DEFAULT_PRIMES, which the
     certificate records, and no basis is formed.  Where the labels do not
-    decide round 2 (S4, say), it raises ConsistencyError.  Reaching the
-    centralizer bound makes the rank an exact certificate; a rank below it
-    would be reported with modular provenance.
+    decide round 2 (S4, say), it raises ConsistencyError.
+
+    The history has at most three entries, so the closure runs at most two
+    rounds, and every certificate it returns is at the centralizer bound,
+    hence exact.  With t >= 1, each E*_j A_i with i not the identity
+    relation covers a nonempty, proper part of the support of A_i, on
+    which every seed is constant, so round 1 always adds rank.  The rank
+    never exceeds len(reps), the number of columns, which is the bound
+    once checked against Burnside.  So round 1 ends at the bound, or round
+    2 does, or the cells fall short and it raises.  The trivial group
+    (t = 0) is at the bound after the seeds.  A history that still ends
+    below the bound is a defect, and raises with the sandwich.
 
     `reps` are the orbit representatives of `orbit_reps(scheme.group)`,
     which the caller enumerates once for its own orbital check as well.
@@ -227,16 +232,15 @@ def algebra_closure(scheme: SchemeData, *, dim_t0_value: int,
     """
     bound = dim_t_tilde(scheme.group, reps)
     history = _GeneratorProducts(scheme, reps).rank_history(bound)
-    _check_budget(len(history) - 1)
     dim_t = history[-1]
-    if not (dim_t0_value <= dim_t <= bound):
+    if not (dim_t0_value <= dim_t == bound):
         raise ConsistencyError(
-            f"dimension sandwich violated: {dim_t0_value} <= {dim_t} <= {bound} fails")
+            f"dimension sandwich violated: {dim_t0_value} <= {dim_t} == {bound} fails")
 
     return DimensionCertificate(
         dim_t=dim_t,
         dim_t_tilde=bound,
-        provenance=PROVENANCE_EXACT if dim_t == bound else PROVENANCE_MODULAR,
+        provenance=PROVENANCE_EXACT,
         closure_rounds=len(history) - 1,
         basis_size_history=(tuple(history), tuple(history)),
         primes=DEFAULT_PRIMES,

@@ -163,9 +163,6 @@ class Multiplicities:
         """Values aligned with the character table row order."""
         return list(self.d1) + list(self.d2) + [self.d2dim[k] for k in sorted(self.d2dim)]
 
-    def sum_of_squares(self) -> int:
-        return sum(v * v for v in self.row_values())
-
     def same_values(self, other: "Multiplicities") -> bool:
         return (self.d1 == other.d1 and self.d2 == other.d2
                 and self.d2dim == other.d2dim)

@@ -111,22 +111,6 @@ class GroupTable:
         # a row that is a permutation holds exactly one 0, in the inverse's column
         self.inv = np.argmax(mult == 0, axis=1)
 
-    @classmethod
-    def from_params(cls, params: GroupParams) -> "GroupTable":
-        n, s = params.n, params.s
-        # window[k, j] = (k + j) % n.  The a-exponent of (b^eps a^i)(b^delta a^j)
-        # is i + j for delta = 0, row i of the window, and i*s + j for
-        # delta = 1, row i*s % n; eps xor delta only picks the quadrant, and
-        # adds n where it is 1
-        window = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) % n, n)
-        plain, twisted = window[:n], window[np.arange(n) * s % n]
-        mult = np.empty((2 * n, 2 * n), dtype=np.int64)
-        mult[:n, :n] = plain
-        mult[n:, n:] = twisted
-        np.add(twisted, n, out=mult[:n, n:])
-        np.add(plain, n, out=mult[n:, :n])
-        return cls(mult, params=params, name=f"D({n},{s})")
-
     def conjugation(self) -> np.ndarray:
         """(order, order) array whose row g is the permutation x -> g*x*g^-1.
 
@@ -142,9 +126,6 @@ class GroupTable:
         if self.params is not None:
             return (1, self.params.n)
         return tuple(range(1, self.order))
-
-    def element_name(self, x: int) -> str:
-        return f"g{x}" if self.params is None else self.params.element_name(x)
 
     def __repr__(self) -> str:
         return f"GroupTable({self.name}, order={self.order})"
@@ -349,4 +330,16 @@ def _components(a: np.ndarray, b: np.ndarray) -> int:
 
 def build_group(params: GroupParams) -> GroupTable:
     """Cayley table of D(n,s) in the b^eps a^i encoding."""
-    return GroupTable.from_params(params)
+    n, s = params.n, params.s
+    # window[k, j] = (k + j) % n.  The a-exponent of (b^eps a^i)(b^delta a^j)
+    # is i + j for delta = 0, row i of the window, and i*s + j for
+    # delta = 1, row i*s % n; eps xor delta only picks the quadrant, and
+    # adds n where it is 1
+    window = np.lib.stride_tricks.sliding_window_view(np.arange(2 * n) % n, n)
+    plain, twisted = window[:n], window[np.arange(n) * s % n]
+    mult = np.empty((2 * n, 2 * n), dtype=np.int64)
+    mult[:n, :n] = plain
+    mult[n:, n:] = twisted
+    np.add(twisted, n, out=mult[:n, n:])
+    np.add(plain, n, out=mult[n:, :n])
+    return GroupTable(mult, params=params, name=f"D({n},{s})")

@@ -1,9 +1,11 @@
 """Exact rank machinery over prime fields and over the rationals.
 
-Vectors have a fixed length.  No product path forms a PrimeBasis: the
-algebra closure counts its ranks from labels, and the eliminating closure
-that hands PrimeBasis matrices in orbital coordinates is the test suite's
-reference (tests/elimination.py).  PrimeBasis is a fully reduced echelon
+A leaf that no module of the package imports, so `import terwilliger`
+does not load it: the algebra closure counts its ranks from labels, and
+the eliminating closure that hands PrimeBasis matrices in orbital
+coordinates is the test suite's reference (tests/elimination.py).
+
+Vectors have a fixed length.  PrimeBasis is a fully reduced echelon
 basis over F_p: every stored row has a 1 at its pivot column and every
 other stored row has a 0 there, so the residual of a vector v is
 
@@ -69,9 +71,6 @@ from fractions import Fraction
 
 import numpy as np
 
-# the two largest primes below 2^20
-DEFAULT_PRIMES: tuple[int, int] = (1048573, 1048571)
-
 
 def check_modulus(p: int) -> None:
     """Reject a modulus p with (p-1)^2 >= 2^53, that is p >= 94906267.
@@ -79,8 +78,8 @@ def check_modulus(p: int) -> None:
     Below it, a product of two residues is exact in int64, as in the
     reduction, and also in float64, as in the test suite's reference
     closure, whose later-round products are float64 sums of a class's worth
-    of residues.  It guards the modulus of every PrimeBasis; the closure's
-    own moduli, DEFAULT_PRIMES, are fixed and lie far below it.
+    of residues.  It guards the modulus of every PrimeBasis; the moduli the
+    certificates record, `terwilliger.DEFAULT_PRIMES`, lie far below it.
     """
     if (p - 1) ** 2 >= 2 ** 53:
         raise ValueError(f"modulus {p} is too large for exact products "

@@ -22,6 +22,9 @@ rationals on dense |G| x |G| generators, two-sided, in a given seed order.
 It lives here because the count reaches the orbital bound for every
 D(n,s), so a rerun can only agree, and it is slow beyond small groups.
 
+Both loops can run long, so both stop at ROUND_BUDGET rounds.  The
+package's count needs no budget: it decides at most two rounds.
+
 Run the tests with `tests` on the path (pytest's conftest puts it there);
 a script can do the same with `PYTHONPATH=src:tests`.
 """
@@ -30,12 +33,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from terwilliger.algebra import _check_budget, _GeneratorProducts
+from terwilliger.algebra import _GeneratorProducts
 from terwilliger.groups import ConsistencyError, GroupTable, _least_conjugates
 from terwilliger.modular import PrimeBasis, RationalBasis
 from terwilliger.scheme import SchemeData
 
 BATCH_ENTRIES = 2 ** 16  # dense values of later-round products per insert_block call
+ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
 
 
 def pair_orbits(group: GroupTable) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +163,11 @@ def _dense_q(group: GroupTable, class_of: np.ndarray) -> np.ndarray:
     return class_of[group.mult[:, group.inv]].T
 
 
+def _check_budget(rounds: int) -> None:
+    if rounds > ROUND_BUDGET:
+        raise ConsistencyError(f"closure did not stabilize within {ROUND_BUDGET} rounds")
+
+
 def _by_row(rows: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0/1 entries sorted by row, the columns of each row kept in order."""
     order = np.argsort(rows, kind="stable")
@@ -184,8 +193,8 @@ def modular_closure(basis: PrimeBasis, products: GeneratorProducts,
     then (C only shrinks as rows enter; see the modular docstring), in
     calls of whole sources of about BATCH_ENTRIES dense values each;
     insert_block gives the same basis however the rows are split.  The
-    loop ends at the bound or after a round that adds nothing, within the
-    package's ROUND_BUDGET.
+    loop ends at the bound or after a round that adds nothing, within
+    ROUND_BUDGET rounds.
     """
     count, cells = products.cells()
     basis.insert_block(*products.seeds(order))
@@ -220,7 +229,7 @@ def rational_closure(scheme: SchemeData, order: list[int]) -> int:
     |G| x |G| matrices.  Every round multiplies the rows the round before
     added by every generator on both sides, the independent check of the
     left-only spin-up; the loop ends after a round that adds nothing, within
-    the package's ROUND_BUDGET.  Exact, and slow beyond small groups."""
+    ROUND_BUDGET rounds.  Exact, and slow beyond small groups."""
     class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
     q = _dense_q(scheme.group, class_of)
     t1 = scheme.num_relations

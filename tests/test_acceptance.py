@@ -120,7 +120,7 @@ def test_criterion_5_multiplicity_routes(char_pairs_200):
 def test_criterion_6_block_square_sums(char_pairs_200):
     """Sum of squared Wedderburn blocks equals the dimension formula, n <= 200."""
     failures = [(p.n, p.s) for p, _, _, rowsum, _ in char_pairs_200
-                if rowsum.sum_of_squares() != closed_form_dimension(p)]
+                if sum(v * v for v in rowsum.row_values()) != closed_form_dimension(p)]
     _finish("6", failures, "sum d_i^2 == (n^2+3n*tau+4tau^2)/2 exactly")
 
 

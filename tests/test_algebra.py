@@ -10,14 +10,14 @@ from helpers import (c2_c4_table, cyclic_table, densify, entries, oracle_burnsid
                      symmetric_table)
 import elimination
 from elimination import GeneratorProducts, modular_closure, pair_orbits, rational_closure
-from terwilliger import (GroupTable, build_group, build_scheme,
-                         commutant_oracle, conjugacy_classes, dim_t0,
-                         dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
+from terwilliger import (DEFAULT_PRIMES, GroupTable, build_group, build_scheme,
+                         closed_form_dimension, commutant_oracle, conjugacy_classes,
+                         dim_t0, dim_t_tilde, dual_idempotents, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params)
 from terwilliger import algebra
 from terwilliger.algebra import _GeneratorProducts, algebra_closure
 from terwilliger.groups import ConsistencyError, orbit_reps
-from terwilliger.modular import DEFAULT_PRIMES, PrimeBasis
+from terwilliger.modular import PrimeBasis
 
 
 def closure_inputs(n, s):
@@ -100,14 +100,25 @@ class TestDualIdempotents:
                     assert set(cols).issubset(set(classes.classes[k]))
 
 
+FROZEN_DIMENSIONS = {(3, 2): 11, (4, 3): 28, (8, 5): 112}
+
+
 class TestAlgebraClosure:
-    @pytest.mark.parametrize("n,s,expected", [(3, 2, 11), (4, 3, 28), (8, 5, 112)])
+    @pytest.mark.parametrize("n,s,expected", [
+        (n, s, FROZEN_DIMENSIONS.get((n, s)))
+        for n in range(3, 101) for s in valid_twists(n)])
     def test_frozen_dimensions(self, n, s, expected):
+        # every D(n,s) with n <= 100 ends at the bound within two rounds, so
+        # its certificate is exact; three dimensions are frozen, the rest
+        # are the closed form
         sd, t0 = closure_inputs(n, s)
         cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        if expected is None:
+            expected = closed_form_dimension(validate_params(n, s))
         assert cert.dim_t == expected
         assert cert.provenance == "exact"
         assert t0 == cert.dim_t_tilde == expected
+        assert 1 <= cert.closure_rounds <= 2
 
     def test_history_is_monotone_and_bounded(self):
         sd, t0 = closure_inputs(8, 3)
@@ -152,8 +163,18 @@ class TestAlgebraClosure:
         reps = orbit_reps(sd.group)
         bound = dim_t_tilde(sd.group)
         with pytest.raises(ConsistencyError,
-                           match="dimension sandwich violated: 65 <= 64 <= 64 fails"):
+                           match="dimension sandwich violated: 65 <= 64 == 64 fails"):
             algebra_closure(sd, dim_t0_value=bound + 1, reps=reps)
+
+    def test_history_below_the_bound_raises(self, monkeypatch):
+        # round 1 always adds rank, so a round 1 that adds none is a defect:
+        # the history would end at the seeds, 13, below dim T~ = 64, and the
+        # closure raises rather than certify the seed rank
+        sd, _ = closure_inputs(8, 3)
+        monkeypatch.setattr(algebra, "_round_one_rank", lambda *labels: 13)
+        with pytest.raises(ConsistencyError,
+                           match="dimension sandwich violated: 13 <= 13 == 64 fails"):
+            algebra_closure(sd, dim_t0_value=13, reps=orbit_reps(sd.group))
 
     def test_rational_mode_matches_on_every_small_pair(self):
         # the rational reference's rank equals the counted dim_t, which is
@@ -238,7 +259,7 @@ class TestAlgebraClosure:
         assert len(calls) == 2
 
     def test_round_budget_exhausted(self, monkeypatch):
-        monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
+        monkeypatch.setattr(elimination, "ROUND_BUDGET", 1)
         with pytest.raises(ConsistencyError, match="did not stabilize"):
             run_modular_closure(8, 3, bound_above_t_tilde=1)
 
@@ -292,7 +313,7 @@ class TestAlgebraClosure:
         # order is pinned
         sd, _ = closure_inputs(40, 19)
         products = GeneratorProducts(sd, *pair_orbits(sd.group))
-        monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
+        monkeypatch.setattr(elimination, "ROUND_BUDGET", 1)
         basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
         with pytest.raises(ConsistencyError, match="did not stabilize"):
             modular_closure(basis, products, list(range(2 * sd.num_relations)),
@@ -392,11 +413,26 @@ class TestCountedHistory:
         ("C4", cyclic_table(4), [7, 16]),
         ("C7", cyclic_table(7), [13, 49]),
         ("C12", cyclic_table(12), [23, 144]),
+        ("C1", cyclic_table(1), [1]),
+        ("C2", cyclic_table(2), [3, 4]),
+        ("C5", cyclic_table(5), [9, 25]),
+        ("C6", cyclic_table(6), [11, 36]),
+        ("C2xC4", c2_c4_table(), [15, 64]),
+        ("Q8", q8_table(), [9, 28]),
+        ("S3", symmetric_table(3), [5, 11]),
     ])
     def test_matches_elimination_on_cyclic_groups(self, name, table, history):
+        # and on every helper group whose closure the labels decide: the
+        # certificate is exact at the bound, within two rounds, and the
+        # trivial group is at the bound after the seeds
         sd = generic_inputs(table, name)
         counted, histories = self.eliminated(sd, list(range(2 * sd.num_relations)))
         assert counted == history and histories == [history, history]
+        t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
+        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        assert cert.provenance == "exact" and cert.dim_t == cert.dim_t_tilde == history[-1]
+        assert cert.closure_rounds == len(history) - 1 <= 2
+        assert cert.basis_size_history == (tuple(history), tuple(history))
 
     def test_s4_round_one_counted_then_left_to_elimination(self):
         # round 1 of S4 is counted like any other; its cells fall short of
@@ -618,7 +654,6 @@ class TestDimTTilde:
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_formula(self, n):
-        from terwilliger import closed_form_dimension
         for s in valid_twists(n):
             params = validate_params(n, s)
             assert dim_t_tilde(build_group(params)) == closed_form_dimension(params)

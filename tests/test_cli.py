@@ -500,3 +500,12 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert json.loads(result.stdout)["dims"]["t0"] == 11
+
+    def test_import_loads_no_elimination(self):
+        # the CLI runs no elimination, so a fresh import loads neither the
+        # prime-field and rational bases nor the exact-fraction modules
+        code = ("import sys, terwilliger.cli; print(sorted(m for m in "
+                "('terwilliger.modular', 'fractions', 'decimal') if m in sys.modules))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n"

@@ -5,9 +5,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from terwilliger import (DEFAULT_PRIMES, PrimeBasis, RationalBasis, build_group,
-                         build_scheme, conjugacy_classes, validate_params)
-from terwilliger.modular import check_modulus
+from terwilliger import (DEFAULT_PRIMES, build_group, build_scheme, conjugacy_classes,
+                         validate_params)
+from terwilliger.modular import PrimeBasis, RationalBasis, check_modulus
 
 from helpers import (densify, entries, oracle_echelon, oracle_rational_echelon,
                      oracle_rational_residual)

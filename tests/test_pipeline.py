@@ -58,13 +58,14 @@ class TestAnalyzePair:
         assert not a.passed
 
     def test_closure_failure_is_a_failed_verdict(self, monkeypatch):
-        # (8, 3) needs two rounds, so a budget of one leaves the closure unsettled
+        # (8, 3) needs two rounds; with no cells counted, round 2 is not
+        # decided by the labels, and the closure raises
         from terwilliger import algebra
-        monkeypatch.setattr(algebra, "ROUND_BUDGET", 1)
+        monkeypatch.setattr(algebra._GeneratorProducts, "cell_count", lambda self: 0)
         a = analyze_pair(8, 3)
         assert a.checks["closure_two_primes_agree"] is False
         assert a.certificate is None and not a.passed
-        assert any("did not stabilize" in note for note in a.notes)
+        assert any("cells fall short" in note for note in a.notes)
         obj = a.to_json_dict()
         assert obj["closure"] is None and obj["notes"] == a.notes
 
