@@ -18,7 +18,7 @@ from .groups import (ConjugacyData, ConsistencyError, GroupParams, GroupTable,
                      validate_params)
 from .pipeline import (Analysis, PairFailure, analyze_pair, audit_corollaries,
                        enumerate_pairs, sweep)
-from .scheme import (IntersectionTensor, SchemeData, build_scheme, case_counts,
+from .scheme import (IntersectionTensor, build_scheme, case_counts,
                      closed_form_dimension, dim_t0, expected_case_counts,
                      intersection_numbers, verify_product_identity)
 from .wedderburn import (CorollaryAudit, IdempotentReport, WedderburnReport,
@@ -30,7 +30,7 @@ __all__ = [
     "Analysis", "CharTable", "ConjugacyData", "ConsistencyError", "CorollaryAudit",
     "DEFAULT_PRIMES", "DimensionCertificate", "DualIdempotents", "GroupParams",
     "GroupTable", "IdempotentReport", "IntegralityError", "IntersectionTensor",
-    "Multiplicities", "PairFailure", "SchemeData", "WedderburnReport",
+    "Multiplicities", "PairFailure", "WedderburnReport",
     "algebra_closure", "analyze_pair", "audit_corollaries", "build_group",
     "build_scheme", "case_counts", "central_idempotents", "centralizer_counts",
     "char_table", "closed_form_dimension", "commutant_oracle", "conjugacy_classes",

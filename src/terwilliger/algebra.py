@@ -64,8 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import ConsistencyError, GroupTable, _components, orbital_count
-from .scheme import SchemeData
+from .groups import ConjugacyData, ConsistencyError, GroupTable, _components, orbital_count
 
 COMMUTANT_ORDER_LIMIT = 16
 # the two largest primes below 2^20: the moduli every certificate records
@@ -81,16 +80,15 @@ class DualIdempotents:
     diagonals: np.ndarray  # (num classes, group order)
 
 
-def dual_idempotents(scheme: SchemeData) -> DualIdempotents:
+def dual_idempotents(classes: ConjugacyData) -> DualIdempotents:
     """E*_i = diag(indicator of Cl_i); verifies the orthogonal idempotent laws.
 
     A public function for callers that want the diagonals themselves; the
     closure reads E*_i as the class labels and does not call it."""
-    classes = scheme.classes
     sizes = np.array(classes.sizes())
     members = np.fromiter(itertools.chain.from_iterable(classes.classes),
                           dtype=np.int64, count=int(sizes.sum()))
-    diag = np.zeros((classes.num_classes, scheme.order), dtype=np.int64)
+    diag = np.zeros((classes.num_classes, len(classes.class_of)), dtype=np.int64)
     diag[np.repeat(np.arange(classes.num_classes), sizes), members] = 1
     if not np.all(diag.sum(axis=0) == 1):
         raise ConsistencyError("dual idempotents do not sum to the identity")
@@ -127,15 +125,15 @@ class _GeneratorProducts:
     them.
     """
 
-    def __init__(self, scheme: SchemeData, reps: np.ndarray):
-        u, v = np.divmod(reps, scheme.order)
-        class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
-        self.t1 = scheme.num_relations
-        self.relation = class_of[scheme.group.mult[v, scheme.group.inv[u]]]
+    def __init__(self, group: GroupTable, classes: ConjugacyData, reps: np.ndarray):
+        u, v = np.divmod(reps, group.order)
+        class_of = np.asarray(classes.class_of, dtype=np.int64)
+        self.t1 = classes.num_classes
+        self.relation = class_of[group.mult[v, group.inv[u]]]
         self.class_u, self.class_v = class_of[u], class_of[v]
-        self._check_invariants(scheme, class_of)
+        self._check_invariants(group, class_of)
 
-    def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
+    def _check_invariants(self, group: GroupTable, class_of: np.ndarray) -> None:
         """Raise ConsistencyError unless the three labels are constant on
         every orbit of pairs.  class_of must be unchanged by conjugation by
         every g in the group's generating_set, x -> g x g^-1; in a group,
@@ -145,7 +143,6 @@ class _GeneratorProducts:
         class_of[v u^-1], read off the Cayley table by its definition, and
         conjugation by g takes v u^-1 to g (v u^-1) g^-1, of the same class.
         That is |G| entries per generator."""
-        group = scheme.group
         g = np.asarray(group.generating_set, dtype=np.int64)
         conjugated = group.mult[group.mult[g], group.inv[g][:, None]]
         if not np.all(class_of[conjugated] == class_of):
@@ -194,14 +191,13 @@ def _round_one_rank(relation: np.ndarray, class_u: np.ndarray, class_v: np.ndarr
     return int(vertex[-1]) + 1 - _components(vertex[left], vertex[right])
 
 
-def dim_t_tilde(group: GroupTable, reps: np.ndarray | None = None) -> int:
+def dim_t_tilde(group: GroupTable, reps: np.ndarray) -> int:
     """Dimension of the centralizer algebra: the orbital count (dual-route),
-    checked against the representatives `reps` of an enumeration already
-    made, if given."""
+    checked against the representatives `reps` of orbit_reps."""
     return orbital_count(group, reps)
 
 
-def algebra_closure(scheme: SchemeData, *, dim_t0_value: int,
+def algebra_closure(group: GroupTable, classes: ConjugacyData, *, dim_t0_value: int,
                     reps: np.ndarray) -> DimensionCertificate:
     """Generator-closure dimension of the algebra, with provenance.
 
@@ -225,13 +221,13 @@ def algebra_closure(scheme: SchemeData, *, dim_t0_value: int,
     (t = 0) is at the bound after the seeds.  A history that still ends
     below the bound is a defect, and raises with the sandwich.
 
-    `reps` are the orbit representatives of `orbit_reps(scheme.group)`,
-    which the caller enumerates once for its own orbital check as well.
-    Their number is checked against the Burnside count before it serves as
-    the bound.
+    `reps` are the orbit representatives of `orbit_reps(group)`, which
+    the caller enumerates once for its own orbital check as well.  Their
+    number is checked against the Burnside count before it serves as the
+    bound.
     """
-    bound = dim_t_tilde(scheme.group, reps)
-    history = _GeneratorProducts(scheme, reps).rank_history(bound)
+    bound = dim_t_tilde(group, reps)
+    history = _GeneratorProducts(group, classes, reps).rank_history(bound)
     dim_t = history[-1]
     if not (dim_t0_value <= dim_t == bound):
         raise ConsistencyError(

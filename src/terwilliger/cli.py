@@ -283,7 +283,8 @@ def _report(args, params: GroupParams | None) -> tuple[str, int]:
         group = build_group(params)
         classes = conjugacy_classes(group)
         tensor = scheme.intersection_numbers(group, classes)
-        if not scheme.verify_product_identity(scheme.build_scheme(group, classes), tensor):
+        scheme.build_scheme(group, classes)
+        if not scheme.verify_product_identity(group, classes, tensor):
             raise ConsistencyError("product identity A_i A_j = sum_k p[i,j,k] A_k fails")
         return render_tensor(params, classes, tensor, args.format), 0
     raise AssertionError("unreachable command")

@@ -238,13 +238,12 @@ def centralizer_counts(group: GroupTable) -> np.ndarray:
     return np.count_nonzero(group.mult == group.mult.T, axis=0)
 
 
-def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
+def orbital_count(group: GroupTable, reps: np.ndarray) -> int:
     """Number of orbits of G acting on G x G by simultaneous conjugation.
 
     Computed two ways, which must agree: the Burnside average of |C_G(g)|^2,
-    and an explicit enumeration of the orbits by their least pairs
-    (orbit_reps).  A caller that has already enumerated them passes the
-    representatives `reps`, which then stand in for a second enumeration.
+    and an explicit enumeration of the orbits by their least pairs, the
+    representatives `reps` of orbit_reps, which the caller enumerates once.
     """
     counts = centralizer_counts(group)
     total = int(np.sum(counts.astype(object) ** 2))
@@ -252,7 +251,7 @@ def orbital_count(group: GroupTable, reps: np.ndarray | None = None) -> int:
         raise ConsistencyError("Burnside sum is not divisible by the group order")
     burnside = total // group.order
 
-    explicit = len(orbit_reps(group) if reps is None else reps)
+    explicit = len(reps)
     if explicit != burnside:
         raise ConsistencyError(
             f"orbital count mismatch for {group.name}: "
@@ -268,11 +267,22 @@ def _least_conjugates(group: GroupTable):
     order, and row rows[slot[r]] maps z to the least of c z c^-1 over c in
     C(r), for every class minimum r.  Such a row depends on C(r) alone, and
     class minima share centralizers: every central r has C(r) = G, whose
-    row is the class minima themselves.  The 2 tau + (n - tau)/2 class
-    minima of D(n,s) had at most min(tau, n/tau) + 2 distinct centralizers
-    in every case checked (all n <= 100); that bound is observed, not
-    proved.  So one row is formed per distinct centralizer, keyed by its
-    packed membership mask.
+    row is the class minima themselves.  So one row is formed per distinct
+    centralizer, keyed by its packed membership mask.
+
+    The 2 tau + (n - tau)/2 class minima of D(n,s) have exactly
+    min(tau, n/tau) + 2 distinct centralizers.  A reflection b a^j
+    conjugates a^m to b a^m b = a^(ms), and a^j conjugates b a^r to
+    b a^(r + j(s-1)), which is b a^r exactly when n divides j(s-1), that is
+    when n/tau divides j.  So the centralizers are: G for the tau central
+    rotations (n/tau divides m, so ms = m mod n); <a> for the other
+    rotations, at least one class as tau < n; and for each reflection
+    minimum b a^r (0 <= r < tau) the rotations <a^(n/tau)> together with
+    the coset b a^r <a^(n/tau)>, since <a> has index 2 and b a^r lies in
+    its own centralizer.  That last set depends only on r mod n/tau, which
+    takes min(tau, n/tau) values as r runs over tau consecutive integers,
+    and the three kinds differ: only G has order 2n, and only <a> holds no
+    reflection.
     """
     conj = group.conjugation()
     order = group.order

@@ -16,7 +16,7 @@ A sweep hands each pair's row to a sink in (n, s) order as soon as it and
 every earlier pair have finished, and keeps none; the default sink is a
 list's append, which sweep returns.  A pair whose analysis raises a
 ConsistencyError or a MemoryError outside a step (a Cayley table that does
-not fit, a scheme that cannot be built) is only that pair's row: a
+not fit, classes that fail the scheme axioms) is only that pair's row: a
 PairFailure, whose one verdict is false and whose note is the exception.
 
 The orbits of G on G x G are enumerated once per analysis, by their
@@ -158,10 +158,10 @@ def analyze_pair(n: int, s: int, *,
     classes = conjugacy_classes(group)          # raises only on route mismatch
     checks["conjugacy_routes_agree"] = True
 
-    scheme_data = step("scheme_axioms", lambda: scheme.build_scheme(group, classes))
+    step("scheme_axioms", lambda: scheme.build_scheme(group, classes))
     tensor = step("tensor_well_defined",
                   lambda: scheme.intersection_numbers(group, classes))
-    if scheme_data is None or tensor is None:
+    if not checks["scheme_axioms"] or tensor is None:
         raise ConsistencyError("scheme construction failed: " + "; ".join(notes))
 
     t0 = scheme.dim_t0(tensor)
@@ -170,7 +170,7 @@ def analyze_pair(n: int, s: int, *,
     checks["t0_matches_formula"] = t0 == formula
     checks["t0_cases_match"] = cases == scheme.expected_case_counts(params)
 
-    checks["product_identity"] = scheme.verify_product_identity(scheme_data, tensor)
+    checks["product_identity"] = scheme.verify_product_identity(group, classes, tensor)
 
     reps = orbit_reps(group)
     t_tilde = step("orbital_routes_agree", lambda: algebra.dim_t_tilde(group, reps))
@@ -183,7 +183,7 @@ def analyze_pair(n: int, s: int, *,
     if closure:
         def closure_certificate():
             try:
-                return algebra.algebra_closure(scheme_data, dim_t0_value=t0, reps=reps)
+                return algebra.algebra_closure(group, classes, dim_t0_value=t0, reps=reps)
             except MemoryError as exc:
                 # an allocation that fails is caught here; an OOM kill is not
                 detail = f" ({exc})" if str(exc) else ""

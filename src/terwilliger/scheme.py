@@ -1,12 +1,13 @@
 """Group association scheme: relations, intersection numbers, triple counts.
 
 The scheme of a group puts (x, y) in relation i exactly when y*x^-1 lies in
-the i-th conjugacy class.  It is held as the group and its classes; the
-class matrix Q[x, y] = class index of y*x^-1 is formed by the product
-identity's check, the one reader of Q whole, and dies with it.  The
-intersection numbers are held as their nonzero triples (i, j, k, p_ijk)
-in (i, j, k) order, counted by one sort of the (i, j, k) key of every
-(z, Cl_k) pair.  The product identity A_i A_j = sum_k p[i,j,k] A_k,
+the i-th conjugacy class.  It is no object of its own: every stage takes
+the group and its classes, and build_scheme checks their axioms.  The
+class matrix Q[x, y] = class index of y*x^-1 (class_matrix) is formed by
+the product identity's check, the one reader of Q whole, and dies with
+it.  The intersection numbers are held as their nonzero triples (i, j, k,
+p_ijk) in (i, j, k) order, counted by one sort of the (i, j, k) key of
+every (z, Cl_k) pair.  The product identity A_i A_j = sum_k p[i,j,k] A_k,
 which makes them intersection numbers, is checked for every (i, j) at
 once by one sort of the rows of Q.
 """
@@ -27,28 +28,13 @@ CASE_ORDER: tuple[tuple[str, str], ...] = (
 )
 
 
-class SchemeData:
-    """A group association scheme, held as the group and its conjugacy classes.
-
-    Relations are indexed by conjugacy classes in their canonical order; the
-    identity relation sits at classes.identity_class, not necessarily at 0.
-    """
-
-    def __init__(self, group: GroupTable, classes: ConjugacyData):
-        self.group = group
-        self.order = group.order
-        self.classes = classes
-        self.identity_class = classes.identity_class
-
-    @property
-    def num_relations(self) -> int:
-        return self.classes.num_classes
-
-    def class_matrix(self) -> np.ndarray:
-        """Q[x, y] = class of y*x^-1, the relation of (x, y): built afresh on
-        each call, as GroupTable.conjugation is, so that no scheme keeps it."""
-        cls = np.asarray(self.classes.class_of, dtype=np.int64)
-        return cls[self.group.mult[:, self.group.inv]].T  # [x, y] -> class of y * x^-1
+def class_matrix(group: GroupTable, classes: ConjugacyData) -> np.ndarray:
+    """Q[x, y] = class of y*x^-1, the relation of (x, y): built afresh on
+    each call, as GroupTable.conjugation is, so that nothing keeps it.
+    Relations are the classes in their canonical order, so the identity
+    relation is classes.identity_class, not necessarily 0."""
+    cls = np.asarray(classes.class_of, dtype=np.int64)
+    return cls[group.mult[:, group.inv]].T  # [x, y] -> class of y * x^-1
 
 
 def _first_members(classes: ConjugacyData) -> np.ndarray:
@@ -60,8 +46,8 @@ def _first_members(classes: ConjugacyData) -> np.ndarray:
     return np.array([c[0] for c in classes.classes])
 
 
-def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
-    """Build the scheme and verify the defining axioms exactly.
+def build_scheme(group: GroupTable, classes: ConjugacyData) -> None:
+    """Verify the defining axioms of the scheme of (group, classes) exactly.
 
     Checks: the identity class gives the identity matrix, relations partition
     the pairs with constant row sums equal to the class sizes, the
@@ -109,7 +95,6 @@ def build_scheme(group: GroupTable, classes: ConjugacyData) -> SchemeData:
     bad = cls[cls[group.inv] != inverse_class[cls]]
     if len(bad):
         raise ConsistencyError(f"inverse of class {classes.labels[bad.min()]} is not a class")
-    return SchemeData(group, classes)
 
 
 @dataclass(frozen=True)
@@ -190,7 +175,8 @@ def closed_form_dimension(params: GroupParams) -> int:
     return value // 2
 
 
-def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> bool:
+def verify_product_identity(group: GroupTable, classes: ConjugacyData,
+                            tensor: IntersectionTensor) -> bool:
     """Check A_i A_j == sum_k p[i,j,k] A_k for every (i, j) as exact matrix
     identities.
 
@@ -229,8 +215,7 @@ def verify_product_identity(scheme: SchemeData, tensor: IntersectionTensor) -> b
     the base point: every member of every class is tried.
     """
     t1 = tensor.num_classes
-    q = scheme.class_matrix()
-    group = scheme.group
+    q = class_matrix(group, classes)
     # column 0, the identity's, gives every element a loop, so the graph
     # has all |G| vertices even for a group with no generator
     moves = group.mult[:, [0, *group.generating_set]]

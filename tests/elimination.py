@@ -8,7 +8,8 @@ basis.  This module runs the same spin-up by elimination in a
 describes: the generators as seeds, then their masked products, then the
 cells E*_k A_i E*_j where they reach the bound, else the left products of
 the rows the round before added.  It reads the package's labels, so it
-lives here rather than in `helpers`, whose oracles share no package code.
+lives here rather than in `helpers`, whose oracles share no package code;
+like the package's closure, it takes the group and its classes.
 It also runs where the count does not decide round 2 (S4, S5, S6), which
 pins those closures' histories and final bases.
 
@@ -34,9 +35,8 @@ from __future__ import annotations
 import numpy as np
 
 from terwilliger.algebra import _GeneratorProducts
-from terwilliger.groups import ConsistencyError, GroupTable, _least_conjugates
+from terwilliger.groups import ConjugacyData, ConsistencyError, GroupTable, _least_conjugates
 from terwilliger.modular import PrimeBasis, RationalBasis
-from terwilliger.scheme import SchemeData
 
 BATCH_ENTRIES = 2 ** 16  # dense values of later-round products per insert_block call
 ROUND_BUDGET = 32  # a closure that needs more rounds is reported as a defect
@@ -72,23 +72,23 @@ class GeneratorProducts(_GeneratorProducts):
     M[c u, v], for all classes in one gather plus one segment sum.  `ids`
     and `reps` are those of pair_orbits."""
 
-    def __init__(self, scheme: SchemeData, ids: np.ndarray, reps: np.ndarray):
+    def __init__(self, group: GroupTable, classes: ConjugacyData, ids: np.ndarray,
+                 reps: np.ndarray):
         self.ids = ids
-        super().__init__(scheme, reps)
-        classes = scheme.classes
+        super().__init__(group, classes, reps)
         self.elems = np.concatenate([np.asarray(c, dtype=np.int64) for c in classes.classes])
         self.offsets = np.cumsum([0] + [len(c) for c in classes.classes])[:-1]
-        self.mult = scheme.group.mult
-        self.identity_class = scheme.identity_class
-        self.u, self.v = np.divmod(reps, scheme.order)
+        self.mult = group.mult
+        self.identity_class = classes.identity_class
+        self.u, self.v = np.divmod(reps, group.order)
 
-    def _check_invariants(self, scheme: SchemeData, class_of: np.ndarray) -> None:
+    def _check_invariants(self, group: GroupTable, class_of: np.ndarray) -> None:
         """The package's guard, then the reference's own, on the ids it forms
         elements in: M[x, y] is m[ids[x, y]], so the labels at the
         representatives must be those of every pair of their orbit.  The
         relations of all pairs are its own dense Q[x, y] = class of y x^-1."""
-        super()._check_invariants(scheme, class_of)
-        q = _dense_q(scheme.group, class_of)
+        super()._check_invariants(group, class_of)
+        q = _dense_q(group, class_of)
         if not (np.array_equal(self.relation[self.ids], q)
                 and np.all(self.class_u[self.ids] == class_of[:, None])
                 and np.all(self.class_v[self.ids] == class_of)):
@@ -223,20 +223,20 @@ def modular_closure(basis: PrimeBasis, products: GeneratorProducts,
     return rounds, history
 
 
-def rational_closure(scheme: SchemeData, order: list[int]) -> int:
+def rational_closure(group: GroupTable, classes: ConjugacyData, order: list[int]) -> int:
     """The rank over Q of the algebra of the generators, seeded in `order`:
     A_i = (Q == i) for i <= t, then E*_i = diag(class_of == i), as dense
     |G| x |G| matrices.  Every round multiplies the rows the round before
     added by every generator on both sides, the independent check of the
     left-only spin-up; the loop ends after a round that adds nothing, within
     ROUND_BUDGET rounds.  Exact, and slow beyond small groups."""
-    class_of = np.asarray(scheme.classes.class_of, dtype=np.int64)
-    q = _dense_q(scheme.group, class_of)
-    t1 = scheme.num_relations
+    class_of = np.asarray(classes.class_of, dtype=np.int64)
+    q = _dense_q(group, class_of)
+    t1 = classes.num_classes
     gens = [(q == i).astype(np.int64) for i in range(t1)]
     gens += [np.diag((class_of == i).astype(np.int64)) for i in range(t1)]
     gens = [gens[g] for g in order]
-    basis = RationalBasis(scheme.order ** 2)
+    basis = RationalBasis(group.order ** 2)
     # object arrays keep the products in exact Python ints
     frontier = [g.astype(object) for g in gens if basis.insert(g.reshape(-1).tolist())]
     rounds = 0

@@ -20,6 +20,7 @@ from terwilliger import (DEFAULT_PRIMES, build_group, central_idempotents,
                          multiplicities_closedform, multiplicities_rowsum,
                          orbital_count, valid_twists, validate_params)
 from terwilliger.cli import SweepRows, render_sweep
+from terwilliger.groups import orbit_reps
 from terwilliger.pipeline import audit_corollaries, sweep
 from terwilliger.scheme import expected_case_counts
 
@@ -167,7 +168,7 @@ def test_criterion_9_commutant_oracle():
         for s in valid_twists(n):
             count += 1
             group = build_group(validate_params(n, s))
-            if commutant_oracle(group) != orbital_count(group):
+            if commutant_oracle(group) != orbital_count(group, orbit_reps(group)):
                 failures.append((n, s))
     _finish("9", failures, f"{count} pairs with |G| <= 16")
 

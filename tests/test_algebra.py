@@ -17,38 +17,39 @@ from terwilliger import (DEFAULT_PRIMES, GroupTable, build_group, build_scheme,
 from terwilliger import algebra
 from terwilliger.algebra import _GeneratorProducts, algebra_closure
 from terwilliger.groups import ConsistencyError, orbit_reps
+from terwilliger.scheme import class_matrix
 from terwilliger.modular import PrimeBasis
 
 
 def closure_inputs(n, s):
     group = build_group(validate_params(n, s))
     classes = conjugacy_classes(group)
-    sd = build_scheme(group, classes)
+    build_scheme(group, classes)
     tensor = intersection_numbers(group, classes)
-    return sd, dim_t0(tensor)
+    return group, classes, dim_t0(tensor)
 
 
-def relations(sd):
+def relations(group, classes):
     """The dense 0/1 matrix A_i = (Q == i) of every relation i."""
-    q = sd.class_matrix()
-    return [(q == i).astype(np.int64) for i in range(sd.num_relations)]
+    q = class_matrix(group, classes)
+    return [(q == i).astype(np.int64) for i in range(classes.num_classes)]
 
 
-def duals(sd):
+def duals(classes):
     """The dense diagonal 0/1 matrix E*_i of every class i, from class_of."""
-    class_of = np.asarray(sd.classes.class_of)
-    return [np.diag((class_of == i).astype(np.int64)) for i in range(sd.num_relations)]
+    class_of = np.asarray(classes.class_of)
+    return [np.diag((class_of == i).astype(np.int64)) for i in range(classes.num_classes)]
 
 
 def run_modular_closure(n, s, bound_above_t_tilde=0, prime=DEFAULT_PRIMES[0]):
     """One prime's eliminating closure (the reference) in canonical seed
     order; returns the basis, the generator products, the rounds and the
     history."""
-    sd, _ = closure_inputs(n, s)
-    products = GeneratorProducts(sd, *pair_orbits(sd.group))
-    bound = dim_t_tilde(sd.group) + bound_above_t_tilde
+    group, classes, _ = closure_inputs(n, s)
+    products = GeneratorProducts(group, classes, *pair_orbits(group))
+    bound = dim_t_tilde(group, orbit_reps(group)) + bound_above_t_tilde
     basis = PrimeBasis(prime, len(products.u))
-    canonical = list(range(2 * sd.num_relations))
+    canonical = list(range(2 * classes.num_classes))
     rounds, history = modular_closure(basis, products, canonical, bound)
     return basis, products, rounds, tuple(history)
 
@@ -62,11 +63,11 @@ def basis_digest(basis):
 
 class TestDualIdempotents:
     def test_class_indicator_diagonals(self):
-        idem = dual_idempotents(closure_inputs(3, 2)[0])
+        idem = dual_idempotents(closure_inputs(3, 2)[1])
         assert np.array_equal(idem.diagonals[1], np.array([0, 1, 1, 0, 0, 0]))
 
     def test_sum_is_identity_and_orthogonal(self):
-        diag = dual_idempotents(closure_inputs(8, 3)[0]).diagonals
+        diag = dual_idempotents(closure_inputs(8, 3)[1]).diagonals
         assert np.array_equal(diag.sum(axis=0), np.ones(16, dtype=int))
         for i in range(diag.shape[0]):
             for j in range(diag.shape[0]):
@@ -80,17 +81,15 @@ class TestDualIdempotents:
         (((0,), (1, 1, 2), (3, 4, 5)), "trace differs from class size"),
     ])
     def test_broken_partition_raises(self, classes, message):
-        sd, _ = closure_inputs(3, 2)
-        sd.classes = dataclasses.replace(sd.classes, classes=classes)
+        _, parts, _ = closure_inputs(3, 2)
         with pytest.raises(ConsistencyError, match=message):
-            dual_idempotents(sd)
+            dual_idempotents(dataclasses.replace(parts, classes=classes))
 
     def test_sandwich_support(self):
         # E_i A_j E_k is supported inside Cl_i x Cl_k
-        sd, _ = closure_inputs(4, 3)
-        idem = dual_idempotents(sd)
-        classes = sd.classes
-        adj = relations(sd)
+        group, classes, _ = closure_inputs(4, 3)
+        idem = dual_idempotents(classes)
+        adj = relations(group, classes)
         for i in range(classes.num_classes):
             for j in range(classes.num_classes):
                 for k in range(classes.num_classes):
@@ -111,8 +110,8 @@ class TestAlgebraClosure:
         # every D(n,s) with n <= 100 ends at the bound within two rounds, so
         # its certificate is exact; three dimensions are frozen, the rest
         # are the closed form
-        sd, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        group, classes, t0 = closure_inputs(n, s)
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
         if expected is None:
             expected = closed_form_dimension(validate_params(n, s))
         assert cert.dim_t == expected
@@ -121,8 +120,8 @@ class TestAlgebraClosure:
         assert 1 <= cert.closure_rounds <= 2
 
     def test_history_is_monotone_and_bounded(self):
-        sd, t0 = closure_inputs(8, 3)
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        group, classes, t0 = closure_inputs(8, 3)
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
         for history in cert.basis_size_history:
             assert list(history) == sorted(history)
             assert history[-1] <= cert.dim_t_tilde
@@ -132,20 +131,20 @@ class TestAlgebraClosure:
         # the count reads no seed order; the rational reference, seeded in
         # three shuffled orders, reaches the rank the count certifies
         import random
-        sd, t0 = closure_inputs(8, 5)
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        group, classes, t0 = closure_inputs(8, 5)
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
         for seed in (1, 2, 3):
-            order = list(range(2 * sd.num_relations))
+            order = list(range(2 * classes.num_classes))
             random.Random(seed).shuffle(order)
-            assert rational_closure(sd, order) == cert.dim_t == cert.dim_t_tilde
+            assert rational_closure(group, classes, order) == cert.dim_t == cert.dim_t_tilde
 
     def test_primes_keyword_rejected(self):
         # the two moduli are fixed; the certificate records DEFAULT_PRIMES
-        sd, t0 = closure_inputs(6, 5)
-        reps = orbit_reps(sd.group)
+        group, classes, t0 = closure_inputs(6, 5)
+        reps = orbit_reps(group)
         with pytest.raises(TypeError, match="primes"):
-            algebra_closure(sd, dim_t0_value=t0, reps=reps, primes=(9973, 7919))
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=reps)
+            algebra_closure(group, classes, dim_t0_value=t0, reps=reps, primes=(9973, 7919))
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=reps)
         assert cert.dim_t == 44
         assert cert.primes == DEFAULT_PRIMES
 
@@ -159,32 +158,32 @@ class TestAlgebraClosure:
         assert products.rank_history(64) == list(history)
 
     def test_sandwich_lower_bound_above_closure_raises(self):
-        sd, _ = closure_inputs(8, 3)
-        reps = orbit_reps(sd.group)
-        bound = dim_t_tilde(sd.group)
+        group, classes, _ = closure_inputs(8, 3)
+        reps = orbit_reps(group)
+        bound = dim_t_tilde(group, reps)
         with pytest.raises(ConsistencyError,
                            match="dimension sandwich violated: 65 <= 64 == 64 fails"):
-            algebra_closure(sd, dim_t0_value=bound + 1, reps=reps)
+            algebra_closure(group, classes, dim_t0_value=bound + 1, reps=reps)
 
     def test_history_below_the_bound_raises(self, monkeypatch):
         # round 1 always adds rank, so a round 1 that adds none is a defect:
         # the history would end at the seeds, 13, below dim T~ = 64, and the
         # closure raises rather than certify the seed rank
-        sd, _ = closure_inputs(8, 3)
+        group, classes, _ = closure_inputs(8, 3)
         monkeypatch.setattr(algebra, "_round_one_rank", lambda *labels: 13)
         with pytest.raises(ConsistencyError,
                            match="dimension sandwich violated: 13 <= 13 == 64 fails"):
-            algebra_closure(sd, dim_t0_value=13, reps=orbit_reps(sd.group))
+            algebra_closure(group, classes, dim_t0_value=13, reps=orbit_reps(group))
 
     def test_rational_mode_matches_on_every_small_pair(self):
         # the rational reference's rank equals the counted dim_t, which is
         # certified exact at the bound
         for n in range(3, 11):
             for s in valid_twists(n):
-                sd, t0 = closure_inputs(n, s)
-                cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
-                canonical = list(range(2 * sd.num_relations))
-                assert rational_closure(sd, canonical) == cert.dim_t, (n, s)
+                group, classes, t0 = closure_inputs(n, s)
+                cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
+                canonical = list(range(2 * classes.num_classes))
+                assert rational_closure(group, classes, canonical) == cert.dim_t, (n, s)
                 assert cert.provenance == "exact", (n, s)
 
     @pytest.mark.parametrize("n,s", [(3, 2), (4, 3), (8, 3)])
@@ -204,19 +203,19 @@ class TestAlgebraClosure:
         # class labels, and the relations read through them, differ within
         # an orbit
         if case == "S4":
-            sd = generic_inputs(symmetric_table(4), "S4")
-            t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
+            group, classes = generic_inputs(symmetric_table(4), "S4")
+            t0 = dim_t0(intersection_numbers(group, classes))
             moved_to = 3
         else:
-            sd, t0 = closure_inputs(8, 3)
+            group, classes, t0 = closure_inputs(8, 3)
             moved_to = 8
-        class_of = list(sd.classes.class_of)
+        class_of = list(classes.class_of)
         assert class_of[1] != class_of[moved_to]
         class_of[1] = class_of[moved_to]
-        sd.classes = dataclasses.replace(sd.classes, class_of=tuple(class_of))
+        classes = dataclasses.replace(classes, class_of=tuple(class_of))
         with pytest.raises(ConsistencyError,
                            match="^a generator is not constant on the pair orbits$"):
-            algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+            algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (130, 51)])
     def test_relation_labels_are_q_on_every_orbit(self, n, s):
@@ -224,19 +223,19 @@ class TestAlgebraClosure:
         # a representative is Q there, and Q is constant on every orbit of
         # pairs: spread back over the orbits, the labels are Q at every pair,
         # in both blocks of 256 rows at (130, 51)
-        sd, _ = closure_inputs(n, s)
-        ids, reps = pair_orbits(sd.group)
-        labels = _GeneratorProducts(sd, reps).relation
-        assert np.array_equal(labels[ids], sd.class_matrix())
+        group, classes, _ = closure_inputs(n, s)
+        ids, reps = pair_orbits(group)
+        labels = _GeneratorProducts(group, classes, reps).relation
+        assert np.array_equal(labels[ids], class_matrix(group, classes))
 
     def test_short_enumeration_checked_against_burnside(self):
         # the number of orbits handed in is checked against the Burnside
         # count; an enumeration one orbit short fails
-        sd, t0 = closure_inputs(8, 3)
-        reps = orbit_reps(sd.group)
-        assert algebra_closure(sd, dim_t0_value=t0, reps=reps).dim_t_tilde == 64
+        group, classes, t0 = closure_inputs(8, 3)
+        reps = orbit_reps(group)
+        assert algebra_closure(group, classes, dim_t0_value=t0, reps=reps).dim_t_tilde == 64
         with pytest.raises(ConsistencyError, match="Burnside 64 vs enumeration 63"):
-            algebra_closure(sd, dim_t0_value=t0, reps=reps[:-1])
+            algebra_closure(group, classes, dim_t0_value=t0, reps=reps[:-1])
 
     @pytest.mark.parametrize("n,s,rounds,history", [
         (8, 3, 3, (13, 63, 64, 64)),
@@ -272,8 +271,8 @@ class TestAlgebraClosure:
     ])
     def test_rounds_and_histories_pinned(self, n, s, rounds, history):
         # the JSON output carries the rounds and histories, so they are pinned
-        sd, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        group, classes, t0 = closure_inputs(n, s)
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
         assert cert.closure_rounds == rounds
         assert cert.basis_size_history == (history, history)
 
@@ -297,11 +296,11 @@ class TestAlgebraClosure:
         # so its later rounds eliminate dense left products; a source read
         # as rows change during its round, not as the round found it, would
         # offer longer words and change the digest
-        sd = generic_inputs(symmetric_table(5), "S5")
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+        group, classes = generic_inputs(symmetric_table(5), "S5")
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         basis = PrimeBasis(prime, len(products.u))
-        rounds, history = modular_closure(basis, products, list(range(2 * sd.num_relations)),
-                                          dim_t_tilde(sd.group))
+        rounds, history = modular_closure(basis, products, list(range(2 * classes.num_classes)),
+                                          dim_t_tilde(group, orbit_reps(group)))
         assert (rounds, tuple(history)) == (3, (13, 79, 155, 155))
         digest = basis_digest(basis)
         assert digest == "4965c7b37cc0ad72d960479faafec2beb7513568e1452181077bb6fe2e0b95e0"
@@ -311,13 +310,13 @@ class TestAlgebraClosure:
         # The span after round 1 fixes the pivots and the fully reduced rows,
         # whatever order its rows were offered in, so their digest in pivot
         # order is pinned
-        sd, _ = closure_inputs(40, 19)
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+        group, classes, _ = closure_inputs(40, 19)
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         monkeypatch.setattr(elimination, "ROUND_BUDGET", 1)
         basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
         with pytest.raises(ConsistencyError, match="did not stabilize"):
-            modular_closure(basis, products, list(range(2 * sd.num_relations)),
-                            dim_t_tilde(sd.group))
+            modular_closure(basis, products, list(range(2 * classes.num_classes)),
+                            dim_t_tilde(group, orbit_reps(group)))
         assert basis.rank == 895 and len(basis._off_vals) == 267
         pivots = basis._pivot_cols[:basis.rank]
         order = np.argsort(pivots)
@@ -333,14 +332,14 @@ class TestAlgebraClosure:
         # final basis, the rounds and the history do not depend on how many
         # dense products each later-round call takes: one source per call,
         # or the whole round in one
-        sd = generic_inputs(symmetric_table(int(case[1])), case)
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
-        canonical = list(range(2 * sd.num_relations))
+        group, classes = generic_inputs(symmetric_table(int(case[1])), case)
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
+        canonical = list(range(2 * classes.num_classes))
 
         def closure():
             basis = PrimeBasis(DEFAULT_PRIMES[0], len(products.u))
             rounds, history = modular_closure(basis, products, canonical,
-                                              dim_t_tilde(sd.group))
+                                              dim_t_tilde(group, orbit_reps(group)))
             digest = basis_digest(basis)
             return digest, rounds, history
 
@@ -352,15 +351,16 @@ class TestAlgebraClosure:
     def test_removed_parameters_rejected(self, removed):
         # the closure has one path, the count: no rational rerun, no seed
         # order, and no dual idempotents handed in
-        sd, t0 = closure_inputs(3, 2)
-        reps = orbit_reps(sd.group)
+        group, classes, t0 = closure_inputs(3, 2)
+        reps = orbit_reps(group)
         if removed == "idem":
             with pytest.raises(TypeError, match="positional argument"):
-                algebra_closure(sd, dual_idempotents(sd), dim_t0_value=t0, reps=reps)
+                algebra_closure(group, classes, dual_idempotents(classes), dim_t0_value=t0,
+                                reps=reps)
         else:
             value = True if removed == "exact_rational" else [0, 1, 2, 3, 4, 5]
             with pytest.raises(TypeError, match=removed):
-                algebra_closure(sd, dim_t0_value=t0, reps=reps, **{removed: value})
+                algebra_closure(group, classes, dim_t0_value=t0, reps=reps, **{removed: value})
 
     def test_generic_group_s4(self):
         # S4 is not triply transitive: the triple count undershoots by one,
@@ -369,17 +369,17 @@ class TestAlgebraClosure:
         # whose round 2 runs the left products, reaches the bound
         group = GroupTable(symmetric_table(4), name="S4")
         classes = generic_conjugacy_classes(group)
-        sd = build_scheme(group, classes)
+        build_scheme(group, classes)
         t0 = dim_t0(intersection_numbers(group, classes))
         assert t0 == 42
         with pytest.raises(ConsistencyError, match="^42 cells fall short of the bound 43, "
                                                    "so the labels do not decide round 2"):
-            algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(group))
-        products = GeneratorProducts(sd, *pair_orbits(group))
+            algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         for p in DEFAULT_PRIMES:
             rounds, history = modular_closure(PrimeBasis(p, len(products.u)), products,
-                                              list(range(2 * sd.num_relations)),
-                                              dim_t_tilde(group))
+                                              list(range(2 * classes.num_classes)),
+                                              dim_t_tilde(group, orbit_reps(group)))
             assert (rounds, tuple(history)) == (2, (9, 36, 43))
 
 
@@ -389,8 +389,8 @@ class TestCountedHistory:
     independent echelon oracle."""
 
     @staticmethod
-    def eliminated(sd, seed_order):
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+    def eliminated(group, classes, seed_order):
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         bound = len(products.u)
         histories = [modular_closure(PrimeBasis(p, bound), products, seed_order, bound)[1]
                      for p in DEFAULT_PRIMES]
@@ -402,11 +402,11 @@ class TestCountedHistory:
         # order and in one shuffled order, at both default primes
         import random
         for s in valid_twists(n):
-            sd, _ = closure_inputs(n, s)
-            canonical = list(range(2 * sd.num_relations))
+            group, classes, _ = closure_inputs(n, s)
+            canonical = list(range(2 * classes.num_classes))
             shuffled = random.Random(n * 1000 + s).sample(canonical, len(canonical))
             for order in (canonical, shuffled):
-                counted, histories = self.eliminated(sd, order)
+                counted, histories = self.eliminated(group, classes, order)
                 assert histories == [counted, counted], (n, s, order)
 
     @pytest.mark.parametrize("name,table,history", [
@@ -425,11 +425,11 @@ class TestCountedHistory:
         # and on every helper group whose closure the labels decide: the
         # certificate is exact at the bound, within two rounds, and the
         # trivial group is at the bound after the seeds
-        sd = generic_inputs(table, name)
-        counted, histories = self.eliminated(sd, list(range(2 * sd.num_relations)))
+        group, classes = generic_inputs(table, name)
+        counted, histories = self.eliminated(group, classes, list(range(2 * classes.num_classes)))
         assert counted == history and histories == [history, history]
-        t0 = dim_t0(intersection_numbers(sd.group, sd.classes))
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        t0 = dim_t0(intersection_numbers(group, classes))
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
         assert cert.provenance == "exact" and cert.dim_t == cert.dim_t_tilde == history[-1]
         assert cert.closure_rounds == len(history) - 1 <= 2
         assert cert.basis_size_history == (tuple(history), tuple(history))
@@ -437,18 +437,18 @@ class TestCountedHistory:
     def test_s4_round_one_counted_then_left_to_elimination(self):
         # round 1 of S4 is counted like any other; its cells fall short of
         # the bound, so round 2 is not decided by the labels
-        sd = generic_inputs(symmetric_table(4), "S4")
-        products = _GeneratorProducts(sd, orbit_reps(sd.group))
-        t1 = sd.num_relations
+        group, classes = generic_inputs(symmetric_table(4), "S4")
+        products = _GeneratorProducts(group, classes, orbit_reps(group))
+        t1 = classes.num_classes
         assert algebra._round_one_rank(products.relation, products.class_u,
                                        products.class_v, t1) == 36
         with pytest.raises(ConsistencyError, match="^42 cells fall short of the bound 43,"):
-            products.rank_history(dim_t_tilde(sd.group))
+            products.rank_history(dim_t_tilde(group, orbit_reps(group)))
 
     def test_above_the_bound_the_count_does_not_decide(self):
         # cells as many as dim T~ fall short of dim T~ + 1
-        sd, _ = closure_inputs(16, 7)
-        products = _GeneratorProducts(sd, orbit_reps(sd.group))
+        group, classes, _ = closure_inputs(16, 7)
+        products = _GeneratorProducts(group, classes, orbit_reps(group))
         assert products.rank_history(184) == [21, 179, 184]
         with pytest.raises(ConsistencyError, match="^184 cells fall short of the bound 185,"):
             products.rank_history(185)
@@ -484,8 +484,8 @@ class TestCountedHistory:
     @pytest.mark.parametrize("n,s,history", [(40, 21, (99, 2800)), (100, 51, (249, 17500))])
     def test_round_one_alone_pinned(self, n, s, history):
         # tau = n/2: round 1 alone reaches the bound
-        sd, t0 = closure_inputs(n, s)
-        cert = algebra_closure(sd, dim_t0_value=t0, reps=orbit_reps(sd.group))
+        group, classes, t0 = closure_inputs(n, s)
+        cert = algebra_closure(group, classes, dim_t0_value=t0, reps=orbit_reps(group))
         assert cert.closure_rounds == 1
         assert cert.basis_size_history == (history, history)
         assert cert.dim_t == cert.dim_t_tilde == history[-1]
@@ -493,12 +493,14 @@ class TestCountedHistory:
 
 def generic_inputs(table, name):
     group = GroupTable(table, name=name)
-    return build_scheme(group, generic_conjugacy_classes(group))
+    classes = generic_conjugacy_classes(group)
+    build_scheme(group, classes)
+    return group, classes
 
 
 class TestGeneratorProducts:
-    CASES = {"D(8,3)": lambda: closure_inputs(8, 3)[0],
-             "D(12,5)": lambda: closure_inputs(12, 5)[0],
+    CASES = {"D(8,3)": lambda: closure_inputs(8, 3)[:2],
+             "D(12,5)": lambda: closure_inputs(12, 5)[:2],
              "S4": lambda: generic_inputs(symmetric_table(4), "S4")}
 
     @pytest.mark.parametrize("modulus", [None, 97])
@@ -506,11 +508,11 @@ class TestGeneratorProducts:
     def test_all_products_match_dense_left_products(self, case, modulus):
         # rows i and t+1+i of all_products(m) are A_i M and E*_i M read at the
         # representatives; elements with E* factors tell the sides apart
-        sd = self.CASES[case]()
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
-        t1 = sd.num_relations
-        adj = relations(sd)
-        dual = duals(sd)
+        group, classes = self.CASES[case]()
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
+        t1 = classes.num_classes
+        adj = relations(group, classes)
+        dual = duals(classes)
         elements = adj + dual + [e @ a for e in dual for a in adj]
         elements += [adj[1] @ dual[-1] @ adj[-1], 3 * dual[1] @ adj[1] - 2 * adj[0]]
         for element in elements:
@@ -528,12 +530,12 @@ class TestGeneratorProducts:
     def test_seeds_match_dense_generators(self, case):
         # generators i and t+1+i are A_i and E*_i read at the representatives;
         # seeds(order) gives the rows of every generator, in that order
-        sd = self.CASES[case]()
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+        group, classes = self.CASES[case]()
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         u, v = products.u, products.v
-        t1 = sd.num_relations
-        want = [a[u, v] for a in relations(sd)]
-        want += [e[u, v] for e in duals(sd)]
+        t1 = classes.num_classes
+        want = [a[u, v] for a in relations(group, classes)]
+        want += [e[u, v] for e in duals(classes)]
         want = np.array(want)
         shuffled = [int(g) for g in np.random.default_rng(t1).permutation(2 * t1)]
         for order in (list(range(2 * t1)), shuffled):
@@ -546,13 +548,13 @@ class TestGeneratorProducts:
         # for each relation i, the rows E*_j A_i and then A_i E*_j, j from t
         # down to 0, read at the representatives, empty rows included in the
         # numbering
-        sd = self.CASES[case]()
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+        group, classes = self.CASES[case]()
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         u, v = products.u, products.v
-        t1 = sd.num_relations
-        dual = duals(sd)[::-1]
+        t1 = classes.num_classes
+        dual = duals(classes)[::-1]
         want = [(m @ a if left else a @ m)[u, v]
-                for a in relations(sd) for left in (True, False) for m in dual]
+                for a in relations(group, classes) for left in (True, False) for m in dual]
         rows, cols, vals = products.masked_generators()
         assert np.all(np.diff(rows * len(u) + cols) > 0) and np.all(vals == 1)
         assert np.array_equal(densify(rows, cols, vals, (len(want), len(u))), np.array(want))
@@ -561,12 +563,12 @@ class TestGeneratorProducts:
     def test_cells_match_dense_triple_products(self, case):
         # every nonempty E*_k A_i E*_j read at the representatives, exactly
         # once and in (k, i, j) order, as one block
-        sd = self.CASES[case]()
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+        group, classes = self.CASES[case]()
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         u, v = products.u, products.v
-        t1 = sd.num_relations
-        adj = relations(sd)
-        dual = duals(sd)
+        t1 = classes.num_classes
+        adj = relations(group, classes)
+        dual = duals(classes)
         want = [(dual[k] @ adj[i] @ dual[j])[u, v]
                 for k in range(t1) for i in range(t1) for j in range(t1)]
         want = [row for row in want if row.any()]
@@ -583,8 +585,8 @@ class TestGeneratorProducts:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_all_products_on_cols_match_full_width(self, case):
-        sd = self.CASES[case]()
-        products = GeneratorProducts(sd, *pair_orbits(sd.group))
+        group, classes = self.CASES[case]()
+        products = GeneratorProducts(group, classes, *pair_orbits(group))
         length = len(products.u)
         rng = np.random.default_rng(length)
         m = rng.integers(0, 97, size=length).astype(np.float64)
@@ -598,15 +600,15 @@ class TestGeneratorProducts:
         # case merges two orbits that only one label tells apart, two
         # off-diagonal orbits of different relations (the A side), and the
         # diagonal orbits of two classes, both in the identity relation (E*)
-        sd, _ = closure_inputs(8, 3)
-        ids, reps = pair_orbits(sd.group)
-        u, v = np.divmod(reps, sd.order)
-        relation = sd.class_matrix()[u, v]
+        group, classes, _ = closure_inputs(8, 3)
+        ids, reps = pair_orbits(group)
+        u, v = np.divmod(reps, group.order)
+        relation = class_matrix(group, classes)[u, v]
         off, diagonal = np.flatnonzero(u != v), np.flatnonzero(u == v)
         for a, b in [(off[0], off[relation[off] != relation[off[0]]][0]), diagonal[:2]]:
             corrupted = np.where(ids == b, a, ids)
             with pytest.raises(ConsistencyError, match="not constant"):
-                GeneratorProducts(sd, corrupted, reps)
+                GeneratorProducts(group, classes, corrupted, reps)
 
     @pytest.mark.parametrize("rep,old,new", [(7, (1, 0), (1, 6)), (1, (0, 1), (6, 1))])
     def test_class_labels_must_be_orbit_invariants(self, rep, old, new):
@@ -617,46 +619,49 @@ class TestGeneratorProducts:
         # no ids: the labels stay orbit invariants, but two representatives
         # now share a cell, so the count falls short of the bound and
         # refuses to decide round 2
-        sd, t0 = closure_inputs(8, 3)
-        ids, reps = pair_orbits(sd.group)
-        cls = np.asarray(sd.classes.class_of)
-        assert divmod(int(reps[rep]), sd.order) == old
-        q = sd.class_matrix()
+        group, classes, t0 = closure_inputs(8, 3)
+        ids, reps = pair_orbits(group)
+        cls = np.asarray(classes.class_of)
+        assert divmod(int(reps[rep]), group.order) == old
+        q = class_matrix(group, classes)
         assert q[old] == q[new] and new[0] != new[1]
         assert (cls[list(old)] != cls[list(new)]).sum() == 1
         moved = reps.copy()
-        moved[rep] = new[0] * sd.order + new[1]
+        moved[rep] = new[0] * group.order + new[1]
         with pytest.raises(ConsistencyError, match="not constant"):
-            GeneratorProducts(sd, ids, moved)
+            GeneratorProducts(group, classes, ids, moved)
         with pytest.raises(ConsistencyError, match="^63 cells fall short of the bound 64"):
-            algebra_closure(sd, dim_t0_value=t0, reps=moved)
+            algebra_closure(group, classes, dim_t0_value=t0, reps=moved)
 
     @pytest.mark.parametrize("n,s", [(64, 33), (100, 51)])
     def test_retains_labels_not_generator_stacks(self, n, s):
         # a few arrays of length dim T~ fit; one 2(t+1) x dim T~ stack does not
         group = build_group(validate_params(n, s))
-        sd = build_scheme(group, conjugacy_classes(group))
+        classes = conjugacy_classes(group)
+        build_scheme(group, classes)
         reps = orbit_reps(group)
         tracemalloc.start()
         try:
-            products = _GeneratorProducts(sd, reps)
+            products = _GeneratorProducts(group, classes, reps)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(products.relation) == dim_t_tilde(group)
+        assert len(products.relation) == dim_t_tilde(group, reps)
         assert retained < 64 * len(products.relation)
 
 
 class TestDimTTilde:
     @pytest.mark.parametrize("n,s,expected", [(3, 2, 11), (8, 3, 64), (6, 5, 44)])
     def test_frozen(self, n, s, expected):
-        assert dim_t_tilde(build_group(validate_params(n, s))) == expected
+        group = build_group(validate_params(n, s))
+        assert dim_t_tilde(group, orbit_reps(group)) == expected
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_formula(self, n):
         for s in valid_twists(n):
             params = validate_params(n, s)
-            assert dim_t_tilde(build_group(params)) == closed_form_dimension(params)
+            group = build_group(params)
+            assert dim_t_tilde(group, orbit_reps(group)) == closed_form_dimension(params)
 
 
 class TestCommutantOracle:

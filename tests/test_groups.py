@@ -302,18 +302,18 @@ class TestOrbitalCount:
                                               (8, 3, 64), (6, 5, 44), (8, 5, 112)])
     def test_frozen_values(self, n, s, expected):
         g = build_group(validate_params(n, s))
-        assert orbital_count(g) == expected
+        assert orbital_count(g, orbit_reps(g)) == expected
         assert oracle_burnside_pairs(g.mult) == expected
 
     def test_equals_sum_of_rep_centralizers(self):
         for n, s in [(5, 4), (8, 7), (12, 7)]:
             g = build_group(validate_params(n, s))
             c = conjugacy_classes(g)
-            assert orbital_count(g) == sum(c.centralizer_orders)
+            assert orbital_count(g, orbit_reps(g)) == sum(c.centralizer_orders)
 
     def test_generic_s4(self):
         g = GroupTable(symmetric_table(4), name="S4")
-        assert orbital_count(g) == oracle_burnside_pairs(g.mult)
+        assert orbital_count(g, orbit_reps(g)) == oracle_burnside_pairs(g.mult)
 
 
 class TestConjugation:
@@ -366,3 +366,12 @@ class TestPairOrbitNumbering:
         assert ids.tolist() == oracle_ids
         # the representatives alone, read off the same rows with no ids
         assert orbit_reps(g).tolist() == oracle_reps
+
+    def test_one_row_per_distinct_centralizer(self):
+        # the class minima of D(n,s) have exactly min(tau, n/tau) + 2
+        # distinct centralizers, so as many rows of least conjugates are formed
+        for n in range(3, 201):
+            for s in valid_twists(n):
+                params = validate_params(n, s)
+                _, _, rows = groups._least_conjugates(build_group(params))
+                assert len(rows) == min(params.tau, n // params.tau) + 2, (n, s)

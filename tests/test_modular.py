@@ -8,6 +8,7 @@ import pytest
 from terwilliger import (DEFAULT_PRIMES, build_group, build_scheme, conjugacy_classes,
                          validate_params)
 from terwilliger.modular import PrimeBasis, RationalBasis, check_modulus
+from terwilliger.scheme import class_matrix
 
 from helpers import (densify, entries, oracle_echelon, oracle_rational_echelon,
                      oracle_rational_residual)
@@ -150,9 +151,10 @@ class TestPrimeBasis:
     def test_bose_mesner_rank(self):
         # the adjacency matrices of D(3,2) are disjointly supported 0/1 matrices
         g = build_group(validate_params(3, 2))
-        sd = build_scheme(g, conjugacy_classes(g))
+        c = conjugacy_classes(g)
+        build_scheme(g, c)
         basis = PrimeBasis(DEFAULT_PRIMES[0], 36)
-        q = sd.class_matrix()
+        q = class_matrix(g, c)
         for i in range(3):
             assert basis.insert((q == i).astype(np.int64).reshape(-1))
         assert basis.rank == 3

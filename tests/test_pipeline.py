@@ -5,8 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from terwilliger import (CharTable, GroupTable, IntersectionTensor, SchemeData,
-                         build_group, enumerate_pairs, validate_params)
+from terwilliger import (CharTable, GroupTable, IntersectionTensor, build_group,
+                         enumerate_pairs, validate_params)
 from terwilliger import pipeline as pl
 from terwilliger.groups import ConsistencyError, orbit_reps
 from terwilliger.pipeline import analyze_pair, audit_corollaries, sweep
@@ -114,9 +114,9 @@ class TestAnalyzePair:
         # build_scheme checks the transpose closure on row 0 and forms no Q;
         # the product identity's check is the one reader of Q whole
         calls = []
-        class_matrix = SchemeData.class_matrix
-        monkeypatch.setattr(SchemeData, "class_matrix",
-                            lambda self: calls.append(self) or class_matrix(self))
+        class_matrix = pl.scheme.class_matrix
+        monkeypatch.setattr(pl.scheme, "class_matrix",
+                            lambda *args: calls.append(args) or class_matrix(*args))
         assert analyze_pair(12, 5).passed
         assert len(calls) == 1
 
@@ -125,7 +125,7 @@ class TestAnalyzePair:
         # |classes| x |G| diagonals
         from terwilliger import algebra
 
-        def refuse(scheme):
+        def refuse(classes):
             raise AssertionError("dual_idempotents called")
 
         monkeypatch.setattr(algebra, "dual_idempotents", refuse)
@@ -146,7 +146,7 @@ class TestAnalyzePair:
         # the tables and arrays are rebuilt by the layers that make them;
         # an analysis keeps only what the reports print
         a = analyze_pair(40, 21)
-        working = (GroupTable, SchemeData, IntersectionTensor, CharTable, np.ndarray)
+        working = (GroupTable, IntersectionTensor, CharTable, np.ndarray)
         held = {f.name: type(getattr(a, f.name)).__name__
                 for f in dataclasses.fields(a)
                 if isinstance(getattr(a, f.name), working)}

@@ -8,13 +8,14 @@ from helpers import (c2_c4_table, cyclic_table, oracle_intersection_tensor, orac
                      oracle_product_identity, oracle_t0_count, oracle_tensor_per_class,
                      q8_table, symmetric_table)
 from terwilliger import (ConjugacyData, ConsistencyError, GroupTable, IntersectionTensor,
-                         SchemeData, build_group, build_scheme, case_counts,
+                         build_group, build_scheme, case_counts,
                          closed_form_dimension, conjugacy_classes, dim_t0,
                          expected_case_counts, generic_conjugacy_classes,
                          intersection_numbers, valid_twists, validate_params,
                          verify_product_identity)
+from terwilliger.groups import orbit_reps
 from terwilliger.pipeline import analyze_pair
-from terwilliger.scheme import CASE_ORDER
+from terwilliger.scheme import CASE_ORDER, class_matrix
 
 
 def pipeline(n, s):
@@ -65,10 +66,10 @@ def moved(tensor, k, source, target):
     return raised(raised(tensor, *source, k, by=-1), *target, k)
 
 
-def relations(sd):
+def relations(g, c):
     """The dense 0/1 matrix A_i = (Q == i) of every relation i."""
-    q = sd.class_matrix()
-    return [(q == i).astype(np.int64) for i in range(sd.num_relations)]
+    q = class_matrix(g, c)
+    return [(q == i).astype(np.int64) for i in range(c.num_classes)]
 
 
 def swapped_intercalate(group, rows, cols):
@@ -107,27 +108,27 @@ def swapped_d43_classes():
 class TestBuildScheme:
     def test_identity_relation(self):
         _, g, c = pipeline(3, 2)
-        sd = build_scheme(g, c)
-        assert np.array_equal(relations(sd)[sd.identity_class], np.eye(6, dtype=int))
+        build_scheme(g, c)
+        assert np.array_equal(relations(g, c)[c.identity_class], np.eye(6, dtype=int))
 
     def test_row_sums_are_class_sizes(self):
         _, g, c = pipeline(3, 2)
-        sd = build_scheme(g, c)
-        for a, size in zip(relations(sd), c.sizes()):
+        build_scheme(g, c)
+        for a, size in zip(relations(g, c), c.sizes()):
             assert np.all(a.sum(axis=1) == size)
 
     @pytest.mark.parametrize("n,s", [(3, 2), (8, 3), (12, 5)])
     def test_partition_of_ones(self, n, s):
         _, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
-        total = sum(relations(sd))
+        build_scheme(g, c)
+        total = sum(relations(g, c))
         assert np.array_equal(total, np.ones((g.order, g.order), dtype=int))
 
     def test_transpose_closure_d43(self):
         # every class of D(4,3) is inverse-closed, so each A_i is symmetric
         _, g, c = pipeline(4, 3)
-        sd = build_scheme(g, c)
-        for i, a in enumerate(relations(sd)):
+        build_scheme(g, c)
+        for i, a in enumerate(relations(g, c)):
             inv_members = {int(g.inv[x]) for x in c.classes[i]}
             assert inv_members == set(c.classes[i])
             assert np.array_equal(a, a.T)
@@ -142,7 +143,7 @@ class TestBuildScheme:
         else:
             g = GroupTable(symmetric_table(4) if group == "S4" else cyclic_table(5), name=group)
             c = generic_conjugacy_classes(g)
-        q = build_scheme(g, c).class_matrix()
+        q = class_matrix(g, c)
         mult = g.mult
         for x in range(g.order):
             x_inv = oracle_inverse(mult, x)
@@ -150,10 +151,14 @@ class TestBuildScheme:
                 assert int(mult[y, x_inv]) in c.classes[q[x, y]]
 
     def test_holds_no_pair_array_beside_the_cayley_table(self):
-        # every array reached from the scheme's attributes, through objects,
-        # tuples and lists: only the Cayley table has |G|^2 entries
+        # every array reached from the group's attributes, through objects,
+        # tuples and lists, once the scheme stages and the orbit enumeration
+        # have run on it: only the Cayley table has |G|^2 entries, so no
+        # stage caches a pair array on the group
         _, g, c = pipeline(130, 51)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
+        assert verify_product_identity(g, c, intersection_numbers(g, c))
+        orbit_reps(g)
 
         def arrays(value, path):
             if isinstance(value, np.ndarray):
@@ -165,8 +170,8 @@ class TestBuildScheme:
                 for name, item in vars(value).items():
                     yield from arrays(item, f"{path}.{name}")
 
-        big = [path for path, a in arrays(sd, "sd") if a.size >= g.order ** 2]
-        assert big == ["sd.group.mult"]
+        big = [path for path, a in arrays(g, "group") if a.size >= g.order ** 2]
+        assert big == ["group.mult"]
 
     def test_broken_row_counts_raise(self):
         # a^1 moved into the reflection class in class_of only: every row then
@@ -243,25 +248,25 @@ class TestIntersectionNumbers:
                                      (45, 26), (100, 51), (200, 101), (400, 201)])
     def test_product_identity_full(self, n, s):
         _, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert verify_product_identity(sd, tensor)
+        assert verify_product_identity(g, c, tensor)
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5), (16, 7)])
     def test_product_identity_detects_one_perturbed_entry(self, n, s):
         # an existing triple's p raised by 1, and a new triple at a zero entry
         _, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         t1 = c.num_classes
         i, j = 1, t1 - 1
-        assert verify_product_identity(sd, tensor)
+        assert verify_product_identity(g, c, tensor)
         p_ij = dense(tensor)[i, j]
         assert p_ij.max() > 0 and p_ij.min() == 0
         for k in (int(np.argmax(p_ij)), int(np.argmin(p_ij))):
             perturbed = raised(tensor, i, j, k)
             assert dim_t0(perturbed) == dim_t0(tensor) + (p_ij[k] == 0)
-            assert not verify_product_identity(sd, perturbed), k
+            assert not verify_product_identity(g, c, perturbed), k
 
     @pytest.mark.parametrize("n,s", [(16, 7), (40, 19)])
     def test_product_identity_detects_a_count_moved_between_two_pairs(self, n, s, monkeypatch):
@@ -270,15 +275,15 @@ class TestIntersectionNumbers:
         # other (i, j) still holds, so only a check that reaches (3, 3) or
         # (5, 5) sees it; a sample of a few (i, j) per n can miss both
         params, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         k = c.identity_class
         p = dense(tensor)
         assert p[3, 3, k] == p[5, 5, k] == 2
         wrong = moved(tensor, k, (3, 3), (5, 5))
         assert dim_t0(wrong) == dim_t0(tensor)
-        assert verify_product_identity(sd, tensor)
-        assert not verify_product_identity(sd, wrong)
+        assert verify_product_identity(g, c, tensor)
+        assert not verify_product_identity(g, c, wrong)
 
         monkeypatch.setattr("terwilliger.scheme.intersection_numbers",
                             lambda group, classes: wrong)
@@ -296,17 +301,18 @@ class TestIntersectionNumbers:
         # transpose closure on row 0 only, accepts it; the product identity,
         # whose translation checks carry row 0 to every row, refuses it
         _, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        corrupted = build_scheme(swapped_intercalate(g, [1, n // 2 + 1], [2, n // 2 + 2]), c)
-        q = corrupted.class_matrix()
-        assert np.count_nonzero(q != sd.class_matrix()) == 4
+        corrupted = swapped_intercalate(g, [1, n // 2 + 1], [2, n // 2 + 2])
+        build_scheme(corrupted, c)
+        q = class_matrix(corrupted, c)
+        assert np.count_nonzero(q != class_matrix(g, c)) == 4
         for lines in (q, q.T):
             counts = np.arange(g.order)[:, None] * c.num_classes + lines
             assert np.array_equal(np.bincount(counts.ravel()).reshape(g.order, -1),
                                   np.tile(c.sizes(), (g.order, 1)))
-        assert verify_product_identity(sd, tensor)
-        assert not verify_product_identity(corrupted, tensor)
+        assert verify_product_identity(g, c, tensor)
+        assert not verify_product_identity(corrupted, c, tensor)
 
     @pytest.mark.parametrize("name,table", [
         ("C1", cyclic_table(1)), ("C2", cyclic_table(2)), ("S4", symmetric_table(4)),
@@ -315,26 +321,27 @@ class TestIntersectionNumbers:
         # every non-identity element is a generator; C1 has none
         g = GroupTable(table, name=name)
         c = generic_conjugacy_classes(g)
-        assert verify_product_identity(build_scheme(g, c), intersection_numbers(g, c))
+        build_scheme(g, c)
+        assert verify_product_identity(g, c, intersection_numbers(g, c))
 
     def test_product_identity_needs_transitive_generators(self, monkeypatch):
         # the translations by a alone keep <a> and b<a> apart, so row 0 says
         # nothing of the rows of b<a>, and no identity is certified
         _, g, c = pipeline(8, 3)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
         assert g.generating_set == (1, 8)
-        assert verify_product_identity(sd, tensor)
+        assert verify_product_identity(g, c, tensor)
         monkeypatch.setattr(GroupTable, "generating_set", property(lambda self: (1,)))
-        assert not verify_product_identity(sd, tensor)
+        assert not verify_product_identity(g, c, tensor)
 
     @pytest.mark.parametrize("n,s", [(n, s) for n in range(3, 13) for s in valid_twists(n)])
     def test_product_identity_matches_dense_oracle(self, n, s):
         _, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert oracle_holds(sd.class_matrix(), tensor, c)
-        assert verify_product_identity(sd, tensor)
+        assert oracle_holds(class_matrix(g, c), tensor, c)
+        assert verify_product_identity(g, c, tensor)
 
     @pytest.mark.parametrize("n,s", [(8, 3), (12, 5)])
     def test_perturbed_verdicts_match_dense_oracle(self, n, s):
@@ -342,9 +349,9 @@ class TestIntersectionNumbers:
         # and the same count moved there from the least other nonzero (i', j')
         # of column k, which keeps every sum_ij p[i,j,k]
         _, g, c = pipeline(n, s)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        q = sd.class_matrix()
+        q = class_matrix(g, c)
         t1 = c.num_classes
         for i, j in every_pair(c):
             k = (i + j) % t1
@@ -353,7 +360,7 @@ class TestIntersectionNumbers:
             for perturbed in (raised(tensor, i, j, k), moved(tensor, k, source, (i, j))):
                 expected = oracle_holds(q, perturbed, c)
                 assert not expected
-                assert verify_product_identity(sd, perturbed) == expected, (i, j)
+                assert verify_product_identity(g, c, perturbed) == expected, (i, j)
 
     def test_product_identity_detects_a_corruption_off_row_zero(self):
         # the Cayley table's intercalate at rows a, a^5 and columns a^2, a^6
@@ -362,15 +369,15 @@ class TestIntersectionNumbers:
         # every product stays; but the translations by the generators now
         # change Q
         _, g, c = pipeline(8, 3)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        corrupted = SchemeData(swapped_intercalate(g, [1, 5], [2, 6]), c)
-        q = corrupted.class_matrix()
-        assert np.flatnonzero((q != sd.class_matrix()).any(axis=1)).tolist() == [2, 6]
+        corrupted = swapped_intercalate(g, [1, 5], [2, 6])
+        q = class_matrix(corrupted, c)
+        assert np.flatnonzero((q != class_matrix(g, c)).any(axis=1)).tolist() == [2, 6]
         assert np.array_equal(row_zero_codes(q, c.num_classes),
-                              row_zero_codes(sd.class_matrix(), c.num_classes))
+                              row_zero_codes(class_matrix(g, c), c.num_classes))
         assert not oracle_holds(q, tensor, c)
-        assert not verify_product_identity(corrupted, tensor)
+        assert not verify_product_identity(corrupted, c, tensor)
 
     def test_product_identity_checks_every_row_block(self):
         # (516, 259) has 1032 elements, so each translation is compared in
@@ -381,31 +388,30 @@ class TestIntersectionNumbers:
         # counts stay.  The translations by a and b move rows 772, 1030,
         # 257 and 515 onto them, so the first block never sees the change
         _, g, c = pipeline(516, 259)
-        sd = build_scheme(g, c)
+        build_scheme(g, c)
         tensor = intersection_numbers(g, c)
-        assert g.order == 1032 and verify_product_identity(sd, tensor)
-        corrupted = SchemeData(swapped_intercalate(g, [517, 775], [517, 775]), c)
-        q = corrupted.class_matrix()
-        changed = np.flatnonzero((q != sd.class_matrix()).any(axis=1))
+        assert g.order == 1032 and verify_product_identity(g, c, tensor)
+        corrupted = swapped_intercalate(g, [517, 775], [517, 775])
+        q = class_matrix(corrupted, c)
+        changed = np.flatnonzero((q != class_matrix(g, c)).any(axis=1))
         assert changed.tolist() == [773, 1031]
         assert np.flatnonzero(np.isin(g.mult[:, g.generating_set], changed).any(axis=1)
                               ).tolist() == [257, 515, 772, 1030]
         assert np.array_equal(row_zero_codes(q, c.num_classes),
-                              row_zero_codes(sd.class_matrix(), c.num_classes))
-        assert not verify_product_identity(corrupted, tensor)
+                              row_zero_codes(class_matrix(g, c), c.num_classes))
+        assert not verify_product_identity(corrupted, c, tensor)
 
     def test_base_point_dependence_fails_the_product_identity(self):
-        # build_scheme rejects these classes, so their scheme is built by hand;
-        # its Q passes the translation and transitivity checks, as every Q
-        # read off a class map does, and the counts at a^3 differ from the
-        # tensor's at a^2
+        # build_scheme rejects these classes, and the product identity is
+        # checked on them regardless; their Q passes the translation and
+        # transitivity checks, as every Q read off a class map does, and the
+        # counts at a^3 differ from the tensor's at a^2
         _, g, c = pipeline(4, 3)
-        assert verify_product_identity(SchemeData(g, c), intersection_numbers(g, c))
+        assert verify_product_identity(g, c, intersection_numbers(g, c))
         g, corrupted = swapped_d43_classes()
         with pytest.raises(ConsistencyError, match="^inverse of class Y1 is not a class$"):
             build_scheme(g, corrupted)
-        assert not verify_product_identity(SchemeData(g, corrupted),
-                                           intersection_numbers(g, corrupted))
+        assert not verify_product_identity(g, corrupted, intersection_numbers(g, corrupted))
 
     def test_base_point_dependence_fails_at_either_base_point(self):
         # Y1's members in either order: the two tensors differ at k = Y1 only,
@@ -418,8 +424,7 @@ class TestIntersectionNumbers:
         differ = dense(tensors[0]) != dense(tensors[1])
         assert np.flatnonzero(differ.any(axis=(0, 1))).tolist() == [2]
         assert corrupted.labels[2] == "Y1"
-        sd = SchemeData(g, corrupted)
-        assert not any(verify_product_identity(sd, t) for t in tensors)
+        assert not any(verify_product_identity(g, corrupted, t) for t in tensors)
 
     def test_matches_per_class_oracle(self):
         # (100, 99) has 53 classes
